@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .dmc import DMCModel, RateTuple
 from .gaussian import (
+    STRATEGIES,
     GaussianNetwork,
     RatePair,
     StrategyParams,
@@ -41,6 +42,11 @@ from .sweep import GridSpec, max_r1_vs_alpha, pareto_filter, region_boundary, sw
 
 PAPER_NET = GaussianNetwork(p1=5.0, p2=3.0, n1=2.0, n2=8.0, nr=2.0)
 PAPER_Q = 300.0
+
+
+def _paper_rates(strategy_id: str, a, b=0.0, q=None, rstar=None):
+    """Clamped (first, second) grid rates of one strategy on the paper network."""
+    return STRATEGIES[strategy_id].rates(PAPER_NET, a, b, q, rstar)
 
 
 @dataclass(frozen=True)
@@ -233,10 +239,9 @@ FIG5_TARGETS = {
 def criterion_1() -> CriterionResult:
     def check():
         maxima = {}
+        grid = GridSpec(alpha_steps=401, beta_steps=401, q_values=(PAPER_Q,))
         for label in ("df", "nf", "cf"):
-            curve = max_r1_vs_alpha(
-                f"b_{label}", PAPER_NET, 401, 401, q=PAPER_Q if label == "cf" else None
-            )
+            curve = max_r1_vs_alpha(f"b_{label}", PAPER_NET, grid)
             maxima[label] = max(s.value for s in curve.samples)
         errs = {k: abs(maxima[k] - FIG4_TARGETS[k]) for k in maxima}
         ok = all(e <= 1e-3 for e in errs.values())
@@ -250,14 +255,12 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     def check():
         grid = GridSpec(alpha_steps=101, beta_steps=101, q_values=(PAPER_Q,))
-        from .gaussian import _cf_arrays, _df_arrays, _nf_arrays
-
         A, B = np.meshgrid(np.linspace(0, 1, 401), np.linspace(0, 1, 401), indexing="ij")
         worst = 0.0
         for arrays in (
-            _df_arrays(PAPER_NET, A, B),
-            _nf_arrays(PAPER_NET, A, B)[:2],
-            _cf_arrays(PAPER_NET, A, B, PAPER_Q, max(0.0, cf_rstar_max(PAPER_NET, PAPER_Q)))[:2],
+            _paper_rates("b_df", A, B),
+            _paper_rates("b_nf", A, B),
+            _paper_rates("b_cf", A, B, PAPER_Q, max(0.0, cf_rstar_max(PAPER_NET, PAPER_Q))),
         ):
             r2 = arrays[1]
             worst = max(worst, float(np.max(np.abs(r2))))
@@ -274,10 +277,8 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     def check():
-        from .gaussian import _df_arrays
-
         A, B = np.meshgrid(np.linspace(0, 1, 401), np.linspace(0, 1, 401), indexing="ij")
-        df = _df_arrays(PAPER_NET, A, B)
+        df = _paper_rates("b_df", A, B)
         # The no-relay baseline evaluates the identical closed form; spot-check
         # the scalar paths agree bit for bit on a subgrid as well.
         worst = 0.0
@@ -295,21 +296,19 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     def check():
-        from .gaussian import _c_cf_arrays, _c_nf_arrays, _cf_arrays, _nf_arrays
-
         A, B = np.meshgrid(np.linspace(0, 1, 101), np.linspace(0, 1, 21), indexing="ij")
         alphas = np.linspace(0, 1, 401)
-        nf = _nf_arrays(PAPER_NET, A, B)[0]
-        c_nf_r1 = _c_nf_arrays(PAPER_NET, alphas)[1]
+        nf = _paper_rates("b_nf", A, B)[0]
+        c_nf_r1 = _paper_rates("c_nf", alphas)[1]
         sups_b, sups_c = [], []
         for k in range(2, 9):
             q = 10.0**k
             rs = cf_rstar_max(PAPER_NET, q)
             if rs < 0.0:
                 return False, f"cf_rstar_max negative at q=1e{k}"
-            cf = _cf_arrays(PAPER_NET, A, B, q, rs)[0]
+            cf = _paper_rates("b_cf", A, B, q, rs)[0]
             sups_b.append(float(np.max(np.abs(cf - nf))))
-            c_cf_r1 = _c_cf_arrays(PAPER_NET, alphas, q, rs)[1]
+            c_cf_r1 = _paper_rates("c_cf", alphas, 0.0, q, rs)[1]
             sups_c.append(float(np.max(np.abs(c_cf_r1 - c_nf_r1))))
         mono_b = all(b <= a + 1e-15 for a, b in zip(sups_b, sups_b[1:]))
         mono_c = all(b <= a + 1e-15 for a, b in zip(sups_c, sups_c[1:]))

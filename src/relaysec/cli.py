@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands:
-  curve       Best confidential rate R1 vs alpha per strategy (CSV columns
-              alpha,<strategy>_r1,...).
+  curve       Best confidential rate R1 vs alpha per strategy, maximized over
+              beta and every feasible compress-forward (q, R*) of the grid
+              (CSV columns alpha,<strategy>_r1,...).
   region      Pareto staircases of (R0, R1) corners per strategy.
   gaussian    Single-point strategy evaluation from explicit parameters.
   dmc-eval    Membership of a rate point in one bound, with per-inequality
@@ -88,23 +89,11 @@ def _require_gaussian(scenario: Scenario, command: str, model: str | None = None
 def _cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
     _require_gaussian(scenario, "curve")
-    grid = scenario.grid
-    q = grid.q_values[0] if grid.q_values else None
     header = ["alpha"]
     curves = []
     for label in scenario.strategies:
         strategy = resolve_strategy(label, scenario.model)
-        curves.append(
-            max_r1_vs_alpha(
-                strategy.strategy_id,
-                scenario.net,
-                grid.alpha_steps,
-                grid.beta_steps,
-                q=q if strategy.uses_q else None,
-                rstar_policy=grid.rstar_policy,
-                rstar_steps=grid.rstar_steps,
-            )
-        )
+        curves.append(max_r1_vs_alpha(strategy.strategy_id, scenario.net, scenario.grid))
         header.append(f"{strategy.label}_r1")
     rows = []
     for i, sample in enumerate(curves[0].samples):

@@ -16,19 +16,27 @@ Two message configurations are covered:
 relay power split; it cancels out of every displayed rate, so it is not a
 parameter here.
 
-Negative closed-form values are clamped to zero in the returned pairs, except
-`cf_rstar_max`, whose sign is the compress-forward feasibility signal.  The
-`alpha`/`beta` arguments accept numpy arrays for grid sweeps.
+Every strategy is one entry of `STRATEGIES`, and each entry holds one array
+kernel `(net, alpha, beta, q, rstar) -> (arms, second)` over numpy arrays or
+scalars (arguments a kernel does not use are ignored).  The first rate is the
+min of `arms`, the second rate is `second`, and both are clamped at zero.
+The `active` label of a point names the leftmost minimal arm (`arm_labels`;
+a single-arm strategy has no label).  `b_df` and `b_baseline` share a kernel:
+decoding-and-forwarding cannot enlarge the two-confidential-message region.
+Negative values are clamped everywhere except in `cf_rstar_max`, whose sign
+is the compress-forward feasibility signal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleError, ModelAssumptionError, ValidationError
+from .errors import InfeasibleError, ModelAssumptionError, UsageError, ValidationError
 
 RSTAR_SLACK = 1e-9  # tolerance when checking R* against its budget
 
@@ -96,14 +104,6 @@ class StrategyParams:
             if not math.isfinite(rs) or rs < 0.0:
                 raise ValidationError(f"StrategyParams: rstar must be >= 0, got {rs!r}")
 
-    def key(self) -> tuple[float, float, float, float]:
-        return (
-            self.alpha,
-            self.beta,
-            self.q if self.q is not None else -1.0,
-            self.rstar if self.rstar is not None else -1.0,
-        )
-
 
 @dataclass(frozen=True)
 class RatePair:
@@ -124,32 +124,15 @@ def _clamp(x):
     return np.maximum(x, 0.0)
 
 
-def _pick(*branches):
-    """Left-to-right min with the index of the first minimizing branch."""
-    stacked = np.stack(np.broadcast_arrays(*branches))
-    idx = np.argmin(stacked, axis=0)
-    # argmin returns the first minimizing index, which is the leftmost branch
-    return stacked.min(axis=0), idx
+def _first(arms):
+    """The first rate: the clamped min of the arms, without stacking them."""
+    return _clamp(reduce(np.minimum, arms))
 
 
-def _df_arrays(net: GaussianNetwork, a, b):
-    p1, _, n1, n2, _ = net.as_tuple()
-    s = (1.0 - b) * p1
-    r1 = _hl((s + n1) / (s * (1.0 - a) + n1)) - _hl((s * a + n2) / n2)
-    r2 = _hl((s + n2) / (s * a + n2)) - _hl((s * (1.0 - a) + n1) / n1)
-    return _clamp(r1), _clamp(r2)
-
-
-def _nf_arrays(net: GaussianNetwork, a, b):
+def _relay_budget(net: GaussianNetwork):
+    """Rate the relay's own codewords can carry to both receivers."""
     p1, p2, n1, n2, _ = net.as_tuple()
-    s = (1.0 - b) * p1
-    secret = _hl((s + n1) / (s * (1.0 - a) + n1))
-    direct = np.minimum(_hl((p1 + n1) / (s + n1)), _hl((p1 + p2 + n2) / (s + p2 + n2))) + secret
-    relay_budget = min(_hl((p2 + n2) / n2), _hl((p1 + p2 + n1) / (p1 + n1)))
-    secrecy = relay_budget + secret - _hl((s * a + p2 + n2) / n2)
-    r1 = np.minimum(direct, secrecy)
-    r2 = _hl((s + p2 + n2) / (s * a + p2 + n2)) - _hl((s * (1.0 - a) + n1) / n1)
-    return _clamp(r1), _clamp(r2), direct, secrecy
+    return min(_hl((p2 + n2) / n2), _hl((p1 + p2 + n1) / (p1 + n1)))
 
 
 def cf_rstar_max(net: GaussianNetwork, q: float) -> float:
@@ -160,12 +143,34 @@ def cf_rstar_max(net: GaussianNetwork, q: float) -> float:
     """
     if not (math.isfinite(q) and q > 0.0):
         raise ValidationError(f"cf_rstar_max: q must be positive, got {q!r}")
-    p1, p2, n1, n2, nr = net.as_tuple()
-    relay_budget = min(_hl((p2 + n2) / n2), _hl((p1 + p2 + n1) / (p1 + n1)))
-    return float(relay_budget - _hl((p1 + q + nr) / q))
+    return float(_relay_budget(net) - _hl((net.p1 + q + net.nr) / q))
 
 
-def _cf_arrays(net: GaussianNetwork, a, b, q: float, rstar: float):
+def _b_second(net: GaussianNetwork, s, a, relay_noise):
+    """R2 of the B model; `relay_noise` is the relay power receiver 2 treats as noise."""
+    _, _, n1, n2, _ = net.as_tuple()
+    return _hl((s + relay_noise + n2) / (s * a + relay_noise + n2)) - _hl(
+        (s * (1.0 - a) + n1) / n1
+    )
+
+
+def _b_df(net: GaussianNetwork, a, b, q, rstar):
+    p1, _, n1, n2, _ = net.as_tuple()
+    s = (1.0 - b) * p1
+    r1 = _hl((s + n1) / (s * (1.0 - a) + n1)) - _hl((s * a + n2) / n2)
+    return (r1,), _b_second(net, s, a, 0.0)
+
+
+def _b_nf(net: GaussianNetwork, a, b, q, rstar):
+    p1, p2, n1, n2, _ = net.as_tuple()
+    s = (1.0 - b) * p1
+    secret = _hl((s + n1) / (s * (1.0 - a) + n1))
+    direct = np.minimum(_hl((p1 + n1) / (s + n1)), _hl((p1 + p2 + n2) / (s + p2 + n2))) + secret
+    secrecy = _relay_budget(net) + secret - _hl((s * a + p2 + n2) / n2)
+    return (direct, secrecy), _b_second(net, s, a, p2)
+
+
+def _b_cf(net: GaussianNetwork, a, b, q, rstar):
     p1, p2, n1, n2, nr = net.as_tuple()
     s = (1.0 - b) * p1
     nq = nr + q
@@ -179,9 +184,110 @@ def _cf_arrays(net: GaussianNetwork, a, b, q: float, rstar: float):
         + secret
     )
     secrecy = rstar + secret - _hl((s * a + p2 + n2) / n2)
-    r1 = np.minimum(direct, secrecy)
-    r2 = _hl((s + p2 + n2) / (s * a + p2 + n2)) - _hl((s * (1.0 - a) + n1) / n1)
-    return _clamp(r1), _clamp(r2), direct, secrecy
+    return (direct, secrecy), _b_second(net, s, a, p2)
+
+
+def _c_plain_r1(net: GaussianNetwork, a):
+    """R1 of the C model when receiver 2 sees no relay noise (DF, baseline)."""
+    p1, _, n1, n2, _ = net.as_tuple()
+    return _hl((a * p1 + n1) / n1) - _hl((a * p1 + n2) / n2)
+
+
+def _c_df(net: GaussianNetwork, a, b, q, rstar):
+    p1, p2, n1, n2, nr = net.as_tuple()
+    arms = (
+        _hl((p1 + nr) / (a * p1 + nr)),
+        _hl((p1 + p2 + n1) / (a * p1 + n1)),
+        _hl((p1 + p2 + n2) / (a * p1 + n2)),
+    )
+    return arms, _c_plain_r1(net, a)
+
+
+def _c_nf(net: GaussianNetwork, a, b, q, rstar):
+    p1, p2, n1, n2, _ = net.as_tuple()
+    arms = (
+        _hl((p1 + n1) / (a * p1 + n1)),
+        _hl((p1 + p2 + n2) / (a * p1 + p2 + n2)),
+    )
+    r1 = _relay_budget(net) + _hl((a * p1 + n1) / n1) - _hl((a * p1 + p2 + n2) / n2)
+    return arms, r1
+
+
+def _c_cf(net: GaussianNetwork, a, b, q, rstar):
+    p1, p2, n1, n2, nr = net.as_tuple()
+    nq = nr + q
+    eff = nq + n1
+    arms = (
+        _hl((p1 * eff + n1 * nq) / (a * p1 * eff + n1 * nq)),
+        _hl((p1 + p2 + n2) / (a * p1 + p2 + n2)),
+    )
+    r1 = rstar + _hl((a * p1 * eff + n1 * nq) / (n1 * nq)) - _hl((a * p1 + p2 + n2) / n2)
+    return arms, r1
+
+
+def _c_baseline(net: GaussianNetwork, a, b, q, rstar):
+    p1, _, n1, n2, _ = net.as_tuple()
+    arms = (
+        _hl((p1 + n1) / (a * p1 + n1)),
+        _hl((p1 + n2) / (a * p1 + n2)),
+    )
+    return arms, _c_plain_r1(net, a)
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One entry of the strategy table: the kernel and its arm labels."""
+
+    strategy_id: str
+    config: str  # model: "B" or "C"
+    label: str  # short name used in CSV columns / scenario files
+    uses_q: bool
+    kernel: Callable
+    arm_labels: tuple[str, ...] = ()
+
+    def rates(self, net: GaussianNetwork, a, b, q, rstar):
+        """Clamped (first, second) rates; no `active` labels."""
+        arms, second = self.kernel(net, a, b, q, rstar)
+        return _first(arms), _clamp(second)
+
+    def active(self, arms) -> list[tuple[str, ...]]:
+        """`active` label per point of 1-d (or scalar) arms: the leftmost minimal arm."""
+        if not self.arm_labels:
+            return [()] * np.size(arms[0])
+        idx = np.argmin(np.stack(np.broadcast_arrays(*arms)), axis=0)
+        return [(self.arm_labels[i],) for i in np.atleast_1d(idx)]
+
+
+_B_ARMS = ("r1=direct", "r1=secrecy")
+_C_ARMS = ("r0=arm1", "r0=arm2", "r0=arm3")
+
+STRATEGIES: dict[str, Strategy] = {
+    s.strategy_id: s
+    for s in (
+        Strategy("b_df", "B", "df", False, _b_df),
+        Strategy("b_nf", "B", "nf", False, _b_nf, _B_ARMS),
+        Strategy("b_cf", "B", "cf", True, _b_cf, _B_ARMS),
+        Strategy("b_baseline", "B", "baseline", False, _b_df),
+        Strategy("c_df", "C", "df", False, _c_df, _C_ARMS),
+        Strategy("c_nf", "C", "nf", False, _c_nf, _C_ARMS[:2]),
+        Strategy("c_cf", "C", "cf", True, _c_cf, _C_ARMS[:2]),
+        Strategy("c_baseline", "C", "baseline", False, _c_baseline, _C_ARMS[:2]),
+    )
+}
+
+
+def resolve_strategy(name: str, config: str | None = None) -> Strategy:
+    """Accept either a full id ("b_df") or a short label plus config ("df", "B")."""
+    if name in STRATEGIES:
+        return STRATEGIES[name]
+    if config is not None:
+        key = f"{config.lower()}_{name}"
+        if key in STRATEGIES:
+            return STRATEGIES[key]
+    raise UsageError(
+        f"unknown strategy {name!r}"
+        + (f" for model {config!r}" if config is not None else "")
+    )
 
 
 def _check_cf_params(net: GaussianNetwork, sp: StrategyParams) -> tuple[float, float]:
@@ -198,109 +304,48 @@ def _check_cf_params(net: GaussianNetwork, sp: StrategyParams) -> tuple[float, f
     return sp.q, rstar
 
 
+def evaluate_strategy(strategy_id: str, net: GaussianNetwork, sp: StrategyParams) -> RatePair:
+    """Single-point evaluation of any registered strategy."""
+    s = resolve_strategy(strategy_id)
+    net.require_ordering()
+    q, rstar = _check_cf_params(net, sp) if s.uses_q else (None, None)
+    arms, second = s.kernel(net, sp.alpha, sp.beta, q, rstar)
+    return RatePair(float(_first(arms)), float(_clamp(second)), s.active(arms)[0])
+
+
 def b_df(net: GaussianNetwork, sp: StrategyParams) -> RatePair:
     """Decode-forward region corner for the two-confidential-message model."""
-    net.require_ordering()
-    r1, r2 = _df_arrays(net, sp.alpha, sp.beta)
-    return RatePair(float(r1), float(r2))
+    return evaluate_strategy("b_df", net, sp)
 
 
 def b_baseline_norelay(net: GaussianNetwork, sp: StrategyParams) -> RatePair:
-    """Two-confidential-message corner with the relay removed.
-
-    Coincides with `b_df` pointwise: decoding-and-forwarding cannot enlarge
-    this secrecy region, so the same closed form serves both.
-    """
-    net.require_ordering()
-    r1, r2 = _df_arrays(net, sp.alpha, sp.beta)
-    return RatePair(float(r1), float(r2))
+    """Two-confidential-message corner with the relay removed (equal to `b_df`)."""
+    return evaluate_strategy("b_baseline", net, sp)
 
 
 def b_nf(net: GaussianNetwork, sp: StrategyParams) -> RatePair:
     """Noise-forward corner: the relay transmits pure confusion noise."""
-    net.require_ordering()
-    r1, r2, direct, secrecy = _nf_arrays(net, sp.alpha, sp.beta)
-    branch = "r1=direct" if direct <= secrecy else "r1=secrecy"
-    return RatePair(float(r1), float(r2), (branch,))
+    return evaluate_strategy("b_nf", net, sp)
 
 
 def b_cf(net: GaussianNetwork, sp: StrategyParams) -> RatePair:
     """Compress-forward corner: quantized relay observation plus noise rate R*."""
-    net.require_ordering()
-    q, rstar = _check_cf_params(net, sp)
-    r1, r2, direct, secrecy = _cf_arrays(net, sp.alpha, sp.beta, q, rstar)
-    branch = "r1=direct" if direct <= secrecy else "r1=secrecy"
-    return RatePair(float(r1), float(r2), (branch,))
-
-
-def _c_df_arrays(net: GaussianNetwork, a):
-    p1, p2, n1, n2, nr = net.as_tuple()
-    arms = (
-        _hl((p1 + nr) / (a * p1 + nr)),
-        _hl((p1 + p2 + n1) / (a * p1 + n1)),
-        _hl((p1 + p2 + n2) / (a * p1 + n2)),
-    )
-    r0, idx = _pick(*arms)
-    r1 = _hl((a * p1 + n1) / n1) - _hl((a * p1 + n2) / n2)
-    return _clamp(r0), _clamp(r1), idx
-
-
-def _c_nf_arrays(net: GaussianNetwork, a):
-    p1, p2, n1, n2, _ = net.as_tuple()
-    r0, idx = _pick(
-        _hl((p1 + n1) / (a * p1 + n1)),
-        _hl((p1 + p2 + n2) / (a * p1 + p2 + n2)),
-    )
-    relay_budget = min(_hl((p2 + n2) / n2), _hl((p1 + p2 + n1) / (p1 + n1)))
-    r1 = relay_budget + _hl((a * p1 + n1) / n1) - _hl((a * p1 + p2 + n2) / n2)
-    return _clamp(r0), _clamp(r1), idx
-
-
-def _c_cf_arrays(net: GaussianNetwork, a, q: float, rstar: float):
-    p1, p2, n1, n2, nr = net.as_tuple()
-    nq = nr + q
-    eff = nq + n1
-    r0, idx = _pick(
-        _hl((p1 * eff + n1 * nq) / (a * p1 * eff + n1 * nq)),
-        _hl((p1 + p2 + n2) / (a * p1 + p2 + n2)),
-    )
-    r1 = rstar + _hl((a * p1 * eff + n1 * nq) / (n1 * nq)) - _hl((a * p1 + p2 + n2) / n2)
-    return _clamp(r0), _clamp(r1), idx
-
-
-def _c_baseline_arrays(net: GaussianNetwork, a):
-    p1, _, n1, n2, _ = net.as_tuple()
-    r0, idx = _pick(
-        _hl((p1 + n1) / (a * p1 + n1)),
-        _hl((p1 + n2) / (a * p1 + n2)),
-    )
-    r1 = _hl((a * p1 + n1) / n1) - _hl((a * p1 + n2) / n2)
-    return _clamp(r0), _clamp(r1), idx
+    return evaluate_strategy("b_cf", net, sp)
 
 
 def c_df(net: GaussianNetwork, alpha: float) -> RatePair:
     """Decode-forward corner for the common + confidential message model."""
-    net.require_ordering()
-    r0, r1, idx = _c_df_arrays(net, float(alpha))
-    return RatePair(float(r0), float(r1), (f"r0=arm{int(idx) + 1}",))
+    return evaluate_strategy("c_df", net, StrategyParams(alpha=alpha))
 
 
 def c_nf(net: GaussianNetwork, alpha: float) -> RatePair:
-    net.require_ordering()
-    r0, r1, idx = _c_nf_arrays(net, float(alpha))
-    return RatePair(float(r0), float(r1), (f"r0=arm{int(idx) + 1}",))
+    return evaluate_strategy("c_nf", net, StrategyParams(alpha=alpha))
 
 
 def c_cf(net: GaussianNetwork, alpha: float, q: float, rstar: float | None = None) -> RatePair:
-    net.require_ordering()
-    sp = StrategyParams(alpha=float(alpha), q=q, rstar=rstar)
-    qv, rs = _check_cf_params(net, sp)
-    r0, r1, idx = _c_cf_arrays(net, float(alpha), qv, rs)
-    return RatePair(float(r0), float(r1), (f"r0=arm{int(idx) + 1}",))
+    return evaluate_strategy("c_cf", net, StrategyParams(alpha=alpha, q=q, rstar=rstar))
 
 
 def c_baseline(net: GaussianNetwork, alpha: float) -> RatePair:
     """Relay-free secrecy capacity corner for the common + confidential model."""
-    net.require_ordering()
-    r0, r1, idx = _c_baseline_arrays(net, float(alpha))
-    return RatePair(float(r0), float(r1), (f"r0=arm{int(idx) + 1}",))
+    return evaluate_strategy("c_baseline", net, StrategyParams(alpha=alpha))

@@ -12,6 +12,8 @@ Schema (unknown keys are rejected):
                "rstar_steps": 8},                   # optional, these defaults
       "output": "fig4.csv"                          # optional default --out
     }
+  `strategies` is a list of names; the `*_steps` are integers and
+  `q_values` is a list of finite numbers.
 
   Discrete scenarios (model "DMC"); file paths resolve relative to the
   scenario file:
@@ -29,6 +31,7 @@ Schema (unknown keys are rejected):
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -79,9 +82,27 @@ def _parse_grid(payload: object) -> GridSpec:
     allowed = {"alpha_steps", "beta_steps", "q_values", "rstar_policy", "rstar_steps"}
     _reject_unknown(payload, allowed, "scenario grid")
     kwargs = dict(payload)
+    for key in ("alpha_steps", "beta_steps", "rstar_steps"):
+        steps = kwargs.get(key)
+        if key in kwargs and (isinstance(steps, bool) or not isinstance(steps, int)):
+            raise ValidationError(f"scenario grid: {key} must be an integer, got {steps!r}")
     if "q_values" in kwargs:
-        kwargs["q_values"] = tuple(float(q) for q in kwargs["q_values"])
+        qs = kwargs["q_values"]
+        if not isinstance(qs, list) or not all(_is_finite_number(q) for q in qs):
+            raise ValidationError(
+                f"scenario grid: q_values must be a list of finite numbers, got {qs!r}"
+            )
+        kwargs["q_values"] = tuple(float(q) for q in qs)
     return GridSpec(**kwargs)
+
+
+def _is_finite_number(v: object) -> bool:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _parse_rates(payload: object) -> RateTuple:
@@ -129,7 +150,9 @@ def load_scenario(path: str) -> Scenario:
                 f"(P1 + N1 <= N2), but P1 + N1 = {net.p1 + net.n1} > N2 = {net.n2}"
             )
         raw = payload.get("strategies", DEFAULT_STRATEGIES[model])
-        strategies = tuple(str(s) for s in raw)
+        if not isinstance(raw, (list, tuple)) or not all(isinstance(s, str) for s in raw):
+            raise ValidationError(f"scenario {path}: 'strategies' must be a list of names")
+        strategies = tuple(raw)
         if not strategies:
             raise ValidationError(f"scenario {path}: 'strategies' must not be empty")
         for s in strategies:

@@ -1,10 +1,14 @@
 """Parameter sweeps, Pareto filtering, and tabular region boundaries.
 
 Grids are inclusive-endpoint grids on [0, 1]; `*_steps` counts grid points.
-Sweeps evaluate the closed forms on whole grids at once (numpy), keep the
-Pareto-maximal corners, and attach full parameter provenance (alpha, beta, q,
-R*, active min-branch) to every surviving point so CSV consumers can annotate
-plots.
+One generator, `_grid_slices`, evaluates a strategy's kernel on the whole
+alpha x beta grid at once (numpy) for every feasible compress-forward
+(q, R*) pair; the C model has no beta knob, so its beta axis is just {0}.
+`sweep_frontier` keeps the Pareto-maximal corners of those slices and
+attaches full parameter provenance (alpha, beta, q, R*, active min-branch)
+to every surviving point, so CSV consumers can annotate plots; the labels
+come from one kernel call on the survivors.  `max_r1_vs_alpha` keeps, per
+alpha, the best confidential rate R1 over beta and every feasible (q, R*).
 """
 
 from __future__ import annotations
@@ -15,30 +19,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, UsageError, ValidationError
-from .gaussian import (
+from .gaussian import (  # evaluate_strategy is re-exported for callers of this module
     GaussianNetwork,
     RatePair,
+    Strategy,
     StrategyParams,
-    _c_baseline_arrays,
-    _c_cf_arrays,
-    _c_df_arrays,
-    _c_nf_arrays,
-    _cf_arrays,
-    _df_arrays,
-    _nf_arrays,
-    b_baseline_norelay,
-    b_cf,
-    b_df,
-    b_nf,
-    c_baseline,
-    c_cf,
-    c_df,
-    c_nf,
     cf_rstar_max,
+    evaluate_strategy,  # noqa: F401
+    resolve_strategy,
 )
 
 RSTAR_POLICIES = ("max", "grid")
-_NOQ = -1.0  # sentinel for "no q / no rstar" in provenance sort columns
 
 
 @dataclass(frozen=True)
@@ -63,55 +54,6 @@ class GridSpec:
             )
         if self.rstar_policy == "grid" and self.rstar_steps < 2:
             raise ValidationError("GridSpec: rstar_steps must be >= 2 for the grid policy")
-
-
-@dataclass(frozen=True)
-class Strategy:
-    strategy_id: str
-    config: str  # "B" or "C"
-    label: str  # short name used in CSV columns / scenario files
-    uses_q: bool
-
-
-STRATEGIES: dict[str, Strategy] = {
-    s.strategy_id: s
-    for s in (
-        Strategy("b_df", "B", "df", False),
-        Strategy("b_nf", "B", "nf", False),
-        Strategy("b_cf", "B", "cf", True),
-        Strategy("b_baseline", "B", "baseline", False),
-        Strategy("c_df", "C", "df", False),
-        Strategy("c_nf", "C", "nf", False),
-        Strategy("c_cf", "C", "cf", True),
-        Strategy("c_baseline", "C", "baseline", False),
-    )
-}
-
-
-def resolve_strategy(name: str, config: str | None = None) -> Strategy:
-    """Accept either a full id ("b_df") or a short label plus config ("df", "B")."""
-    if name in STRATEGIES:
-        return STRATEGIES[name]
-    if config is not None:
-        key = f"{config.lower()}_{name}"
-        if key in STRATEGIES:
-            return STRATEGIES[key]
-    raise UsageError(
-        f"unknown strategy {name!r}"
-        + (f" for model {config!r}" if config is not None else "")
-    )
-
-
-def evaluate_strategy(strategy_id: str, net: GaussianNetwork, sp: StrategyParams) -> RatePair:
-    """Single-point evaluation of any registered strategy."""
-    s = resolve_strategy(strategy_id)
-    if s.config == "B":
-        fn = {"df": b_df, "nf": b_nf, "cf": b_cf, "baseline": b_baseline_norelay}[s.label]
-        return fn(net, sp)
-    if s.label == "cf":
-        return c_cf(net, sp.alpha, sp.q, sp.rstar)
-    fn = {"df": c_df, "nf": c_nf, "baseline": c_baseline}[s.label]
-    return fn(net, sp.alpha)
 
 
 @dataclass(frozen=True)
@@ -203,161 +145,91 @@ def pareto_filter(points: Sequence[RatePair]) -> list[RatePair]:
     return [RatePair(float(first[i]), float(second[i])) for i in keep]
 
 
-def _alpha_grid(steps: int) -> np.ndarray:
+def _axis(steps: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, steps)
 
 
-def _rstar_values(net: GaussianNetwork, q: float, grid: GridSpec) -> list[float] | None:
-    """R* values to sweep at a given q; None when CF is infeasible there."""
-    limit = cf_rstar_max(net, q)
-    if limit < 0.0:
-        return None
-    if grid.rstar_policy == "max":
-        return [limit]
-    return [float(v) for v in np.linspace(0.0, limit, grid.rstar_steps)]
+def _grid(strategy: Strategy, grid: GridSpec) -> Sequence[np.ndarray]:
+    """The (alpha, beta) meshgrid, shape (alpha_steps, betas); the C model's beta axis is {0}."""
+    betas = _axis(grid.beta_steps) if strategy.config == "B" else np.zeros(1)
+    return np.meshgrid(_axis(grid.alpha_steps), betas, indexing="ij")
 
 
-def _b_param_slices(net: GaussianNetwork, strategy: Strategy, grid: GridSpec):
-    """Yield ((q, rstar), A, B, r1, r2) over the alpha x beta grid."""
-    alphas = _alpha_grid(grid.alpha_steps)
-    betas = _alpha_grid(grid.beta_steps)
-    A, B = np.meshgrid(alphas, betas, indexing="ij")
-    if strategy.label in ("df", "baseline"):
-        r1, r2 = _df_arrays(net, A, B)
-        yield (None, None), A, B, r1, r2
-    elif strategy.label == "nf":
-        r1, r2, _, _ = _nf_arrays(net, A, B)
-        yield (None, None), A, B, r1, r2
-    else:
+def _grid_slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, A, B):
+    """Yield (q, rstar, first, second) over the grid (A, B) at every feasible
+    compress-forward (q, R*) in grid order, or once with (None, None)."""
+    pairs = [(None, None)]
+    if strategy.uses_q:
+        pairs = []
         for q in grid.q_values:
-            rstars = _rstar_values(net, q, grid)
-            if rstars is None:
+            limit = cf_rstar_max(net, q)
+            if limit < 0.0:
                 continue  # this q cannot pay for its own compression
-            for rs in rstars:
-                r1, r2, _, _ = _cf_arrays(net, A, B, q, rs)
-                yield (q, rs), A, B, r1, r2
-
-
-def _c_param_slices(net: GaussianNetwork, strategy: Strategy, grid: GridSpec):
-    alphas = _alpha_grid(grid.alpha_steps)
-    if strategy.label in ("df", "nf", "baseline"):
-        fn = {
-            "df": _c_df_arrays,
-            "nf": _c_nf_arrays,
-            "baseline": _c_baseline_arrays,
-        }[strategy.label]
-        r0, r1, _ = fn(net, alphas)
-        yield (None, None), alphas, r0, r1
-    else:
-        for q in grid.q_values:
-            rstars = _rstar_values(net, q, grid)
-            if rstars is None:
-                continue
-            for rs in rstars:
-                r0, r1, _ = _c_cf_arrays(net, alphas, q, rs)
-                yield (q, rs), alphas, r0, r1
+            if grid.rstar_policy == "max":
+                pairs.append((q, limit))
+            else:
+                pairs.extend((q, float(rs)) for rs in np.linspace(0.0, limit, grid.rstar_steps))
+    for q, rstar in pairs:
+        yield (q, rstar) + strategy.rates(net, A, B, q, rstar)
 
 
 def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Frontier:
     """Evaluate the strategy over the whole grid and Pareto-filter the corners."""
     strategy = resolve_strategy(strategy_id)
     net.require_ordering()
-    cols: dict[str, list[np.ndarray]] = {k: [] for k in ("f", "s", "a", "b", "q", "r")}
-    if strategy.config == "B":
-        for (q, rs), A, B, r1, r2 in _b_param_slices(net, strategy, grid):
-            n = r1.size
-            cols["f"].append(r1.ravel())
-            cols["s"].append(r2.ravel())
-            cols["a"].append(A.ravel())
-            cols["b"].append(B.ravel())
-            cols["q"].append(np.full(n, q if q is not None else _NOQ))
-            cols["r"].append(np.full(n, rs if rs is not None else _NOQ))
-    else:
-        for (q, rs), alphas, r0, r1 in _c_param_slices(net, strategy, grid):
-            n = np.size(r0)
-            cols["f"].append(np.ravel(r0))
-            cols["s"].append(np.ravel(r1))
-            cols["a"].append(np.ravel(alphas))
-            cols["b"].append(np.zeros(n))
-            cols["q"].append(np.full(n, q if q is not None else _NOQ))
-            cols["r"].append(np.full(n, rs if rs is not None else _NOQ))
-    if not cols["f"]:
+    A, B = _grid(strategy, grid)
+    slices = list(_grid_slices(strategy, net, grid, A, B))
+    if not slices:
         return Frontier(strategy.strategy_id, net, ())
-    f, s, a, b, qc, rc = (np.concatenate(cols[k]) for k in ("f", "s", "a", "b", "q", "r"))
+    f = np.concatenate([first.ravel() for _, _, first, _ in slices])
+    s = np.concatenate([second.ravel() for _, _, _, second in slices])
+    a, b = np.tile(A.ravel(), len(slices)), np.tile(B.ravel(), len(slices))
+    # Provenance sort keys; a constant 0 without compress-forward.
+    qc = np.repeat([q or 0.0 for q, _, _, _ in slices], A.size)
+    rc = np.repeat([rstar or 0.0 for _, rstar, _, _ in slices], A.size)
     keep = _pareto_survivors(f, s, (a, b, qc, rc))
+    arms, _ = strategy.kernel(net, a[keep], b[keep], qc[keep], rc[keep])
     points = []
-    for i in keep:
+    for i, active in zip(keep, strategy.active(arms)):
         sp = StrategyParams(
             alpha=float(a[i]),
             beta=float(b[i]),
-            q=None if qc[i] == _NOQ else float(qc[i]),
-            rstar=None if rc[i] == _NOQ else float(rc[i]),
+            q=float(qc[i]) if strategy.uses_q else None,
+            rstar=float(rc[i]) if strategy.uses_q else None,
         )
-        active = evaluate_strategy(strategy.strategy_id, net, sp).active
         points.append(FrontierPoint(RatePair(float(f[i]), float(s[i]), active), sp))
     return Frontier(strategy.strategy_id, net, tuple(points))
 
 
-def max_r1_vs_alpha(
-    strategy_id: str,
-    net: GaussianNetwork,
-    alpha_steps: int,
-    beta_steps: int,
-    q: float | None = None,
-    rstar_policy: str = "max",
-    rstar_steps: int = 8,
-) -> Curve:
-    """Best confidential rate R1 per alpha, maximized over the other knobs."""
+def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Curve:
+    """Best confidential rate R1 per alpha, maximized over beta and every
+    feasible (q, R*); ties go to the earliest (q, R*) in grid order, and
+    within it to the earliest beta."""
     strategy = resolve_strategy(strategy_id)
     net.require_ordering()
-    if strategy.uses_q and q is None:
+    if strategy.uses_q and not grid.q_values:
         raise UsageError(f"{strategy.strategy_id} needs a compression variance q")
-    grid = GridSpec(
-        alpha_steps=alpha_steps,
-        beta_steps=beta_steps,
-        q_values=(q,) if q is not None else (300.0,),
-        rstar_policy=rstar_policy,
-        rstar_steps=rstar_steps,
-    )
-    alphas = _alpha_grid(alpha_steps)
-
-    best_val: np.ndarray | None = None
-    best_meta: list[tuple[float | None, float | None, float | None]] | None = None
-    if strategy.config == "B":
-        for (qv, rs), _, B, r1, _ in _b_param_slices(net, strategy, grid):
-            idx = np.argmax(r1, axis=1)
-            vals = r1[np.arange(len(alphas)), idx]
-            metas = [(float(B[i, j]), qv, rs) for i, j in enumerate(idx)]
-            if best_val is None:
-                best_val, best_meta = vals, metas
-            else:
-                switch = vals > best_val
-                best_val = np.where(switch, vals, best_val)
-                best_meta = [m if w else old for m, old, w in zip(metas, best_meta, switch)]
-    else:
-        for (qv, rs), _, _, r1 in _c_param_slices(net, strategy, grid):
-            vals = np.asarray(r1)
-            metas = [(None, qv, rs)] * len(alphas)
-            if best_val is None:
-                best_val, best_meta = vals, metas
-            else:
-                switch = vals > best_val
-                best_val = np.where(switch, vals, best_val)
-                best_meta = [m if w else old for m, old, w in zip(metas, best_meta, switch)]
-    if best_val is None:
+    A, B = _grid(strategy, grid)
+    alphas = A[:, 0]
+    rows = np.arange(alphas.size)
+    params, values, betas = [], [], []
+    for q, rstar, first, second in _grid_slices(strategy, net, grid, A, B):
+        r1 = first if strategy.config == "B" else second
+        j = np.argmax(r1, axis=1)
+        params.append((q, rstar))
+        values.append(r1[rows, j])
+        betas.append(B[rows, j])
+    if not params:
         raise InfeasibleError(
-            f"compress-forward infeasible at q={q}: cf_rstar_max(q) < 0",
-            limit=cf_rstar_max(net, q) if q is not None else None,
+            f"compress-forward infeasible at every q in {list(grid.q_values)}",
+            limit=max(cf_rstar_max(net, q) for q in grid.q_values),
         )
-    samples = tuple(
-        CurveSample(
-            float(al),
-            float(v),
-            StrategyParams(alpha=float(al), beta=m[0] if m[0] is not None else 0.0, q=m[1], rstar=m[2]),
-        )
-        for al, v, m in zip(alphas, best_val, best_meta)
-    )
-    return Curve(strategy.strategy_id, net, samples)
+    best = np.argmax(values, axis=0)  # the first slice reaching the maximum
+    samples = []
+    for i, (alpha, k) in enumerate(zip(alphas, best)):
+        sp = StrategyParams(float(alpha), float(betas[k][i]), *params[k])
+        samples.append(CurveSample(float(alpha), float(values[k][i]), sp))
+    return Curve(strategy.strategy_id, net, tuple(samples))
 
 
 def region_boundary(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Frontier:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaysec.cli import main, read_frontier_csv
 from relaysec.errors import ValidationError
@@ -11,6 +16,8 @@ from relaysec.scenario import load_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
+
+PAPER_NET = {"p1": 5.0, "p2": 3.0, "n1": 2.0, "n2": 8.0, "nr": 2.0}
 
 # Frozen endpoint constants (high-precision closed-form evaluation).
 ROW_AT_ALPHA_1 = {"df_r1": 0.553457601958256, "nf_r1": 0.633393270347451, "cf_r1": 0.620159387621037}
@@ -109,6 +116,23 @@ class TestCurveCommand:
     def test_dmc_scenario_rejected(self, tmp_path):
         code = main(["curve", "--scenario", scenario_path("dmc_demo.json")])
         assert code == 1
+
+    def test_every_q_is_swept(self, tmp_path):
+        # On the paper network q = 0.5 cannot pay for its compression and q = 300 can,
+        # so adding q = 0.5 in front must change nothing.
+        outputs = []
+        for qs in ([0.5, 300.0], [300.0]):
+            grid = {"alpha_steps": 41, "beta_steps": 41, "q_values": qs}
+            path = write_json(tmp_path, "s.json", {"model": "B", "net": PAPER_NET, "grid": grid})
+            out = str(tmp_path / f"{len(qs)}.csv")
+            assert main(["curve", "--scenario", path, "--out", out]) == 0
+            outputs.append(open(out, "rb").read())
+        assert outputs[0] == outputs[1]
+
+    def test_every_q_infeasible_is_exit_3(self, tmp_path):
+        grid = {"alpha_steps": 11, "beta_steps": 11, "q_values": [0.5, 2.0]}
+        path = write_json(tmp_path, "s.json", {"model": "B", "net": PAPER_NET, "grid": grid})
+        assert main(["curve", "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 3
 
 
 class TestRegionCommand:
@@ -246,6 +270,77 @@ class TestDMCCommands:
              "--budget", "10"]
         )
         assert code == 2
+
+
+class TestScenarioGridTypes:
+    @pytest.mark.parametrize("command", ["curve", "region"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"alpha_steps": 41.0},
+            {"alpha_steps": "41"},
+            {"beta_steps": True},
+            {"q_values": 300},
+            {"q_values": "35"},
+            {"q_values": [300.0, None]},
+            {"q_values": [True]},
+            {"q_values": [float("nan")]},
+            {"rstar_steps": 4.0},
+            {"rstar_policy": "grid", "rstar_steps": "4"},
+        ],
+    )
+    def test_bad_grid_types_are_exit_2(self, tmp_path, capsys, command, grid):
+        path = write_json(tmp_path, "s.json", {"model": "C", "net": PAPER_NET, "grid": grid})
+        assert main([command, "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+_JUNK = st.one_of(
+    st.integers(-3, 1), st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+    st.text(max_size=3), st.none(), st.lists(st.integers(), max_size=2),
+)
+# alpha_steps and beta_steps are always given: their default of 401 is a large grid.
+_VALID_GRID = {
+    "alpha_steps": st.integers(2, 60),
+    "beta_steps": st.integers(2, 60),
+    "q_values": st.lists(st.one_of(st.floats(1e-3, 1e6), st.integers(1, 10**4)), max_size=3),
+    "rstar_policy": st.sampled_from(["max", "grid"]),
+    "rstar_steps": st.integers(2, 60),
+}
+_LABELS = st.lists(st.sampled_from(["df", "nf", "cf", "baseline", "zf", "b_cf", "c_df"]),
+                   min_size=1, max_size=4)
+
+
+@st.composite
+def _gaussian_scenarios(draw):
+    """A valid Gaussian scenario with at most one grid or strategies field replaced by junk."""
+    payload = {
+        "model": draw(st.sampled_from(["B", "C"])),
+        "net": PAPER_NET,
+        "grid": {key: draw(values) for key, values in _VALID_GRID.items()},
+        "strategies": draw(_LABELS),
+    }
+    spoiled = draw(st.sampled_from([None, "grid", "strategies", *_VALID_GRID]))
+    if spoiled in ("grid", "strategies"):
+        payload[spoiled] = draw(st.one_of(_JUNK, st.lists(_JUNK, min_size=1, max_size=2)))
+    elif spoiled is not None:
+        payload["grid"][spoiled] = draw(st.one_of(_JUNK, st.lists(_JUNK, max_size=2)))
+    return payload
+
+
+class TestGaussianScenarioFuzz:
+    @given(command=st.sampled_from(["curve", "region"]), payload=_gaussian_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_only_documented_exit_codes(self, command, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--scenario", path, "--out", os.path.join(tmp, "o.csv")])
+        assert code in range(5)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestExitCodesAndHelp:

@@ -99,9 +99,9 @@ class TestNoiseForward:
         assert pair.active == ("r1=secrecy",)
 
     def test_both_bounds_at_full_power(self):
-        from relaysec.gaussian import _nf_arrays
+        from relaysec.gaussian import STRATEGIES
 
-        _, _, direct, secrecy = _nf_arrays(NET, 1.0, 0.0)
+        (direct, secrecy), _ = STRATEGIES["b_nf"].kernel(NET, 1.0, 0.0, None, None)
         assert float(direct) == pytest.approx(B_NF_A1_B0_DIRECT, abs=1e-12)
         assert float(secrecy) == pytest.approx(B_NF_A1_B0_SECRECY, abs=1e-12)
 

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysec.errors import UsageError, ValidationError
-from relaysec.gaussian import GaussianNetwork, RatePair, StrategyParams
+from relaysec.gaussian import (
+    STRATEGIES,
+    GaussianNetwork,
+    RatePair,
+    StrategyParams,
+    cf_rstar_max,
+    evaluate_strategy,
+)
 from relaysec.sweep import (
     Curve,
     CurveSample,
@@ -156,33 +163,33 @@ class TestSweepFrontier:
 
 class TestCurve:
     def test_endpoint_values(self):
-        df = max_r1_vs_alpha("b_df", NET, 401, 401)
-        nf = max_r1_vs_alpha("b_nf", NET, 401, 401)
-        cf = max_r1_vs_alpha("b_cf", NET, 401, 401, q=300.0)
+        df = max_r1_vs_alpha("b_df", NET, GridSpec(401, 401))
+        nf = max_r1_vs_alpha("b_nf", NET, GridSpec(401, 401))
+        cf = max_r1_vs_alpha("b_cf", NET, GridSpec(401, 401, q_values=(300.0,)))
         assert df.value_at(1.0) == pytest.approx(B_DF_MAX, abs=1e-6)
         assert nf.value_at(1.0) == pytest.approx(B_NF_MAX, abs=1e-6)
         assert cf.value_at(1.0) == pytest.approx(B_CF_MAX_Q300, abs=1e-6)
 
     def test_alpha_zero_gives_zero_for_all_strategies(self):
         for sid, q in (("b_df", None), ("b_nf", None), ("b_cf", 300.0)):
-            curve = max_r1_vs_alpha(sid, NET, 51, 21, q=q)
+            curve = max_r1_vs_alpha(sid, NET, GridSpec(51, 21, q_values=() if q is None else (q,)))
             assert curve.value_at(0.0) == 0.0
 
     def test_nf_dominates_df_pointwise(self):
-        df = max_r1_vs_alpha("b_df", NET, 101, 51)
-        nf = max_r1_vs_alpha("b_nf", NET, 101, 51)
+        df = max_r1_vs_alpha("b_df", NET, GridSpec(101, 51))
+        nf = max_r1_vs_alpha("b_nf", NET, GridSpec(101, 51))
         for s_df, s_nf in zip(df.samples, nf.samples):
             assert s_nf.value >= s_df.value - 1e-12
 
     def test_grid_refinement_never_decreases_values(self):
-        coarse = max_r1_vs_alpha("b_nf", NET, 11, 11)
-        fine = max_r1_vs_alpha("b_nf", NET, 21, 21)
+        coarse = max_r1_vs_alpha("b_nf", NET, GridSpec(11, 11))
+        fine = max_r1_vs_alpha("b_nf", NET, GridSpec(21, 21))
         for s in coarse.samples:
             assert fine.value_at(s.alpha) >= s.value - 1e-15
 
     def test_cf_requires_q(self):
         with pytest.raises(UsageError, match="compression variance"):
-            max_r1_vs_alpha("b_cf", NET, 11, 11)
+            max_r1_vs_alpha("b_cf", NET, GridSpec(11, 11, q_values=()))
 
     def test_curve_invariants_enforced(self):
         with pytest.raises(ValidationError, match="cover"):
@@ -193,7 +200,7 @@ class TestCurve:
             )
 
     def test_c_model_curves(self):
-        nf = max_r1_vs_alpha("c_nf", NET, 101, 2)
+        nf = max_r1_vs_alpha("c_nf", NET, GridSpec(101, 2))
         assert nf.value_at(1.0) == pytest.approx(B_NF_MAX, abs=1e-6)
 
 
@@ -270,3 +277,69 @@ class TestStrategyRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(UsageError, match="unknown strategy"):
             resolve_strategy("af", "B")
+
+
+@st.composite
+def oracle_cases(draw):
+    """A valid network and a small rstar-grid GridSpec with two feasible q's and one infeasible."""
+    p1, n1 = draw(st.floats(1.0, 10.0)), draw(st.floats(0.5, 4.0))
+    n2 = (p1 + n1) * draw(st.floats(1.0, 2.5))  # receiver 1 less noisy
+    net = GaussianNetwork(p1, draw(st.floats(0.5, 8.0)), n1, n2, draw(st.floats(0.5, 5.0)))
+    # cf_rstar_max(q) >= 0 exactly when q >= q_min.
+    ratio = min((net.p2 + n2) / n2, (p1 + net.p2 + n1) / (p1 + n1))
+    q_min = (p1 + net.nr) / (ratio - 1.0)
+    qs = [q_min * draw(st.floats(1.5, 50.0)) for _ in range(2)]
+    qs.append(q_min * draw(st.floats(0.1, 0.8)))
+    grid = GridSpec(
+        alpha_steps=draw(st.integers(2, 7)),
+        beta_steps=draw(st.integers(2, 5)),
+        q_values=tuple(draw(st.permutations(qs))),
+        rstar_policy="grid",
+        rstar_steps=3,
+    )
+    return net, grid
+
+
+class TestScalarOracle:
+    """The grid sweeps against the scalar closed forms, point by point."""
+
+    @given(oracle_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_frontier_points_match_scalar_evaluation(self, case):
+        net, grid = case
+        assert sorted(cf_rstar_max(net, q) >= 0.0 for q in grid.q_values) == [False, True, True]
+        for sid in STRATEGIES:
+            for p in sweep_frontier(sid, net, grid).points:
+                want = evaluate_strategy(sid, net, p.params)
+                assert (p.rates.first, p.rates.second, p.rates.active) == (
+                    want.first,
+                    want.second,
+                    want.active,
+                )
+
+    @given(oracle_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_curve_is_the_scalar_argmax(self, case):
+        # Scan (q, R*) slices in grid order and beta within each; the first
+        # strict maximum wins, so ties go to the earliest beta of the earliest slice.
+        net, grid = case
+        betas = np.linspace(0.0, 1.0, grid.beta_steps)
+        for sid, strategy in STRATEGIES.items():
+            slices = [(None, None)]
+            if strategy.uses_q:
+                slices = [
+                    (q, float(rs))
+                    for q in grid.q_values
+                    if cf_rstar_max(net, q) >= 0.0
+                    for rs in np.linspace(0.0, cf_rstar_max(net, q), grid.rstar_steps)
+                ]
+            for sample in max_r1_vs_alpha(sid, net, grid).samples:
+                best = None
+                for q, rs in slices:
+                    for b in betas if strategy.config == "B" else (0.0,):
+                        sp = StrategyParams(sample.alpha, float(b), q, rs)
+                        pair = evaluate_strategy(sid, net, sp)
+                        r1 = pair.first if strategy.config == "B" else pair.second
+                        if best is None or r1 > best[0]:
+                            best = (r1, sp)
+                assert (sample.value, sample.params) == best
