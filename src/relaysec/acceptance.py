@@ -36,7 +36,7 @@ from .gaussian import (
     b_df,
     cf_rstar_max,
 )
-from .pmf import JointPMF, cond_mutual_info
+from .pmf import FactorizationPattern, JointPMF, cond_mutual_info
 from .regionsearch import secrecy_region_extremes
 from .sweep import GridSpec, max_r1_vs_alpha, pareto_filter, region_boundary, sweep_frontier
 
@@ -193,23 +193,15 @@ def _base_factors(spec) -> tuple:
 
 
 def _random_factorized(rng, var_order, factors, sizes) -> JointPMF:
-    var_order = tuple(var_order)
-    axis_of = {v: i for i, v in enumerate(var_order)}
-    full_shape = tuple(sizes[v] for v in var_order)
-    probs = np.ones(full_shape)
-    for targets, given in factors:
-        t_cells = int(np.prod([sizes[v] for v in targets]))
-        g_cells = int(np.prod([sizes[v] for v in given])) if given else 1
-        table = rng.dirichlet(np.ones(t_cells), size=g_cells).reshape(
-            tuple(sizes[v] for v in given) + tuple(sizes[v] for v in targets)
-        )
-        shape = [1] * len(var_order)
-        for v in tuple(given) + tuple(targets):
-            shape[axis_of[v]] = sizes[v]
-        dst = [axis_of[v] for v in tuple(given) + tuple(targets)]
-        order = np.argsort(dst)
-        probs = probs * np.transpose(table, order).reshape(shape)
-    return JointPMF(var_order, probs)
+    pattern = FactorizationPattern(factors)
+    tables = [
+        rng.dirichlet(
+            np.ones(math.prod(sizes[v] for v in targets)),
+            size=math.prod(sizes[v] for v in given),
+        ).reshape(tuple(sizes[v] for v in given + targets))
+        for targets, given in pattern.factors
+    ]
+    return pattern.product(var_order, tables)
 
 
 def random_rates(rng: np.random.Generator, config: str, scale: float = 0.5) -> RateTuple:

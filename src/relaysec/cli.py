@@ -14,7 +14,6 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 infeasible
 configuration, 4 self-test failure.  All numeric output is CSV with a header
 row, numbers at 9 significant digits, byte-stable for a fixed scenario.
-`RBC_THREADS` optionally caps the brute-force worker count.
 """
 
 from __future__ import annotations
@@ -162,11 +161,18 @@ def _cmd_gaussian(args) -> int:
     return EXIT_OK
 
 
+def _parse_floats(text: str, count: int, usage: str) -> list[float]:
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError:
+        raise UsageError(usage) from None
+    if len(values) != count:
+        raise UsageError(usage)
+    return values
+
+
 def _parse_rates_flag(text: str) -> RateTuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 5:
-        raise UsageError("--rates expects r0,r1,r2,re1,re2")
-    return RateTuple(*(float(p) for p in parts))
+    return RateTuple(*_parse_floats(text, 5, "--rates expects r0,r1,r2,re1,re2"))
 
 
 def _cmd_dmc_eval(args) -> int:
@@ -234,9 +240,10 @@ def _parse_aux_sizes(text: str) -> dict[str, int]:
         if not piece:
             continue
         name, _, size = piece.partition("=")
-        if not size:
-            raise UsageError("--aux-sizes expects NAME=SIZE pairs, e.g. U=1,V1=2,V2=1")
-        out[name.strip()] = int(size)
+        try:
+            out[name.strip()] = int(size)
+        except ValueError:
+            raise UsageError("--aux-sizes expects NAME=SIZE pairs, e.g. U=1,V1=2,V2=1") from None
     return out
 
 
@@ -244,9 +251,9 @@ def _cmd_dmc_search(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.model != "DMC":
         raise UsageError("dmc-search needs a DMC scenario")
-    objective = tuple(float(p) for p in args.objective.split(","))
-    if len(objective) != 3:
-        raise UsageError("--objective expects three comma-separated weights over R0,R1,R2")
+    objective = _parse_floats(
+        args.objective, 3, "--objective expects three comma-separated weights over R0,R1,R2"
+    )
     result = brute_force_best(
         scenario.dmc_model,
         _parse_aux_sizes(args.aux_sizes),

@@ -5,8 +5,7 @@ use), and the measure-theoretic convention that 0*log(0) and 0/0 cells
 contribute exactly 0.  Alphabets here are desk scale (a few symbols per axis,
 at most a dozen axes), so everything is stored dense.
 
-All operations are pure functions of immutable values and can be shared
-freely across workers.
+All operations are pure functions of immutable values.
 """
 
 from __future__ import annotations
@@ -230,6 +229,22 @@ class FactorizationPattern:
     @property
     def target_variables(self) -> frozenset[str]:
         return frozenset(v for targets, _ in self.factors for v in targets)
+
+    def product(self, var_order: Sequence[str], tables: Sequence[np.ndarray]) -> JointPMF:
+        """Joint over `var_order` from one (given..., targets...) table per factor.
+
+        Factors multiply in pattern order, so a fixed set of tables always
+        gives the same bits.
+        """
+        var_order = tuple(var_order)
+        axis_of = {v: i for i, v in enumerate(var_order)}
+        probs = np.ones((1,) * len(var_order))
+        for (targets, given), table in zip(self.factors, tables):
+            names = given + targets
+            shape = [table.shape[names.index(v)] if v in names else 1 for v in var_order]
+            order = np.argsort([axis_of[v] for v in names])
+            probs = probs * np.transpose(table, order).reshape(shape)
+        return JointPMF(var_order, probs)
 
     def describe(self) -> str:
         parts = []

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -21,12 +19,12 @@ from .bounds import (
     DEFAULT_TOL,
     AuxiliaryCoupling,
     CorollaryBranch,
+    TheoremSpec,
     corollary_constraints,
     theorem_spec,
 )
 from .dmc import DMCModel, RateTuple
 from .errors import BudgetExceededError, UsageError
-from .pmf import JointPMF
 
 DEFAULT_BUDGET = 10_000_000
 VERTEX_DEDUP_TOL = 1e-9
@@ -55,35 +53,27 @@ def _rate_tuple_from_point(config: str, point: Sequence[float]) -> RateTuple:
 def _branch_vertices(
     branch: CorollaryBranch, dims: tuple[int, ...], tol: float
 ) -> list[tuple[float, float, float]]:
-    """Feasible vertices of one branch's constraint polytope (3-vector form)."""
+    """Feasible vertices of one branch's constraint polytope (3-vector form).
+
+    Every d-subset of the constraint rows and the axis planes r_k >= 0 (as
+    -r_k <= 0) is solved in one batch; feasible vertices come back in subset
+    order, less near-duplicates of earlier ones.
+    """
     d = len(dims)
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for lc in branch.constraints:
-        rows.append(np.array([lc.coefs[i] for i in dims], dtype=np.float64))
-        rhs.append(lc.bound)
-    for k in range(d):  # axis planes r_k >= 0 as -r_k <= 0
-        e = np.zeros(d)
-        e[k] = -1.0
-        rows.append(e)
-        rhs.append(0.0)
-    a = np.vstack(rows)
-    b = np.asarray(rhs)
+    coefs = [[lc.coefs[i] for i in dims] for lc in branch.constraints]
+    a = np.vstack([np.array(coefs, dtype=np.float64).reshape(-1, d), np.diag(np.full(d, -1.0))])
+    b = np.array([lc.bound for lc in branch.constraints] + [0.0] * d, dtype=np.float64)
+    subsets = np.array(list(itertools.combinations(range(len(a)), d)))
+    sub_a = a[subsets]
+    regular = np.abs(np.linalg.det(sub_a)) >= 1e-12
+    points = np.linalg.solve(sub_a[regular], b[subsets[regular]][..., None])[..., 0]
+    slack_ok = ~np.any((a @ points[..., None])[..., 0] > b + tol, axis=1)
+    feasible = ~np.any(points < -tol, axis=1) & slack_ok
 
     vertices: list[np.ndarray] = []
-    for subset in itertools.combinations(range(len(rows)), d):
-        sub_a = a[list(subset)]
-        sub_b = b[list(subset)]
-        if abs(np.linalg.det(sub_a)) < 1e-12:
-            continue
-        v = np.linalg.solve(sub_a, sub_b)
-        if np.any(v < -tol):
-            continue
-        if np.any(a @ v > b + tol):
-            continue
-        if any(np.max(np.abs(v - w)) <= VERTEX_DEDUP_TOL for w in vertices):
-            continue
-        vertices.append(v)
+    for v in points[feasible]:
+        if not any(np.max(np.abs(v - w)) <= VERTEX_DEDUP_TOL for w in vertices):
+            vertices.append(v)
 
     out = []
     for v in vertices:
@@ -182,53 +172,27 @@ def simplex_grid(cells: int, steps: int) -> Iterator[tuple[float, ...]]:
 
 
 def _axis_sizes(
-    spec_vars: Sequence[str],
+    spec: TheoremSpec,
     model: DMCModel,
     aux_sizes: Mapping[str, int],
 ) -> dict[str, int]:
-    sizes: dict[str, int] = {}
-    for name in spec_vars:
-        if name == "X":
-            sizes[name] = model.x_size
-        elif name == "X1":
-            sizes[name] = model.x1_size
-        elif name == "Y1":
-            sizes[name] = model.y1_size
-        else:
-            if name not in aux_sizes:
-                raise UsageError(f"aux_sizes must provide a cardinality for {name}")
-            size = int(aux_sizes[name])
-            if size < 1:
-                raise UsageError(f"aux size for {name} must be >= 1")
-            sizes[name] = size
+    channel = {"X": model.x_size, "X1": model.x1_size, "Y1": model.y1_size}
+    aux = [name for name in spec.coupling_vars if name not in channel]
+    unknown = sorted(set(aux_sizes) - set(aux))
+    if unknown:
+        raise UsageError(
+            f"aux_sizes names {', '.join(unknown)}, which {spec.theorem_id} does not have; "
+            f"its auxiliaries are {', '.join(aux)}"
+        )
+    sizes = {name: channel[name] for name in spec.coupling_vars if name in channel}
+    for name in aux:
+        if name not in aux_sizes:
+            raise UsageError(f"aux_sizes must provide a cardinality for {name}")
+        size = int(aux_sizes[name])
+        if size < 1:
+            raise UsageError(f"aux size for {name} must be >= 1")
+        sizes[name] = size
     return sizes
-
-
-def _factor_grids(
-    theorem_id: str,
-    model: DMCModel,
-    aux_sizes: Mapping[str, int],
-    steps: int,
-) -> tuple[tuple[str, ...], dict[str, int], list[tuple[tuple[str, ...], tuple[str, ...], list[np.ndarray]]]]:
-    """Per free factor: all grid conditionals, as arrays shaped given+targets."""
-    spec = theorem_spec(theorem_id)
-    sizes = _axis_sizes(spec.coupling_vars, model, aux_sizes)
-    factors = []
-    for targets, given in spec.pattern.factors:
-        t_cells = int(np.prod([sizes[v] for v in targets]))
-        g_cells = int(np.prod([sizes[v] for v in given])) if given else 1
-        shape = tuple(sizes[v] for v in given) + tuple(sizes[v] for v in targets)
-        if targets == ("Y1",):
-            # Pinned to the channel's own relay observation law.
-            table = model.y1_conditional()  # (x, x1, y1) matches (given..., target)
-            factors.append((targets, given, [table.reshape(shape)]))
-            continue
-        per_cell = list(simplex_grid(t_cells, steps))
-        tables = []
-        for combo in itertools.product(per_cell, repeat=g_cells):
-            tables.append(np.asarray(combo, dtype=np.float64).reshape(shape))
-        factors.append((targets, given, tables))
-    return spec.coupling_vars, sizes, factors
 
 
 def estimate_grid_size(
@@ -238,14 +202,13 @@ def estimate_grid_size(
     grid_steps: int,
 ) -> int:
     spec = theorem_spec(theorem_id)
-    sizes = _axis_sizes(spec.coupling_vars, model, aux_sizes)
+    sizes = _axis_sizes(spec, model, aux_sizes)
     total = 1
     for targets, given in spec.pattern.factors:
         if targets == ("Y1",):
             continue
-        t_cells = int(np.prod([sizes[v] for v in targets]))
-        g_cells = int(np.prod([sizes[v] for v in given])) if given else 1
-        total *= simplex_grid_count(t_cells, grid_steps) ** g_cells
+        t_cells = math.prod(sizes[v] for v in targets)
+        total *= simplex_grid_count(t_cells, grid_steps) ** math.prod(sizes[v] for v in given)
     return total
 
 
@@ -255,30 +218,30 @@ def coupling_grid(
     aux_sizes: Mapping[str, int],
     grid_steps: int,
 ) -> Iterator[AuxiliaryCoupling]:
-    """Every coupling of the factorized simplex grid, in deterministic order."""
-    spec_vars, sizes, factors = _factor_grids(theorem_id, model, aux_sizes, grid_steps)
-    var_order = tuple(v for v in spec_vars)
-    full_shape = tuple(sizes[v] for v in var_order)
-    axis_of = {v: i for i, v in enumerate(var_order)}
+    """Every coupling of the factorized simplex grid, in deterministic order.
 
-    def expanded(table: np.ndarray, targets, given) -> np.ndarray:
-        shape = [1] * len(var_order)
-        for v, s in zip(tuple(given) + tuple(targets), table.shape):
-            shape[axis_of[v]] = s
-        # Axes of `table` are (given..., targets...); move each into place.
-        src = list(range(table.ndim))
-        dst = [axis_of[v] for v in tuple(given) + tuple(targets)]
-        order = np.argsort(dst)
-        arranged = np.transpose(table, [src[i] for i in order])
-        return arranged.reshape(shape)
-
-    choices = [f[2] for f in factors]
-    metas = [(f[0], f[1]) for f in factors]
-    for combo in itertools.product(*choices):
-        probs = np.ones(full_shape)
-        for table, (targets, given) in zip(combo, metas):
-            probs = probs * expanded(table, targets, given)
-        yield AuxiliaryCoupling(JointPMF(var_order, probs), theorem_id)
+    Only the per-factor grid tables are held; couplings are built one at a
+    time as the caller asks for them.
+    """
+    spec = theorem_spec(theorem_id)
+    sizes = _axis_sizes(spec, model, aux_sizes)
+    choices = []
+    for targets, given in spec.pattern.factors:
+        shape = tuple(sizes[v] for v in given + targets)
+        if targets == ("Y1",):
+            # Pinned to the channel's own relay observation law.
+            table = model.y1_conditional()  # (x, x1, y1) matches (given..., target)
+            choices.append([table.reshape(shape)])
+            continue
+        per_cell = list(simplex_grid(math.prod(sizes[v] for v in targets), grid_steps))
+        choices.append(
+            [
+                np.asarray(combo, dtype=np.float64).reshape(shape)
+                for combo in itertools.product(per_cell, repeat=math.prod(sizes[v] for v in given))
+            ]
+        )
+    for tables in itertools.product(*choices):
+        yield AuxiliaryCoupling(spec.pattern.product(spec.coupling_vars, tables), theorem_id)
 
 
 @dataclass(frozen=True)
@@ -286,15 +249,6 @@ class BruteForceResult:
     best: ExtremePoint
     coupling: AuxiliaryCoupling
     couplings_scanned: int
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("RBC_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def brute_force_best(
@@ -312,9 +266,10 @@ def brute_force_best(
     """Grid search over the bound's admissible couplings.
 
     Deterministic for a given `grid_steps`; refuses up front when the grid
-    would exceed `budget` evaluations.  `RBC_THREADS` caps the worker pool;
-    the merge is by (objective, lexicographic rates), so results do not
-    depend on scheduling.
+    would exceed `budget` evaluations.  One serial pass streams the grid and
+    keeps only the running best by (objective, lexicographic rates), so
+    memory does not grow with the grid; ties keep the earliest coupling in
+    grid order.
     """
     for name, size in aux_sizes.items():
         if size > 3:
@@ -326,8 +281,9 @@ def brute_force_best(
             estimated=estimated,
         )
     obj = tuple(float(v) for v in objective)
-
-    def evaluate(coupling: AuxiliaryCoupling):
+    best = None
+    scanned = 0
+    for coupling in coupling_grid(theorem_id, model, aux_sizes, grid_steps):
         pt = secrecy_region_extremes(
             theorem_id,
             model,
@@ -337,18 +293,9 @@ def brute_force_best(
             tol=tol,
             clamp_equivocation=clamp_equivocation,
         )
-        return (pt.objective_value, pt.point3()), pt, coupling
-
-    couplings = list(coupling_grid(theorem_id, model, aux_sizes, grid_steps))
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, couplings))
-    else:
-        results = [evaluate(c) for c in couplings]
-
-    best_key, best_pt, best_coupling = results[0]
-    for key, pt, coupling in results[1:]:
-        if key > best_key:
-            best_key, best_pt, best_coupling = key, pt, coupling
-    return BruteForceResult(best_pt, best_coupling, len(results))
+        scanned += 1
+        key = (pt.objective_value, pt.point3())
+        if best is None or key > best[0]:
+            best = (key, pt, coupling)
+    _, best_pt, best_coupling = best
+    return BruteForceResult(best_pt, best_coupling, scanned)

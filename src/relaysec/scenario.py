@@ -12,8 +12,8 @@ Schema (unknown keys are rejected):
                "rstar_steps": 8},                   # optional, these defaults
       "output": "fig4.csv"                          # optional default --out
     }
-  `strategies` is a list of names; the `*_steps` are integers and
-  `q_values` is a list of finite numbers.
+  `net` values are finite numbers, `strategies` is a list of names, the
+  `*_steps` are integers and `q_values` is a list of finite numbers.
 
   Discrete scenarios (model "DMC"); file paths resolve relative to the
   scenario file:
@@ -26,6 +26,7 @@ Schema (unknown keys are rejected):
       "tol": 1e-9,                                  # optional
       "output": "dmc_eval.csv"                      # optional
     }
+  Rates and `tol` are finite numbers; `output` is a non-empty path string.
 """
 
 from __future__ import annotations
@@ -67,11 +68,21 @@ def _reject_unknown(payload: dict, allowed: set[str], where: str) -> None:
 def _parse_net(payload: object) -> GaussianNetwork:
     if not isinstance(payload, dict):
         raise ValidationError("scenario: 'net' must be an object with p1,p2,n1,n2,nr")
-    _reject_unknown(payload, {"p1", "p2", "n1", "n2", "nr"}, "scenario net")
-    try:
-        return GaussianNetwork(**{k: float(payload[k]) for k in ("p1", "p2", "n1", "n2", "nr")})
-    except KeyError as exc:
-        raise ValidationError(f"scenario net: missing field {exc}") from exc
+    keys = ("p1", "p2", "n1", "n2", "nr")
+    _reject_unknown(payload, set(keys), "scenario net")
+    return GaussianNetwork(**_finite_fields(payload, keys, "scenario net"))
+
+
+def _finite_fields(payload: dict, keys, where: str) -> dict[str, float]:
+    """The named fields of `payload` as floats; each must be a finite number."""
+    out = {}
+    for key in keys:
+        if key not in payload:
+            raise ValidationError(f"{where}: missing field {key!r}")
+        if not _is_finite_number(payload[key]):
+            raise ValidationError(f"{where}: {key} must be a finite number, got {payload[key]!r}")
+        out[key] = float(payload[key])
+    return out
 
 
 def _parse_grid(payload: object) -> GridSpec:
@@ -106,14 +117,15 @@ def _is_finite_number(v: object) -> bool:
 
 
 def _parse_rates(payload: object) -> RateTuple:
-    if isinstance(payload, dict):
-        _reject_unknown(payload, {"r0", "r1", "r2", "re1", "re2"}, "scenario rates")
-        return RateTuple(**{k: float(v) for k, v in payload.items()})
+    names = ("r0", "r1", "r2", "re1", "re2")
     if isinstance(payload, (list, tuple)) and len(payload) == 5:
-        return RateTuple(*(float(v) for v in payload))
-    raise ValidationError(
-        "scenario rates: expected {r0,r1,r2,re1,re2} object or 5-element list"
-    )
+        payload = dict(zip(names, payload))
+    if not isinstance(payload, dict):
+        raise ValidationError(
+            "scenario rates: expected {r0,r1,r2,re1,re2} object or 5-element list"
+        )
+    _reject_unknown(payload, set(names), "scenario rates")
+    return RateTuple(**_finite_fields(payload, list(payload), "scenario rates"))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -136,6 +148,9 @@ def load_scenario(path: str) -> Scenario:
         raise ValidationError(
             f"scenario {path}: 'model' must be one of B, C, DMC; got {model!r}"
         )
+    output = payload.get("output")
+    if output is not None and not (isinstance(output, str) and output):
+        raise ValidationError(f"scenario {path}: 'output' must be a file path, got {output!r}")
 
     if model in ("B", "C"):
         _reject_unknown(
@@ -162,7 +177,7 @@ def load_scenario(path: str) -> Scenario:
             net=net,
             strategies=strategies,
             grid=_parse_grid(payload.get("grid")),
-            output=payload.get("output"),
+            output=output,
         )
 
     _reject_unknown(
@@ -196,15 +211,15 @@ def load_scenario(path: str) -> Scenario:
             raise ValidationError(f"scenario {path}: cannot read coupling ({exc})") from exc
 
     rates = _parse_rates(payload["rates"]) if "rates" in payload else RateTuple.zero()
-    tol = float(payload.get("tol", 1e-9))
-    if tol <= 0.0:
-        raise ValidationError(f"scenario {path}: tol must be positive")
+    tol = payload.get("tol", 1e-9)
+    if not _is_finite_number(tol) or tol <= 0.0:
+        raise ValidationError(f"scenario {path}: tol must be a positive number, got {tol!r}")
     return Scenario(
         model="DMC",
         dmc_model=dmc_model,
         coupling=coupling,
         theorem=theorem,
         rates=rates,
-        tol=tol,
-        output=payload.get("output"),
+        tol=float(tol),
+        output=output,
     )

@@ -271,6 +271,23 @@ class TestDMCCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dmc-search", "--aux-sizes", "U=x", "--grid-steps", "2"],
+            ["dmc-search", "--aux-sizes", "U=1,V1=2,V2=1,W=2", "--grid-steps", "2"],
+            ["dmc-search", "--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2",
+             "--objective", "a,b,c"],
+            ["dmc-eval", "--rates", "a,b,c,d,e"],
+        ],
+    )
+    def test_bad_flags_are_usage_errors(self, tmp_path, capsys, argv):
+        code = main(argv + ["--scenario", scenario_path("dmc_demo.json"),
+                            "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "usage error:" in err and "Traceback" not in err
+
 
 class TestScenarioGridTypes:
     @pytest.mark.parametrize("command", ["curve", "region"])
@@ -294,6 +311,31 @@ class TestScenarioGridTypes:
         assert main([command, "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("dmc-eval", {"rates": {"r1": "abc"}}),
+            ("dmc-eval", {"rates": [0, "0.1", 0, 0, 0]}),
+            ("dmc-eval", {"rates": {"r1": None}}),
+            ("dmc-eval", {"tol": "abc"}),
+            ("dmc-eval", {"tol": float("nan")}),
+            ("dmc-eval", {"output": ["x"]}),
+            ("dmc-search", {"output": 7}),
+            ("dmc-search", {"output": ""}),
+            ("dmc-search", {"tol": [1e-9]}),
+        ],
+    )
+    def test_bad_dmc_field_types_are_exit_2(self, tmp_path, capsys, command, fields):
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        for key in ("dmc_model", "coupling"):
+            payload[key] = scenario_path(payload[key])
+        payload.update(fields)
+        argv = [command, "--scenario", write_json(tmp_path, "s.json", payload)]
+        if command == "dmc-search":
+            argv += ["--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2"]
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 _JUNK = st.one_of(
     st.integers(-3, 1), st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
@@ -313,16 +355,20 @@ _LABELS = st.lists(st.sampled_from(["df", "nf", "cf", "baseline", "zf", "b_cf", 
 
 @st.composite
 def _gaussian_scenarios(draw):
-    """A valid Gaussian scenario with at most one grid or strategies field replaced by junk."""
+    """A valid Gaussian scenario with at most one top-level, grid or net field replaced by junk."""
     payload = {
         "model": draw(st.sampled_from(["B", "C"])),
-        "net": PAPER_NET,
+        "net": dict(PAPER_NET),
         "grid": {key: draw(values) for key, values in _VALID_GRID.items()},
         "strategies": draw(_LABELS),
     }
-    spoiled = draw(st.sampled_from([None, "grid", "strategies", *_VALID_GRID]))
-    if spoiled in ("grid", "strategies"):
+    spoiled = draw(
+        st.sampled_from([None, "grid", "strategies", "net", "output", *_VALID_GRID, *PAPER_NET])
+    )
+    if spoiled in ("grid", "strategies", "net", "output"):
         payload[spoiled] = draw(st.one_of(_JUNK, st.lists(_JUNK, min_size=1, max_size=2)))
+    elif spoiled in PAPER_NET:
+        payload["net"][spoiled] = draw(st.one_of(_JUNK, st.lists(_JUNK, max_size=2)))
     elif spoiled is not None:
         payload["grid"][spoiled] = draw(st.one_of(_JUNK, st.lists(_JUNK, max_size=2)))
     return payload

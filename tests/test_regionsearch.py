@@ -1,15 +1,26 @@
+import itertools
 import math
-import os
+import weakref
 
 import numpy as np
 import pytest
 
-from relaysec.acceptance import favorable_model, random_coupling
-from relaysec.bounds import AuxiliaryCoupling, corollary_constraints
-from relaysec.dmc import DMCModel
+from relaysec import regionsearch
+from relaysec.acceptance import favorable_model, random_coupling, random_model
+from relaysec.bounds import (
+    DEFAULT_TOL,
+    THEOREMS,
+    AuxiliaryCoupling,
+    corollary_constraints,
+    theorem_spec,
+)
+from relaysec.dmc import DMCModel, RateTuple
 from relaysec.errors import BudgetExceededError, UsageError
 from relaysec.pmf import JointPMF
 from relaysec.regionsearch import (
+    VERTEX_DEDUP_TOL,
+    ExtremePoint,
+    _branch_vertices,
     brute_force_best,
     coupling_grid,
     estimate_grid_size,
@@ -220,18 +231,45 @@ class TestBruteForce:
         with pytest.raises(UsageError, match="cap of 3"):
             brute_force_best(product_channel(), {"U": 4, "V1": 1, "V2": 1}, 2, "T2", (0, 1, 0))
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         model = product_channel()
         sizes = {"U": 1, "V1": 2, "V2": 1}
         a = brute_force_best(model, sizes, 4, "T3", (0, 1, 0))
         b = brute_force_best(model, sizes, 4, "T3", (0, 1, 0))
         assert a.best == b.best and a.couplings_scanned == b.couplings_scanned
-        os.environ["RBC_THREADS"] = "4"
-        try:
-            c = brute_force_best(model, sizes, 4, "T3", (0, 1, 0))
-        finally:
-            del os.environ["RBC_THREADS"]
-        assert c.best == a.best
+
+    def test_streams_the_grid(self, monkeypatch):
+        # The search must hold at most the running best and the coupling in
+        # hand, never the whole grid.
+        refs = []
+        peak = 0
+        real_grid = regionsearch.coupling_grid
+
+        def tracked(*args):
+            nonlocal peak
+            for coupling in real_grid(*args):
+                peak = max(peak, sum(r() is not None for r in refs))
+                refs.append(weakref.ref(coupling))
+                yield coupling
+
+        monkeypatch.setattr(regionsearch, "coupling_grid", tracked)
+        model = product_channel()
+        sizes = {"U": 1, "V1": 2, "V2": 1}
+        res = brute_force_best(model, sizes, 3, "T3", (0, 1, 0))
+        assert len(refs) == res.couplings_scanned == estimate_grid_size("T3", model, sizes, 3)
+        assert len(refs) > 10
+        assert peak <= 2
+
+    def test_all_ties_keep_the_first_coupling(self, monkeypatch):
+        tie = ExtremePoint(RateTuple(0.0, 0.1, 0.0, re1=0.1), 0.1, "T3.L1")
+        monkeypatch.setattr(regionsearch, "secrecy_region_extremes", lambda *a, **k: tie)
+        model = product_channel()
+        sizes = {"U": 1, "V1": 2, "V2": 1}
+        res = brute_force_best(model, sizes, 3, "T3", (0, 1, 0))
+        first = next(coupling_grid("T3", model, sizes, 3))
+        assert res.best == tie
+        assert res.couplings_scanned == estimate_grid_size("T3", model, sizes, 3)
+        assert np.array_equal(res.coupling.joint.probs, first.joint.probs)
 
     def test_grid_respects_factorization(self):
         model = product_channel()
@@ -246,3 +284,58 @@ class TestBruteForce:
             if count > 3:
                 break
         assert count > 0
+
+
+def loop_branch_vertices(branch, dims, tol):
+    """Reference: solve every d-subset of constraint rows one at a time."""
+    d = len(dims)
+    rows = [np.array([lc.coefs[i] for i in dims], dtype=np.float64) for lc in branch.constraints]
+    rhs = [lc.bound for lc in branch.constraints]
+    for k in range(d):  # axis planes r_k >= 0 as -r_k <= 0
+        e = np.zeros(d)
+        e[k] = -1.0
+        rows.append(e)
+        rhs.append(0.0)
+    a = np.vstack(rows)
+    b = np.asarray(rhs)
+    vertices = []
+    for subset in itertools.combinations(range(len(rows)), d):
+        sub_a = a[list(subset)]
+        sub_b = b[list(subset)]
+        if abs(np.linalg.det(sub_a)) < 1e-12:
+            continue
+        v = np.linalg.solve(sub_a, sub_b)
+        if np.any(v < -tol) or np.any(a @ v > b + tol):
+            continue
+        if any(np.max(np.abs(v - w)) <= VERTEX_DEDUP_TOL for w in vertices):
+            continue
+        vertices.append(v)
+    out = []
+    for v in vertices:
+        full = [0.0, 0.0, 0.0]
+        for k, dim in enumerate(dims):
+            full[dim] = max(0.0, float(v[k]))
+        out.append(tuple(full))
+    return out
+
+
+class TestVertexOracle:
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS, key=lambda t: int(t[1:])))
+    def test_batched_vertices_match_the_loop(self, theorem_id):
+        rng = np.random.default_rng(int(theorem_id[1:]))
+        dims = theorem_spec(theorem_id).rate_dims()
+        branches = nonempty = 0
+        models = (favorable_model, random_model)
+        for make_model, clamp, independent, _ in itertools.product(
+            models, (False, True), (False, True), range(3)
+        ):
+            model = make_model(rng)
+            coupling = random_coupling(rng, theorem_id, model, independent_aux=independent)
+            for branch in corollary_constraints(
+                theorem_id, model, coupling, clamp_equivocation=clamp
+            ):
+                got = _branch_vertices(branch, dims, DEFAULT_TOL)
+                assert got == loop_branch_vertices(branch, dims, DEFAULT_TOL)
+                branches += 1
+                nonempty += len(got) > 1
+        assert branches >= 24 and nonempty >= 2
