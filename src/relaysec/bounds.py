@@ -17,11 +17,19 @@ conditions, and inequality lists whose right-hand sides are affine
 combinations of conditional mutual informations (optionally inside a min{}).
 Everything downstream (membership, branch reports, vertex enumeration,
 brute-force search) evaluates these tables.
+
+Every row is written once.  A branch's perfect-secrecy corollary (the
+Re = R slice) is derived from its own rows: each row marked `on_slice` is
+read with Re1 folded into R1 and Re2 into R2, and rows the slice leaves
+implied carry `on_slice=False`.  The config-B inner bounds T6-T8 are T2-T4
+at R0 = 0: rows on R0 alone drop out and R0 leaves the others.  T5 stays
+written out because U survives inside its equivocation caps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -183,14 +191,22 @@ class Ineq:
     rates: RateVec
     bound: Bound
     equivocation: bool = False  # True when the cap is an equivocation difference
+    on_slice: bool = True  # False when the Re = R slice leaves the row implied
 
     @property
     def name(self) -> str:
         return f"{_rates_label(self.rates)} <= {self.bound.render()}"
 
+    def sliced(self) -> "Ineq":
+        """This row on the perfect-secrecy slice: Re1 reads as R1, Re2 as R2."""
+        r0, r1, r2, re1, re2 = self.rates
+        return replace(self, rates=(r0, r1 + re1, r2 + re2, 0.0, 0.0))
 
-def _ineq(rates: RateVec, bound: Lin | Bound, equivocation: bool = False) -> Ineq:
-    return Ineq(rates, as_bound(bound), equivocation)
+
+def _ineq(
+    rates: RateVec, bound: Lin | Bound, equivocation: bool = False, on_slice: bool = True
+) -> Ineq:
+    return Ineq(rates, as_bound(bound), equivocation, on_slice)
 
 
 @dataclass(frozen=True)
@@ -209,11 +225,15 @@ class Condition:
 class BranchSpec:
     branch_id: str
     inequalities: tuple[Ineq, ...]
-    corollary: tuple[Ineq, ...]
     condition: Condition | None = None
     # When set, branch admits a pure-noise rate R* with
     #   0 <= R* <= value(rstar_budget) - I(Y1;Yh|X1).
     rstar_budget: Bound | None = None
+
+    @cached_property
+    def corollary(self) -> tuple[Ineq, ...]:
+        """The perfect-secrecy (Re = R) system: the on-slice rows, read there."""
+        return tuple(ineq.sliced() for ineq in self.inequalities if ineq.on_slice)
 
 
 @dataclass(frozen=True)
@@ -245,7 +265,7 @@ class TheoremSpec:
                     seen.setdefault(t)
                 for _, t in _COMPRESS_COST.terms:
                     seen.setdefault(t)
-            for ineq in br.inequalities + br.corollary:
+            for ineq in br.inequalities:
                 for t in ineq.bound.terms():
                     seen.setdefault(t)
         return tuple(seen)
@@ -330,145 +350,92 @@ def _outer_two_messages(theorem_id: str, config: str) -> TheoremSpec:
         _ineq(RE1, re1_cap, equivocation=True),
         _ineq(RE2, re2_cap, equivocation=True),
     )
-    corollary = rate_ineqs + (
-        _ineq(R1, re1_cap, equivocation=True),
-        _ineq(R2, re2_cap, equivocation=True),
-    )
     return TheoremSpec(
         theorem_id,
         config,
         "outer",
         ("U", "U1", "U2", "V1", "V2", "X", "X1"),
         _chain_pattern(("U1", "U2", "V1", "V2")),
-        (BranchSpec("n/a", ineqs, corollary),),
+        (BranchSpec("n/a", ineqs),),
     )
 
 
-def _df_two_messages(theorem_id: str, config: str) -> TheoremSpec:
+def _df_two_messages() -> TheoremSpec:
     m = Min(mi("U;Y1|X1"), mi("U,X1;Y"), mi("U,X1;Z"))
-    re1_cap = mi("V1;Y|U,X1") - mi("V1;V2|U,X1") - mi("V1;Z|U,X1,V2")
-    re2_cap = mi("V2;Z|U,X1") - mi("V1;V2|U,X1") - mi("V2;Y|U,X1,V1")
-    r0v = R0 if config == "A" else (0.0, 0.0, 0.0, 0.0, 0.0)
-    ineqs = []
-    if config == "A":
-        ineqs.append(_ineq(R0, m))
-    ineqs += [
-        _ineq(rsum(r0v, R1), m + mi("V1;Y|U,X1")),
-        _ineq(rsum(r0v, R2), m + mi("V2;Z|U,X1")),
+    ineqs = (
+        _ineq(R0, m),
+        _ineq(rsum(R0, R1), m + mi("V1;Y|U,X1"), on_slice=False),
+        _ineq(rsum(R0, R2), m + mi("V2;Z|U,X1"), on_slice=False),
         _ineq(
-            rsum(r0v, R1, R2),
+            rsum(R0, R1, R2),
             m + mi("V1;Y|U,X1") + mi("V2;Z|U,X1") - mi("V1;V2|U,X1"),
+            on_slice=False,
         ),
-        _ineq(RE1, re1_cap, equivocation=True),
-        _ineq(RE2, re2_cap, equivocation=True),
-    ]
-    corollary = []
-    if config == "A":
-        corollary.append(_ineq(R0, m))
-    corollary += [
-        _ineq(R1, re1_cap, equivocation=True),
-        _ineq(R2, re2_cap, equivocation=True),
-    ]
+        _ineq(RE1, mi("V1;Y|U,X1") - mi("V1;V2|U,X1") - mi("V1;Z|U,X1,V2"), equivocation=True),
+        _ineq(RE2, mi("V2;Z|U,X1") - mi("V1;V2|U,X1") - mi("V2;Y|U,X1,V1"), equivocation=True),
+    )
     return TheoremSpec(
-        theorem_id,
-        config,
+        "T2",
+        "A",
         "decode-forward",
         ("U", "V1", "V2", "X", "X1"),
         _df_pattern(("U", "V1", "V2")),
-        (BranchSpec("n/a", tuple(ineqs), tuple(corollary)),),
+        (BranchSpec("n/a", ineqs),),
     )
 
 
-def _nf_two_messages(theorem_id: str, config: str, l_first: int) -> TheoremSpec:
-    r0v = R0 if config == "A" else (0.0, 0.0, 0.0, 0.0, 0.0)
-
+def _nf_two_messages() -> TheoremSpec:
     # Branch 1: relay-to-receiver-1 link less noisy; receiver 1 decodes X1.
     m1 = Min(mi("U;Y|X1"), mi("U;Z"))
-    re1_b1 = (
-        Min(mi("X1;Z|U,V1,V2"), mi("X1;Y"))
-        + mi("V1;Y|U,X1")
-        - mi("V1;V2|U")
-        - mi("X1,V1;Z|U,V2")
-    )
-    re2_b1 = mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1")
-    ineqs1 = []
-    if config == "A":
-        ineqs1.append(_ineq(R0, m1))
-    ineqs1 += [
-        _ineq(rsum(r0v, R1), m1 + mi("V1;Y|U,X1")),
-        _ineq(rsum(r0v, R2), m1 + mi("V2;Z|U")),
+    ineqs1 = (
+        _ineq(R0, m1),
+        _ineq(rsum(R0, R1), m1 + mi("V1;Y|U,X1")),
+        _ineq(rsum(R0, R2), m1 + mi("V2;Z|U"), on_slice=False),
         _ineq(
-            rsum(r0v, R1, R2),
+            rsum(R0, R1, R2),
             m1 + mi("V1;Y|U,X1") + mi("V2;Z|U") - mi("V1;V2|U"),
+            on_slice=False,
         ),
-        _ineq(RE1, re1_b1, equivocation=True),
-        _ineq(RE2, re2_b1, equivocation=True),
-    ]
-    coro1 = []
-    if config == "A":
-        coro1 += [
-            _ineq(R0, m1),
-            _ineq(rsum(R0, R1), m1 + mi("V1;Y|U,X1")),
-        ]
-    else:
-        coro1.append(_ineq(R1, m1 + mi("V1;Y|U,X1")))
-    coro1 += [
-        _ineq(R1, re1_b1, equivocation=True),
-        _ineq(R2, re2_b1, equivocation=True),
-    ]
+        _ineq(
+            RE1,
+            Min(mi("X1;Z|U,V1,V2"), mi("X1;Y"))
+            + mi("V1;Y|U,X1")
+            - mi("V1;V2|U")
+            - mi("X1,V1;Z|U,V2"),
+            equivocation=True,
+        ),
+        _ineq(RE2, mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1"), equivocation=True),
+    )
 
     # Branch 2: mirror image, receiver 2 decodes X1.
     m2 = Min(mi("U;Z|X1"), mi("U;Y"))
-    re1_b2 = mi("V1;Y|U") - mi("V1;V2|U") - mi("V1;Z|U,V2,X1")
-    re2_b2 = (
-        Min(mi("X1;Y|U,V1,V2"), mi("X1;Z"))
-        + mi("V2;Z|U,X1")
-        - mi("V1;V2|U")
-        - mi("X1,V2;Y|U,V1")
-    )
-    ineqs2 = []
-    if config == "A":
-        ineqs2.append(_ineq(R0, m2))
-    ineqs2 += [
-        _ineq(rsum(r0v, R1), m2 + mi("V1;Y|U")),
-        _ineq(rsum(r0v, R2), m2 + mi("V2;Z|U,X1")),
+    ineqs2 = (
+        _ineq(R0, m2),
+        _ineq(rsum(R0, R1), m2 + mi("V1;Y|U"), on_slice=False),
+        _ineq(rsum(R0, R2), m2 + mi("V2;Z|U,X1")),
         _ineq(
-            rsum(r0v, R1, R2),
+            rsum(R0, R1, R2),
             m2 + mi("V1;Y|U") + mi("V2;Z|U,X1") - mi("V1;V2|U"),
+            on_slice=False,
         ),
-        _ineq(RE1, re1_b2, equivocation=True),
-        _ineq(RE2, re2_b2, equivocation=True),
-    ]
-    coro2 = []
-    if config == "A":
-        coro2 += [
-            _ineq(R0, m2),
-            _ineq(rsum(R0, R2), m2 + mi("V2;Z|U,X1")),
-        ]
-    else:
-        coro2.append(_ineq(R2, m2 + mi("V2;Z|U,X1")))
-    coro2 += [
-        _ineq(R1, re1_b2, equivocation=True),
-        _ineq(R2, re2_b2, equivocation=True),
-    ]
+        _ineq(RE1, mi("V1;Y|U") - mi("V1;V2|U") - mi("V1;Z|U,V2,X1"), equivocation=True),
+        _ineq(
+            RE2,
+            Min(mi("X1;Y|U,V1,V2"), mi("X1;Z"))
+            + mi("V2;Z|U,X1")
+            - mi("V1;V2|U")
+            - mi("X1,V2;Y|U,V1"),
+            equivocation=True,
+        ),
+    )
 
     branches = (
-        BranchSpec(
-            f"{theorem_id}.L{l_first}",
-            tuple(ineqs1),
-            tuple(coro1),
-            Condition(mi("X1;Y"), mi("X1;Z|U,V2")),
-        ),
-        BranchSpec(
-            f"{theorem_id}.L{l_first + 1}",
-            tuple(ineqs2),
-            tuple(coro2),
-            Condition(mi("X1;Z"), mi("X1;Y|U,V1")),
-        ),
+        BranchSpec("T3.L1", ineqs1, Condition(mi("X1;Y"), mi("X1;Z|U,V2"))),
+        BranchSpec("T3.L2", ineqs2, Condition(mi("X1;Z"), mi("X1;Y|U,V1"))),
     )
     return TheoremSpec(
-        theorem_id,
-        config,
+        "T3",
+        "A",
         "noise-forward",
         ("U", "V1", "V2", "X", "X1"),
         _nf_pattern(("U", "V1", "V2")),
@@ -476,89 +443,60 @@ def _nf_two_messages(theorem_id: str, config: str, l_first: int) -> TheoremSpec:
     )
 
 
-def _cf_two_messages(theorem_id: str, config: str, l_first: int) -> TheoremSpec:
-    r0v = R0 if config == "A" else (0.0, 0.0, 0.0, 0.0, 0.0)
-
+def _cf_two_messages() -> TheoremSpec:
     m1 = Min(mi("U;Y,Yh|X1"), mi("U;Z"))
-    budget1 = Min(mi("X1;Z|U,V1,V2"), mi("X1;Y"))
-    re1_b1 = RSTAR + mi("V1;Y,Yh|U,X1") - mi("V1;V2|U") - mi("X1,V1;Z|U,V2")
-    re2_b1 = mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1")
-    ineqs1 = []
-    if config == "A":
-        ineqs1.append(_ineq(R0, m1))
-    ineqs1 += [
-        _ineq(rsum(r0v, R1), m1 + mi("V1;Y,Yh|U,X1")),
-        _ineq(rsum(r0v, R2), m1 + mi("V2;Z|U")),
+    ineqs1 = (
+        _ineq(R0, m1),
+        _ineq(rsum(R0, R1), m1 + mi("V1;Y,Yh|U,X1")),
+        _ineq(rsum(R0, R2), m1 + mi("V2;Z|U"), on_slice=False),
         _ineq(
-            rsum(r0v, R1, R2),
+            rsum(R0, R1, R2),
             m1 + mi("V1;Y,Yh|U,X1") + mi("V2;Z|U") - mi("V1;V2|U"),
+            on_slice=False,
         ),
-        _ineq(RE1, re1_b1, equivocation=True),
-        _ineq(RE2, re2_b1, equivocation=True),
-    ]
-    coro1 = []
-    if config == "A":
-        coro1 += [
-            _ineq(R0, m1),
-            _ineq(rsum(R0, R1), m1 + mi("V1;Y,Yh|U,X1")),
-        ]
-    else:
-        coro1.append(_ineq(R1, m1 + mi("V1;Y,Yh|U,X1")))
-    coro1 += [
-        _ineq(R1, re1_b1, equivocation=True),
-        _ineq(R2, re2_b1, equivocation=True),
-    ]
+        _ineq(
+            RE1,
+            RSTAR + mi("V1;Y,Yh|U,X1") - mi("V1;V2|U") - mi("X1,V1;Z|U,V2"),
+            equivocation=True,
+        ),
+        _ineq(RE2, mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1"), equivocation=True),
+    )
 
     m2 = Min(mi("U;Z,Yh|X1"), mi("U;Y"))
-    budget2 = Min(mi("X1;Y|U,V1,V2"), mi("X1;Z"))
-    re1_b2 = mi("V1;Y|U") - mi("V1;V2|U") - mi("V1;Z|U,V2,X1")
-    re2_b2 = RSTAR + mi("V2;Z,Yh|U,X1") - mi("V1;V2|U") - mi("X1,V2;Y|U,V1")
-    ineqs2 = []
-    if config == "A":
-        ineqs2.append(_ineq(R0, m2))
-    ineqs2 += [
-        _ineq(rsum(r0v, R1), m2 + mi("V1;Y|U")),
-        _ineq(rsum(r0v, R2), m2 + mi("V2;Z,Yh|U,X1")),
+    ineqs2 = (
+        _ineq(R0, m2),
+        _ineq(rsum(R0, R1), m2 + mi("V1;Y|U"), on_slice=False),
+        _ineq(rsum(R0, R2), m2 + mi("V2;Z,Yh|U,X1")),
         _ineq(
-            rsum(r0v, R1, R2),
+            rsum(R0, R1, R2),
             m2 + mi("V1;Y|U") + mi("V2;Z,Yh|U,X1") - mi("V1;V2|U"),
+            on_slice=False,
         ),
-        _ineq(RE1, re1_b2, equivocation=True),
-        _ineq(RE2, re2_b2, equivocation=True),
-    ]
-    if config == "A":
-        coro2 = [
-            _ineq(R0, m2),
-            _ineq(rsum(R0, R2), m2 + mi("V2;Z,Yh|U,X1")),
-            _ineq(R1, re1_b2, equivocation=True),
-            _ineq(R2, re2_b2, equivocation=True),
-        ]
-    else:
-        coro2 = [
-            _ineq(R1, re1_b2, equivocation=True),
-            _ineq(R2, m2 + mi("V2;Z,Yh|U,X1")),
-            _ineq(R2, re2_b2, equivocation=True),
-        ]
+        _ineq(RE1, mi("V1;Y|U") - mi("V1;V2|U") - mi("V1;Z|U,V2,X1"), equivocation=True),
+        _ineq(
+            RE2,
+            RSTAR + mi("V2;Z,Yh|U,X1") - mi("V1;V2|U") - mi("X1,V2;Y|U,V1"),
+            equivocation=True,
+        ),
+    )
 
     branches = (
         BranchSpec(
-            f"{theorem_id}.L{l_first}",
-            tuple(ineqs1),
-            tuple(coro1),
+            "T4.L3",
+            ineqs1,
             Condition(mi("X1;Y"), mi("X1;Z|U,V2")),
-            rstar_budget=budget1,
+            rstar_budget=Min(mi("X1;Z|U,V1,V2"), mi("X1;Y")),
         ),
         BranchSpec(
-            f"{theorem_id}.L{l_first + 1}",
-            tuple(ineqs2),
-            tuple(coro2),
+            "T4.L4",
+            ineqs2,
             Condition(mi("X1;Z"), mi("X1;Y|U,V1")),
-            rstar_budget=budget2,
+            rstar_budget=Min(mi("X1;Y|U,V1,V2"), mi("X1;Z")),
         ),
     )
     return TheoremSpec(
-        theorem_id,
-        config,
+        "T4",
+        "A",
         "compress-forward",
         ("U", "V1", "V2", "X", "X1", "Y1", "Yh"),
         _cf_pattern(("U", "V1", "V2")),
@@ -566,37 +504,52 @@ def _cf_two_messages(theorem_id: str, config: str, l_first: int) -> TheoremSpec:
     )
 
 
+def _without_common(parent: TheoremSpec, theorem_id: str, l_first: int = 0) -> TheoremSpec:
+    """A config-A inner bound at R0 = 0, as its config-B twin.
+
+    Rows on R0 alone drop out and R0 leaves the others; conditions, R*
+    budgets, coupling variables and factorization stay the parent's.  A
+    branched parent's branches are renumbered from L{l_first}.
+    """
+    branches = tuple(
+        replace(
+            br,
+            branch_id=f"{theorem_id}.L{l_first + k}" if parent.branched else br.branch_id,
+            inequalities=tuple(
+                replace(ineq, rates=(0.0,) + ineq.rates[1:])
+                for ineq in br.inequalities
+                if ineq.rates != R0
+            ),
+        )
+        for k, br in enumerate(parent.branches)
+    )
+    return replace(parent, theorem_id=theorem_id, config="B", branches=branches)
+
+
 def _outer_one_message() -> TheoremSpec:
-    re_cap = mi("V;Y|U") - mi("V;Z|U")
-    rate_ineqs = (
+    ineqs = (
         _ineq(R0, Min(mi("U,U1;Y"), mi("U;Y,Y1|U1"))),
         _ineq(R0, Min(mi("U,U2;Z"), mi("U;Z,Y1|U2"))),
         _ineq(rsum(R0, R1), Min(mi("U,U1,V;Y"), mi("U,V;Y,Y1|U1"))),
         _ineq(rsum(R0, R1), mi("U,U1;Z,Y1|U2") + mi("V;Y,Y1|U,U1,U2")),
+        _ineq(RE1, mi("V;Y|U") - mi("V;Z|U"), equivocation=True),
     )
-    ineqs = rate_ineqs + (_ineq(RE1, re_cap, equivocation=True),)
-    corollary = rate_ineqs + (_ineq(R1, re_cap, equivocation=True),)
     return TheoremSpec(
         "T9",
         "C",
         "outer",
         ("U", "U1", "U2", "V", "X", "X1"),
         _chain_pattern(("U1", "U2", "V")),
-        (BranchSpec("n/a", ineqs, corollary),),
+        (BranchSpec("n/a", ineqs),),
     )
 
 
 def _df_one_message() -> TheoremSpec:
     m = Min(mi("U;Y1|X1"), mi("U,X1;Y"), mi("U,X1;Z"))
-    re_cap = mi("V;Y|U,X1") - mi("V;Z|U,X1")
     ineqs = (
         _ineq(R0, m),
-        _ineq(rsum(R0, R1), m + mi("V;Y|U,X1")),
-        _ineq(RE1, re_cap, equivocation=True),
-    )
-    corollary = (
-        _ineq(R0, m),
-        _ineq(R1, re_cap, equivocation=True),
+        _ineq(rsum(R0, R1), m + mi("V;Y|U,X1"), on_slice=False),
+        _ineq(RE1, mi("V;Y|U,X1") - mi("V;Z|U,X1"), equivocation=True),
     )
     return TheoremSpec(
         "T10",
@@ -604,49 +557,32 @@ def _df_one_message() -> TheoremSpec:
         "decode-forward",
         ("U", "V", "X", "X1"),
         _df_pattern(("U", "V")),
-        (BranchSpec("n/a", ineqs, corollary),),
+        (BranchSpec("n/a", ineqs),),
     )
 
 
 def _nf_one_message() -> TheoremSpec:
     # Branch 1: receiver 1 decodes the relay codeword, receiver 2 sees noise.
     m1 = Min(mi("U;Y|X1"), mi("U;Z"))
-    re_b1 = Min(mi("X1;Z|U,V"), mi("X1;Y")) + mi("V;Y|U,X1") - mi("X1,V;Z|U")
     ineqs1 = (
         _ineq(R0, m1),
         _ineq(rsum(R0, R1), m1 + mi("V;Y|U,X1")),
-        _ineq(RE1, re_b1, equivocation=True),
-    )
-    coro1 = (
-        _ineq(R0, m1),
-        _ineq(rsum(R0, R1), m1 + mi("V;Y|U,X1")),
-        _ineq(R1, re_b1, equivocation=True),
+        _ineq(
+            RE1,
+            Min(mi("X1;Z|U,V"), mi("X1;Y")) + mi("V;Y|U,X1") - mi("X1,V;Z|U"),
+            equivocation=True,
+        ),
     )
     # Branch 2: both receivers decode it; the relay adds no confusion.
     m2 = Min(mi("U;Y|X1"), mi("U;Z|X1"))
-    re_b2 = mi("V;Y|U,X1") - mi("V;Z|U,X1")
     ineqs2 = (
         _ineq(R0, m2),
-        _ineq(rsum(R0, R1), m2 + mi("V;Y|U,X1")),
-        _ineq(RE1, re_b2, equivocation=True),
-    )
-    coro2 = (
-        _ineq(R0, m2),
-        _ineq(R1, re_b2, equivocation=True),
+        _ineq(rsum(R0, R1), m2 + mi("V;Y|U,X1"), on_slice=False),
+        _ineq(RE1, mi("V;Y|U,X1") - mi("V;Z|U,X1"), equivocation=True),
     )
     branches = (
-        BranchSpec(
-            "T11.L9",
-            ineqs1,
-            coro1,
-            Condition(mi("X1;Y"), mi("X1;Z|U")),
-        ),
-        BranchSpec(
-            "T11.L10",
-            ineqs2,
-            coro2,
-            Condition(mi("X1;Z"), mi("X1;Y")),
-        ),
+        BranchSpec("T11.L9", ineqs1, Condition(mi("X1;Y"), mi("X1;Z|U"))),
+        BranchSpec("T11.L10", ineqs2, Condition(mi("X1;Z"), mi("X1;Y"))),
     )
     return TheoremSpec(
         "T11",
@@ -660,44 +596,29 @@ def _nf_one_message() -> TheoremSpec:
 
 def _cf_one_message() -> TheoremSpec:
     m1 = Min(mi("U;Y,Yh|X1"), mi("U;Z"))
-    budget1 = Min(mi("X1;Z|U,V"), mi("X1;Y"))
-    re_b1 = RSTAR + mi("V;Y,Yh|U,X1") - mi("X1,V;Z|U")
     ineqs1 = (
         _ineq(R0, m1),
         _ineq(rsum(R0, R1), m1 + mi("V;Y,Yh|U,X1")),
-        _ineq(RE1, re_b1, equivocation=True),
-    )
-    coro1 = (
-        _ineq(R0, m1),
-        _ineq(rsum(R0, R1), m1 + mi("V;Y,Yh|U,X1")),
-        _ineq(R1, re_b1, equivocation=True),
+        _ineq(RE1, RSTAR + mi("V;Y,Yh|U,X1") - mi("X1,V;Z|U"), equivocation=True),
     )
     m2 = Min(mi("U;Y,Yh|X1"), mi("U;Z,Yh|X1"))
-    budget2 = Min(mi("X1;Y"))
-    re_b2 = mi("V;Y,Yh|U,X1") - mi("V;Z|U,X1")
     ineqs2 = (
         _ineq(R0, m2),
-        _ineq(rsum(R0, R1), m2 + mi("V;Y,Yh|U,X1")),
-        _ineq(RE1, re_b2, equivocation=True),
-    )
-    coro2 = (
-        _ineq(R0, m2),
-        _ineq(R1, re_b2, equivocation=True),
+        _ineq(rsum(R0, R1), m2 + mi("V;Y,Yh|U,X1"), on_slice=False),
+        _ineq(RE1, mi("V;Y,Yh|U,X1") - mi("V;Z|U,X1"), equivocation=True),
     )
     branches = (
         BranchSpec(
             "T12.L11",
             ineqs1,
-            coro1,
             Condition(mi("X1;Y"), mi("X1;Z|U")),
-            rstar_budget=budget1,
+            rstar_budget=Min(mi("X1;Z|U,V"), mi("X1;Y")),
         ),
         BranchSpec(
             "T12.L12",
             ineqs2,
-            coro2,
             Condition(mi("X1;Z"), mi("X1;Y")),
-            rstar_budget=budget2,
+            rstar_budget=Min(mi("X1;Y")),
         ),
     )
     return TheoremSpec(
@@ -710,23 +631,26 @@ def _cf_one_message() -> TheoremSpec:
     )
 
 
-THEOREMS: dict[str, TheoremSpec] = {
-    spec.theorem_id: spec
-    for spec in (
+def _catalog() -> dict[str, TheoremSpec]:
+    t2, t3, t4 = _df_two_messages(), _nf_two_messages(), _cf_two_messages()
+    specs = (
         _outer_two_messages("T1", "A"),
-        _df_two_messages("T2", "A"),
-        _nf_two_messages("T3", "A", 1),
-        _cf_two_messages("T4", "A", 3),
+        t2,
+        t3,
+        t4,
         _outer_two_messages("T5", "B"),
-        _df_two_messages("T6", "B"),
-        _nf_two_messages("T7", "B", 5),
-        _cf_two_messages("T8", "B", 7),
+        _without_common(t2, "T6"),
+        _without_common(t3, "T7", 5),
+        _without_common(t4, "T8", 7),
         _outer_one_message(),
         _df_one_message(),
         _nf_one_message(),
         _cf_one_message(),
     )
-}
+    return {spec.theorem_id: spec for spec in specs}
+
+
+THEOREMS: dict[str, TheoremSpec] = _catalog()
 
 
 def theorem_spec(theorem_id: str) -> TheoremSpec:
@@ -852,22 +776,21 @@ def compose_full_joint(
             f"the channel (X={model.x_size}, X1={model.x1_size})"
         )
 
+    # AuxiliaryCoupling keeps its axes in canonical order: auxiliaries, X, X1[, Y1, Yh].
     if not spec.uses_compressor:
-        aux_names = tuple(n for n in j.axis_names if n not in ("X", "X1"))
-        ordered = j.reordered(aux_names + ("X", "X1"))
-        probs = ordered.probs[..., None, None, None] * model.transition
+        aux_names = j.axis_names[:-2]
+        probs = j.probs[..., None, None, None] * model.transition
         return JointPMF(aux_names + ("X", "X1", "Y", "Y1", "Z"), probs)
 
     if sizes["Y1"] != model.y1_size:
         raise UsageError(
             f"coupling Y1 alphabet ({sizes['Y1']}) does not match the channel ({model.y1_size})"
         )
-    aux_names = tuple(n for n in j.axis_names if n not in ("X", "X1", "Y1", "Yh"))
-    ordered = j.reordered(aux_names + ("X", "X1", "Y1", "Yh"))
-    aux_xx1 = ordered.probs.sum(axis=(-2, -1))
+    aux_names = j.axis_names[:-4]
+    aux_xx1 = j.probs.sum(axis=(-2, -1))
     y1c = model.y1_conditional()
     implied_y1 = aux_xx1[..., None] * y1c
-    actual_y1 = ordered.probs.sum(axis=-1)
+    actual_y1 = j.probs.sum(axis=-1)
     dev = float(np.max(np.abs(implied_y1 - actual_y1)))
     if dev > DEFAULT_TOL:
         raise ValidationError(
@@ -875,7 +798,7 @@ def compose_full_joint(
             f"max deviation {dev:.3e}"
         )
     # Quantizer p(yh | y1, x1); unreachable (y1, x1) cells get a uniform row.
-    m = ordered.probs.sum(axis=tuple(range(ordered.probs.ndim - 4)))  # (X, X1, Y1, Yh)
+    m = j.probs.sum(axis=tuple(range(j.probs.ndim - 4)))  # (X, X1, Y1, Yh)
     m_x1y1yh = m.sum(axis=0)  # (X1, Y1, Yh)
     denom = m_x1y1yh.sum(axis=2, keepdims=True)
     nyh = m_x1y1yh.shape[2]

@@ -11,9 +11,10 @@ Subcommands:
   dmc-search  Brute-force grid search over a bound's admissible couplings.
   selftest    Run the acceptance criteria and report a pass/fail table.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input, 3 infeasible
-configuration, 4 self-test failure.  All numeric output is CSV with a header
-row, numbers at 9 significant digits, byte-stable for a fixed scenario.
+Exit codes: 0 success, 1 usage error, 2 invalid input (including an output
+path that cannot be written), 3 infeasible configuration, 4 self-test
+failure.  All numeric output is CSV with a header row, numbers at 9
+significant digits, byte-stable for a fixed scenario.
 """
 
 from __future__ import annotations
@@ -66,8 +67,15 @@ def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence]
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
+        _write_file(path, text)
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path} ({exc.strerror or exc})") from exc
 
 
 def read_frontier_csv(path: str) -> list[dict[str, str]]:
@@ -288,8 +296,7 @@ def _cmd_dmc_search(args) -> int:
         ],
     )
     if args.best_coupling_out:
-        with open(args.best_coupling_out, "w", encoding="utf-8") as fh:
-            fh.write(result.coupling.to_json())
+        _write_file(args.best_coupling_out, result.coupling.to_json())
     return EXIT_OK
 
 

@@ -105,8 +105,8 @@ def secrecy_region_extremes(
     even the origin fails every qualifying branch.
     """
     obj = tuple(float(v) for v in objective)
-    if len(obj) != 3:
-        raise UsageError("objective must be a direction over (R0, R1, R2)")
+    if len(obj) != 3 or not all(math.isfinite(v) for v in obj):
+        raise UsageError("objective must be a direction of three finite weights over (R0, R1, R2)")
     spec = theorem_spec(theorem_id)
     dims = spec.rate_dims()
     branches = corollary_constraints(

@@ -26,7 +26,8 @@ Schema (unknown keys are rejected):
       "tol": 1e-9,                                  # optional
       "output": "dmc_eval.csv"                      # optional
     }
-  Rates and `tol` are finite numbers; `output` is a non-empty path string.
+  `theorem`, `dmc_model` and `coupling` are non-empty strings, rates and
+  `tol` are finite numbers, and `output` is a non-empty path string.
 """
 
 from __future__ import annotations
@@ -187,14 +188,19 @@ def load_scenario(path: str) -> Scenario:
     )
     if "dmc_model" not in payload or "theorem" not in payload:
         raise ValidationError(f"scenario {path}: DMC scenarios need 'dmc_model' and 'theorem'")
-    theorem = str(payload["theorem"])
+    for key in ("theorem", "dmc_model", "coupling"):
+        if key in payload and not (isinstance(payload[key], str) and payload[key]):
+            raise ValidationError(
+                f"scenario {path}: {key!r} must be a non-empty string, got {payload[key]!r}"
+            )
+    theorem = payload["theorem"]
     theorem_spec(theorem)  # raises on unknown ids
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(ref: str) -> str:
         return ref if os.path.isabs(ref) else os.path.join(base, ref)
 
-    model_path = resolve(str(payload["dmc_model"]))
+    model_path = resolve(payload["dmc_model"])
     try:
         with open(model_path, "r", encoding="utf-8") as fh:
             dmc_model = DMCModel.from_json(fh.read())
@@ -203,7 +209,7 @@ def load_scenario(path: str) -> Scenario:
 
     coupling = None
     if "coupling" in payload:
-        coupling_path = resolve(str(payload["coupling"]))
+        coupling_path = resolve(payload["coupling"])
         try:
             with open(coupling_path, "r", encoding="utf-8") as fh:
                 coupling = AuxiliaryCoupling.from_json(fh.read())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from relaysec.acceptance import (
     random_rates,
 )
 from relaysec.bounds import (
+    DEFAULT_TOL,
     AuxiliaryCoupling,
     THEOREMS,
     branch_condition,
     build_cf_coupling,
     compose_full_joint,
+    corollary_constraints,
     evaluate_membership,
     mi_terms,
     theorem_spec,
@@ -22,6 +26,7 @@ from relaysec.bounds import (
 from relaysec.dmc import DMCModel, RateTuple
 from relaysec.errors import UsageError, ValidationError
 from relaysec.pmf import JointPMF
+from relaysec.regionsearch import _branch_vertices
 
 
 def bsc(p):
@@ -378,3 +383,67 @@ class TestReductions:
             reduced = evaluate_membership(reduced_id, model, coupling, r)
             parent = evaluate_membership(parent_id, model, coupling, r)
             assert reduced.member == parent.member
+
+
+class TestCorollarySlice:
+    """Each perfect-secrecy corollary is its branch's on-slice rows read at Re = R."""
+
+    # Indices into each branch's inequalities that the corollary keeps, in order.
+    KEPT = {
+        "T1": tuple(range(8)),
+        "T2": (0, 4, 5),
+        "T3.L1": (0, 1, 4, 5),
+        "T3.L2": (0, 2, 4, 5),
+        "T4.L3": (0, 1, 4, 5),
+        "T4.L4": (0, 2, 4, 5),
+        "T5": tuple(range(6)),
+        "T6": (3, 4),
+        "T7.L5": (0, 3, 4),
+        "T7.L6": (1, 3, 4),
+        "T8.L7": (0, 3, 4),
+        "T8.L8": (1, 3, 4),
+        "T9": tuple(range(5)),
+        "T10": (0, 2),
+        "T11.L9": (0, 1, 2),
+        "T11.L10": (0, 2),
+        "T12.L11": (0, 1, 2),
+        "T12.L12": (0, 2),
+    }
+
+    def test_kept_rows_read_on_the_slice(self):
+        seen = set()
+        for theorem_id, spec in THEOREMS.items():
+            for branch in spec.branches:
+                key = theorem_id if branch.branch_id == "n/a" else branch.branch_id
+                seen.add(key)
+                kept = self.KEPT[key]
+                assert len(branch.corollary) == len(kept), key
+                for row, i in zip(branch.corollary, kept):
+                    ineq = branch.inequalities[i]
+                    r0, r1, r2, re1, re2 = ineq.rates
+                    slice_rates = (r0, r1 + re1, r2 + re2, 0.0, 0.0)
+                    label = "+".join(
+                        n for c, n in zip(slice_rates, ("R0", "R1", "R2")) if c == 1.0
+                    )
+                    assert row.rates == slice_rates, key
+                    assert row.name == f"{label} <= {ineq.bound.render()}", key
+                    assert row.bound == ineq.bound, key
+                    assert row.equivocation == ineq.equivocation, key
+        assert seen == set(self.KEPT)
+
+    def test_t8_l8_row_order_leaves_vertices_unchanged(self):
+        # The corollary once listed these rows as inequalities (3, 1, 4).
+        rng = np.random.default_rng(8)
+        dims = theorem_spec("T8").rate_dims()
+        nonempty = 0
+        for k in range(24):
+            model = favorable_model(rng) if k % 2 else random_model(rng)
+            coupling = random_coupling(rng, "T8", model, independent_aux=k % 3 == 0)
+            for clamp in (False, True):
+                l8 = corollary_constraints("T8", model, coupling, clamp_equivocation=clamp)[1]
+                rows = l8.constraints
+                old = replace(l8, constraints=(rows[1], rows[0], rows[2]))
+                got = sorted(_branch_vertices(l8, dims, DEFAULT_TOL))
+                assert got == sorted(_branch_vertices(old, dims, DEFAULT_TOL))
+                nonempty += len(got) > 1
+        assert nonempty >= 4

@@ -278,6 +278,10 @@ class TestDMCCommands:
             ["dmc-search", "--aux-sizes", "U=1,V1=2,V2=1,W=2", "--grid-steps", "2"],
             ["dmc-search", "--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2",
              "--objective", "a,b,c"],
+            ["dmc-search", "--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2",
+             "--objective", "nan,1,0"],
+            ["dmc-search", "--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2",
+             "--objective", "0,inf,0"],
             ["dmc-eval", "--rates", "a,b,c,d,e"],
         ],
     )
@@ -287,6 +291,22 @@ class TestDMCCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert "usage error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dmc-eval", "--out", "{missing}/x.csv"],
+            ["dmc-search", "--aux-sizes", "U=1,V1=1,V2=1", "--grid-steps", "2",
+             "--out", "{tmp}/o.csv", "--best-coupling-out", "{missing}/c.json"],
+        ],
+    )
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, argv):
+        missing = tmp_path / "no_such_dir"
+        argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
+        code = main(argv + ["--scenario", scenario_path("dmc_demo.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"cannot write {missing}" in err and "Traceback" not in err
 
 
 class TestScenarioGridTypes:
@@ -323,6 +343,13 @@ class TestScenarioGridTypes:
             ("dmc-search", {"output": 7}),
             ("dmc-search", {"output": ""}),
             ("dmc-search", {"tol": [1e-9]}),
+            ("dmc-eval", {"theorem": ["T3"]}),
+            ("dmc-search", {"theorem": 3}),
+            ("dmc-eval", {"theorem": ""}),
+            ("dmc-eval", {"dmc_model": None}),
+            ("dmc-search", {"dmc_model": ["dmc_model.json"]}),
+            ("dmc-eval", {"coupling": None}),
+            ("dmc-eval", {"coupling": ""}),
         ],
     )
     def test_bad_dmc_field_types_are_exit_2(self, tmp_path, capsys, command, fields):
