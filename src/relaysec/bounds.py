@@ -15,8 +15,10 @@ observation and a pure-noise rate budget R*).
 Each bound is stored as structured data: a coupling factorization, branch
 conditions, and inequality lists whose right-hand sides are affine
 combinations of conditional mutual informations (optionally inside a min{}).
-Everything downstream (membership, branch reports, vertex enumeration,
-brute-force search) evaluates these tables.
+On first use a theorem compiles to numeric maps (`CompiledTheorem`): subset
+entropies, MI terms as +-1 sums of them, and bounds as gathered sums with a
+segmented min.  `evaluate_stack` runs them on N stacked couplings at once;
+membership, branch reports and corollary systems are one coupling's view.
 
 Every row is written once.  A branch's perfect-secrecy corollary (the
 Re = R slice) is derived from its own rows: each row marked `on_slice` is
@@ -40,8 +42,9 @@ from .pmf import (
     FACTORIZATION_TOL,
     FactorizationPattern,
     JointPMF,
-    check_factorization,
-    cond_mutual_info,
+    SubsetEntropies,
+    factorization_deviation,
+    information,
 )
 
 RATE_COMPONENTS = ("R0", "R1", "R2", "Re1", "Re2")
@@ -79,12 +82,6 @@ class Lin:
     def __sub__(self, other: "Lin") -> "Lin":
         negated = tuple((-c, t) for c, t in other.terms)
         return Lin(self.terms + negated, self.rstar - other.rstar)
-
-    def value(self, mi_values: Mapping[MITerm, float], rstar: float = 0.0) -> float:
-        total = self.rstar * rstar
-        for coef, term in self.terms:
-            total += coef * mi_values[term]
-        return total
 
     def render(self) -> str:
         parts: list[str] = []
@@ -128,10 +125,6 @@ class Bound:
     def __sub__(self, other: Lin) -> "Bound":
         return Bound(self.alternatives, self.tail - other)
 
-    def value(self, mi_values: Mapping[MITerm, float], rstar: float = 0.0) -> float:
-        inner = min(l.value(mi_values, rstar) for l in self.alternatives)
-        return inner + self.tail.value(mi_values, rstar)
-
     def render(self) -> str:
         if len(self.alternatives) == 1:
             head = self.alternatives[0].render()
@@ -142,11 +135,6 @@ class Bound:
             return head
         joiner = " + " if not tail.startswith("-") else " "
         return head + joiner + tail
-
-    def terms(self) -> Iterable[MITerm]:
-        for lin in self.alternatives + (self.tail,):
-            for _, term in lin.terms:
-                yield term
 
 
 def Min(*alternatives: Lin) -> Bound:
@@ -193,7 +181,7 @@ class Ineq:
     equivocation: bool = False  # True when the cap is an equivocation difference
     on_slice: bool = True  # False when the Re = R slice leaves the row implied
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"{_rates_label(self.rates)} <= {self.bound.render()}"
 
@@ -216,7 +204,7 @@ class Condition:
     lhs: Lin
     rhs: Lin
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"{self.lhs.render()} >= {self.rhs.render()}"
 
@@ -234,6 +222,10 @@ class BranchSpec:
     def corollary(self) -> tuple[Ineq, ...]:
         """The perfect-secrecy (Re = R) system: the on-slice rows, read there."""
         return tuple(ineq.sliced() for ineq in self.inequalities if ineq.on_slice)
+
+    @cached_property
+    def budget_name(self) -> str:
+        return f"{self.rstar_budget.render()} - {_COMPRESS_COST.render()} >= R* >= 0"
 
 
 @dataclass(frozen=True)
@@ -254,28 +246,108 @@ class TheoremSpec:
         return len(self.branches) > 1
 
     def all_terms(self) -> tuple[MITerm, ...]:
-        seen: dict[MITerm, None] = {}
-        for br in self.branches:
-            if br.condition is not None:
-                for lin in (br.condition.lhs, br.condition.rhs):
-                    for _, t in lin.terms:
-                        seen.setdefault(t)
-            if br.rstar_budget is not None:
-                for t in br.rstar_budget.terms():
-                    seen.setdefault(t)
-                for _, t in _COMPRESS_COST.terms:
-                    seen.setdefault(t)
-            for ineq in br.inequalities:
-                for t in ineq.bound.terms():
-                    seen.setdefault(t)
-        return tuple(seen)
+        return self.compiled.terms
 
     def rate_dims(self) -> tuple[int, ...]:
         """Active (R0,R1,R2) coordinates of this message configuration."""
         return {"A": (0, 1, 2), "B": (1, 2), "C": (0, 1)}[self.config]
 
+    @property
+    def full_vars(self) -> tuple[str, ...]:
+        """Axes of the coupling composed with the channel."""
+        aux = tuple(v for v in self.coupling_vars if v not in ("X", "X1", "Y1", "Yh"))
+        return aux + ("X", "X1", "Y", "Y1", "Z") + ("Yh",) * self.uses_compressor
+
+    @cached_property
+    def compiled(self) -> "CompiledTheorem":
+        return CompiledTheorem(self)
+
 
 _COMPRESS_COST = mi("Y1;Yh|X1")  # rate spent describing the quantized observation
+
+
+class _BoundTable:
+    """Bounds as gather tables over MI-term columns: min over Lin alternatives, plus a tail."""
+
+    def __init__(self, bounds: Sequence[Bound], column: Mapping[MITerm, int]) -> None:
+        lins = [lin for b in bounds for lin in b.alternatives] + [b.tail for b in bounds]
+        width = max((len(lin.terms) for lin in lins), default=0)
+        # Padding points at the all-zero column past the last term.
+        self.index = np.full((len(lins), width), len(column))
+        self.coef = np.zeros((len(lins), width))
+        for i, lin in enumerate(lins):
+            for k, (coef, term) in enumerate(lin.terms):
+                self.index[i, k], self.coef[i, k] = column[term], coef
+        self.rstar = np.array([lin.rstar for lin in lins])
+        owner = [k for k, b in enumerate(bounds) for _ in b.alternatives] + list(range(len(bounds)))
+        self.owner = np.array(owner, dtype=int)
+        self.starts = np.cumsum([0] + [len(b.alternatives) for b in bounds])[:-1]
+        self.count = len(bounds)
+
+    def __call__(self, mi: np.ndarray, residue: np.ndarray, rstar: np.ndarray) -> np.ndarray:
+        """(N, bounds) values from MI columns and their rounding scales (N, terms + 1)
+        and each bound's R* (N, bounds).  Each Lin adds its terms to its R* share
+        in written order; a bound within its terms' summed rounding scale is 0."""
+        total = self.rstar * rstar[:, self.owner]
+        scale = np.zeros_like(total)
+        for k in range(self.index.shape[1]):
+            total = total + self.coef[:, k] * mi[:, self.index[:, k]]
+            scale = scale + np.abs(self.coef[:, k]) * residue[:, self.index[:, k]]
+        n_alt = len(self.owner) - self.count
+        value = np.minimum.reduceat(total[:, :n_alt], self.starts, axis=1) + total[:, n_alt:]
+        scale = np.maximum.reduceat(scale[:, :n_alt], self.starts, axis=1) + scale[:, n_alt:]
+        return np.where(np.abs(value) <= scale, 0.0, value)
+
+
+@dataclass(frozen=True)
+class CompiledBranch:
+    spec: BranchSpec
+    condition_col: int  # the condition's sides are pre columns condition_col, +1 (-1: none)
+    budget_col: int  # R* budget and compress cost are pre columns budget_col, +1 (-1: none)
+    rows: slice  # the branch's inequalities among the theorem's rows
+    corollary: tuple[int, ...]  # the rows of spec.corollary
+
+
+class CompiledTheorem:
+    """One theorem as numeric maps, built on first use: every term I(A;B|C) is
+    H(AC) + H(BC) - H(ABC) - H(C) over a fixed list of variable subsets, and
+    every bound a min over gathered term sums plus a tail."""
+
+    def __init__(self, spec: TheoremSpec) -> None:
+        pre: list[Bound] = []
+        rows: list[Ineq] = []
+        branches = []
+        for br in spec.branches:
+            condition_col = budget_col = -1
+            if br.condition is not None:
+                condition_col = len(pre)
+                pre += [Bound((br.condition.lhs,)), Bound((br.condition.rhs,))]
+            if br.rstar_budget is not None:
+                budget_col = len(pre)
+                pre += [br.rstar_budget, Bound((_COMPRESS_COST,))]
+            first = len(rows)
+            rows += br.inequalities
+            kept = tuple(first + k for k, ineq in enumerate(br.inequalities) if ineq.on_slice)
+            rows_slice = slice(first, len(rows))
+            branches.append(CompiledBranch(br, condition_col, budget_col, rows_slice, kept))
+        lins = [lin for b in pre + [r.bound for r in rows] for lin in b.alternatives + (b.tail,)]
+        self.terms = tuple(dict.fromkeys(t for lin in lins for _, t in lin.terms))
+        groups = [[frozenset(g) for g in (t.a + t.c, t.b + t.c, t.a + t.b + t.c, t.c)]
+                  for t in self.terms]
+        subsets = sorted(dict.fromkeys(g for grp in groups for g in grp if g), key=len, reverse=True)
+        column = {s: k for k, s in enumerate(subsets)}  # the empty subset is the last column
+        self.term_index = np.array([[column.get(g, len(subsets)) for g in grp] for grp in groups])
+        self.entropies = SubsetEntropies(spec.full_vars, subsets)
+        term_column = {t: i for i, t in enumerate(self.terms)}
+        self.branches = tuple(branches)
+        self.pre = _BoundTable(pre, term_column)
+        self.rows = _BoundTable([ineq.bound for ineq in rows], term_column)
+        self.equivocation = np.array([ineq.equivocation for ineq in rows])
+
+    def mi(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, terms) MI values of stacked full joints, in `terms` order, and
+        their rounding scales (see `information`)."""
+        return information(self.entropies(full), self.term_index)
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +743,17 @@ def _canonical_order(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(v for v in CANONICAL_VARS if v in set(names))
 
 
+def require_factorization(spec: TheoremSpec, probs: np.ndarray) -> None:
+    """Raise unless every stacked coupling (N, canonical axes) meets the spec's factorization."""
+    deviation = factorization_deviation(probs, spec.coupling_vars, spec.pattern)
+    bad = np.flatnonzero(~(deviation <= FACTORIZATION_TOL))
+    if bad.size:
+        raise ValidationError(
+            f"coupling violates the {spec.theorem_id} factorization "
+            f"{spec.pattern.describe()}: max deviation {deviation[bad[0]]:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class AuxiliaryCoupling:
     """A joint law over the auxiliary and input variables a bound quantifies over.
@@ -692,19 +775,12 @@ class AuxiliaryCoupling:
             )
         ordered = self.joint.reordered(_canonical_order(spec.coupling_vars))
         object.__setattr__(self, "joint", ordered)
-        report = check_factorization(ordered, spec.pattern, FACTORIZATION_TOL)
-        if not report.passed:
-            raise ValidationError(
-                f"coupling violates the {self.theorem_id} factorization "
-                f"{spec.pattern.describe()}: max deviation {report.max_abs_deviation:.3e}"
-            )
+        require_factorization(spec, ordered.probs[None])
 
     def to_json(self) -> str:
         import json as _json
 
-        payload = _json.loads(self.joint.to_json())
-        payload["theorem"] = self.theorem_id
-        return _json.dumps(payload, indent=2)
+        return _json.dumps({**self.joint.to_json_dict(), "theorem": self.theorem_id}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "AuxiliaryCoupling":
@@ -716,10 +792,14 @@ class AuxiliaryCoupling:
             raise ValidationError(
                 f"coupling JSON: parse failure at line {exc.lineno}: {exc.msg}"
             ) from exc
+        if not isinstance(payload, dict):
+            raise ValidationError("coupling JSON: top level must be an object")
         try:
             theorem_id = str(payload.pop("theorem"))
         except KeyError:
             raise ValidationError("coupling JSON: missing 'theorem' field") from None
+        if theorem_id not in THEOREMS:
+            raise ValidationError(f"coupling JSON: unknown theorem id {theorem_id!r}")
         return cls(JointPMF.from_json_dict(payload), theorem_id)
 
 
@@ -758,57 +838,56 @@ def build_cf_coupling(
     return AuxiliaryCoupling(joint, theorem_id)
 
 
-def compose_full_joint(
-    model: DMCModel, coupling: AuxiliaryCoupling, theorem_id: str | None = None
-) -> JointPMF:
-    """Coupling and channel law combined into the joint over every variable."""
-    spec = theorem_spec(theorem_id or coupling.theorem_id)
-    if theorem_id is not None and theorem_id != coupling.theorem_id:
-        # Cross-use is allowed when the variable sets and factorization agree
-        # (the reduced-configuration bounds share their parents' structure).
-        reval = AuxiliaryCoupling(coupling.joint, theorem_id)
-        coupling = reval
-    j = coupling.joint
-    sizes = dict(zip(j.axis_names, j.axis_sizes))
+def compose_stack(spec: TheoremSpec, model: DMCModel, probs: np.ndarray) -> np.ndarray:
+    """Stacked couplings (N, canonical axes) and the channel: stacked joints over
+    `spec.full_vars`.  Compress-forward couplings must carry the channel's Y1 leg."""
+    sizes = dict(zip(spec.coupling_vars, probs.shape[1:]))
     if sizes["X"] != model.x_size or sizes["X1"] != model.x1_size:
         raise UsageError(
             f"coupling alphabet (X={sizes['X']}, X1={sizes['X1']}) does not match "
             f"the channel (X={model.x_size}, X1={model.x1_size})"
         )
-
-    # AuxiliaryCoupling keeps its axes in canonical order: auxiliaries, X, X1[, Y1, Yh].
     if not spec.uses_compressor:
-        aux_names = j.axis_names[:-2]
-        probs = j.probs[..., None, None, None] * model.transition
-        return JointPMF(aux_names + ("X", "X1", "Y", "Y1", "Z"), probs)
+        return probs[..., None, None, None] * model.transition
 
     if sizes["Y1"] != model.y1_size:
         raise UsageError(
             f"coupling Y1 alphabet ({sizes['Y1']}) does not match the channel ({model.y1_size})"
         )
-    aux_names = j.axis_names[:-4]
-    aux_xx1 = j.probs.sum(axis=(-2, -1))
-    y1c = model.y1_conditional()
-    implied_y1 = aux_xx1[..., None] * y1c
-    actual_y1 = j.probs.sum(axis=-1)
-    dev = float(np.max(np.abs(implied_y1 - actual_y1)))
-    if dev > DEFAULT_TOL:
+    n = len(probs)
+    aux_xx1 = probs.sum(axis=(-2, -1))
+    implied_y1 = aux_xx1[..., None] * model.y1_conditional()
+    dev = np.max(np.abs(implied_y1 - probs.sum(axis=-1)).reshape(n, -1), axis=1)
+    bad = np.flatnonzero(dev > DEFAULT_TOL)
+    if bad.size:
         raise ValidationError(
             f"coupling's Y1 leg is inconsistent with the channel's p(y1|x,x1): "
-            f"max deviation {dev:.3e}"
+            f"max deviation {dev[bad[0]]:.3e}"
         )
     # Quantizer p(yh | y1, x1); unreachable (y1, x1) cells get a uniform row.
-    m = j.probs.sum(axis=tuple(range(j.probs.ndim - 4)))  # (X, X1, Y1, Yh)
-    m_x1y1yh = m.sum(axis=0)  # (X1, Y1, Yh)
-    denom = m_x1y1yh.sum(axis=2, keepdims=True)
-    nyh = m_x1y1yh.shape[2]
+    m = probs.sum(axis=tuple(range(1, probs.ndim - 4)))  # (N, X, X1, Y1, Yh)
+    m_x1y1yh = m.sum(axis=1)  # (N, X1, Y1, Yh)
+    denom = m_x1y1yh.sum(axis=3, keepdims=True)
+    nx1, ny1, nyh = m_x1y1yh.shape[1:]
     q = np.where(denom > 0.0, np.divide(m_x1y1yh, np.where(denom > 0.0, denom, 1.0)), 1.0 / nyh)
-    probs = (
-        aux_xx1[..., None, None, None, None]
-        * model.transition[..., None]
-        * q[:, None, :, None, :]
-    )
-    return JointPMF(aux_names + ("X", "X1", "Y", "Y1", "Z", "Yh"), probs)
+    q = q.reshape((n,) + (1,) * (probs.ndim - 4) + (nx1, 1, ny1, 1, nyh))
+    return aux_xx1[..., None, None, None, None] * model.transition[..., None] * q
+
+
+def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupling) -> np.ndarray:
+    """One coupling composed with the channel, as a stack of one.  Cross-use by
+    another theorem is allowed when its variables and factorization agree."""
+    if spec.theorem_id != coupling.theorem_id:
+        coupling = AuxiliaryCoupling(coupling.joint, spec.theorem_id)
+    return compose_stack(spec, model, coupling.joint.probs[None])
+
+
+def compose_full_joint(
+    model: DMCModel, coupling: AuxiliaryCoupling, theorem_id: str | None = None
+) -> JointPMF:
+    """Coupling and channel law combined into the joint over every variable."""
+    spec = theorem_spec(theorem_id or coupling.theorem_id)
+    return JointPMF(spec.full_vars, coupling_stack(spec, model, coupling)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -820,11 +899,8 @@ def mi_values(
     model: DMCModel, coupling: AuxiliaryCoupling, theorem_id: str | None = None
 ) -> dict[MITerm, float]:
     spec = theorem_spec(theorem_id or coupling.theorem_id)
-    full = compose_full_joint(model, coupling, spec.theorem_id)
-    return {
-        term: cond_mutual_info(full, term.a, term.b, term.c)
-        for term in spec.all_terms()
-    }
+    values = spec.compiled.mi(coupling_stack(spec, model, coupling))[0][0]
+    return dict(zip(spec.compiled.terms, values.tolist()))
 
 
 def mi_terms(
@@ -833,6 +909,57 @@ def mi_terms(
     """Every distinct MI term of the bound, keyed and ordered by term name."""
     values = mi_values(model, coupling, theorem_id)
     return {t.name: v for t, v in sorted(values.items(), key=lambda kv: kv[0].name)}
+
+
+@dataclass(frozen=True)
+class StackEvaluation:
+    """A theorem on N stacked couplings: (N, branches) arrays (R* NaN where a branch
+    has none) and every row's bound (N, rows), floored if asked."""
+
+    pre: np.ndarray  # condition sides, R* budgets and compress costs (CompiledTheorem.pre)
+    condition_ok: np.ndarray
+    rstar_max: np.ndarray
+    rstar_used: np.ndarray
+    budget_ok: np.ndarray
+    applicable: np.ndarray
+    bounds: np.ndarray
+
+
+def evaluate_stack(
+    spec: TheoremSpec,
+    full: np.ndarray,
+    *,
+    rstar: float | None = None,
+    tol: float = DEFAULT_TOL,
+    clamp_equivocation: bool = False,
+) -> StackEvaluation:
+    """Branch conditions, R* budgets and inequality bounds of stacked full joints;
+    `rstar=None` takes each coupling's largest feasible pure-noise rate."""
+    c = spec.compiled
+    if rstar is not None and any(br.budget_col < 0 for br in c.branches):
+        raise UsageError(
+            f"{spec.theorem_id} has no pure-noise rate parameter; rstar must be omitted"
+        )
+    n, shape = len(full), (len(full), len(c.branches))
+    mi, residue = (np.concatenate([a, np.zeros((n, 1))], axis=1) for a in c.mi(full))
+    pre = c.pre(mi, residue, np.zeros((n, c.pre.count)))
+    condition_ok, budget_ok = np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
+    top, used = np.full(shape, np.nan), np.full(shape, np.nan)
+    row_rstar = np.zeros((n, c.rows.count))
+    for k, br in enumerate(c.branches):
+        if br.condition_col >= 0:
+            condition_ok[:, k] = pre[:, br.condition_col] >= pre[:, br.condition_col + 1] - tol
+        if br.budget_col >= 0:
+            top[:, k] = pre[:, br.budget_col] - pre[:, br.budget_col + 1]
+            free = rstar is None  # the largest feasible R*, or the one asked for
+            used[:, k] = np.where(0.0 > top[:, k], 0.0, top[:, k]) if free else rstar
+            ok = top[:, k] >= -tol if free else (-tol <= used[:, k]) & (used[:, k] <= top[:, k] + tol)
+            budget_ok[:, k] = ok
+            row_rstar[:, br.rows] = used[:, k, None]
+    bounds = c.rows(mi, residue, row_rstar)
+    if clamp_equivocation:
+        bounds = np.where(c.equivocation & (bounds < 0.0), 0.0, bounds)
+    return StackEvaluation(pre, condition_ok, top, used, budget_ok, condition_ok & budget_ok, bounds)
 
 
 @dataclass(frozen=True)
@@ -861,41 +988,26 @@ class BranchReport:
         return tuple(b.branch_id for b in self.branches if b.applicable)
 
 
-def _branch_state(
-    spec: TheoremSpec,
-    branch: BranchSpec,
-    values: Mapping[MITerm, float],
-    rstar: float | None,
-    tol: float,
-) -> BranchState:
-    conditions = []
-    applicable = True
-    if branch.condition is not None:
-        lhs = branch.condition.lhs.value(values)
-        rhs = branch.condition.rhs.value(values)
-        ok = lhs >= rhs - tol
-        conditions.append(ConditionRecord(branch.condition.name, lhs, rhs, ok))
-        applicable = applicable and ok
-    rstar_max = None
-    rstar_used = None
-    if branch.rstar_budget is not None:
-        rstar_max = branch.rstar_budget.value(values) - _COMPRESS_COST.value(values)
-        name = (
-            f"{branch.rstar_budget.render()} - {_COMPRESS_COST.render()} >= R* >= 0"
-        )
-        if rstar is None:
-            rstar_used = max(rstar_max, 0.0)
-            ok = rstar_max >= -tol
-        else:
-            rstar_used = rstar
-            ok = (-tol <= rstar) and (rstar <= rstar_max + tol)
-        conditions.append(ConditionRecord(name, rstar_max, rstar_used, ok))
-        applicable = applicable and ok
-    elif rstar is not None:
-        raise UsageError(
-            f"{spec.theorem_id} has no pure-noise rate parameter; rstar must be omitted"
-        )
-    return BranchState(branch.branch_id, applicable, tuple(conditions), rstar_max, rstar_used)
+def _evaluate_one(
+    theorem_id: str, model: DMCModel, coupling: AuxiliaryCoupling, rstar, tol, clamp=False
+) -> tuple[CompiledTheorem, StackEvaluation, tuple[BranchState, ...]]:
+    """One coupling through `evaluate_stack`, with its branch states as records."""
+    spec = theorem_spec(theorem_id)
+    full = coupling_stack(spec, model, coupling)
+    ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp)
+    states = []
+    for k, br in enumerate(spec.compiled.branches):
+        records, top, used = [], None, None
+        if br.condition_col >= 0:
+            lhs, rhs = ev.pre[0, br.condition_col : br.condition_col + 2].tolist()
+            ok = bool(ev.condition_ok[0, k])
+            records.append(ConditionRecord(br.spec.condition.name, lhs, rhs, ok))
+        if br.budget_col >= 0:
+            top, used = float(ev.rstar_max[0, k]), float(ev.rstar_used[0, k])
+            records.append(ConditionRecord(br.spec.budget_name, top, used, bool(ev.budget_ok[0, k])))
+        applicable = bool(ev.applicable[0, k])
+        states.append(BranchState(br.spec.branch_id, applicable, tuple(records), top, used))
+    return spec.compiled, ev, tuple(states)
 
 
 def branch_condition(
@@ -907,9 +1019,7 @@ def branch_condition(
     tol: float = DEFAULT_TOL,
 ) -> BranchReport:
     """Which condition sets the coupling qualifies for, with both sides' values."""
-    spec = theorem_spec(theorem_id)
-    values = mi_values(model, coupling, theorem_id)
-    states = tuple(_branch_state(spec, b, values, rstar, tol) for b in spec.branches)
+    _, _, states = _evaluate_one(theorem_id, model, coupling, rstar, tol)
     return BranchReport(theorem_id, states)
 
 
@@ -955,25 +1065,6 @@ def _check_rates_config(spec: TheoremSpec, rates: RateTuple) -> None:
         rates.require_zero("r2", "re2")
 
 
-def _eval_inequalities(
-    ineqs: Sequence[Ineq],
-    values: Mapping[MITerm, float],
-    rates: RateTuple,
-    rstar: float,
-    tol: float,
-    clamp_equivocation: bool,
-) -> tuple[IneqRecord, ...]:
-    out = []
-    rt = rates.as_tuple()
-    for ineq in ineqs:
-        bound = ineq.bound.value(values, rstar)
-        if clamp_equivocation and ineq.equivocation and bound < 0.0:
-            bound = 0.0
-        expr = sum(c * r for c, r in zip(ineq.rates, rt))
-        out.append(IneqRecord(ineq.name, expr, bound, bound - expr >= -tol))
-    return tuple(out)
-
-
 def evaluate_membership(
     theorem_id: str,
     model: DMCModel,
@@ -990,33 +1081,22 @@ def evaluate_membership(
     point.  For compress-forward bounds, `rstar=None` uses the largest
     feasible pure-noise rate (membership in the union over R*).
     """
-    spec = theorem_spec(theorem_id)
-    _check_rates_config(spec, rates)
-    values = mi_values(model, coupling, theorem_id)
+    _check_rates_config(theorem_spec(theorem_id), rates)
+    c, ev, states = _evaluate_one(theorem_id, model, coupling, rstar, tol, clamp_equivocation)
+    rt = rates.as_tuple()
+    bounds = ev.bounds[0].tolist()
     evaluations = []
-    for branch in spec.branches:
-        state = _branch_state(spec, branch, values, rstar, tol)
-        recs = _eval_inequalities(
-            branch.inequalities,
-            values,
-            rates,
-            state.rstar_used if state.rstar_used is not None else 0.0,
-            tol,
-            clamp_equivocation,
-        )
+    for br, state in zip(c.branches, states):
+        recs = []
+        for r, ineq in zip(range(br.rows.start, br.rows.stop), br.spec.inequalities):
+            expr = sum(coef * rate for coef, rate in zip(ineq.rates, rt))
+            recs.append(IneqRecord(ineq.name, expr, bounds[r], bounds[r] - expr >= -tol))
         member = state.applicable and all(r.satisfied for r in recs)
-        evaluations.append(BranchEvaluation(state, recs, member))
+        evaluations.append(BranchEvaluation(state, tuple(recs), member))
     member = any(b.member for b in evaluations)
-    taken = "none"
-    for b in evaluations:
-        if b.member:
-            taken = b.state.branch_id
-            break
-    else:
-        for b in evaluations:
-            if b.state.applicable:
-                taken = b.state.branch_id
-                break
+    # The first accepting branch, else the first qualifying one.
+    first = [b for b in evaluations if b.member] + [b for b in evaluations if b.state.applicable]
+    taken = first[0].state.branch_id if first else "none"
     return BoundEvaluation(theorem_id, rates, taken, member, tuple(evaluations))
 
 
@@ -1048,24 +1128,15 @@ def corollary_constraints(
     clamp_equivocation: bool = False,
 ) -> tuple[CorollaryBranch, ...]:
     """Numeric constraint systems of the perfect-secrecy (Re = R) slice."""
-    spec = theorem_spec(theorem_id)
-    values = mi_values(model, coupling, theorem_id)
-    out = []
-    for branch in spec.branches:
-        state = _branch_state(spec, branch, values, rstar, tol)
-        rs = state.rstar_used if state.rstar_used is not None else 0.0
-        constraints = []
-        for ineq in branch.corollary:
-            bound = ineq.bound.value(values, rs)
-            if clamp_equivocation and ineq.equivocation and bound < 0.0:
-                bound = 0.0
-            constraints.append(
-                LinearConstraint(ineq.name, tuple(ineq.rates[:3]), bound, ineq.equivocation)
-            )
-        out.append(
-            CorollaryBranch(branch.branch_id, state.applicable, tuple(constraints), state.rstar_used)
-        )
-    return tuple(out)
+    c, ev, states = _evaluate_one(theorem_id, model, coupling, rstar, tol, clamp_equivocation)
+    bounds = ev.bounds[0].tolist()
+    return tuple(
+        CorollaryBranch(state.branch_id, state.applicable, tuple(
+            LinearConstraint(row.name, row.rates[:3], bounds[r], row.equivocation)
+            for r, row in zip(br.corollary, br.spec.corollary)
+        ), state.rstar_used)
+        for br, state in zip(c.branches, states)
+    )
 
 
 def corollary_member(

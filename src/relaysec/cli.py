@@ -20,6 +20,7 @@ significant digits, byte-stable for a fixed scenario.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -272,6 +273,9 @@ def _cmd_dmc_search(args) -> int:
         clamp_equivocation=args.clamp_equivocation,
     )
     best = result.best
+    # The coupling goes first: a failed write must not leave a result CSV behind.
+    if args.best_coupling_out:
+        _write_file(args.best_coupling_out, result.coupling.to_json())
     _write_csv(
         args.out or scenario.output,
         [
@@ -295,8 +299,6 @@ def _cmd_dmc_search(args) -> int:
             ]
         ],
     )
-    if args.best_coupling_out:
-        _write_file(args.best_coupling_out, result.coupling.to_json())
     return EXIT_OK
 
 
@@ -321,7 +323,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = _Parser(
         prog="relaysec",
         description="Secrecy rate regions for relay broadcast channels",

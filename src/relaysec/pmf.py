@@ -20,6 +20,8 @@ from .errors import UsageError, ValidationError
 
 MASS_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10  # looser than MASS_TOL: reconstruction compounds rounding
+# Rounding scale of H(AC) + H(BC) - H(ABC) - H(C), relative to the four entropies' sum.
+ENTROPY_RESIDUE = 8 * np.finfo(np.float64).eps
 
 
 def _check_mass(probs: np.ndarray, what: str) -> None:
@@ -39,6 +41,14 @@ def _check_mass(probs: np.ndarray, what: str) -> None:
     total = float(probs.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise ValidationError(f"{what}: total mass {total!r} differs from 1 by more than {MASS_TOL}")
+
+
+def check_masses(probs: np.ndarray, what: str) -> None:
+    """`_check_mass` on each table of a stack (N, ...); raises on the first bad one."""
+    flat = probs.reshape(len(probs), -1)
+    ok = np.all(np.isfinite(flat) & (flat >= 0.0), axis=1) & (abs(flat.sum(axis=1) - 1) <= MASS_TOL)
+    for i in np.flatnonzero(~ok)[:1]:
+        _check_mass(probs[i], what)
 
 
 @dataclass(frozen=True)
@@ -114,15 +124,17 @@ class JointPMF:
             )
         return JointPMF(tuple(names), np.transpose(self.probs, perm))
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "axes": [
                 {"name": n, "size": s}
                 for n, s in zip(self.axis_names, self.axis_sizes)
             ],
             "probs": self.probs.tolist(),
         }
-        return json.dumps(payload, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "JointPMF":
@@ -155,12 +167,52 @@ def entropy(p: FinitePMF) -> float:
     return 0.0 if value < 0.0 else value
 
 
-def _clamp_information(value: float, what: str) -> float:
-    if value >= 0.0:
-        return value
-    if value > -1e-9:
-        return 0.0
-    raise ValidationError(f"{what}: impossible negative value {value!r} (corrupt mass table?)")
+def _clamp_information(value: np.ndarray, what: str) -> np.ndarray:
+    """Tiny negative rounding residues become 0; anything below -1e-9 is an error."""
+    bad = ~(value > -1e-9)
+    if np.any(bad):
+        raise ValidationError(
+            f"{what}: impossible negative value {float(value[bad][0])!r} (corrupt mass table?)"
+        )
+    return np.where(value >= 0.0, value, 0.0)
+
+
+class SubsetEntropies:
+    """Entropies in bits of fixed non-empty variable subsets (large ones first) of
+    stacked joints over `axes`, plus a last column 0 for the empty subset.  Each
+    marginal is summed from its smallest superset already computed, all cells go
+    through one x*log2(x) pass, and a joint gets the same bits alone or stacked."""
+
+    def __init__(self, axes: Sequence[str], subsets: Sequence[Iterable[str]]) -> None:
+        done = [tuple(axes)]
+        self._steps: list[tuple[int, tuple[int, ...]]] = []  # (source, summed axes)
+        for s in map(set, subsets):
+            src = min((k for k, c in enumerate(done) if s <= set(c)), key=lambda k: len(done[k]))
+            self._steps.append((src, tuple(1 + k for k, v in enumerate(done[src]) if v not in s)))
+            done.append(tuple(v for v in done[src] if v in s))
+
+    def __call__(self, probs: np.ndarray) -> np.ndarray:
+        """(N, subsets + 1) entropies of stacked joints `probs` (N, *sizes)."""
+        n = len(probs)
+        tables = [probs]
+        for src, drop in self._steps:
+            tables.append(tables[src].sum(axis=drop))
+        flat = [t.reshape(n, -1) for t in tables[1:]] + [np.ones((n, 1))]
+        offsets = np.cumsum([0] + [f.shape[1] for f in flat[:-1]])
+        flat = np.concatenate(flat, axis=1)
+        return 0.0 - np.add.reduceat(flat * np.log2(np.where(flat > 0.0, flat, 1.0)), offsets, axis=1)
+
+
+def information(h: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), summed in that order, for each
+    row of `index` (the columns of AC, BC, ABC, C in stacked entropies `h`),
+    and its rounding scale, ENTROPY_RESIDUE times the four entropies' sum.
+    A value within its scale reads 0, as the direct sum gives for independence."""
+    ac, bc, abc, c = (h[:, index[:, k]] for k in range(4))
+    value = ((ac + bc) - abc) - c
+    residue = ENTROPY_RESIDUE * (ac + bc + abc + c)
+    value = np.where(np.abs(value) <= residue, 0.0, value)
+    return _clamp_information(value, "cond_mutual_info"), residue
 
 
 def cond_mutual_info(
@@ -185,23 +237,11 @@ def cond_mutual_info(
         )
     if not a or not b:
         raise UsageError("cond_mutual_info: A and B must be non-empty")
-
-    keep = sorted(groups[0] | groups[1] | groups[2])
-    drop = tuple(i for i in range(j.probs.ndim) if i not in keep)
-    m = j.probs.sum(axis=drop) if drop else j.probs
-    pos = {orig: k for k, orig in enumerate(keep)}
-    ax_a = tuple(pos[i] for i in a)
-    ax_b = tuple(pos[i] for i in b)
-
-    pac = m.sum(axis=ax_b, keepdims=True)
-    pbc = m.sum(axis=ax_a, keepdims=True)
-    pc = m.sum(axis=ax_a + ax_b, keepdims=True)
-
-    mask = m > 0.0
-    num = (m * pc)[mask]
-    den = np.broadcast_to(pac * pbc, m.shape)[mask]
-    value = float((m[mask] * np.log2(num / den)).sum())
-    return _clamp_information(value, "cond_mutual_info")
+    a, b, c = tuple(set_a), tuple(set_b), tuple(set_c)
+    # Columns ABC, AC, BC, then C, or the empty subset's 0 when C is empty.
+    plan = SubsetEntropies(j.axis_names, (a + b + c, a + c, b + c) + ((c,) if c else ()))
+    h = plan(j.probs[None])
+    return float(information(h, np.array([[1, 2, 0, 3]]))[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -231,20 +271,22 @@ class FactorizationPattern:
         return frozenset(v for targets, _ in self.factors for v in targets)
 
     def product(self, var_order: Sequence[str], tables: Sequence[np.ndarray]) -> JointPMF:
-        """Joint over `var_order` from one (given..., targets...) table per factor.
+        """Joint over `var_order` from one (given..., targets...) table per factor."""
+        stacked = [np.asarray(t, dtype=np.float64)[None] for t in tables]
+        return JointPMF(tuple(var_order), self.product_stack(var_order, stacked)[0])
 
-        Factors multiply in pattern order, so a fixed set of tables always
-        gives the same bits.
-        """
+    def product_stack(self, var_order: Sequence[str], tables: Sequence[np.ndarray]) -> np.ndarray:
+        """Stacked joints (N, *sizes) from stacked (N, given..., targets...) tables;
+        factors multiply in pattern order, so the same tables give the same bits."""
         var_order = tuple(var_order)
         axis_of = {v: i for i, v in enumerate(var_order)}
-        probs = np.ones((1,) * len(var_order))
+        probs = np.ones((1,) * (len(var_order) + 1))
         for (targets, given), table in zip(self.factors, tables):
             names = given + targets
-            shape = [table.shape[names.index(v)] if v in names else 1 for v in var_order]
-            order = np.argsort([axis_of[v] for v in names])
-            probs = probs * np.transpose(table, order).reshape(shape)
-        return JointPMF(var_order, probs)
+            shape = [table.shape[1 + names.index(v)] if v in names else 1 for v in var_order]
+            order = 1 + np.argsort([axis_of[v] for v in names])
+            probs = probs * np.transpose(table, (0, *order)).reshape([len(table)] + shape)
+        return probs
 
     def describe(self) -> str:
         parts = []
@@ -265,19 +307,22 @@ class FactorizationReport:
         return self.max_abs_deviation <= self.tol
 
 
-def _conditional_factor(j: JointPMF, targets: Sequence[str], given: Sequence[str]) -> np.ndarray:
-    """p(targets | given) broadcast to the full table shape; 0/0 cells -> 0."""
-    t = j.axis_indices(targets)
-    g = j.axis_indices(given)
-    if set(t) & set(g):
-        raise UsageError(f"factor p({list(targets)}|{list(given)}) reuses a variable")
-    other_tg = tuple(i for i in range(j.probs.ndim) if i not in set(t) | set(g))
-    other_g = tuple(i for i in range(j.probs.ndim) if i not in set(g))
-    ptg = j.probs.sum(axis=other_tg, keepdims=True) if other_tg else j.probs
-    pg = j.probs.sum(axis=other_g, keepdims=True) if other_g else j.probs
-    out = np.zeros(np.broadcast_shapes(ptg.shape, pg.shape))
-    np.divide(ptg, pg, out=out, where=pg > 0.0)
-    return out
+def factorization_deviation(
+    probs: np.ndarray, axis_names: Sequence[str], pattern: FactorizationPattern
+) -> np.ndarray:
+    """Worst cell error (N,) of stacked joints (N, *sizes) rebuilt from the
+    pattern's conditionals p(targets | given), with 0/0 cells read as 0."""
+    pos = {v: 1 + k for k, v in enumerate(axis_names)}
+    product = np.ones((1,) * probs.ndim)
+    for targets, given in pattern.factors:
+        ptg, pg = (
+            probs.sum(axis=tuple(set(pos.values()) - {pos[v] for v in keep}), keepdims=True)
+            for keep in (targets + given, given)
+        )
+        factor = np.zeros(np.broadcast_shapes(ptg.shape, pg.shape))
+        np.divide(ptg, pg, out=factor, where=pg > 0.0)
+        product = product * factor
+    return np.max(np.abs(probs - product).reshape(len(probs), -1), axis=1)
 
 
 def check_factorization(
@@ -292,11 +337,10 @@ def check_factorization(
         raise UsageError(
             f"pattern targets {sorted(targets)} do not cover the joint's axes {sorted(axes)}"
         )
-    for _, given in pattern.factors:
-        for v in given:
-            j.axis_index(v)  # unknown conditioning variable -> UsageError
-    product = np.ones((1,) * j.probs.ndim)
     for targets_f, given_f in pattern.factors:
-        product = product * _conditional_factor(j, targets_f, given_f)
-    deviation = float(np.max(np.abs(j.probs - product)))
+        if set(targets_f) & set(given_f):
+            raise UsageError(f"factor p({list(targets_f)}|{list(given_f)}) reuses a variable")
+        for v in given_f:
+            j.axis_index(v)  # unknown conditioning variable -> UsageError
+    deviation = float(factorization_deviation(j.probs[None], j.axis_names, pattern)[0])
     return FactorizationReport(pattern, deviation, tol)

@@ -3,11 +3,15 @@
 The slice constraint systems live in at most three rate dimensions with at
 most a dozen inequalities, so extreme points come from exhaustive vertex
 enumeration (every d-subset of active constraints plus the axis planes)
-rather than an LP dependency.
+rather than an LP dependency.  A branch's coefficients do not depend on the
+coupling, so its regular d-subsets are found once; only right-hand sides vary.
+Couplings go through `bounds.evaluate_stack` as stacks (one coupling is a
+stack of one), and the search walks its grid in chunks of bounded size.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,15 +23,23 @@ from .bounds import (
     DEFAULT_TOL,
     AuxiliaryCoupling,
     CorollaryBranch,
+    StackEvaluation,
     TheoremSpec,
-    corollary_constraints,
+    compose_stack,
+    coupling_stack,
+    evaluate_stack,
+    require_factorization,
     theorem_spec,
 )
 from .dmc import DMCModel, RateTuple
 from .errors import BudgetExceededError, UsageError
+from .pmf import JointPMF, check_masses
 
 DEFAULT_BUDGET = 10_000_000
 VERTEX_DEDUP_TOL = 1e-9
+# A search chunk holds CHUNK_CELLS // (cells of one composed joint) couplings,
+# at least one, so its arrays stay near a megabyte whatever the grid size.
+CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,42 +62,102 @@ def _rate_tuple_from_point(config: str, point: Sequence[float]) -> RateTuple:
     return RateTuple(r0, r1, r2, re1=r1, re2=r2)
 
 
+def _vertex_system(coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (R, d) plus axis planes r_k >= 0 (as -r_k <= 0): all rows, and the
+    regular d-subsets of them with their matrices."""
+    d = coefs.shape[1]
+    a = np.vstack([coefs, np.diag(np.full(d, -1.0))])
+    subsets = np.array(list(itertools.combinations(range(len(a)), d)))
+    regular = np.abs(np.linalg.det(a[subsets])) >= 1e-12
+    return a, subsets[regular], a[subsets[regular]]
+
+
+def _vertices(system, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (N, subsets, d) of one system under right-hand sides `b` (N, R), and a
+    mask of the kept ones: feasible, not within VERTEX_DEDUP_TOL of an earlier kept one."""
+    a, subsets, sub_a = system
+    n, k, d = len(b), len(subsets), a.shape[1]
+    b = np.concatenate([b, np.zeros((n, d))], axis=1)
+    points = np.linalg.solve(np.broadcast_to(sub_a, (n, k, d, d)), b[:, subsets][..., None])[..., 0]
+    lhs = sum(a[:, i] * points[..., i : i + 1] for i in range(d))  # fixed order, no BLAS
+    kept = ~np.any(points < -tol, axis=2) & ~np.any(lhs > b[:, None, :] + tol, axis=2)
+    cols = np.flatnonzero(kept.any(axis=0))
+    for m in range(1, len(cols)):
+        earlier, j = cols[:m], cols[m]
+        near = np.max(np.abs(points[:, earlier] - points[:, j : j + 1]), axis=2) <= VERTEX_DEDUP_TOL
+        kept[:, j] &= ~np.any(kept[:, earlier] & near, axis=1)
+    return points, kept
+
+
+def _full_points(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """(..., d) vertices as (..., 3) rate points; negative coordinates read 0."""
+    full = np.zeros(points.shape[:-1] + (3,))
+    full[..., list(dims)] = np.where(points > 0.0, points, 0.0)
+    return full
+
+
 def _branch_vertices(
     branch: CorollaryBranch, dims: tuple[int, ...], tol: float
 ) -> list[tuple[float, float, float]]:
-    """Feasible vertices of one branch's constraint polytope (3-vector form).
-
-    Every d-subset of the constraint rows and the axis planes r_k >= 0 (as
-    -r_k <= 0) is solved in one batch; feasible vertices come back in subset
-    order, less near-duplicates of earlier ones.
-    """
-    d = len(dims)
-    coefs = [[lc.coefs[i] for i in dims] for lc in branch.constraints]
-    a = np.vstack([np.array(coefs, dtype=np.float64).reshape(-1, d), np.diag(np.full(d, -1.0))])
-    b = np.array([lc.bound for lc in branch.constraints] + [0.0] * d, dtype=np.float64)
-    subsets = np.array(list(itertools.combinations(range(len(a)), d)))
-    sub_a = a[subsets]
-    regular = np.abs(np.linalg.det(sub_a)) >= 1e-12
-    points = np.linalg.solve(sub_a[regular], b[subsets[regular]][..., None])[..., 0]
-    slack_ok = ~np.any((a @ points[..., None])[..., 0] > b + tol, axis=1)
-    feasible = ~np.any(points < -tol, axis=1) & slack_ok
-
-    vertices: list[np.ndarray] = []
-    for v in points[feasible]:
-        if not any(np.max(np.abs(v - w)) <= VERTEX_DEDUP_TOL for w in vertices):
-            vertices.append(v)
-
-    out = []
-    for v in vertices:
-        full = [0.0, 0.0, 0.0]
-        for k, dim in enumerate(dims):
-            full[dim] = max(0.0, float(v[k]))
-        out.append(tuple(full))
-    return out
+    """Feasible vertices of one branch's polytope in subset order, less near-duplicates."""
+    coefs = np.array([[lc.coefs[i] for i in dims] for lc in branch.constraints])
+    b = np.array([[lc.bound for lc in branch.constraints]]).reshape(1, -1)
+    points, kept = _vertices(_vertex_system(coefs.reshape(-1, len(dims))), b, tol)
+    return [tuple(p) for p in _full_points(points[0][kept[0]], dims).tolist()]
 
 
-def _origin_feasible(branch: CorollaryBranch, tol: float) -> bool:
-    return all(lc.bound >= -tol for lc in branch.constraints)
+@functools.cache
+def _branch_systems(theorem_id: str) -> tuple:
+    spec = theorem_spec(theorem_id)
+    coefs = ([[r.rates[i] for i in spec.rate_dims()] for r in br.corollary] for br in spec.branches)
+    return tuple(_vertex_system(np.array(c)) for c in coefs)
+
+
+def _first_max(keys: Sequence[np.ndarray], valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of (N, K) keys: any valid column, and the first valid one whose keys,
+    compared in order, are largest."""
+    for key in keys:
+        top = np.max(np.where(valid, key, -np.inf), axis=1, keepdims=True, initial=-np.inf)
+        valid = valid & (key == top)
+    return valid.any(axis=1), valid.argmax(axis=1)
+
+
+def _stack_extremes(spec: TheoremSpec, ev: StackEvaluation, obj, tol: float):
+    """Per coupling of a stack: best value (N,), point (N, 3), branch (N,; -1: none) over
+    the kept vertices of each applicable branch with a feasible origin, in branch then
+    subset order: the largest (value, R0, R1, R2), first on a tie."""
+    values, points, valid, owner = [], [], [], []
+    systems = _branch_systems(spec.theorem_id)
+    for k, (br, system) in enumerate(zip(spec.compiled.branches, systems)):
+        b = ev.bounds[:, list(br.corollary)]
+        vertices, kept = _vertices(system, b, tol)
+        full = _full_points(vertices, spec.rate_dims())
+        values.append(((0.0 + obj[0] * full[..., 0]) + obj[1] * full[..., 1]) + obj[2] * full[..., 2])
+        points.append(full)
+        valid.append(kept & (ev.applicable[:, k] & np.all(b >= -tol, axis=1))[:, None])
+        owner += [k] * kept.shape[1]
+    value, point = np.concatenate(values, axis=1), np.concatenate(points, axis=1)
+    found, first = _first_max([value, *np.moveaxis(point, 2, 0)], np.concatenate(valid, axis=1))
+    rows = np.arange(len(value))
+    return (
+        np.where(found, value[rows, first], 0.0),
+        np.where(found[:, None], point[rows, first], 0.0),
+        np.where(found, np.array(owner)[first], -1),
+    )
+
+
+def _extreme_point(spec: TheoremSpec, value: float, point: np.ndarray, branch: int) -> ExtremePoint:
+    if branch < 0:
+        return ExtremePoint(RateTuple.zero(), 0.0, "none", empty_interior=True)
+    rates = _rate_tuple_from_point(spec.config, point.tolist())
+    return ExtremePoint(rates, value, spec.branches[branch].branch_id)
+
+
+def _objective(objective: Sequence[float]) -> tuple[float, ...]:
+    obj = tuple(float(v) for v in objective)
+    if len(obj) != 3 or not all(math.isfinite(v) for v in obj):
+        raise UsageError("objective must be a direction of three finite weights over (R0, R1, R2)")
+    return obj
 
 
 def secrecy_region_extremes(
@@ -104,32 +176,12 @@ def secrecy_region_extremes(
     largest (R0, R1, R2).  An all-zero point flagged `empty_interior` means
     even the origin fails every qualifying branch.
     """
-    obj = tuple(float(v) for v in objective)
-    if len(obj) != 3 or not all(math.isfinite(v) for v in obj):
-        raise UsageError("objective must be a direction of three finite weights over (R0, R1, R2)")
+    obj = _objective(objective)
     spec = theorem_spec(theorem_id)
-    dims = spec.rate_dims()
-    branches = corollary_constraints(
-        theorem_id,
-        model,
-        coupling,
-        rstar=rstar,
-        tol=tol,
-        clamp_equivocation=clamp_equivocation,
-    )
-    best: tuple[float, tuple[float, float, float], str] | None = None
-    for branch in branches:
-        if not branch.applicable or not _origin_feasible(branch, tol):
-            continue
-        for point in _branch_vertices(branch, dims, tol):
-            value = sum(c * v for c, v in zip(obj, point))
-            key = (value, point)
-            if best is None or key > (best[0], best[1]):
-                best = (value, point, branch.branch_id)
-    if best is None:
-        return ExtremePoint(RateTuple.zero(), 0.0, "none", empty_interior=True)
-    value, point, branch_id = best
-    return ExtremePoint(_rate_tuple_from_point(spec.config, point), value, branch_id)
+    full = coupling_stack(spec, model, coupling)
+    ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation)
+    value, point, branch = _stack_extremes(spec, ev, obj, tol)
+    return _extreme_point(spec, float(value[0]), point[0], int(branch[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +264,45 @@ def estimate_grid_size(
     return total
 
 
+def _grid_chunks(
+    spec: TheoremSpec, model: DMCModel, aux_sizes: Mapping[str, int], grid_steps: int
+) -> Iterator[np.ndarray]:
+    """The factorized simplex grid as stacked couplings in grid order, chunk by
+    chunk; each chunk passes every check a single AuxiliaryCoupling makes."""
+    sizes = _axis_sizes(spec, model, aux_sizes)
+    tables = []  # per factor: every grid table, stacked as (choices, given..., targets...)
+    for targets, given in spec.pattern.factors:
+        shape = tuple(sizes[v] for v in given + targets)
+        if targets == ("Y1",):
+            # Pinned to the channel's own relay observation law.
+            tables.append(model.y1_conditional().reshape((1,) + shape))
+            continue
+        per_cell = np.array(list(simplex_grid(math.prod(sizes[v] for v in targets), grid_steps)))
+        rows = math.prod(sizes[v] for v in given)
+        picks = np.array(list(itertools.product(range(len(per_cell)), repeat=rows))).reshape(-1, rows)
+        tables.append(per_cell[picks].reshape((len(picks),) + shape))
+    counts = [len(t) for t in tables]
+    channel = {"Y": model.y_size, "Y1": model.y1_size, "Z": model.z_size, **sizes}
+    step = max(1, CHUNK_CELLS // math.prod(channel[v] for v in spec.full_vars))
+    for start in range(0, math.prod(counts), step):
+        picks = np.unravel_index(np.arange(start, min(start + step, math.prod(counts))), counts)
+        probs = spec.pattern.product_stack(spec.coupling_vars, [t[p] for t, p in zip(tables, picks)])
+        check_masses(probs, "JointPMF")
+        require_factorization(spec, probs)
+        yield probs
+
+
 def coupling_grid(
     theorem_id: str,
     model: DMCModel,
     aux_sizes: Mapping[str, int],
     grid_steps: int,
 ) -> Iterator[AuxiliaryCoupling]:
-    """Every coupling of the factorized simplex grid, in deterministic order.
-
-    Only the per-factor grid tables are held; couplings are built one at a
-    time as the caller asks for them.
-    """
+    """Every coupling of the factorized simplex grid, in deterministic order, built
+    from the search's chunks (only the factor tables and one chunk are held)."""
     spec = theorem_spec(theorem_id)
-    sizes = _axis_sizes(spec, model, aux_sizes)
-    choices = []
-    for targets, given in spec.pattern.factors:
-        shape = tuple(sizes[v] for v in given + targets)
-        if targets == ("Y1",):
-            # Pinned to the channel's own relay observation law.
-            table = model.y1_conditional()  # (x, x1, y1) matches (given..., target)
-            choices.append([table.reshape(shape)])
-            continue
-        per_cell = list(simplex_grid(math.prod(sizes[v] for v in targets), grid_steps))
-        choices.append(
-            [
-                np.asarray(combo, dtype=np.float64).reshape(shape)
-                for combo in itertools.product(per_cell, repeat=math.prod(sizes[v] for v in given))
-            ]
-        )
-    for tables in itertools.product(*choices):
-        yield AuxiliaryCoupling(spec.pattern.product(spec.coupling_vars, tables), theorem_id)
+    for probs in _grid_chunks(spec, model, aux_sizes, grid_steps):
+        yield from (AuxiliaryCoupling(JointPMF(spec.coupling_vars, p), theorem_id) for p in probs)
 
 
 @dataclass(frozen=True)
@@ -266,10 +327,10 @@ def brute_force_best(
     """Grid search over the bound's admissible couplings.
 
     Deterministic for a given `grid_steps`; refuses up front when the grid
-    would exceed `budget` evaluations.  One serial pass streams the grid and
-    keeps only the running best by (objective, lexicographic rates), so
-    memory does not grow with the grid; ties keep the earliest coupling in
-    grid order.
+    would exceed `budget` evaluations.  One serial pass evaluates the grid
+    chunk by chunk and keeps only the running best by (objective,
+    lexicographic rates), so memory does not grow with the grid; ties keep the
+    earliest coupling in grid order, the only one built as AuxiliaryCoupling.
     """
     for name, size in aux_sizes.items():
         if size > 3:
@@ -280,22 +341,18 @@ def brute_force_best(
             f"grid for {theorem_id} needs {estimated} evaluations, over the budget of {budget}",
             estimated=estimated,
         )
-    obj = tuple(float(v) for v in objective)
-    best = None
-    scanned = 0
-    for coupling in coupling_grid(theorem_id, model, aux_sizes, grid_steps):
-        pt = secrecy_region_extremes(
-            theorem_id,
-            model,
-            coupling,
-            obj,
-            rstar=rstar,
-            tol=tol,
-            clamp_equivocation=clamp_equivocation,
-        )
-        scanned += 1
-        key = (pt.objective_value, pt.point3())
+    obj = _objective(objective)
+    spec = theorem_spec(theorem_id)
+    best, scanned = None, 0
+    for probs in _grid_chunks(spec, model, aux_sizes, grid_steps):
+        full = compose_stack(spec, model, probs)
+        ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation)
+        value, point, branch = _stack_extremes(spec, ev, obj, tol)
+        i = int(_first_max([value[None], *point.T[:, None]], np.ones((1, len(value)), bool))[1][0])
+        key = (float(value[i]), tuple(point[i].tolist()))
         if best is None or key > best[0]:
-            best = (key, pt, coupling)
-    _, best_pt, best_coupling = best
-    return BruteForceResult(best_pt, best_coupling, scanned)
+            best = (key, point[i], int(branch[i]), probs[i].copy())
+        scanned += len(probs)
+    (value_i, _), point_i, branch_i, probs_i = best
+    coupling = AuxiliaryCoupling(JointPMF(spec.coupling_vars, probs_i), theorem_id)
+    return BruteForceResult(_extreme_point(spec, value_i, point_i, branch_i), coupling, scanned)

@@ -37,7 +37,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .bounds import AuxiliaryCoupling, theorem_spec
+from .bounds import THEOREMS, AuxiliaryCoupling
 from .dmc import DMCModel, RateTuple
 from .errors import ValidationError
 from .gaussian import GaussianNetwork
@@ -194,7 +194,10 @@ def load_scenario(path: str) -> Scenario:
                 f"scenario {path}: {key!r} must be a non-empty string, got {payload[key]!r}"
             )
     theorem = payload["theorem"]
-    theorem_spec(theorem)  # raises on unknown ids
+    if theorem not in THEOREMS:
+        raise ValidationError(
+            f"scenario {path}: unknown theorem id {theorem!r}; known: {', '.join(THEOREMS)}"
+        )
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(ref: str) -> str:

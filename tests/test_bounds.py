@@ -1,3 +1,6 @@
+import itertools
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -74,6 +77,18 @@ def degenerate_coupling(theorem_id):
     )
 
 
+def test_import_compiles_nothing():
+    # Each theorem compiles to its numeric maps on first use, never at import.
+    code = (
+        "import relaysec\n"
+        "from relaysec import bounds, regionsearch\n"
+        "print(sum('compiled' in s.__dict__ for s in bounds.THEOREMS.values()),"
+        " regionsearch._branch_systems.cache_info().currsize)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
+
+
 class TestCouplingValidation:
     def test_wrong_axes_rejected(self):
         with pytest.raises(ValidationError, match="must carry axes"):
@@ -131,9 +146,9 @@ class TestMITerms:
 
     def test_matches_naive_oracle_on_random_instances(self):
         rng = np.random.default_rng(99)
-        for theorem_id in ("T2", "T3", "T9", "T11", "T12"):
+        for theorem_id, independent in itertools.product(THEOREMS, (False, True)):
             model = random_model(rng)
-            coupling = random_coupling(rng, theorem_id, model)
+            coupling = random_coupling(rng, theorem_id, model, independent_aux=independent)
             full = compose_full_joint(model, coupling, theorem_id)
             got = mi_terms(model, coupling, theorem_id)
             spec = theorem_spec(theorem_id)

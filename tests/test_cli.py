@@ -307,6 +307,7 @@ class TestDMCCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert f"cannot write {missing}" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()  # a failed search leaves no result behind
 
 
 class TestScenarioGridTypes:
@@ -350,6 +351,8 @@ class TestScenarioGridTypes:
             ("dmc-search", {"dmc_model": ["dmc_model.json"]}),
             ("dmc-eval", {"coupling": None}),
             ("dmc-eval", {"coupling": ""}),
+            ("dmc-eval", {"theorem": "T99"}),
+            ("dmc-search", {"theorem": "T99"}),
         ],
     )
     def test_bad_dmc_field_types_are_exit_2(self, tmp_path, capsys, command, fields):
@@ -413,6 +416,54 @@ class TestGaussianScenarioFuzz:
             with contextlib.redirect_stderr(err):
                 code = main([command, "--scenario", path, "--out", os.path.join(tmp, "o.csv")])
         assert code in range(5)
+        assert "Traceback" not in err.getvalue()
+
+
+_THEOREM_IDS = [f"T{i}" for i in range(1, 13)]
+_RATE_VALUES = st.one_of(st.floats(-0.5, 1.5), _JUNK)
+# One value per DMC scenario field, valid or not.
+_DMC_FIELDS = {
+    "theorem": st.one_of(st.sampled_from(_THEOREM_IDS + ["T99", "t3", "T0"]), _JUNK),
+    "rates": st.one_of(
+        st.fixed_dictionaries(
+            {}, optional={k: _RATE_VALUES for k in ("r0", "r1", "r2", "re1", "re2", "rx")}
+        ),
+        st.lists(_RATE_VALUES, max_size=6),
+        _JUNK,
+    ),
+    "tol": st.one_of(st.floats(-1.0, 1.0), _JUNK),
+    "dmc_model": st.one_of(st.sampled_from(["dmc_model.json", "dmc_coupling.json"]), _JUNK),
+    "coupling": st.one_of(st.sampled_from(["dmc_coupling.json", "dmc_model.json"]), _JUNK),
+    "output": st.one_of(_JUNK, st.lists(_JUNK, max_size=2)),
+}
+
+
+@st.composite
+def _dmc_scenarios(draw):
+    """The shipped DMC demo scenario with at most one field replaced."""
+    payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+    spoiled = draw(st.sampled_from([None, *_DMC_FIELDS]))
+    if spoiled is not None:
+        payload[spoiled] = draw(_DMC_FIELDS[spoiled])
+    for key in ("dmc_model", "coupling"):
+        if isinstance(payload[key], str) and payload[key]:
+            payload[key] = scenario_path(payload[key])
+    return payload
+
+
+class TestDMCScenarioFuzz:
+    @given(payload=_dmc_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_only_documented_exit_codes(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["dmc-eval", "--scenario", path, "--out", os.path.join(tmp, "o.csv")])
+        # A scenario value is input: it evaluates or is invalid, never a usage error.
+        assert code in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
 
 

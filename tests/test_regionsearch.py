@@ -1,6 +1,6 @@
 import itertools
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,15 +11,16 @@ from relaysec.bounds import (
     DEFAULT_TOL,
     THEOREMS,
     AuxiliaryCoupling,
+    compose_stack,
     corollary_constraints,
+    evaluate_stack,
     theorem_spec,
 )
 from relaysec.dmc import DMCModel, RateTuple
-from relaysec.errors import BudgetExceededError, UsageError
-from relaysec.pmf import JointPMF
+from relaysec.errors import BudgetExceededError, UsageError, ValidationError
+from relaysec.pmf import FactorizationPattern, JointPMF
 from relaysec.regionsearch import (
     VERTEX_DEDUP_TOL,
-    ExtremePoint,
     _branch_vertices,
     brute_force_best,
     coupling_grid,
@@ -238,37 +239,37 @@ class TestBruteForce:
         b = brute_force_best(model, sizes, 4, "T3", (0, 1, 0))
         assert a.best == b.best and a.couplings_scanned == b.couplings_scanned
 
-    def test_streams_the_grid(self, monkeypatch):
-        # The search must hold at most the running best and the coupling in
-        # hand, never the whole grid.
-        refs = []
-        peak = 0
-        real_grid = regionsearch.coupling_grid
-
-        def tracked(*args):
-            nonlocal peak
-            for coupling in real_grid(*args):
-                peak = max(peak, sum(r() is not None for r in refs))
-                refs.append(weakref.ref(coupling))
-                yield coupling
-
-        monkeypatch.setattr(regionsearch, "coupling_grid", tracked)
+    def test_streams_the_grid(self):
+        # Memory is flat in the grid size: the search holds one chunk, the
+        # running best and the per-factor tables, never the whole grid.
         model = product_channel()
-        sizes = {"U": 1, "V1": 2, "V2": 1}
-        res = brute_force_best(model, sizes, 3, "T3", (0, 1, 0))
-        assert len(refs) == res.couplings_scanned == estimate_grid_size("T3", model, sizes, 3)
-        assert len(refs) > 10
-        assert peak <= 2
+        sizes = {"U": 1, "V": 2}
+        steps = (7, 10)
+        counts = [estimate_grid_size("T11", model, sizes, g) for g in steps]
+        chunk = regionsearch.CHUNK_CELLS // 64  # T11 joints with U=1, V=2 on binary alphabets
+        assert chunk < counts[0] and counts[1] >= 4 * counts[0]
+        brute_force_best(model, sizes, 2, "T11", (0, 1, 0))  # compile outside the measurement
+        peaks = []
+        for g, count in zip(steps, counts):
+            tracemalloc.start()
+            try:
+                res = brute_force_best(model, sizes, g, "T11", (0, 1, 0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.couplings_scanned == count
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
-    def test_all_ties_keep_the_first_coupling(self, monkeypatch):
-        tie = ExtremePoint(RateTuple(0.0, 0.1, 0.0, re1=0.1), 0.1, "T3.L1")
-        monkeypatch.setattr(regionsearch, "secrecy_region_extremes", lambda *a, **k: tie)
-        model = product_channel()
+    def test_all_ties_keep_the_first_coupling(self):
+        # Receiver 2 sees exactly what receiver 1 sees: every coupling's best
+        # point is the origin at value 0, so the first grid coupling wins.
+        model = z_copies_y_channel()
         sizes = {"U": 1, "V1": 2, "V2": 1}
-        res = brute_force_best(model, sizes, 3, "T3", (0, 1, 0))
-        first = next(coupling_grid("T3", model, sizes, 3))
-        assert res.best == tie
-        assert res.couplings_scanned == estimate_grid_size("T3", model, sizes, 3)
+        res = brute_force_best(model, sizes, 3, "T2", (0, 1, 0))
+        first = next(coupling_grid("T2", model, sizes, 3))
+        assert res.best == secrecy_region_extremes("T2", model, first, (0, 1, 0))
+        assert res.best.objective_value == 0.0 and res.best.rates == RateTuple.zero()
+        assert res.couplings_scanned == estimate_grid_size("T2", model, sizes, 3)
         assert np.array_equal(res.coupling.joint.probs, first.joint.probs)
 
     def test_grid_respects_factorization(self):
@@ -339,3 +340,89 @@ class TestVertexOracle:
                 branches += 1
                 nonempty += len(got) > 1
         assert branches >= 24 and nonempty >= 2
+
+
+def fold_per_coupling(theorem_id, model, sizes, steps, objective, **kwargs):
+    """Reference search: a strict-> fold over single-coupling extremes in grid order."""
+    best = None
+    for coupling in coupling_grid(theorem_id, model, sizes, steps):
+        pt = secrecy_region_extremes(theorem_id, model, coupling, objective, **kwargs)
+        key = (pt.objective_value, pt.point3())
+        if best is None or key > best[0]:
+            best = (key, pt, coupling)
+    return best[1], best[2]
+
+
+def stacked_extremes(theorem_id, model, sizes, steps, objective, tol=DEFAULT_TOL, **kwargs):
+    """Every grid coupling's extreme point as the search computes it, chunk by chunk."""
+    spec = theorem_spec(theorem_id)
+    out = []
+    for probs in regionsearch._grid_chunks(spec, model, sizes, steps):
+        ev = evaluate_stack(spec, compose_stack(spec, model, probs), tol=tol, **kwargs)
+        value, point, branch = regionsearch._stack_extremes(spec, ev, objective, tol)
+        out += [
+            regionsearch._extreme_point(spec, float(v), p, int(b))
+            for v, p, b in zip(value, point, branch)
+        ]
+    return out
+
+
+def chunk_of(couplings, theorem_id, sizes):
+    """CHUNK_CELLS holding `couplings` composed joints of a binary-alphabet channel."""
+    return couplings * math.prod(sizes.get(v, 2) for v in theorem_spec(theorem_id).full_vars)
+
+
+STACK_CASES = [
+    ("T3", {"U": 1, "V1": 2, "V2": 1}, 3, {}),
+    ("T11", {"U": 1, "V": 2}, 3, {}),
+    ("T12", {"U": 1, "V": 2, "Yh": 2}, 2, {}),
+    ("T12", {"U": 1, "V": 2, "Yh": 2}, 2, {"rstar": 0.0}),
+]
+
+
+class TestStackedEngine:
+    """A coupling gets the same bits alone or at any position in a chunk."""
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("theorem_id,sizes,steps,extra", STACK_CASES)
+    def test_stack_matches_single_couplings(self, monkeypatch, theorem_id, sizes, steps, extra, clamp):
+        model = favorable_model(np.random.default_rng(0))
+        objective = (1.0, 1.0, 0.5)
+        kwargs = dict(extra, clamp_equivocation=clamp)
+        alone = [
+            secrecy_region_extremes(theorem_id, model, c, objective, **kwargs)
+            for c in coupling_grid(theorem_id, model, sizes, steps)
+        ]
+        assert len({pt.branch_id for pt in alone}) > 1
+        assert stacked_extremes(theorem_id, model, sizes, steps, objective, **kwargs) == alone
+        monkeypatch.setattr(regionsearch, "CHUNK_CELLS", chunk_of(7, theorem_id, sizes))
+        assert stacked_extremes(theorem_id, model, sizes, steps, objective, **kwargs) == alone
+
+    @pytest.mark.parametrize("theorem_id,sizes,steps,extra", STACK_CASES)
+    def test_search_equals_the_per_coupling_fold(self, monkeypatch, theorem_id, sizes, steps, extra):
+        model = favorable_model(np.random.default_rng(2))
+        objective = (0.0, 1.0, 0.0)
+        want_pt, want_coupling = fold_per_coupling(theorem_id, model, sizes, steps, objective, **extra)
+        for chunk in (None, 7):
+            if chunk is not None:
+                monkeypatch.setattr(regionsearch, "CHUNK_CELLS", chunk_of(chunk, theorem_id, sizes))
+            res = brute_force_best(model, sizes, steps, theorem_id, objective, **extra)
+            assert res.best == want_pt
+            assert np.array_equal(res.coupling.joint.probs, want_coupling.joint.probs)
+            assert res.couplings_scanned == estimate_grid_size(theorem_id, model, sizes, steps)
+
+    def test_a_chunk_with_one_broken_coupling_is_refused(self, monkeypatch):
+        # X1 copies V1, which the noise-forward factorization forbids.
+        broken = np.zeros((1, 2, 1, 2, 2))
+        for i in range(2):
+            broken[0, i, 0, i, i] = 0.5
+        real = FactorizationPattern.product_stack
+
+        def spoiled(self, var_order, tables):
+            probs = real(self, var_order, tables)
+            probs[len(probs) // 2] = broken
+            return probs
+
+        monkeypatch.setattr(FactorizationPattern, "product_stack", spoiled)
+        with pytest.raises(ValidationError, match="violates the T3 factorization"):
+            brute_force_best(product_channel(), {"U": 1, "V1": 2, "V2": 1}, 3, "T3", (0, 1, 0))
