@@ -187,6 +187,70 @@ def _b_cf(net: GaussianNetwork, a, b, q, rstar):
     return (direct, secrecy), _b_second(net, s, a, p2)
 
 
+# Log-affine descriptions of the B kernels in s = (1 - beta) P1 for fixed alpha:
+# (secret, arms), ratio (u, v, w, x) = (u s + v) / (w s + x), arm i = _hl(secret)
+# + min of _hl(r) over its ratios r; the relay budget and R* are constant
+# numerator factors.  Plain arithmetic, so mpmath values work too.
+
+
+def _b_df_terms(net: GaussianNetwork, a, q, rstar):
+    _, _, n1, n2, _ = net.as_tuple()
+    return (1.0, n1, 1.0 - a, n1), (((0.0, n2, a, n2),),)
+
+
+def _b_relay_terms(net: GaussianNetwork, a, scale, noise, gain):
+    """NF (scale 1, noise N1) and CF (scale N1 + Nr + q, noise N1 (Nr + q)) share one shape."""
+    p1, p2, _, n2, _ = net.as_tuple()
+    m = p2 + n2
+    direct = ((0.0, p1 * scale + noise, scale, noise), (0.0, p1 + m, 1.0, m))
+    return (scale, noise, (1.0 - a) * scale, noise), (direct, ((0.0, gain * n2, a, m),))
+
+
+def _b_nf_terms(net: GaussianNetwork, a, q, rstar):
+    p1, p2, n1, n2, _ = net.as_tuple()
+    return _b_relay_terms(net, a, 1.0, n1, min((p2 + n2) / n2, (p1 + p2 + n1) / (p1 + n1)))
+
+
+def _b_cf_terms(net: GaussianNetwork, a, q, rstar):
+    _, _, n1, _, nr = net.as_tuple()
+    return _b_relay_terms(net, a, nr + q + n1, n1 * (nr + q), 2.0 ** (2.0 * rstar))
+
+
+def _mul(f, g):
+    """Coefficients (s^2, s, 1) of (f0 s + f1)(g0 s + g1)."""
+    return f[0] * g[0], f[0] * g[1] + f[1] * g[0], f[1] * g[1]
+
+
+def candidate_polynomials(secret, arms) -> list[tuple]:
+    """Quadratics (c2, c1, c0) in s whose roots, with s = 0 and s = P1, split
+    [0, P1] into stretches on which the first rate max(0, min_r secret + r) is
+    monotone: the stationary point of each expression secret + r, and the
+    crossing of each pair (where the secret cancels).  The clamp at 0 keeps a
+    monotone stretch monotone, so the zeros are no candidates."""
+
+    def slope(r):  # numerator of d/ds log(r)
+        return r[0] * r[3] - r[1] * r[2]
+
+    def diff(f, g, h, k):  # f g - h k for affine f, g, h, k
+        return tuple(x - y for x, y in zip(_mul(f, g), _mul(h, k)))
+
+    terms = [r for arm in arms for r in arm]
+    polys = []
+    for i, r in enumerate(terms):
+        stat = zip(_mul(r[:2], r[2:]), _mul(secret[:2], secret[2:]))
+        polys.append(tuple(slope(secret) * x + slope(r) * y for x, y in stat))
+        polys.extend(diff(r[:2], o[2:], o[:2], r[2:]) for o in terms[i + 1 :])
+    return polys
+
+
+def _quadratic_roots(c2, c1, c0):
+    """Both roots of c2 s^2 + c1 s + c0 by the cancellation-free formula; a
+    complex pair gives two real points (spare brackets), a missing root non-finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)), c1))
+        return np.concatenate((h / c2, c0 / h), axis=-1)
+
+
 def _c_plain_r1(net: GaussianNetwork, a):
     """R1 of the C model when receiver 2 sees no relay noise (DF, baseline)."""
     p1, _, n1, n2, _ = net.as_tuple()
@@ -236,7 +300,7 @@ def _c_baseline(net: GaussianNetwork, a, b, q, rstar):
 
 @dataclass(frozen=True)
 class Strategy:
-    """One entry of the strategy table: the kernel and its arm labels."""
+    """One entry of the strategy table: the kernel, its arm labels and (B) its terms."""
 
     strategy_id: str
     config: str  # model: "B" or "C"
@@ -244,11 +308,19 @@ class Strategy:
     uses_q: bool
     kernel: Callable
     arm_labels: tuple[str, ...] = ()
+    terms: Callable | None = None  # log-affine description (B model), see above
 
     def rates(self, net: GaussianNetwork, a, b, q, rstar):
         """Clamped (first, second) rates; no `active` labels."""
         arms, second = self.kernel(net, a, b, q, rstar)
         return _first(arms), _clamp(second)
+
+    def candidates(self, net: GaussianNetwork, a, q, rstar) -> np.ndarray:
+        """Roots in s of every `candidate_polynomials` quadratic, shape
+        (len(a), n) for a 1-d alpha array `a`; non-finite entries are no root."""
+        a = np.asarray(a, dtype=float)[:, None]
+        coeffs = zip(*candidate_polynomials(*self.terms(net, a, q, rstar)))
+        return _quadratic_roots(*(np.hstack(np.broadcast_arrays(a, *c)[1:]) for c in coeffs))
 
     def active(self, arms) -> list[tuple[str, ...]]:
         """`active` label per point of 1-d (or scalar) arms: the leftmost minimal arm."""
@@ -264,10 +336,10 @@ _C_ARMS = ("r0=arm1", "r0=arm2", "r0=arm3")
 STRATEGIES: dict[str, Strategy] = {
     s.strategy_id: s
     for s in (
-        Strategy("b_df", "B", "df", False, _b_df),
-        Strategy("b_nf", "B", "nf", False, _b_nf, _B_ARMS),
-        Strategy("b_cf", "B", "cf", True, _b_cf, _B_ARMS),
-        Strategy("b_baseline", "B", "baseline", False, _b_df),
+        Strategy("b_df", "B", "df", False, _b_df, terms=_b_df_terms),
+        Strategy("b_nf", "B", "nf", False, _b_nf, _B_ARMS, _b_nf_terms),
+        Strategy("b_cf", "B", "cf", True, _b_cf, _B_ARMS, _b_cf_terms),
+        Strategy("b_baseline", "B", "baseline", False, _b_df, terms=_b_df_terms),
         Strategy("c_df", "C", "df", False, _c_df, _C_ARMS),
         Strategy("c_nf", "C", "nf", False, _c_nf, _C_ARMS[:2]),
         Strategy("c_cf", "C", "cf", True, _c_cf, _C_ARMS[:2]),

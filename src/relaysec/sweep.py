@@ -1,16 +1,25 @@
 """Parameter sweeps, Pareto filtering, and tabular region boundaries.
 
 Grids are inclusive-endpoint grids on [0, 1]; `*_steps` counts grid points.
-One generator, `_grid_slices`, evaluates a strategy's kernel on the whole
-alpha x beta grid at once (numpy) for every feasible compress-forward
-(q, R*) pair; the C model has no beta knob, so its beta axis is just {0}.
-`sweep_frontier` keeps the Pareto-maximal corners of those slices and
-attaches full parameter provenance (alpha, beta, q, R*, active min-branch)
-to every surviving point, so CSV consumers can annotate plots; the labels
-come from one kernel call on the survivors.  `max_r1_vs_alpha` keeps, per
-alpha, the best confidential rate R1 over beta and every feasible (q, R*).
-"""
+`_slices` lists every feasible compress-forward (q, R*) pair after refusing
+a request over MAX_GRID_CELLS; the C model has no beta knob, so its beta
+axis is just {0}.  `sweep_frontier` evaluates a strategy's kernel on the
+whole alpha x beta grid of every slice (numpy), keeps the Pareto-maximal
+corners and attaches full parameter provenance (alpha, beta, q, R*, active
+min-branch) to every surviving point, so CSV consumers can annotate plots;
+the labels come from one kernel call on the survivors.
 
+`max_r1_vs_alpha` keeps, per alpha, the best R1 over beta and every slice,
+but evaluates few beta columns.  For fixed alpha a B-model R1 is
+max(0, min_i E_i(s)) in s = (1 - beta) P1, each E_i a sum of logs of ratios
+of affine functions of s (`Strategy.terms`).  The stationary point of each
+E_i and the crossing of each pair are roots of quadratics.  Between
+consecutive roots one E_i is the minimum and monotone, and so is R1, so the
+grid points of that stretch peak at one of its ends; a row whose best R1 is
+0 has it first at beta = 0.  Columns floor(k) - 1 .. floor(k) + 2 around
+each root's beta index k, plus both ends, sorted ascending, thus hold the
+full grid's argmax and its earliest-beta tie rule.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -30,6 +39,8 @@ from .gaussian import (  # evaluate_strategy is re-exported for callers of this 
 )
 
 RSTAR_POLICIES = ("max", "grid")
+MAX_GRID_CELLS = 10_000_000  # a larger Gaussian grid request is refused up front
+_BRACKET = (-1, 0, 1, 2)  # around a root's floor; the outer two absorb its rounding
 
 
 @dataclass(frozen=True)
@@ -149,44 +160,50 @@ def _axis(steps: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, steps)
 
 
-def _grid(strategy: Strategy, grid: GridSpec) -> Sequence[np.ndarray]:
-    """The (alpha, beta) meshgrid, shape (alpha_steps, betas); the C model's beta axis is {0}."""
-    betas = _axis(grid.beta_steps) if strategy.config == "B" else np.zeros(1)
-    return np.meshgrid(_axis(grid.alpha_steps), betas, indexing="ij")
+def _slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, curve: bool) -> list:
+    """Every feasible compress-forward (q, R*) in grid order, or [(None, None)].
 
-
-def _grid_slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, A, B):
-    """Yield (q, rstar, first, second) over the grid (A, B) at every feasible
-    compress-forward (q, R*) in grid order, or once with (None, None)."""
+    First refuses a request whose grid would exceed MAX_GRID_CELLS: alpha_steps
+    x beta columns (a curve's bracket width) x slices, plus the two axes."""
     pairs = [(None, None)]
     if strategy.uses_q:
-        pairs = []
-        for q in grid.q_values:
-            limit = cf_rstar_max(net, q)
-            if limit < 0.0:
-                continue  # this q cannot pay for its own compression
-            if grid.rstar_policy == "max":
-                pairs.append((q, limit))
-            else:
-                pairs.extend((q, float(rs)) for rs in np.linspace(0.0, limit, grid.rstar_steps))
-    for q, rstar in pairs:
-        yield (q, rstar) + strategy.rates(net, A, B, q, rstar)
+        # A q whose limit is negative cannot pay for its own compression.
+        pairs = [(q, limit) for q in grid.q_values if (limit := cf_rstar_max(net, q)) >= 0.0]
+    per_q = grid.rstar_steps if strategy.uses_q and grid.rstar_policy == "grid" else 1
+    width = grid.beta_steps if strategy.config == "B" else 1
+    if curve and pairs and strategy.config == "B":
+        width = min(width, 2 + len(_BRACKET) * strategy.candidates(net, [0.0], *pairs[0]).size)
+    cells = grid.alpha_steps * width * len(pairs) * per_q + grid.alpha_steps + grid.beta_steps
+    if cells > MAX_GRID_CELLS:
+        raise ValidationError(
+            f"{strategy.strategy_id}: the grid needs about {cells:.3g} cells, over the limit "
+            f"of {MAX_GRID_CELLS:.3g}; lower alpha_steps, beta_steps, q_values or rstar_steps"
+        )
+    if per_q == 1:
+        return pairs
+    return [(q, float(rs)) for q, limit in pairs for rs in np.linspace(0.0, limit, per_q)]
+
+
+def _betas(strategy: Strategy, grid: GridSpec) -> np.ndarray:
+    """The beta axis; the C model's is {0}."""
+    return _axis(grid.beta_steps) if strategy.config == "B" else np.zeros(1)
 
 
 def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Frontier:
     """Evaluate the strategy over the whole grid and Pareto-filter the corners."""
     strategy = resolve_strategy(strategy_id)
     net.require_ordering()
-    A, B = _grid(strategy, grid)
-    slices = list(_grid_slices(strategy, net, grid, A, B))
-    if not slices:
+    pairs = _slices(strategy, net, grid, curve=False)
+    if not pairs:
         return Frontier(strategy.strategy_id, net, ())
-    f = np.concatenate([first.ravel() for _, _, first, _ in slices])
-    s = np.concatenate([second.ravel() for _, _, _, second in slices])
+    A, B = np.meshgrid(_axis(grid.alpha_steps), _betas(strategy, grid), indexing="ij")
+    slices = [strategy.rates(net, A, B, q, rstar) for q, rstar in pairs]
+    f = np.concatenate([first.ravel() for first, _ in slices])
+    s = np.concatenate([second.ravel() for _, second in slices])
     a, b = np.tile(A.ravel(), len(slices)), np.tile(B.ravel(), len(slices))
     # Provenance sort keys; a constant 0 without compress-forward.
-    qc = np.repeat([q or 0.0 for q, _, _, _ in slices], A.size)
-    rc = np.repeat([rstar or 0.0 for _, rstar, _, _ in slices], A.size)
+    qc = np.repeat([q or 0.0 for q, _ in pairs], A.size)
+    rc = np.repeat([rstar or 0.0 for _, rstar in pairs], A.size)
     keep = _pareto_survivors(f, s, (a, b, qc, rc))
     arms, _ = strategy.kernel(net, a[keep], b[keep], qc[keep], rc[keep])
     points = []
@@ -201,34 +218,57 @@ def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Fr
     return Frontier(strategy.strategy_id, net, tuple(points))
 
 
+def _bracket_columns(strategy, net, grid, alphas, q, rstar) -> np.ndarray:
+    """Per alpha, ascending beta indices that hold the grid argmax of the first
+    rate, shape (len(alphas), n); a short row repeats its last index, the
+    last beta.  The C model's only column is beta = 0."""
+    if strategy.config == "C":
+        return np.zeros((alphas.size, 1), dtype=np.intp)
+    top = grid.beta_steps - 1
+    k = (1.0 - strategy.candidates(net, alphas, q, rstar) / net.p1) * top
+    k = np.floor(np.clip(np.where(np.isfinite(k), k, 0.0), 0, top)).astype(np.intp)
+    ends = np.broadcast_to(np.array([0, top]), (alphas.size, 2))
+    cols = np.sort(np.hstack([ends, *(np.clip(k + d, 0, top) for d in _BRACKET)]), axis=1)
+    new = np.ones(cols.shape, dtype=bool)
+    new[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    counts = new.sum(axis=1)
+    rows = np.repeat(np.arange(alphas.size), counts)
+    packed = np.full((alphas.size, counts.max()), top)
+    packed[rows, np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)] = cols[new]
+    return packed
+
+
 def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Curve:
     """Best confidential rate R1 per alpha, maximized over beta and every
     feasible (q, R*); ties go to the earliest (q, R*) in grid order, and
-    within it to the earliest beta."""
+    within it to the earliest beta.  Only the bracketing beta columns of
+    `_bracket_columns` are evaluated; the result is the full grid's argmax."""
     strategy = resolve_strategy(strategy_id)
     net.require_ordering()
     if strategy.uses_q and not grid.q_values:
         raise UsageError(f"{strategy.strategy_id} needs a compression variance q")
-    A, B = _grid(strategy, grid)
-    alphas = A[:, 0]
-    rows = np.arange(alphas.size)
-    params, values, betas = [], [], []
-    for q, rstar, first, second in _grid_slices(strategy, net, grid, A, B):
-        r1 = first if strategy.config == "B" else second
-        j = np.argmax(r1, axis=1)
-        params.append((q, rstar))
-        values.append(r1[rows, j])
-        betas.append(B[rows, j])
-    if not params:
+    pairs = _slices(strategy, net, grid, curve=True)
+    if not pairs:
         raise InfeasibleError(
             f"compress-forward infeasible at every q in {list(grid.q_values)}",
             limit=max(cf_rstar_max(net, q) for q in grid.q_values),
         )
+    alphas, betas = _axis(grid.alpha_steps), _betas(strategy, grid)
+    rows = np.arange(alphas.size)
+    values, picked = [], []
+    for q, rstar in pairs:
+        cols = _bracket_columns(strategy, net, grid, alphas, q, rstar)
+        first, second = strategy.rates(net, alphas[:, None], betas[cols], q, rstar)
+        r1 = first if strategy.config == "B" else second
+        j = np.argmax(r1, axis=1)
+        values.append(r1[rows, j])
+        picked.append(betas[cols[rows, j]])
     best = np.argmax(values, axis=0)  # the first slice reaching the maximum
-    samples = []
-    for i, (alpha, k) in enumerate(zip(alphas, best)):
-        sp = StrategyParams(float(alpha), float(betas[k][i]), *params[k])
-        samples.append(CurveSample(float(alpha), float(values[k][i]), sp))
+    per_alpha = (alphas, best, np.array(values)[best, rows], np.array(picked)[best, rows])
+    samples = [
+        CurveSample(alpha, value, StrategyParams(alpha, beta, *pairs[k]))
+        for alpha, k, value, beta in zip(*(c.tolist() for c in per_alpha))
+    ]
     return Curve(strategy.strategy_id, net, tuple(samples))
 
 

@@ -1,10 +1,13 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from relaysec.cli import main, read_frontier_csv
 from relaysec.errors import ValidationError
 from relaysec.scenario import load_scenario
+from relaysec.sweep import MAX_GRID_CELLS
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
@@ -499,3 +503,137 @@ class TestExitCodesAndHelp:
         assert proc.returncode == 0
         row = read_frontier_csv(out)[0]
         assert float(row["r0"]) == pytest.approx(0.350219859, abs=1e-8)
+
+
+class TestGoldenOutputs:
+    """The shipped scenarios' outputs, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["curve", "--scenario", "paper_fig4.json"],
+             "9e9ec2c6b3cd5c5b400eb4cafc6b5d281eab787381f7d31de02b4ab04bcf15a3"),
+            (["region", "--scenario", "paper_fig5.json"],
+             "16166fef0635c2a8b65f47c48553434c2c88426f8a57a7989a07ae9b91f5c4c9"),
+            (["region", "--scenario", "paper_fig5.json", "--convex-hull"],
+             "82f169d19087d6f3ca8b8f3854f07002e9ba7946c24916ef9778e07d427ac972"),
+            (["dmc-eval", "--scenario", "dmc_demo.json"],
+             "b73a0d4e6221cb2186bf6cc5e31d6c52a6f045fe464beda4a2d2d6bb007af055"),
+        ],
+    )
+    def test_output_bytes(self, tmp_path, argv, digest):
+        out = tmp_path / "o.csv"
+        argv = [scenario_path(a) if a.endswith(".json") else a for a in argv]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestGridBudgetRefusal:
+    @pytest.mark.parametrize(
+        "command, model, grid",
+        [
+            ("curve", "B", {"alpha_steps": 10**9, "beta_steps": 401}),
+            ("curve", "B", {"alpha_steps": 401, "beta_steps": 10**9}),
+            ("curve", "C", {"alpha_steps": 10**9, "beta_steps": 2}),
+            ("region", "C", {"alpha_steps": 10**9, "beta_steps": 2}),
+            ("region", "C", {"alpha_steps": 401, "beta_steps": 2, "q_values": [300.0, 500.0],
+                             "rstar_policy": "grid", "rstar_steps": 10**9}),
+        ],
+    )
+    def test_oversized_grid_is_refused_before_allocating(self, tmp_path, capsys, command,
+                                                         model, grid):
+        path = write_json(tmp_path, "s.json", {"model": model, "net": PAPER_NET, "grid": grid})
+        tracemalloc.start()
+        try:
+            code = main([command, "--scenario", path, "--out", str(tmp_path / "o.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        estimate = float(re.search(r"needs about (\S+) cells", err).group(1))
+        assert estimate >= max(v for v in grid.values() if isinstance(v, int)) > MAX_GRID_CELLS
+        assert peak < 2**20  # no array on the scale of the request was ever allocated
+        assert not (tmp_path / "o.csv").exists()
+
+
+_FLAG_JUNK = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", "x", "1e309", "-0", "1,2", "U=1"]),
+)
+
+
+def _spoil(draw, flags):
+    """argv from a dict of valid flag values, with at most one value replaced by junk."""
+    spoiled = draw(st.sampled_from([None, *flags]))
+    if spoiled is not None:
+        flags[spoiled] = draw(_FLAG_JUNK)
+    # FLAG=VALUE, so that a negative value is not taken for a flag.
+    return [flag if value is True else f"{flag}={value}"
+            for flag, value in flags.items() if value not in (None, False)]
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+@st.composite
+def _gaussian_flags(draw):
+    p1, n1 = draw(st.floats(0.5, 10.0)), draw(st.floats(0.2, 4.0))
+    flags = {
+        "--model": draw(st.sampled_from(["B", "C"])),
+        "--strategy": draw(st.sampled_from(["df", "nf", "cf", "baseline"])),
+        "--p1": repr(p1), "--p2": draw(_floats(0.2, 8.0)), "--n1": repr(n1),
+        "--n2": repr((p1 + n1) * draw(st.floats(0.8, 2.5))), "--nr": draw(_floats(0.2, 5.0)),
+        "--alpha": draw(_floats(0.0, 1.0)),
+        "--beta": draw(st.one_of(st.none(), _floats(0.0, 1.0))),
+        "--q": draw(st.one_of(st.none(), _floats(0.01, 1000.0))),
+        "--rstar": draw(st.one_of(st.none(), _floats(0.0, 0.5))),
+    }
+    return ["gaussian"] + _spoil(draw, flags)
+
+
+@st.composite
+def _dmc_eval_flags(draw):
+    flags = {
+        "--rates": draw(st.one_of(st.none(), st.lists(_floats(0.0, 0.6), min_size=5,
+                                                      max_size=5).map(",".join))),
+        "--rstar": draw(st.one_of(st.none(), _floats(0.0, 1.0))),
+        "--tol": draw(st.one_of(st.none(), _floats(0.0, 1e-3))),
+        "--clamp-equivocation": draw(st.booleans()),
+    }
+    return ["dmc-eval", "--scenario", scenario_path("dmc_demo.json")] + _spoil(draw, flags)
+
+
+@st.composite
+def _dmc_search_flags(draw):
+    sizes = {name: draw(st.integers(1, 2)) for name in ("U", "V1", "V2")}
+    flags = {
+        "--aux-sizes": ",".join(f"{k}={v}" for k, v in sizes.items()),
+        "--grid-steps": str(draw(st.integers(1, 3))),
+        "--objective": draw(st.lists(_floats(-1.0, 1.0), min_size=3, max_size=3).map(",".join)),
+        "--budget": draw(st.sampled_from(["1", "100", "2500"])),  # keeps every search small
+        "--clamp-equivocation": draw(st.booleans()),
+    }
+    return ["dmc-search", "--scenario", scenario_path("dmc_demo.json")] + _spoil(draw, flags)
+
+
+def _run_flags(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", os.path.join(tmp, "o.csv")])
+    return code, err.getvalue()
+
+
+class TestFlagFuzz:
+    """Flag values, valid or not, end in a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("flags", [_gaussian_flags, _dmc_eval_flags, _dmc_search_flags])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_only_documented_exit_codes(self, flags, data):
+        argv = data.draw(flags())
+        code, err = _run_flags(argv)
+        assert code in range(5) and "Traceback" not in err, (argv, err)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +6,7 @@ from hypothesis import strategies as st
 
 from relaysec.errors import InfeasibleError, ModelAssumptionError, ValidationError
 from relaysec.gaussian import (
+    STRATEGIES,
     GaussianNetwork,
     StrategyParams,
     b_baseline_norelay,
@@ -15,6 +17,7 @@ from relaysec.gaussian import (
     c_cf,
     c_df,
     c_nf,
+    candidate_polynomials,
     cf_rstar_max,
 )
 
@@ -252,3 +255,99 @@ class TestNumericalBehavior:
                 for da, db in ((eps, 0.0), (0.0, eps), (-eps, 0.0)):
                     moved = b_nf(NET, sp(a + da, b + db)).first
                     assert abs(moved - base) <= 1e-6
+
+
+class _MpNetwork:
+    """A network whose `as_tuple` gives mpmath numbers, for the log-affine descriptions."""
+
+    def __init__(self, net):
+        self.values = tuple(mpmath.mpf(v) for v in net.as_tuple())
+
+    def as_tuple(self):
+        return self.values
+
+
+def _mp_hl(r, s):
+    return mpmath.log((r[0] * s + r[1]) / (r[2] * s + r[3]), 2) / 2
+
+
+def _mp_arms(secret, arms, s):
+    return [_mp_hl(secret, s) + min(_mp_hl(r, s) for r in arm) for arm in arms]
+
+
+def _mp_roots(c2, c1, c0):
+    """Real roots of c2 s^2 + c1 s + c0 (none for the zero polynomial)."""
+    if c2 == 0:
+        return [-c0 / c1] if c1 != 0 else []
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    return [(-c1 + sign * mpmath.sqrt(disc)) / (2 * c2) for sign in (1, -1)]
+
+
+def _mp_supremum(sid, net, alpha, q=None, rstar=None):
+    """(sup, s) of the first rate over s = (1 - beta) P1 in [0, P1], at 40 digits:
+    the best of both ends and every real root of the candidate quadratics."""
+    mp_net = _MpNetwork(net)
+    args = [None if v is None else mpmath.mpf(v) for v in (q, rstar)]
+    secret, arms = STRATEGIES[sid].terms(mp_net, mpmath.mpf(alpha), *args)
+    p1 = mp_net.values[0]
+    points = [mpmath.mpf(0), p1]
+    for poly in candidate_polynomials(secret, arms):
+        points.extend(s for s in _mp_roots(*poly) if 0 <= s <= p1)
+    return max((max(0, min(_mp_arms(secret, arms, s))), s) for s in points)
+
+
+@st.composite
+def _terms_cases(draw):
+    p1, n1 = draw(st.floats(0.5, 10.0)), draw(st.floats(0.2, 4.0))
+    n2 = (p1 + n1) * draw(st.floats(1.0, 2.5))
+    net = GaussianNetwork(p1, draw(st.floats(0.2, 8.0)), n1, n2, draw(st.floats(0.2, 5.0)))
+    ratio = min((net.p2 + n2) / n2, (p1 + net.p2 + n1) / (p1 + n1))
+    q = (p1 + net.nr) / (ratio - 1.0) * draw(st.floats(1.0, 50.0))
+    rstar = cf_rstar_max(net, q) * draw(st.floats(0.0, 1.0))
+    return net, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)), q, max(rstar, 0.0)
+
+
+class TestLogAffineOracle:
+    """The log-affine descriptions behind `max_r1_vs_alpha`'s bracketing, at 40 digits."""
+
+    @given(_terms_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_descriptions_equal_the_kernel_arms(self, case):
+        net, alpha, beta, q, rstar = case
+        with mpmath.workdps(40):
+            s = (1 - mpmath.mpf(beta)) * net.p1
+            mp_q, mp_rstar = mpmath.mpf(q), mpmath.mpf(rstar)
+            for sid in ("b_df", "b_nf", "b_cf", "b_baseline"):
+                strategy = STRATEGIES[sid]
+                arms, _ = strategy.kernel(net, alpha, beta, q, rstar)
+                terms = strategy.terms(_MpNetwork(net), mpmath.mpf(alpha), mp_q, mp_rstar)
+                want = _mp_arms(*terms, s)
+                assert len(arms) == len(want)
+                for got, exact in zip(arms, want):
+                    assert abs(float(got) - exact) <= 1e-12
+
+    @pytest.mark.parametrize("sid", ["b_df", "b_nf", "b_cf"])
+    def test_supremum_bounds_every_grid_value(self, sid):
+        # The 8 ulp allowance covers the kernel's own rounding where a grid
+        # point sits on the supremum (beta = 0 at alpha = 1).
+        q = 300.0 if sid == "b_cf" else None
+        rstar = cf_rstar_max(NET, q) if q else None
+        betas = np.linspace(0.0, 1.0, 401)
+        with mpmath.workdps(40):
+            for alpha in np.linspace(0.0, 1.0, 21):
+                sup, _ = _mp_supremum(sid, NET, alpha, q, rstar)
+                first, _ = STRATEGIES[sid].rates(NET, alpha, betas, q, rstar)
+                assert sup >= first.max() - 8 * np.spacing(first.max())
+
+    def test_cf_supremum_at_alpha_one(self):
+        """CF at alpha = 1, q = 300: the supremum over every beta in [0, 1] is
+        0.6201593876, reached at beta = 0, so no finer beta grid closes the
+        8.6e-6 gap to `acceptance.FIG4_TARGETS["cf"]` = 0.620168 (acceptance
+        C1 passes it within its 1e-3 tolerance)."""
+        with mpmath.workdps(40):
+            sup, s = _mp_supremum("b_cf", NET, 1.0, 300.0, RSTAR_MAX_Q300)
+            assert s == NET.p1  # beta = 0
+            assert mpmath.nstr(sup, 10) == "0.6201593876"
+            assert abs(sup - B_CF_A1_B0_Q300_R1) <= 1e-14

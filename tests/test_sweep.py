@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysec import sweep
 from relaysec.errors import UsageError, ValidationError
 from relaysec.gaussian import (
     STRATEGIES,
@@ -13,11 +14,13 @@ from relaysec.gaussian import (
     evaluate_strategy,
 )
 from relaysec.sweep import (
+    RSTAR_POLICIES,
     Curve,
     CurveSample,
     Frontier,
     FrontierPoint,
     GridSpec,
+    _bracket_columns,
     convex_hull_filter,
     max_r1_vs_alpha,
     pareto_filter,
@@ -343,3 +346,104 @@ class TestScalarOracle:
                         if best is None or r1 > best[0]:
                             best = (r1, sp)
                 assert (sample.value, sample.params) == best
+
+
+def full_grid_curve(sid, net, grid):
+    """The full-grid curve: every strategy evaluated on the whole alpha x beta
+    grid of every feasible (q, R*) slice, np.argmax over beta per slice, then
+    the first slice reaching the maximum.  `max_r1_vs_alpha` evaluates only
+    bracketing beta columns and must return exactly this."""
+    strategy = STRATEGIES[sid]
+    alphas = np.linspace(0.0, 1.0, grid.alpha_steps)
+    A, B = np.meshgrid(alphas, np.linspace(0.0, 1.0, grid.beta_steps), indexing="ij")
+    slices = [(None, None)]
+    if strategy.uses_q:
+        slices = []
+        for q in grid.q_values:
+            limit = cf_rstar_max(net, q)
+            if limit >= 0.0:
+                rstars = [limit] if grid.rstar_policy == "max" else [
+                    float(rs) for rs in np.linspace(0.0, limit, grid.rstar_steps)]
+                slices.extend((q, rs) for rs in rstars)
+    rows = np.arange(alphas.size)
+    values, betas = [], []
+    for q, rs in slices:
+        first, _ = strategy.rates(net, A, B, q, rs)
+        j = np.argmax(first, axis=1)
+        values.append(first[rows, j])
+        betas.append(B[rows, j])
+    best = np.argmax(values, axis=0)
+    return [
+        (float(values[k][i]), StrategyParams(float(alphas[i]), float(betas[k][i]), *slices[k]))
+        for i, k in enumerate(best)
+    ]
+
+
+@st.composite
+def bracket_cases(draw):
+    """A valid network and a grid with up to 401 betas, under either R* policy."""
+    net, grid = draw(oracle_cases())
+    grid = GridSpec(
+        alpha_steps=draw(st.integers(2, 41)),
+        beta_steps=draw(st.one_of(st.just(401), st.integers(2, 401))),
+        q_values=grid.q_values,
+        rstar_policy=draw(st.sampled_from(RSTAR_POLICIES)),
+        rstar_steps=draw(st.integers(2, 4)),
+    )
+    return net, grid
+
+
+class TestBracketOracle:
+    """The bracketed curve against the full-grid argmax, sample by sample."""
+
+    @given(bracket_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_bracketed_curve_is_the_full_grid_argmax(self, case):
+        net, grid = case
+        for sid in ("b_df", "b_nf", "b_cf"):
+            got = [(s.value, s.params) for s in max_r1_vs_alpha(sid, net, grid).samples]
+            assert got == full_grid_curve(sid, net, grid)
+
+    def test_paper_network_at_full_resolution(self):
+        grid = GridSpec(401, 401, q_values=(300.0,))
+        for sid in ("b_df", "b_nf", "b_cf", "b_baseline"):
+            got = [(s.value, s.params) for s in max_r1_vs_alpha(sid, NET, grid).samples]
+            assert got == full_grid_curve(sid, NET, grid)
+
+    def test_bracket_is_narrow(self):
+        # At most four columns per candidate root plus both ends; far fewer on
+        # the paper network, where most roots fall outside [0, P1].
+        grid = GridSpec(401, 401)
+        alphas = np.linspace(0.0, 1.0, 401)
+        for sid, q, rstar in (("b_df", None, None), ("b_nf", None, None),
+                              ("b_cf", 300.0, cf_rstar_max(NET, 300.0))):
+            cols = _bracket_columns(STRATEGIES[sid], NET, grid, alphas, q, rstar)
+            assert cols.shape[1] <= 20
+            assert np.all(np.diff(cols, axis=1) >= 0) and np.all(cols[:, [0, -1]] == [0, 400])
+
+
+class TestGridBudget:
+    GRID = GridSpec(alpha_steps=11, beta_steps=2, q_values=(300.0, 400.0, 0.01),
+                    rstar_policy="grid", rstar_steps=3)
+
+    def test_estimate_counts_cells_slices_and_axes(self, monkeypatch):
+        # 11 alphas x 1 beta column x (2 feasible q x 3 R*) + 11 + 2 = 79 cells.
+        monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 79)
+        assert region_boundary("c_cf", NET, self.GRID).points
+        monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 78)
+        with pytest.raises(ValidationError, match="about 79 cells"):
+            region_boundary("c_cf", NET, self.GRID)
+        with pytest.raises(ValidationError, match="about 79 cells"):
+            max_r1_vs_alpha("c_cf", NET, self.GRID)
+
+    def test_curve_counts_only_bracketing_columns(self, monkeypatch):
+        # b_df has 1 candidate quadratic, so 2 roots x 4 columns + 2 ends =
+        # 10 of 401 beta columns: 21 x 10 + 21 + 401 cells.
+        grid = GridSpec(alpha_steps=21, beta_steps=401)
+        monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 21 * 10 + 21 + 401)
+        max_r1_vs_alpha("b_df", NET, grid)
+        monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 21 * 10 + 21 + 400)
+        with pytest.raises(ValidationError, match="cells"):
+            max_r1_vs_alpha("b_df", NET, grid)
+        with pytest.raises(ValidationError, match="cells"):
+            sweep_frontier("b_df", NET, grid)
