@@ -26,6 +26,14 @@ read with Re1 folded into R1 and Re2 into R2, and rows the slice leaves
 implied carry `on_slice=False`.  The config-B inner bounds T6-T8 are T2-T4
 at R0 = 0: rows on R0 alone drop out and R0 leaves the others.  T5 stays
 written out because U survives inside its equivocation caps.
+
+Two term maps (`_TermMap`) derive five more branches.  `_MIRROR` swaps the
+receivers Y/Z, the messages V1/V2 and their rates: T3.L2 and T4.L4 are
+T3.L1 and T4.L3 mirrored.  `_ONE_MESSAGE` holds V2 constant and reads V1 as
+V: T10, T11.L9 and T12.L11 are T2, T3.L1 and T4.L3 in config C.  Written out
+stay T1; T9, because T1 with V2 constant keeps an implied extra R0+R1 row and
+a repeated min alternative; and T11.L10 and T12.L12, where both receivers
+decode X1, a decoder config A does not have.
 """
 
 from __future__ import annotations
@@ -355,6 +363,72 @@ class CompiledTheorem:
 # ---------------------------------------------------------------------------
 
 
+def _indices(names: Iterable[str]) -> list[int]:
+    return sorted(map(CANONICAL_VARS.index, names))
+
+
+class _TermMap:
+    """A renaming of variables and rates ("" holds a variable constant or zeroes
+    a rate), lifted to every catalog object.  Terms come out canonical: C in `CANONICAL_VARS` order, A and
+    B swapped when B's indices sort first, a term with an empty side dropped, and
+    each Lin's + terms before its - terms, each group in canonical order."""
+
+    def __init__(self, rename: Mapping[str, str]) -> None:
+        self.rename = rename
+
+    def names(self, names: Iterable[str]) -> tuple[str, ...]:
+        return tuple(n for n in (self.rename.get(v, v) for v in names) if n)
+
+    def term(self, t: MITerm) -> MITerm | None:
+        a, b = sorted((self.names(t.a), self.names(t.b)), key=_indices)
+        return MITerm(a, b, tuple(sorted(self.names(t.c), key=CANONICAL_VARS.index))) if a else None
+
+    def lin(self, lin: Lin) -> Lin:
+        terms = [(coef, t) for coef, t in ((c, self.term(t)) for c, t in lin.terms) if t]
+        terms.sort(key=lambda ct: (ct[0] < 0, *map(_indices, (ct[1].a, ct[1].b, ct[1].c))))
+        return Lin(tuple(terms), lin.rstar)
+
+    def bound(self, b: Bound) -> Bound:
+        return Bound(tuple(map(self.lin, b.alternatives)), self.lin(b.tail))
+
+    def rates(self, vec: RateVec) -> RateVec:
+        out = [0.0] * 5
+        for name, coef in zip(RATE_COMPONENTS, vec):
+            if to := self.rename.get(name, name):
+                out[RATE_COMPONENTS.index(to)] += coef
+        return tuple(out)  # type: ignore[return-value]
+
+    def branch(self, br: BranchSpec, branch_id: str) -> BranchSpec:
+        """The mapped branch: rows left as 0 <= 0 dropped, a repeated (rates, bound)
+        row kept at its first occurrence, rows in the source's rate order."""
+        rows: dict[tuple[RateVec, Bound], Ineq] = {}
+        for ineq in br.inequalities:
+            row = replace(ineq, rates=self.rates(ineq.rates), bound=self.bound(ineq.bound))
+            if any(row.rates) or row.bound != as_bound(Lin()):
+                rows.setdefault((row.rates, row.bound), row)
+        order = [ineq.rates for ineq in br.inequalities]
+        cond = br.condition and Condition(self.lin(br.condition.lhs), self.lin(br.condition.rhs))
+        budget = br.rstar_budget and self.bound(br.rstar_budget)
+        ineqs = tuple(sorted(rows.values(), key=lambda r: order.index(r.rates)))
+        return BranchSpec(branch_id, ineqs, cond, budget)
+
+    def theorem(
+        self, spec: TheoremSpec, theorem_id: str, branches: Iterable[BranchSpec]
+    ) -> TheoremSpec:
+        """`spec` as config C: mapped coupling and factorization, the given branches."""
+        factors = tuple((self.names(t), self.names(g)) for t, g in spec.pattern.factors)
+        return replace(spec, theorem_id=theorem_id, config="C", branches=tuple(branches),
+                       coupling_vars=self.names(spec.coupling_vars),
+                       pattern=FactorizationPattern(factors))
+
+
+# Receivers, confidential messages and their rates swapped: the second NF/CF branch.
+_MIRROR = _TermMap({"Y": "Z", "Z": "Y", "V1": "V2", "V2": "V1",
+                    "R1": "R2", "R2": "R1", "Re1": "Re2", "Re2": "Re1"})
+# One confidential message: V2 held constant, V1 read as V, R2 = Re2 = 0.
+_ONE_MESSAGE = _TermMap({"V1": "V", "V2": "", "R2": "", "Re2": ""})
+
+
 def _chain_pattern(aux: tuple[str, ...]) -> FactorizationPattern:
     # U -> aux -> (X, X1): the outer bounds constrain couplings to this chain.
     return FactorizationPattern(
@@ -479,32 +553,9 @@ def _nf_two_messages() -> TheoremSpec:
         _ineq(RE2, mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1"), equivocation=True),
     )
 
-    # Branch 2: mirror image, receiver 2 decodes X1.
-    m2 = Min(mi("U;Z|X1"), mi("U;Y"))
-    ineqs2 = (
-        _ineq(R0, m2),
-        _ineq(rsum(R0, R1), m2 + mi("V1;Y|U"), on_slice=False),
-        _ineq(rsum(R0, R2), m2 + mi("V2;Z|U,X1")),
-        _ineq(
-            rsum(R0, R1, R2),
-            m2 + mi("V1;Y|U") + mi("V2;Z|U,X1") - mi("V1;V2|U"),
-            on_slice=False,
-        ),
-        _ineq(RE1, mi("V1;Y|U") - mi("V1;V2|U") - mi("V1;Z|U,V2,X1"), equivocation=True),
-        _ineq(
-            RE2,
-            Min(mi("X1;Y|U,V1,V2"), mi("X1;Z"))
-            + mi("V2;Z|U,X1")
-            - mi("V1;V2|U")
-            - mi("X1,V2;Y|U,V1"),
-            equivocation=True,
-        ),
-    )
-
-    branches = (
-        BranchSpec("T3.L1", ineqs1, Condition(mi("X1;Y"), mi("X1;Z|U,V2"))),
-        BranchSpec("T3.L2", ineqs2, Condition(mi("X1;Z"), mi("X1;Y|U,V1"))),
-    )
+    l1 = BranchSpec("T3.L1", ineqs1, Condition(mi("X1;Y"), mi("X1;Z|U,V2")))
+    # Branch 2: the mirror image, receiver 2 decodes X1.
+    branches = (l1, _MIRROR.branch(l1, "T3.L2"))
     return TheoremSpec(
         "T3",
         "A",
@@ -534,38 +585,13 @@ def _cf_two_messages() -> TheoremSpec:
         _ineq(RE2, mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1"), equivocation=True),
     )
 
-    m2 = Min(mi("U;Z,Yh|X1"), mi("U;Y"))
-    ineqs2 = (
-        _ineq(R0, m2),
-        _ineq(rsum(R0, R1), m2 + mi("V1;Y|U"), on_slice=False),
-        _ineq(rsum(R0, R2), m2 + mi("V2;Z,Yh|U,X1")),
-        _ineq(
-            rsum(R0, R1, R2),
-            m2 + mi("V1;Y|U") + mi("V2;Z,Yh|U,X1") - mi("V1;V2|U"),
-            on_slice=False,
-        ),
-        _ineq(RE1, mi("V1;Y|U") - mi("V1;V2|U") - mi("V1;Z|U,V2,X1"), equivocation=True),
-        _ineq(
-            RE2,
-            RSTAR + mi("V2;Z,Yh|U,X1") - mi("V1;V2|U") - mi("X1,V2;Y|U,V1"),
-            equivocation=True,
-        ),
+    l3 = BranchSpec(
+        "T4.L3",
+        ineqs1,
+        Condition(mi("X1;Y"), mi("X1;Z|U,V2")),
+        rstar_budget=Min(mi("X1;Z|U,V1,V2"), mi("X1;Y")),
     )
-
-    branches = (
-        BranchSpec(
-            "T4.L3",
-            ineqs1,
-            Condition(mi("X1;Y"), mi("X1;Z|U,V2")),
-            rstar_budget=Min(mi("X1;Z|U,V1,V2"), mi("X1;Y")),
-        ),
-        BranchSpec(
-            "T4.L4",
-            ineqs2,
-            Condition(mi("X1;Z"), mi("X1;Y|U,V1")),
-            rstar_budget=Min(mi("X1;Y|U,V1,V2"), mi("X1;Z")),
-        ),
-    )
+    branches = (l3, _MIRROR.branch(l3, "T4.L4"))
     return TheoremSpec(
         "T4",
         "A",
@@ -616,91 +642,31 @@ def _outer_one_message() -> TheoremSpec:
     )
 
 
-def _df_one_message() -> TheoremSpec:
-    m = Min(mi("U;Y1|X1"), mi("U,X1;Y"), mi("U,X1;Z"))
+def _nf_one_message(t3: TheoremSpec) -> TheoremSpec:
+    # Branch 1 is T3.L1 with V2 constant.  Branch 2: both receivers decode the
+    # relay codeword; the relay adds no confusion.
+    m = Min(mi("U;Y|X1"), mi("U;Z|X1"))
     ineqs = (
         _ineq(R0, m),
         _ineq(rsum(R0, R1), m + mi("V;Y|U,X1"), on_slice=False),
         _ineq(RE1, mi("V;Y|U,X1") - mi("V;Z|U,X1"), equivocation=True),
     )
-    return TheoremSpec(
-        "T10",
-        "C",
-        "decode-forward",
-        ("U", "V", "X", "X1"),
-        _df_pattern(("U", "V")),
-        (BranchSpec("n/a", ineqs),),
-    )
+    both = BranchSpec("T11.L10", ineqs, Condition(mi("X1;Z"), mi("X1;Y")))
+    return _ONE_MESSAGE.theorem(t3, "T11", (_ONE_MESSAGE.branch(t3.branches[0], "T11.L9"), both))
 
 
-def _nf_one_message() -> TheoremSpec:
-    # Branch 1: receiver 1 decodes the relay codeword, receiver 2 sees noise.
-    m1 = Min(mi("U;Y|X1"), mi("U;Z"))
-    ineqs1 = (
-        _ineq(R0, m1),
-        _ineq(rsum(R0, R1), m1 + mi("V;Y|U,X1")),
-        _ineq(
-            RE1,
-            Min(mi("X1;Z|U,V"), mi("X1;Y")) + mi("V;Y|U,X1") - mi("X1,V;Z|U"),
-            equivocation=True,
-        ),
-    )
-    # Branch 2: both receivers decode it; the relay adds no confusion.
-    m2 = Min(mi("U;Y|X1"), mi("U;Z|X1"))
-    ineqs2 = (
-        _ineq(R0, m2),
-        _ineq(rsum(R0, R1), m2 + mi("V;Y|U,X1"), on_slice=False),
-        _ineq(RE1, mi("V;Y|U,X1") - mi("V;Z|U,X1"), equivocation=True),
-    )
-    branches = (
-        BranchSpec("T11.L9", ineqs1, Condition(mi("X1;Y"), mi("X1;Z|U"))),
-        BranchSpec("T11.L10", ineqs2, Condition(mi("X1;Z"), mi("X1;Y"))),
-    )
-    return TheoremSpec(
-        "T11",
-        "C",
-        "noise-forward",
-        ("U", "V", "X", "X1"),
-        _nf_pattern(("U", "V")),
-        branches,
-    )
-
-
-def _cf_one_message() -> TheoremSpec:
-    m1 = Min(mi("U;Y,Yh|X1"), mi("U;Z"))
-    ineqs1 = (
-        _ineq(R0, m1),
-        _ineq(rsum(R0, R1), m1 + mi("V;Y,Yh|U,X1")),
-        _ineq(RE1, RSTAR + mi("V;Y,Yh|U,X1") - mi("X1,V;Z|U"), equivocation=True),
-    )
-    m2 = Min(mi("U;Y,Yh|X1"), mi("U;Z,Yh|X1"))
-    ineqs2 = (
-        _ineq(R0, m2),
-        _ineq(rsum(R0, R1), m2 + mi("V;Y,Yh|U,X1"), on_slice=False),
+def _cf_one_message(t4: TheoremSpec) -> TheoremSpec:
+    # Branch 1 is T4.L3 with V2 constant; branch 2 as in `_nf_one_message`.
+    m = Min(mi("U;Y,Yh|X1"), mi("U;Z,Yh|X1"))
+    ineqs = (
+        _ineq(R0, m),
+        _ineq(rsum(R0, R1), m + mi("V;Y,Yh|U,X1"), on_slice=False),
         _ineq(RE1, mi("V;Y,Yh|U,X1") - mi("V;Z|U,X1"), equivocation=True),
     )
-    branches = (
-        BranchSpec(
-            "T12.L11",
-            ineqs1,
-            Condition(mi("X1;Y"), mi("X1;Z|U")),
-            rstar_budget=Min(mi("X1;Z|U,V"), mi("X1;Y")),
-        ),
-        BranchSpec(
-            "T12.L12",
-            ineqs2,
-            Condition(mi("X1;Z"), mi("X1;Y")),
-            rstar_budget=Min(mi("X1;Y")),
-        ),
+    both = BranchSpec(
+        "T12.L12", ineqs, Condition(mi("X1;Z"), mi("X1;Y")), rstar_budget=Min(mi("X1;Y"))
     )
-    return TheoremSpec(
-        "T12",
-        "C",
-        "compress-forward",
-        ("U", "V", "X", "X1", "Y1", "Yh"),
-        _cf_pattern(("U", "V")),
-        branches,
-    )
+    return _ONE_MESSAGE.theorem(t4, "T12", (_ONE_MESSAGE.branch(t4.branches[0], "T12.L11"), both))
 
 
 def _catalog() -> dict[str, TheoremSpec]:
@@ -715,9 +681,9 @@ def _catalog() -> dict[str, TheoremSpec]:
         _without_common(t3, "T7", 5),
         _without_common(t4, "T8", 7),
         _outer_one_message(),
-        _df_one_message(),
-        _nf_one_message(),
-        _cf_one_message(),
+        _ONE_MESSAGE.theorem(t2, "T10", (_ONE_MESSAGE.branch(t2.branches[0], "n/a"),)),
+        _nf_one_message(t3),
+        _cf_one_message(t4),
     )
     return {spec.theorem_id: spec for spec in specs}
 
@@ -1058,11 +1024,11 @@ class BoundEvaluation:
         return ()
 
 
-def _check_rates_config(spec: TheoremSpec, rates: RateTuple) -> None:
-    if spec.config == "B":
-        rates.require_zero("r0")
-    elif spec.config == "C":
-        rates.require_zero("r2", "re2")
+def _check_rates_config(spec: TheoremSpec, rates: Sequence[float]) -> None:
+    """Refuse an (R0, R1, R2[, Re1, Re2]) point that is nonzero off `spec.rate_dims()`."""
+    for name, dim, v in zip(("r0", "r1", "r2", "re1", "re2"), (0, 1, 2, 1, 2), rates):
+        if v != 0.0 and dim not in spec.rate_dims():
+            raise UsageError(f"rate {name} must be 0 in message configuration {spec.config}")
 
 
 def evaluate_membership(
@@ -1081,7 +1047,7 @@ def evaluate_membership(
     point.  For compress-forward bounds, `rstar=None` uses the largest
     feasible pure-noise rate (membership in the union over R*).
     """
-    _check_rates_config(theorem_spec(theorem_id), rates)
+    _check_rates_config(theorem_spec(theorem_id), rates.as_tuple())
     c, ev, states = _evaluate_one(theorem_id, model, coupling, rstar, tol, clamp_equivocation)
     rt = rates.as_tuple()
     bounds = ev.bounds[0].tolist()
@@ -1153,20 +1119,12 @@ def corollary_member(
     p = tuple(float(v) for v in point)
     if len(p) != 3:
         raise UsageError("corollary_member expects an (R0, R1, R2) triple")
+    _check_rates_config(theorem_spec(theorem_id), p)
     branches = corollary_constraints(
-        theorem_id,
-        model,
-        coupling,
-        rstar=rstar,
-        tol=tol,
-        clamp_equivocation=clamp_equivocation,
+        theorem_id, model, coupling, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation
     )
-    for br in branches:
-        if not br.applicable:
-            continue
-        if all(
-            sum(c * v for c, v in zip(lc.coefs, p)) <= lc.bound + tol
-            for lc in br.constraints
-        ):
-            return True
-    return False
+    return any(
+        br.applicable
+        and all(sum(c * v for c, v in zip(lc.coefs, p)) <= lc.bound + tol for lc in br.constraints)
+        for br in branches
+    )

@@ -142,12 +142,17 @@ def _cmd_region(args) -> int:
 def _cmd_gaussian(args) -> int:
     net = GaussianNetwork(p1=args.p1, p2=args.p2, n1=args.n1, n2=args.n2, nr=args.nr)
     strategy = resolve_strategy(args.strategy, args.model)
+    if strategy.config == "C" and args.beta is not None:
+        raise UsageError("gaussian: --beta applies to model B only")
+    if not strategy.uses_q and (args.q is not None or args.rstar is not None):
+        raise UsageError(f"gaussian: --q and --rstar apply to cf only, not {strategy.label}")
     rstar = args.rstar
     if strategy.uses_q and args.q is not None and rstar is None:
         from .gaussian import cf_rstar_max
 
         rstar = max(0.0, cf_rstar_max(net, args.q))
-    sp = StrategyParams(alpha=args.alpha, beta=args.beta, q=args.q, rstar=rstar)
+    beta = 0.0 if args.beta is None else args.beta
+    sp = StrategyParams(alpha=args.alpha, beta=beta, q=args.q, rstar=rstar)
     pair = evaluate_strategy(strategy.strategy_id, net, sp)
     first_name, second_name = ("r1", "r2") if strategy.config == "B" else ("r0", "r1")
     _write_csv(
@@ -353,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("p1", "p2", "n1", "n2", "nr"):
         p.add_argument(f"--{flag}", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--beta", type=float, help="power split (model B only; default 0)")
     p.add_argument("--q", type=float, help="compression noise variance (cf only)")
     p.add_argument("--rstar", type=float, help="pure-noise rate (cf only; default: max)")
     p.add_argument("--out", help="output CSV path (default stdout)")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import ValidationError
 from .pmf import MASS_TOL
 
 #: Canonical variable order used whenever a joint over several of these is built.
@@ -149,10 +149,3 @@ class RateTuple:
     @classmethod
     def zero(cls) -> "RateTuple":
         return cls()
-
-    def require_zero(self, *components: str) -> None:
-        for name in components:
-            if getattr(self, name) != 0.0:
-                raise UsageError(
-                    f"RateTuple: component {name} must be 0 for this message configuration"
-                )

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from relaysec.bounds import (
     build_cf_coupling,
     compose_full_joint,
     corollary_constraints,
+    corollary_member,
     evaluate_membership,
     mi_terms,
     theorem_spec,
@@ -87,6 +89,27 @@ def test_import_compiles_nothing():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", "0"]
+
+
+def catalog_fingerprint():
+    """SHA-256 over the catalog's structure: every theorem's identity, coupling
+    and factorization, and every branch's condition, R* budget and rows."""
+    parts = []
+    for theorem_id, spec in THEOREMS.items():
+        parts += [theorem_id, spec.config, spec.role, ",".join(spec.coupling_vars),
+                  spec.pattern.describe()]
+        for br in spec.branches:
+            parts += [br.branch_id, br.condition.name if br.condition else "-",
+                      br.budget_name if br.rstar_budget else "-"]
+            parts += [f"{row.name}|{row.equivocation}|{row.on_slice}" for row in br.inequalities]
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def test_catalog_fingerprint():
+    # Pinned before config C and the mirror branches were derived by term maps.
+    assert catalog_fingerprint() == (
+        "2704f7f301d4e5ced442a5f1ab70c44fbbeb58f91a3fe5e0ec3176ea74c06f3c"
+    )
 
 
 class TestCouplingValidation:
@@ -256,6 +279,15 @@ class TestEvaluateMembership:
                 "T7", model, v1_copies_x_coupling("T7"), RateTuple(r0=0.1)
             )
 
+    def test_corollary_point_config_checked(self):
+        # The Re = R slice of a one-message bound has no R2 either.
+        args = ("T10", product_channel(), degenerate_coupling("T10"))
+        with pytest.raises(UsageError, match="r2"):
+            corollary_member(*args, (0.0, 0.0, 50.0))
+        with pytest.raises(UsageError, match="r2"):
+            evaluate_membership(*args, RateTuple(r2=50.0, re2=50.0))
+        assert corollary_member(*args, (0.0, 0.0, 0.0))
+
     def test_no_branch_applicable_reports_none(self):
         # Both receivers see only x XOR x1: unconditionally the relay input is
         # perfectly masked (I(X1;Y) = I(X1;Z) = 0), but conditioned on the
@@ -382,8 +414,27 @@ class TestLiteralOracle:
             assert got == want, f"{theorem_id} disagrees at {rates.as_tuple()}"
 
 
+def with_constant_v2(coupling, parent_id):
+    """A config-C coupling as its config-A parent's: V read as V1, plus a size-1 V2 axis."""
+    names = tuple("V1" if v == "V" else v for v in coupling.joint.axis_names)
+    joint = JointPMF(names + ("V2",), coupling.joint.probs[..., None])
+    return AuxiliaryCoupling(joint, parent_id)
+
+
+def near_edge_rates(rng, theorem_id, model, coupling, clamp):
+    """A config-C rate point on a random ray, at 0.5-1.5 times the distance at
+    which the nearest row of the one-branch bound binds along it."""
+    ray = random_rates(rng, "C").as_tuple()
+    ev = evaluate_membership(theorem_id, model, coupling, RateTuple.zero(), clamp_equivocation=clamp)
+    rows = theorem_spec(theorem_id).branches[0].inequalities
+    edge = min(rec.bound / np.dot(row.rates, ray) for rec, row in zip(ev.records, rows))
+    t = max(edge, 0.0) * rng.uniform(0.5, 1.5)
+    return RateTuple(*(t * v for v in ray))
+
+
 class TestReductions:
-    """The no-common-message bounds equal their parents at R0 = 0."""
+    """The no-common-message bounds equal their parents at R0 = 0, and the
+    one-confidential-message bounds theirs with V2 constant."""
 
     @pytest.mark.parametrize(
         "reduced_id,parent_id", [("T5", "T1"), ("T6", "T2"), ("T7", "T3"), ("T8", "T4")]
@@ -398,6 +449,24 @@ class TestReductions:
             reduced = evaluate_membership(reduced_id, model, coupling, r)
             parent = evaluate_membership(parent_id, model, coupling, r)
             assert reduced.member == parent.member
+
+    @pytest.mark.parametrize("reduced_id,parent_id", [("T9", "T1"), ("T10", "T2")])
+    def test_v2_constant_reduction(self, reduced_id, parent_id):
+        # T9 is written out, so this pair checks the catalog against T1
+        # independently of the term map that derives T10 from T2.
+        rng = np.random.default_rng(int(reduced_id[1:]))
+        members = 0
+        for k in range(40):
+            model = random_model(rng) if k % 2 else favorable_model(rng)
+            coupling = random_coupling(rng, reduced_id, model, independent_aux=k % 3 == 0)
+            clamp = k % 4 < 2
+            r = near_edge_rates(rng, reduced_id, model, coupling, clamp)
+            reduced = evaluate_membership(reduced_id, model, coupling, r, clamp_equivocation=clamp)
+            embedded = with_constant_v2(coupling, parent_id)
+            parent = evaluate_membership(parent_id, model, embedded, r, clamp_equivocation=clamp)
+            assert reduced.member == parent.member, (k, r.as_tuple())
+            members += reduced.member
+        assert 8 <= members <= 32
 
 
 class TestCorollarySlice:

@@ -212,6 +212,7 @@ class TestGaussianCommand:
                                  "--q", "300", "--out", out])
         assert code == 0
         row = read_frontier_csv(out)[0]
+        assert float(row["beta"]) == 0.0  # the default when --beta is not given
         assert float(row["r1"]) == pytest.approx(0.620159388, abs=1e-8)
         assert float(row["rstar"]) == pytest.approx(0.213077732, abs=1e-8)
 
@@ -221,6 +222,21 @@ class TestGaussianCommand:
              "--nr", "2", "--model", "B", "--strategy", "df", "--alpha", "0.5"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--model", "C", "--strategy", "nf", "--beta", "0.7"],
+            ["--model", "C", "--strategy", "cf", "--q", "300", "--beta", "0"],
+            ["--model", "C", "--strategy", "nf", "--q", "12"],
+            ["--model", "B", "--strategy", "df", "--rstar", "0.3"],
+            ["--model", "B", "--strategy", "baseline", "--q", "300"],
+        ],
+    )
+    def test_unread_flags_are_usage_errors(self, tmp_path, extra):
+        out = tmp_path / "g.csv"
+        assert main(self.BASE + extra + ["--alpha", "0.5", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_infeasible_rstar_is_exit_3(self):
         code = main(self.BASE + ["--model", "B", "--strategy", "cf", "--alpha", "1",
