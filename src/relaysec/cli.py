@@ -75,8 +75,10 @@ def _write_file(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path} ({exc.strerror or exc})") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ValidationError(
+            f"cannot write {path} ({getattr(exc, 'strerror', None) or exc})"
+        ) from exc
 
 
 def read_frontier_csv(path: str) -> list[dict[str, str]]:

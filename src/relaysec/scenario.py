@@ -129,13 +129,18 @@ def _parse_rates(payload: object) -> RateTuple:
     return RateTuple(**_finite_fields(payload, list(payload), "scenario rates"))
 
 
-def load_scenario(path: str) -> Scenario:
-    """Parse and fully validate a scenario file."""
+def _read_text(path: str, what: str) -> str:
+    # open() raises ValueError, not OSError, on a path holding a NUL byte.
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"scenario {path}: cannot read ({exc})") from exc
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{what} ({exc})") from exc
+
+
+def load_scenario(path: str) -> Scenario:
+    """Parse and fully validate a scenario file."""
+    text = _read_text(path, f"scenario {path}: cannot read")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -203,21 +208,14 @@ def load_scenario(path: str) -> Scenario:
     def resolve(ref: str) -> str:
         return ref if os.path.isabs(ref) else os.path.join(base, ref)
 
-    model_path = resolve(payload["dmc_model"])
-    try:
-        with open(model_path, "r", encoding="utf-8") as fh:
-            dmc_model = DMCModel.from_json(fh.read())
-    except OSError as exc:
-        raise ValidationError(f"scenario {path}: cannot read dmc_model ({exc})") from exc
-
+    dmc_model = DMCModel.from_json(
+        _read_text(resolve(payload["dmc_model"]), f"scenario {path}: cannot read dmc_model")
+    )
     coupling = None
     if "coupling" in payload:
-        coupling_path = resolve(payload["coupling"])
-        try:
-            with open(coupling_path, "r", encoding="utf-8") as fh:
-                coupling = AuxiliaryCoupling.from_json(fh.read())
-        except OSError as exc:
-            raise ValidationError(f"scenario {path}: cannot read coupling ({exc})") from exc
+        coupling = AuxiliaryCoupling.from_json(
+            _read_text(resolve(payload["coupling"]), f"scenario {path}: cannot read coupling")
+        )
 
     rates = _parse_rates(payload["rates"]) if "rates" in payload else RateTuple.zero()
     tol = payload.get("tol", 1e-9)

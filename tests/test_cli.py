@@ -329,6 +329,19 @@ class TestDMCCommands:
         assert f"cannot write {missing}" in err and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()  # a failed search leaves no result behind
 
+    @pytest.mark.parametrize("key", ["dmc_model", "coupling", "output"])
+    def test_nul_byte_in_a_path_is_exit_2(self, tmp_path, capsys, key):
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        for ref in ("dmc_model", "coupling"):
+            payload[ref] = scenario_path(payload[ref])
+        payload[key] = str(tmp_path / "x\x00.json")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["dmc-eval", "--scenario", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+
 
 class TestScenarioGridTypes:
     @pytest.mark.parametrize("command", ["curve", "region"])
