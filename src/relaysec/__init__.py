@@ -9,7 +9,6 @@ from .bounds import (
     AuxiliaryCoupling,
     BoundEvaluation,
     THEOREMS,
-    branch_condition,
     build_cf_coupling,
     compose_full_joint,
     corollary_constraints,
@@ -26,28 +25,8 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .gaussian import (
-    GaussianNetwork,
-    RatePair,
-    StrategyParams,
-    b_baseline_norelay,
-    b_cf,
-    b_df,
-    b_nf,
-    c_baseline,
-    c_cf,
-    c_df,
-    c_nf,
-    cf_rstar_max,
-)
-from .pmf import (
-    FactorizationPattern,
-    FinitePMF,
-    JointPMF,
-    check_factorization,
-    cond_mutual_info,
-    entropy,
-)
+from .gaussian import GaussianNetwork, RatePair, StrategyParams, cf_rstar_max, evaluate_strategy
+from .pmf import FactorizationPattern, JointPMF, cond_mutual_info
 from .regionsearch import brute_force_best, secrecy_region_extremes
 from .scenario import Scenario, load_scenario
 from .sweep import (
@@ -69,7 +48,6 @@ __all__ = [
     "Curve",
     "DMCModel",
     "FactorizationPattern",
-    "FinitePMF",
     "Frontier",
     "GaussianNetwork",
     "GridSpec",
@@ -84,25 +62,15 @@ __all__ = [
     "THEOREMS",
     "UsageError",
     "ValidationError",
-    "b_baseline_norelay",
-    "b_cf",
-    "b_df",
-    "b_nf",
-    "branch_condition",
     "brute_force_best",
     "build_cf_coupling",
-    "c_baseline",
-    "c_cf",
-    "c_df",
-    "c_nf",
     "cf_rstar_max",
-    "check_factorization",
     "compose_full_joint",
     "cond_mutual_info",
     "corollary_constraints",
     "corollary_member",
-    "entropy",
     "evaluate_membership",
+    "evaluate_strategy",
     "load_scenario",
     "max_r1_vs_alpha",
     "mi_terms",

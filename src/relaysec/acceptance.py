@@ -34,9 +34,8 @@ from .gaussian import (
     GaussianNetwork,
     RatePair,
     StrategyParams,
-    b_baseline_norelay,
-    b_df,
     cf_rstar_max,
+    evaluate_strategy,
 )
 from .pmf import FactorizationPattern, JointPMF, cond_mutual_info
 from .regionsearch import secrecy_region_extremes
@@ -200,10 +199,10 @@ def _random_factorized(rng, var_order, factors, sizes) -> JointPMF:
         rng.dirichlet(
             np.ones(math.prod(sizes[v] for v in targets)),
             size=math.prod(sizes[v] for v in given),
-        ).reshape(tuple(sizes[v] for v in given + targets))
+        ).reshape((1,) + tuple(sizes[v] for v in given + targets))
         for targets, given in pattern.factors
     ]
-    return pattern.product(var_order, tables)
+    return JointPMF(tuple(var_order), pattern.product_stack(var_order, tables)[0])
 
 
 def random_rates(rng: np.random.Generator, config: str, scale: float = 0.5) -> RateTuple:
@@ -279,11 +278,11 @@ def criterion_3() -> CriterionResult:
         for a in np.linspace(0, 1, 21):
             for b in np.linspace(0, 1, 21):
                 sp = StrategyParams(alpha=float(a), beta=float(b))
-                x = b_df(PAPER_NET, sp)
-                y = b_baseline_norelay(PAPER_NET, sp)
+                x = evaluate_strategy("b_df", PAPER_NET, sp)
+                y = evaluate_strategy("b_baseline", PAPER_NET, sp)
                 worst = max(worst, abs(x.first - y.first), abs(x.second - y.second))
         ok = worst <= 1e-12 and np.all(np.isfinite(df[0]))
-        return ok, f"max |b_df - b_baseline_norelay| = {worst!r} over the grid"
+        return ok, f"max |b_df - b_baseline| = {worst!r} over the grid"
 
     return _result("C3", "Decode-forward equals the no-relay baseline", 2.0, check)
 

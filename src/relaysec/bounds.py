@@ -38,6 +38,7 @@ decode X1, a decoder config A does not have.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -861,20 +862,13 @@ def compose_full_joint(
 # ---------------------------------------------------------------------------
 
 
-def mi_values(
-    model: DMCModel, coupling: AuxiliaryCoupling, theorem_id: str | None = None
-) -> dict[MITerm, float]:
-    spec = theorem_spec(theorem_id or coupling.theorem_id)
-    values = spec.compiled.mi(coupling_stack(spec, model, coupling))[0][0]
-    return dict(zip(spec.compiled.terms, values.tolist()))
-
-
 def mi_terms(
     model: DMCModel, coupling: AuxiliaryCoupling, theorem_id: str | None = None
 ) -> dict[str, float]:
     """Every distinct MI term of the bound, keyed and ordered by term name."""
-    values = mi_values(model, coupling, theorem_id)
-    return {t.name: v for t, v in sorted(values.items(), key=lambda kv: kv[0].name)}
+    spec = theorem_spec(theorem_id or coupling.theorem_id)
+    values = spec.compiled.mi(coupling_stack(spec, model, coupling))[0][0].tolist()
+    return dict(sorted((t.name, v) for t, v in zip(spec.compiled.terms, values)))
 
 
 @dataclass(frozen=True)
@@ -906,6 +900,10 @@ def evaluate_stack(
         raise UsageError(
             f"{spec.theorem_id} has no pure-noise rate parameter; rstar must be omitted"
         )
+    if rstar is not None and not (math.isfinite(rstar) and rstar >= 0.0):
+        raise UsageError(f"rstar must be a finite number >= 0, got {rstar!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise UsageError(f"tol must be a positive finite number, got {tol!r}")
     n, shape = len(full), (len(full), len(c.branches))
     mi, residue = (np.concatenate([a, np.zeros((n, 1))], axis=1) for a in c.mi(full))
     pre = c.pre(mi, residue, np.zeros((n, c.pre.count)))
@@ -945,17 +943,8 @@ class BranchState:
     rstar_used: float | None = None
 
 
-@dataclass(frozen=True)
-class BranchReport:
-    theorem_id: str
-    branches: tuple[BranchState, ...]
-
-    def qualifying(self) -> tuple[str, ...]:
-        return tuple(b.branch_id for b in self.branches if b.applicable)
-
-
 def _evaluate_one(
-    theorem_id: str, model: DMCModel, coupling: AuxiliaryCoupling, rstar, tol, clamp=False
+    theorem_id: str, model: DMCModel, coupling: AuxiliaryCoupling, rstar, tol, clamp
 ) -> tuple[CompiledTheorem, StackEvaluation, tuple[BranchState, ...]]:
     """One coupling through `evaluate_stack`, with its branch states as records."""
     spec = theorem_spec(theorem_id)
@@ -974,19 +963,6 @@ def _evaluate_one(
         applicable = bool(ev.applicable[0, k])
         states.append(BranchState(br.spec.branch_id, applicable, tuple(records), top, used))
     return spec.compiled, ev, tuple(states)
-
-
-def branch_condition(
-    theorem_id: str,
-    model: DMCModel,
-    coupling: AuxiliaryCoupling,
-    *,
-    rstar: float | None = None,
-    tol: float = DEFAULT_TOL,
-) -> BranchReport:
-    """Which condition sets the coupling qualifies for, with both sides' values."""
-    _, _, states = _evaluate_one(theorem_id, model, coupling, rstar, tol)
-    return BranchReport(theorem_id, states)
 
 
 @dataclass(frozen=True)

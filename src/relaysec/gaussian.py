@@ -8,17 +8,18 @@ one); outside it the operations raise rather than extrapolate.
 
 Two message configurations are covered:
 
-  B ops (b_*): two confidential messages; a point is (R1max, R2max).
-  C ops (c_*): one confidential + one common message; a point is (R0max, R1max).
+  B (ids b_*): two confidential messages; a point is (R1max, R2max).
+  C (ids c_*): one confidential + one common message; a point is (R0max, R1max).
 
 `alpha` always allocates transmit power to the confidential layer and `beta`
-(B ops only) to the common layer.  The decode-forward construction also has a
+(B only) to the common layer.  The decode-forward construction also has a
 relay power split; it cancels out of every displayed rate, so it is not a
 parameter here.
 
 Every strategy is one entry of `STRATEGIES`, and each entry holds one array
 kernel `(net, alpha, beta, q, rstar) -> (arms, second)` over numpy arrays or
-scalars (arguments a kernel does not use are ignored).  The first rate is the
+scalars (arguments a kernel does not use are ignored); `evaluate_strategy(id,
+net, StrategyParams(...))` evaluates one point.  The first rate is the
 min of `arms`, the second rate is `second`, and both are clamped at zero.
 The `active` label of a point names the leftmost minimal arm (`arm_labels`;
 a single-arm strategy has no label).  `b_df` and `b_baseline` share a kernel:
@@ -107,8 +108,8 @@ class StrategyParams:
 
 @dataclass(frozen=True)
 class RatePair:
-    """(R1, R2) for B ops, (R0, R1) for C ops; `active` labels the min-branch
-    taken per component, for plot annotation."""
+    """(R1, R2) for B strategies, (R0, R1) for C strategies; `active` labels
+    the min-branch taken per component, for plot annotation."""
 
     first: float
     second: float
@@ -383,41 +384,3 @@ def evaluate_strategy(strategy_id: str, net: GaussianNetwork, sp: StrategyParams
     q, rstar = _check_cf_params(net, sp) if s.uses_q else (None, None)
     arms, second = s.kernel(net, sp.alpha, sp.beta, q, rstar)
     return RatePair(float(_first(arms)), float(_clamp(second)), s.active(arms)[0])
-
-
-def b_df(net: GaussianNetwork, sp: StrategyParams) -> RatePair:
-    """Decode-forward region corner for the two-confidential-message model."""
-    return evaluate_strategy("b_df", net, sp)
-
-
-def b_baseline_norelay(net: GaussianNetwork, sp: StrategyParams) -> RatePair:
-    """Two-confidential-message corner with the relay removed (equal to `b_df`)."""
-    return evaluate_strategy("b_baseline", net, sp)
-
-
-def b_nf(net: GaussianNetwork, sp: StrategyParams) -> RatePair:
-    """Noise-forward corner: the relay transmits pure confusion noise."""
-    return evaluate_strategy("b_nf", net, sp)
-
-
-def b_cf(net: GaussianNetwork, sp: StrategyParams) -> RatePair:
-    """Compress-forward corner: quantized relay observation plus noise rate R*."""
-    return evaluate_strategy("b_cf", net, sp)
-
-
-def c_df(net: GaussianNetwork, alpha: float) -> RatePair:
-    """Decode-forward corner for the common + confidential message model."""
-    return evaluate_strategy("c_df", net, StrategyParams(alpha=alpha))
-
-
-def c_nf(net: GaussianNetwork, alpha: float) -> RatePair:
-    return evaluate_strategy("c_nf", net, StrategyParams(alpha=alpha))
-
-
-def c_cf(net: GaussianNetwork, alpha: float, q: float, rstar: float | None = None) -> RatePair:
-    return evaluate_strategy("c_cf", net, StrategyParams(alpha=alpha, q=q, rstar=rstar))
-
-
-def c_baseline(net: GaussianNetwork, alpha: float) -> RatePair:
-    """Relay-free secrecy capacity corner for the common + confidential model."""
-    return evaluate_strategy("c_baseline", net, StrategyParams(alpha=alpha))

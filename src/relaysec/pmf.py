@@ -52,23 +52,6 @@ def check_masses(probs: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class FinitePMF:
-    """Probability mass function on a finite alphabet {0, ..., n-1}."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "probs", arr)
-        arr.setflags(write=False)
-        _check_mass(arr, "FinitePMF")
-
-    @property
-    def support_size(self) -> int:
-        return int(self.probs.size)
-
-
-@dataclass(frozen=True)
 class JointPMF:
     """Joint law of named finite variables as a dense multi-axis mass table."""
 
@@ -103,17 +86,6 @@ class JointPMF:
 
     def axis_indices(self, names: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.axis_index(n) for n in names)
-
-    def marginal(self, names: Sequence[str]) -> "JointPMF":
-        """Marginal over `names`, axes kept in this joint's original order."""
-        keep = sorted(self.axis_indices(names))
-        if len(set(keep)) != len(names):
-            raise UsageError(f"marginal: repeated variable in {list(names)}")
-        drop = tuple(i for i in range(self.probs.ndim) if i not in keep)
-        return JointPMF(
-            tuple(self.axis_names[i] for i in keep),
-            self.probs.sum(axis=drop) if drop else self.probs,
-        )
 
     def reordered(self, names: Sequence[str]) -> "JointPMF":
         """Same joint with axes permuted into the requested order."""
@@ -158,13 +130,6 @@ class JointPMF:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"JointPMF JSON: parse failure at line {exc.lineno}: {exc.msg}") from exc
         return cls.from_json_dict(payload)
-
-
-def entropy(p: FinitePMF) -> float:
-    """Shannon entropy in bits; zero-mass symbols contribute nothing."""
-    mass = p.probs[p.probs > 0.0]
-    value = float(-(mass * np.log2(mass)).sum())
-    return 0.0 if value < 0.0 else value
 
 
 def _clamp_information(value: np.ndarray, what: str) -> np.ndarray:
@@ -266,15 +231,6 @@ class FactorizationPattern:
                 f"FactorizationPattern: a variable is targeted by more than one factor: {seen}"
             )
 
-    @property
-    def target_variables(self) -> frozenset[str]:
-        return frozenset(v for targets, _ in self.factors for v in targets)
-
-    def product(self, var_order: Sequence[str], tables: Sequence[np.ndarray]) -> JointPMF:
-        """Joint over `var_order` from one (given..., targets...) table per factor."""
-        stacked = [np.asarray(t, dtype=np.float64)[None] for t in tables]
-        return JointPMF(tuple(var_order), self.product_stack(var_order, stacked)[0])
-
     def product_stack(self, var_order: Sequence[str], tables: Sequence[np.ndarray]) -> np.ndarray:
         """Stacked joints (N, *sizes) from stacked (N, given..., targets...) tables;
         factors multiply in pattern order, so the same tables give the same bits."""
@@ -296,17 +252,6 @@ class FactorizationPattern:
         return " * ".join(parts)
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    pattern: FactorizationPattern
-    max_abs_deviation: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_deviation <= self.tol
-
-
 def factorization_deviation(
     probs: np.ndarray, axis_names: Sequence[str], pattern: FactorizationPattern
 ) -> np.ndarray:
@@ -323,24 +268,3 @@ def factorization_deviation(
         np.divide(ptg, pg, out=factor, where=pg > 0.0)
         product = product * factor
     return np.max(np.abs(probs - product).reshape(len(probs), -1), axis=1)
-
-
-def check_factorization(
-    j: JointPMF,
-    pattern: FactorizationPattern,
-    tol: float = FACTORIZATION_TOL,
-) -> FactorizationReport:
-    """Rebuild `j` from the pattern's conditionals and report the worst cell error."""
-    targets = pattern.target_variables
-    axes = set(j.axis_names)
-    if targets != axes:
-        raise UsageError(
-            f"pattern targets {sorted(targets)} do not cover the joint's axes {sorted(axes)}"
-        )
-    for targets_f, given_f in pattern.factors:
-        if set(targets_f) & set(given_f):
-            raise UsageError(f"factor p({list(targets_f)}|{list(given_f)}) reuses a variable")
-        for v in given_f:
-            j.axis_index(v)  # unknown conditioning variable -> UsageError
-    deviation = float(factorization_deviation(j.probs[None], j.axis_names, pattern)[0])
-    return FactorizationReport(pattern, deviation, tol)

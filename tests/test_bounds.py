@@ -19,7 +19,6 @@ from relaysec.bounds import (
     DEFAULT_TOL,
     AuxiliaryCoupling,
     THEOREMS,
-    branch_condition,
     build_cf_coupling,
     compose_full_joint,
     corollary_constraints,
@@ -188,12 +187,18 @@ class TestMITerms:
         assert names == sorted(names)
 
 
+def branch_states(theorem_id, model, coupling):
+    """Each branch's condition record, as `evaluate_membership` reports it at the origin."""
+    ev = evaluate_membership(theorem_id, model, coupling, RateTuple.zero())
+    return [b.state for b in ev.branches]
+
+
 class TestBranchCondition:
     def test_equality_qualifies_both_branches(self):
         # x1 ignored: both sides of each comparison are 0.
-        report = branch_condition("T3", product_channel(), v1_copies_x_coupling())
-        assert [b.applicable for b in report.branches] == [True, True]
-        for b in report.branches:
+        states = branch_states("T3", product_channel(), v1_copies_x_coupling())
+        assert [b.applicable for b in states] == [True, True]
+        for b in states:
             for c in b.conditions:
                 assert c.lhs == pytest.approx(0.0, abs=1e-12)
                 assert c.rhs == pytest.approx(0.0, abs=1e-12)
@@ -207,32 +212,32 @@ class TestBranchCondition:
                     for z in range(2):
                         t[x, x1, x1, y1, z] = bsc(0.2)[x, y1] * bsc(0.3)[x, z]
         model = DMCModel(t)
-        report = branch_condition("T3", model, v1_copies_x_coupling())
-        assert report.branches[0].applicable
-        assert not report.branches[1].applicable
-        assert report.branches[0].conditions[0].lhs == pytest.approx(1.0, abs=1e-9)
+        states = branch_states("T3", model, v1_copies_x_coupling())
+        assert states[0].applicable
+        assert not states[1].applicable
+        assert states[0].conditions[0].lhs == pytest.approx(1.0, abs=1e-9)
 
     def test_verdicts_match_direct_comparison_on_random_draws(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             model = random_model(rng)
             coupling = random_coupling(rng, "T11", model)
-            report = branch_condition("T11", model, coupling)
+            states = branch_states("T11", model, coupling)
             full = compose_full_joint(model, coupling)
             lhs1 = naive_cond_mutual_info(full.probs, full.axis_names, ("X1",), ("Y",))
             rhs1 = naive_cond_mutual_info(
                 full.probs, full.axis_names, ("X1",), ("Z",), ("U",)
             )
-            assert report.branches[0].applicable == (lhs1 >= rhs1 - 1e-9)
+            assert states[0].applicable == (lhs1 >= rhs1 - 1e-9)
             lhs2 = naive_cond_mutual_info(full.probs, full.axis_names, ("X1",), ("Z",))
             rhs2 = naive_cond_mutual_info(full.probs, full.axis_names, ("X1",), ("Y",))
-            assert report.branches[1].applicable == (lhs2 >= rhs2 - 1e-9)
+            assert states[1].applicable == (lhs2 >= rhs2 - 1e-9)
 
     def test_relabeling_leaves_verdicts_stable(self):
         rng = np.random.default_rng(23)
         model = random_model(rng)
         coupling = random_coupling(rng, "T3", model)
-        before = branch_condition("T3", model, coupling)
+        before = branch_states("T3", model, coupling)
         # Swap the two symbols of X everywhere (channel and coupling together).
         flipped_model = DMCModel(model.transition[::-1])
         x_axis = coupling.joint.axis_names.index("X")
@@ -240,8 +245,8 @@ class TestBranchCondition:
         flipped = AuxiliaryCoupling(
             JointPMF(coupling.joint.axis_names, flipped_probs), "T3"
         )
-        after = branch_condition("T3", flipped_model, flipped)
-        for b1, b2 in zip(before.branches, after.branches):
+        after = branch_states("T3", flipped_model, flipped)
+        for b1, b2 in zip(before, after):
             assert b1.applicable == b2.applicable
             for c1, c2 in zip(b1.conditions, b2.conditions):
                 assert c1.lhs == pytest.approx(c2.lhs, abs=1e-12)
@@ -303,8 +308,8 @@ class TestEvaluateMembership:
             for k in range(2):
                 probs[0, i, i, i, k] = 0.25
         coupling = AuxiliaryCoupling(JointPMF(("U", "V1", "V2", "X", "X1"), probs), "T3")
-        report = branch_condition("T3", model, coupling)
-        assert [b.applicable for b in report.branches] == [False, False]
+        states = branch_states("T3", model, coupling)
+        assert [b.applicable for b in states] == [False, False]
         ev = evaluate_membership("T3", model, coupling, RateTuple.zero())
         assert not ev.member
         assert ev.branch_taken == "none"
@@ -349,6 +354,22 @@ class TestEvaluateMembership:
                 rstar=0.1,
             )
 
+    @pytest.mark.parametrize("rstar", [-1.0, float("nan"), float("inf")])
+    def test_invalid_rstar_rejected(self, rstar):
+        rng = np.random.default_rng(20)
+        model = random_model(rng)
+        coupling = random_coupling(rng, "T12", model, aux_sizes={"U": 1})
+        args = ("T12", model, coupling, RateTuple.zero())
+        assert evaluate_membership(*args, rstar=0.0, clamp_equivocation=True).member
+        with pytest.raises(UsageError, match="rstar must be a finite number >= 0"):
+            evaluate_membership(*args, rstar=rstar, clamp_equivocation=True)
+
+    @pytest.mark.parametrize("tol", [0.0, -5.0, float("nan"), float("inf")])
+    def test_invalid_tol_rejected(self, tol):
+        args = ("T3", product_channel(), v1_copies_x_coupling(), RateTuple.zero())
+        with pytest.raises(UsageError, match="tol must be a positive finite number"):
+            evaluate_membership(*args, tol=tol)
+
     def test_explicit_rstar_feasibility(self):
         # Relay input drives both receivers hard (so the relay has rate to
         # spend) and the quantizer is nearly useless (cheap to describe).
@@ -369,8 +390,8 @@ class TestEvaluateMembership:
         coupling = build_cf_coupling(
             "T12", JointPMF(("U", "V", "X", "X1"), base), model, q
         )
-        report = branch_condition("T12", model, coupling)
-        limit = report.branches[0].rstar_max
+        states = branch_states("T12", model, coupling)
+        limit = states[0].rstar_max
         assert limit is not None and limit > 0.2
         ok = evaluate_membership(
             "T12", model, coupling, RateTuple.zero(), rstar=limit / 2
@@ -400,7 +421,7 @@ class TestLiteralOracle:
 
     @pytest.mark.parametrize("theorem_id", sorted(LITERAL))
     def test_agreement_on_random_draws(self, theorem_id):
-        rng = np.random.default_rng(abs(hash(theorem_id)) % 2**32)
+        rng = np.random.default_rng(int(theorem_id[1:]))
         spec = theorem_spec(theorem_id)
         draws = 42  # 42 x 12 theorems > 500 total draws
         for _ in range(draws):
@@ -440,7 +461,7 @@ class TestReductions:
         "reduced_id,parent_id", [("T5", "T1"), ("T6", "T2"), ("T7", "T3"), ("T8", "T4")]
     )
     def test_r0_zero_reduction(self, reduced_id, parent_id):
-        rng = np.random.default_rng(abs(hash(reduced_id)) % 2**32)
+        rng = np.random.default_rng(int(reduced_id[1:]))
         for _ in range(40):
             model = random_model(rng)
             aux_sizes = {"U": 1} if reduced_id == "T5" else None

@@ -9,10 +9,12 @@ import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysec.acceptance import random_coupling, random_model
 from relaysec.cli import main, read_frontier_csv
 from relaysec.errors import ValidationError
 from relaysec.scenario import load_scenario
@@ -303,6 +305,10 @@ class TestDMCCommands:
             ["dmc-search", "--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2",
              "--objective", "0,inf,0"],
             ["dmc-eval", "--rates", "a,b,c,d,e"],
+            # --tol gets the check a scenario file's tol gets.
+            ["dmc-eval", "--tol=-5"],
+            ["dmc-eval", "--tol=nan"],
+            ["dmc-eval", "--tol=0"],
         ],
     )
     def test_bad_flags_are_usage_errors(self, tmp_path, capsys, argv):
@@ -328,6 +334,26 @@ class TestDMCCommands:
         assert code == 2
         assert f"cannot write {missing}" in err and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()  # a failed search leaves no result behind
+
+    @pytest.mark.parametrize("flag", ["--rstar=-1", "--rstar=nan"])
+    def test_eval_invalid_rstar_on_a_cf_bound_is_exit_1(self, tmp_path, capsys, flag):
+        rng = np.random.default_rng(20)
+        model = random_model(rng)
+        coupling = random_coupling(rng, "T12", model, aux_sizes={"U": 1})
+        (tmp_path / "model.json").write_text(model.to_json())
+        (tmp_path / "coupling.json").write_text(coupling.to_json())
+        scenario = write_json(tmp_path, "cf.json", {
+            "model": "DMC", "dmc_model": "model.json", "coupling": "coupling.json",
+            "theorem": "T12",
+        })
+        out = tmp_path / "o.csv"
+        assert main(["dmc-eval", "--scenario", scenario, "--rstar=0", "--out", str(out)]) == 0
+        out.unlink()
+        code = main(["dmc-eval", "--scenario", scenario, flag, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "rstar must be a finite number >= 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["dmc_model", "coupling", "output"])
     def test_nul_byte_in_a_path_is_exit_2(self, tmp_path, capsys, key):

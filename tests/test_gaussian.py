@@ -9,16 +9,9 @@ from relaysec.gaussian import (
     STRATEGIES,
     GaussianNetwork,
     StrategyParams,
-    b_baseline_norelay,
-    b_cf,
-    b_df,
-    b_nf,
-    c_baseline,
-    c_cf,
-    c_df,
-    c_nf,
     candidate_polynomials,
     cf_rstar_max,
+    evaluate_strategy,
 )
 
 NET = GaussianNetwork(5.0, 3.0, 2.0, 8.0, 2.0)
@@ -54,9 +47,9 @@ class TestNetworkValidation:
     def test_ops_refuse_reversed_ordering(self):
         bad = GaussianNetwork(5, 3, 2, 3, 2)
         with pytest.raises(ModelAssumptionError, match="P1 \\+ N1 <= N2"):
-            b_df(bad, sp(0.5))
+            evaluate_strategy("b_df", bad, sp(0.5))
         with pytest.raises(ModelAssumptionError):
-            c_nf(bad, 0.5)
+            evaluate_strategy("c_nf", bad, sp(0.5))
 
     def test_params_validated(self):
         with pytest.raises(ValidationError, match="alpha"):
@@ -67,37 +60,38 @@ class TestNetworkValidation:
 
 class TestDecodeForward:
     def test_full_power_point(self):
-        pair = b_df(NET, sp(1.0, 0.0))
+        pair = evaluate_strategy("b_df", NET, sp(1.0, 0.0))
         assert pair.first == pytest.approx(B_DF_A1_B0_R1, abs=1e-12)
         assert pair.second == 0.0
 
     def test_alpha_zero_puts_nothing_on_the_secret_layer(self):
-        pair = b_df(NET, sp(0.0, 0.0))
+        pair = evaluate_strategy("b_df", NET, sp(0.0, 0.0))
         assert pair.first == 0.0
 
     def test_r2_always_zero_on_this_network(self):
         for a in np.linspace(0, 1, 41):
             for b in np.linspace(0, 1, 11):
-                assert b_df(NET, sp(float(a), float(b))).second == 0.0
+                assert evaluate_strategy("b_df", NET, sp(float(a), float(b))).second == 0.0
 
     def test_independent_of_relay_parameters(self):
         for p2, nr in ((0.01, 10.0), (17.0, 0.3)):
             other = GaussianNetwork(5.0, p2, 2.0, 8.0, nr)
             for a in (0.0, 0.3, 1.0):
                 for b in (0.0, 0.5):
-                    assert b_df(NET, sp(a, b)) == b_df(other, sp(a, b))
+                    pair = evaluate_strategy("b_df", NET, sp(a, b))
+                    assert pair == evaluate_strategy("b_df", other, sp(a, b))
 
     def test_baseline_is_pointwise_identical(self):
         for a in np.linspace(0, 1, 101):
             for b in (0.0, 0.25, 0.9):
-                x = b_df(NET, sp(float(a), b))
-                y = b_baseline_norelay(NET, sp(float(a), b))
+                x = evaluate_strategy("b_df", NET, sp(float(a), b))
+                y = evaluate_strategy("b_baseline", NET, sp(float(a), b))
                 assert x.first == y.first and x.second == y.second
 
 
 class TestNoiseForward:
     def test_full_power_point_takes_the_secrecy_bound(self):
-        pair = b_nf(NET, sp(1.0, 0.0))
+        pair = evaluate_strategy("b_nf", NET, sp(1.0, 0.0))
         assert pair.first == pytest.approx(B_NF_A1_B0_SECRECY, abs=1e-12)
         assert pair.active == ("r1=secrecy",)
 
@@ -109,12 +103,12 @@ class TestNoiseForward:
         assert float(secrecy) == pytest.approx(B_NF_A1_B0_SECRECY, abs=1e-12)
 
     def test_alpha_zero_beta_zero_gives_zero(self):
-        assert b_nf(NET, sp(0.0, 0.0)).first == 0.0
+        assert evaluate_strategy("b_nf", NET, sp(0.0, 0.0)).first == 0.0
 
     def test_r2_always_zero_on_this_network(self):
         for a in np.linspace(0, 1, 41):
             for b in np.linspace(0, 1, 11):
-                assert b_nf(NET, sp(float(a), float(b))).second == 0.0
+                assert evaluate_strategy("b_nf", NET, sp(float(a), float(b))).second == 0.0
 
 
 class TestCompressForward:
@@ -130,26 +124,27 @@ class TestCompressForward:
         assert cf_rstar_max(NET, 0.01) < 0.0
 
     def test_full_power_point(self):
-        pair = b_cf(NET, sp(1.0, 0.0, q=300.0, rstar=RSTAR_MAX_Q300))
+        pair = evaluate_strategy("b_cf", NET, sp(1.0, 0.0, q=300.0, rstar=RSTAR_MAX_Q300))
         assert pair.first == pytest.approx(B_CF_A1_B0_Q300_R1, abs=1e-9)
 
     def test_default_rstar_is_the_budget(self):
-        explicit = b_cf(NET, sp(1.0, 0.0, q=300.0, rstar=cf_rstar_max(NET, 300.0)))
-        default = b_cf(NET, sp(1.0, 0.0, q=300.0))
+        rs = cf_rstar_max(NET, 300.0)
+        explicit = evaluate_strategy("b_cf", NET, sp(1.0, 0.0, q=300.0, rstar=rs))
+        default = evaluate_strategy("b_cf", NET, sp(1.0, 0.0, q=300.0))
         assert explicit.first == default.first
 
     def test_infeasible_rstar_carries_the_limit(self):
         with pytest.raises(InfeasibleError) as err:
-            b_cf(NET, sp(1.0, 0.0, q=300.0, rstar=0.3))
+            evaluate_strategy("b_cf", NET, sp(1.0, 0.0, q=300.0, rstar=0.3))
         assert err.value.limit == pytest.approx(RSTAR_MAX_Q300, abs=1e-12)
 
     def test_infeasible_q_rejected_even_without_rstar(self):
         with pytest.raises(InfeasibleError):
-            b_cf(NET, sp(1.0, 0.0, q=0.01))
+            evaluate_strategy("b_cf", NET, sp(1.0, 0.0, q=0.01))
 
     def test_missing_q_rejected(self):
         with pytest.raises(ValidationError, match="compression variance"):
-            b_cf(NET, sp(1.0, 0.0))
+            evaluate_strategy("b_cf", NET, sp(1.0, 0.0))
 
     def test_large_q_matches_noise_forward(self):
         q = 1e8
@@ -157,8 +152,8 @@ class TestCompressForward:
         sup = 0.0
         for a in np.linspace(0, 1, 51):
             for b in (0.0, 0.5, 1.0):
-                cf = b_cf(NET, sp(float(a), b, q=q, rstar=rs)).first
-                nf = b_nf(NET, sp(float(a), b)).first
+                cf = evaluate_strategy("b_cf", NET, sp(float(a), b, q=q, rstar=rs)).first
+                nf = evaluate_strategy("b_nf", NET, sp(float(a), b)).first
                 sup = max(sup, abs(cf - nf))
         assert sup <= 1e-3
 
@@ -169,8 +164,8 @@ class TestCompressForward:
             rs = cf_rstar_max(NET, q)
             sup = max(
                 abs(
-                    b_cf(NET, sp(float(a), 0.0, q=q, rstar=rs)).first
-                    - b_nf(NET, sp(float(a), 0.0)).first
+                    evaluate_strategy("b_cf", NET, sp(float(a), 0.0, q=q, rstar=rs)).first
+                    - evaluate_strategy("b_nf", NET, sp(float(a), 0.0)).first
                 )
                 for a in np.linspace(0, 1, 21)
             )
@@ -181,52 +176,62 @@ class TestCompressForward:
     def test_r2_always_zero_on_this_network(self):
         rs = cf_rstar_max(NET, 300.0)
         for a in np.linspace(0, 1, 21):
-            assert b_cf(NET, sp(float(a), 0.3, q=300.0, rstar=rs)).second == 0.0
+            pair = evaluate_strategy("b_cf", NET, sp(float(a), 0.3, q=300.0, rstar=rs))
+            assert pair.second == 0.0
 
 
 class TestCommonMessageModel:
     def test_df_endpoints(self):
-        assert c_df(NET, 0.0).first == pytest.approx(C_DF_A0_R0, abs=1e-12)
-        assert c_df(NET, 1.0).first == 0.0
-        assert c_df(NET, 1.0).second == pytest.approx(C_DF_A1_R1, abs=1e-12)
+        a0, a1 = (evaluate_strategy("c_df", NET, sp(a)) for a in (0.0, 1.0))
+        assert a0.first == pytest.approx(C_DF_A0_R0, abs=1e-12)
+        assert a1.first == 0.0
+        assert a1.second == pytest.approx(C_DF_A1_R1, abs=1e-12)
 
     def test_df_r0_min_arms_at_alpha_zero(self):
         # arms: relay decode 0.903677, receiver-1 1.160964, receiver-2 0.5
-        pair = c_df(NET, 0.0)
+        pair = evaluate_strategy("c_df", NET, sp(0.0))
         assert pair.active == ("r0=arm3",)
 
     def test_nf_endpoints(self):
-        assert c_nf(NET, 1.0).first == 0.0
-        assert c_nf(NET, 1.0).second == pytest.approx(C_NF_A1_R1, abs=1e-12)
-        assert c_nf(NET, 0.0).second == 0.0  # relay budget exactly cancels
+        a0, a1 = (evaluate_strategy("c_nf", NET, sp(a)) for a in (0.0, 1.0))
+        assert a1.first == 0.0
+        assert a1.second == pytest.approx(C_NF_A1_R1, abs=1e-12)
+        assert a0.second == 0.0  # relay budget exactly cancels
 
     def test_cf_endpoint_and_limit(self):
-        assert c_cf(NET, 1.0, 300.0).second == pytest.approx(C_CF_A1_Q300_R1, abs=1e-9)
-        assert c_cf(NET, 1.0, 300.0).first == 0.0  # both min arms vanish at alpha=1
+        a1 = evaluate_strategy("c_cf", NET, sp(1.0, q=300.0))
+        assert a1.second == pytest.approx(C_CF_A1_Q300_R1, abs=1e-9)
+        assert a1.first == 0.0  # both min arms vanish at alpha=1
         q = 1e8
         rs = cf_rstar_max(NET, q)
         sup = max(
-            abs(c_cf(NET, float(a), q, rs).second - c_nf(NET, float(a)).second)
+            abs(
+                evaluate_strategy("c_cf", NET, sp(float(a), q=q, rstar=rs)).second
+                - evaluate_strategy("c_nf", NET, sp(float(a))).second
+            )
             for a in np.linspace(0, 1, 101)
         )
         assert sup <= 1e-3
 
     def test_cf_infeasible_rstar(self):
         with pytest.raises(InfeasibleError):
-            c_cf(NET, 0.5, 300.0, rstar=0.5)
+            evaluate_strategy("c_cf", NET, sp(0.5, q=300.0, rstar=0.5))
 
     def test_baseline_endpoints(self):
-        assert c_baseline(NET, 0.0).first == pytest.approx(C_BASE_A0_R0, abs=1e-12)
-        assert c_baseline(NET, 1.0).first == 0.0
-        assert c_baseline(NET, 1.0).second == pytest.approx(C_DF_A1_R1, abs=1e-12)
+        a0, a1 = (evaluate_strategy("c_baseline", NET, sp(a)) for a in (0.0, 1.0))
+        assert a0.first == pytest.approx(C_BASE_A0_R0, abs=1e-12)
+        assert a1.first == 0.0
+        assert a1.second == pytest.approx(C_DF_A1_R1, abs=1e-12)
 
     def test_baseline_independent_of_relay_parameters(self):
         other = GaussianNetwork(5.0, 30.0, 2.0, 8.0, 0.5)
         for a in np.linspace(0, 1, 41):
-            assert c_baseline(NET, float(a)) == c_baseline(other, float(a))
+            pair = evaluate_strategy("c_baseline", NET, sp(float(a)))
+            assert pair == evaluate_strategy("c_baseline", other, sp(float(a)))
 
     def test_df_beats_baseline_on_common_rate(self):
-        assert c_df(NET, 0.0).first > c_baseline(NET, 0.0).first
+        df, baseline = (evaluate_strategy(sid, NET, sp(0.0)) for sid in ("c_df", "c_baseline"))
+        assert df.first > baseline.first
 
 
 class TestNumericalBehavior:
@@ -237,12 +242,12 @@ class TestNumericalBehavior:
     @settings(max_examples=80, deadline=None)
     def test_outputs_finite_and_nonnegative(self, a, b):
         for pair in (
-            b_df(NET, sp(a, b)),
-            b_nf(NET, sp(a, b)),
-            b_cf(NET, sp(a, b, q=300.0, rstar=0.0)),
-            c_df(NET, a),
-            c_nf(NET, a),
-            c_baseline(NET, a),
+            evaluate_strategy("b_df", NET, sp(a, b)),
+            evaluate_strategy("b_nf", NET, sp(a, b)),
+            evaluate_strategy("b_cf", NET, sp(a, b, q=300.0, rstar=0.0)),
+            evaluate_strategy("c_df", NET, sp(a)),
+            evaluate_strategy("c_nf", NET, sp(a)),
+            evaluate_strategy("c_baseline", NET, sp(a)),
         ):
             assert np.isfinite(pair.first) and np.isfinite(pair.second)
             assert pair.first >= 0.0 and pair.second >= 0.0
@@ -251,9 +256,9 @@ class TestNumericalBehavior:
         eps = 1e-8
         for a in (0.2, 0.5, 0.9):
             for b in (0.1, 0.6):
-                base = b_nf(NET, sp(a, b)).first
+                base = evaluate_strategy("b_nf", NET, sp(a, b)).first
                 for da, db in ((eps, 0.0), (0.0, eps), (-eps, 0.0)):
-                    moved = b_nf(NET, sp(a + da, b + db)).first
+                    moved = evaluate_strategy("b_nf", NET, sp(a + da, b + db)).first
                     assert abs(moved - base) <= 1e-6
 
 
