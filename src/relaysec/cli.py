@@ -24,6 +24,8 @@ import functools
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import acceptance
 from .bounds import evaluate_membership
 from .dmc import RateTuple
@@ -32,7 +34,6 @@ from .gaussian import GaussianNetwork, StrategyParams
 from .regionsearch import brute_force_best
 from .scenario import Scenario, load_scenario
 from .sweep import (
-    convex_hull_filter,
     evaluate_strategy,
     max_r1_vs_alpha,
     region_boundary,
@@ -46,24 +47,24 @@ EXIT_INFEASIBLE = 3
 EXIT_SELFTEST = 4
 
 
-def fmt(value) -> str:
-    """CSV number format: 9 significant digits, locale-independent."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.9g}"
+def fmt(column, size: int = 1) -> list[str]:
+    """CSV number format of a float column (or one number): 9 significant
+    digits, locale-independent.  None, a parameter the strategy does not use,
+    gives `size` empty fields."""
+    if column is None:
+        return [""] * size
+    return list(map("{:.9g}".format, np.asarray(column, dtype=float).ravel().tolist()))
 
 
-def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+    """Write formatted rows (strings) under `header`, to stdout for None or "-"."""
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(v) for v in row])
+    writer.writerows(rows)
     text = buf.getvalue()
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -105,10 +106,8 @@ def _cmd_curve(args) -> int:
         strategy = resolve_strategy(label, scenario.model)
         curves.append(max_r1_vs_alpha(strategy.strategy_id, scenario.net, scenario.grid))
         header.append(f"{strategy.label}_r1")
-    rows = []
-    for i, sample in enumerate(curves[0].samples):
-        rows.append([sample.alpha] + [c.samples[i].value for c in curves])
-    _write_csv(args.out or scenario.output, header, rows)
+    columns = [fmt(curves[0].alpha)] + [fmt(c.value) for c in curves]
+    _write_csv(args.out or scenario.output, header, list(zip(*columns)))
     return EXIT_OK
 
 
@@ -119,24 +118,13 @@ def _cmd_region(args) -> int:
     rows = []
     for label in scenario.strategies:
         strategy = resolve_strategy(label, "C")
-        frontier = region_boundary(strategy.strategy_id, scenario.net, scenario.grid)
-        points = frontier.points
+        f = region_boundary(strategy.strategy_id, scenario.net, scenario.grid)
         if args.convex_hull:
-            hull = convex_hull_filter([p.rates for p in points])
-            kept = {(r.first, r.second) for r in hull}
-            points = tuple(p for p in points if (p.rates.first, p.rates.second) in kept)
-        for p in points:
-            rows.append(
-                [
-                    strategy.label,
-                    p.rates.first,
-                    p.rates.second,
-                    p.params.alpha,
-                    p.params.q,
-                    p.params.rstar,
-                    ";".join(p.rates.active),
-                ]
-            )
+            f = f.convex_hull()
+        n = f.first.size
+        columns = ([strategy.label] * n, fmt(f.first), fmt(f.second), fmt(f.alpha),
+                   fmt(f.q, n), fmt(f.rstar, n), f.active.tolist())
+        rows.extend(zip(*columns))
     _write_csv(args.out or scenario.output, header, rows)
     return EXIT_OK
 
@@ -146,8 +134,6 @@ def _cmd_gaussian(args) -> int:
     strategy = resolve_strategy(args.strategy, args.model)
     if strategy.config == "C" and args.beta is not None:
         raise UsageError("gaussian: --beta applies to model B only")
-    if not strategy.uses_q and (args.q is not None or args.rstar is not None):
-        raise UsageError(f"gaussian: --q and --rstar apply to cf only, not {strategy.label}")
     rstar = args.rstar
     if strategy.uses_q and args.q is not None and rstar is None:
         from .gaussian import cf_rstar_max
@@ -157,23 +143,10 @@ def _cmd_gaussian(args) -> int:
     sp = StrategyParams(alpha=args.alpha, beta=beta, q=args.q, rstar=rstar)
     pair = evaluate_strategy(strategy.strategy_id, net, sp)
     first_name, second_name = ("r1", "r2") if strategy.config == "B" else ("r0", "r1")
-    _write_csv(
-        args.out,
-        ["model", "strategy", "alpha", "beta", "q", "rstar", first_name, second_name, "branch"],
-        [
-            [
-                strategy.config,
-                strategy.label,
-                sp.alpha,
-                sp.beta,
-                sp.q,
-                sp.rstar,
-                pair.first,
-                pair.second,
-                ";".join(pair.active),
-            ]
-        ],
-    )
+    header = ["model", "strategy", "alpha", "beta", "q", "rstar", first_name, second_name, "branch"]
+    row = [strategy.config, strategy.label, *fmt([sp.alpha, sp.beta]), *fmt(sp.q),
+           *fmt(sp.rstar), *fmt([pair.first, pair.second]), ";".join(pair.active)]
+    _write_csv(args.out, header, [row])
     return EXIT_OK
 
 
@@ -210,41 +183,16 @@ def _cmd_dmc_eval(args) -> int:
     header = ["kind", "branch", "name", "value", "bound", "slack", "satisfied"]
     rows = []
     for branch in evaluation.branches:
+        bid = branch.state.branch_id
         for cond in branch.state.conditions:
-            rows.append(
-                [
-                    "condition",
-                    branch.state.branch_id,
-                    cond.name,
-                    cond.lhs,
-                    cond.rhs,
-                    cond.lhs - cond.rhs,
-                    str(cond.satisfied).lower(),
-                ]
-            )
+            values = fmt([cond.lhs, cond.rhs, cond.lhs - cond.rhs])
+            rows.append(["condition", bid, cond.name, *values, str(cond.satisfied).lower()])
         for rec in branch.inequalities:
-            rows.append(
-                [
-                    "inequality",
-                    branch.state.branch_id,
-                    rec.name,
-                    rec.expression,
-                    rec.bound,
-                    rec.slack,
-                    str(rec.satisfied).lower(),
-                ]
-            )
-    rows.append(
-        [
-            "summary",
-            evaluation.branch_taken,
-            "member",
-            1.0 if evaluation.member else 0.0,
-            "",
-            "",
-            str(evaluation.member).lower(),
-        ]
-    )
+            values = fmt([rec.expression, rec.bound, rec.slack])
+            rows.append(["inequality", bid, rec.name, *values, str(rec.satisfied).lower()])
+    member = evaluation.member
+    summary = ["summary", evaluation.branch_taken, "member", *fmt(1.0 if member else 0.0)]
+    rows.append(summary + ["", "", str(member).lower()])
     _write_csv(args.out or scenario.output, header, rows)
     return EXIT_OK
 
@@ -283,29 +231,10 @@ def _cmd_dmc_search(args) -> int:
     # The coupling goes first: a failed write must not leave a result CSV behind.
     if args.best_coupling_out:
         _write_file(args.best_coupling_out, result.coupling.to_json())
-    _write_csv(
-        args.out or scenario.output,
-        [
-            "theorem",
-            "branch",
-            "objective_value",
-            "r0",
-            "r1",
-            "r2",
-            "couplings_scanned",
-        ],
-        [
-            [
-                scenario.theorem,
-                best.branch_id,
-                best.objective_value,
-                best.rates.r0,
-                best.rates.r1,
-                best.rates.r2,
-                float(result.couplings_scanned),
-            ]
-        ],
-    )
+    header = ["theorem", "branch", "objective_value", "r0", "r1", "r2", "couplings_scanned"]
+    rates = best.rates
+    values = fmt([best.objective_value, rates.r0, rates.r1, rates.r2, result.couplings_scanned])
+    _write_csv(args.out or scenario.output, header, [[scenario.theorem, best.branch_id, *values]])
     return EXIT_OK
 
 
@@ -313,7 +242,7 @@ def _cmd_selftest(args) -> int:
     results = acceptance.run_all()
     header = ["criterion", "description", "status", "seconds", "detail"]
     rows = [
-        [r.cid, r.description, "pass" if r.passed else "FAIL", r.seconds, r.detail]
+        [r.cid, r.description, "pass" if r.passed else "FAIL", *fmt(r.seconds), r.detail]
         for r in results
     ]
     _write_csv(args.out, header, rows)

@@ -19,8 +19,9 @@ parameter here.
 Every strategy is one entry of `STRATEGIES`, and each entry holds one array
 kernel `(net, alpha, beta, q, rstar) -> (arms, second)` over numpy arrays or
 scalars (arguments a kernel does not use are ignored); `evaluate_strategy(id,
-net, StrategyParams(...))` evaluates one point.  The first rate is the
-min of `arms`, the second rate is `second`, and both are clamped at zero.
+net, StrategyParams(...))` evaluates one point and refuses parameters the
+strategy does not use.  The first rate is the min of `arms`, the second rate
+is `second`, and both are clamped at zero.
 The `active` label of a point names the leftmost minimal arm (`arm_labels`;
 a single-arm strategy has no label).  `b_df` and `b_baseline` share a kernel:
 decoding-and-forwarding cannot enlarge the two-confidential-message region.
@@ -74,6 +75,26 @@ class GaussianNetwork:
         return (self.p1, self.p2, self.n1, self.n2, self.nr)
 
 
+_PARAM_RULES = (
+    ("alpha", "lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    ("beta", "lie in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)),
+    ("q", "be positive", lambda v: np.isfinite(v) & (v > 0.0)),
+    ("rstar", "be >= 0", lambda v: np.isfinite(v) & (v >= 0.0)),
+)
+
+
+def check_params(owner: str, **columns) -> None:
+    """The range rules of the strategy parameters, on scalars or whole arrays:
+    alpha and beta in [0, 1], q finite and > 0, rstar finite and >= 0.  A
+    parameter given as None (or not given) is not checked."""
+    for name, rule, ok in _PARAM_RULES:
+        if columns.get(name) is not None:
+            v = np.asarray(columns[name], dtype=float)
+            bad = ~ok(v)
+            if np.any(bad):
+                raise ValidationError(f"{owner}: {name} must {rule}, got {float(v[bad].flat[0])!r}")
+
+
 @dataclass(frozen=True)
 class StrategyParams:
     """Free coding parameters swept to trace a region.
@@ -89,21 +110,10 @@ class StrategyParams:
     rstar: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"StrategyParams: {name} must lie in [0, 1], got {v!r}")
-        if self.q is not None:
-            q = float(self.q)
-            object.__setattr__(self, "q", q)
-            if not math.isfinite(q) or q <= 0.0:
-                raise ValidationError(f"StrategyParams: q must be positive, got {q!r}")
-        if self.rstar is not None:
-            rs = float(self.rstar)
-            object.__setattr__(self, "rstar", rs)
-            if not math.isfinite(rs) or rs < 0.0:
-                raise ValidationError(f"StrategyParams: rstar must be >= 0, got {rs!r}")
+        for name in ("alpha", "beta", "q", "rstar"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
+        check_params("StrategyParams", **vars(self))
 
 
 @dataclass(frozen=True)
@@ -323,12 +333,13 @@ class Strategy:
         coeffs = zip(*candidate_polynomials(*self.terms(net, a, q, rstar)))
         return _quadratic_roots(*(np.hstack(np.broadcast_arrays(a, *c)[1:]) for c in coeffs))
 
-    def active(self, arms) -> list[tuple[str, ...]]:
-        """`active` label per point of 1-d (or scalar) arms: the leftmost minimal arm."""
+    def active(self, arms) -> np.ndarray:
+        """`active` label per point of 1-d (or scalar) arms: the leftmost
+        minimal arm, "" for a single-arm strategy."""
         if not self.arm_labels:
-            return [()] * np.size(arms[0])
+            return np.full(np.broadcast(*arms).size, "")
         idx = np.argmin(np.stack(np.broadcast_arrays(*arms)), axis=0)
-        return [(self.arm_labels[i],) for i in np.atleast_1d(idx)]
+        return np.array(self.arm_labels)[np.atleast_1d(idx)]
 
 
 _B_ARMS = ("r1=direct", "r1=secrecy")
@@ -378,9 +389,17 @@ def _check_cf_params(net: GaussianNetwork, sp: StrategyParams) -> tuple[float, f
 
 
 def evaluate_strategy(strategy_id: str, net: GaussianNetwork, sp: StrategyParams) -> RatePair:
-    """Single-point evaluation of any registered strategy."""
+    """Single-point evaluation of any registered strategy; a parameter the
+    strategy does not use (beta in model C, q and R* without compress-forward)
+    is refused, not ignored."""
     s = resolve_strategy(strategy_id)
+    if s.config == "C" and sp.beta != 0.0:
+        raise UsageError(f"{s.strategy_id} does not use beta (model B only), got {sp.beta!r}")
+    unused = [n for n in ("q", "rstar") if not s.uses_q and getattr(sp, n) is not None]
+    if unused:
+        raise UsageError(f"{s.strategy_id} does not use {' or '.join(unused)} (cf only)")
     net.require_ordering()
     q, rstar = _check_cf_params(net, sp) if s.uses_q else (None, None)
     arms, second = s.kernel(net, sp.alpha, sp.beta, q, rstar)
-    return RatePair(float(_first(arms)), float(_clamp(second)), s.active(arms)[0])
+    label = str(s.active(arms)[0])
+    return RatePair(float(_first(arms)), float(_clamp(second)), (label,) if label else ())

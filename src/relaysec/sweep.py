@@ -4,10 +4,16 @@ Grids are inclusive-endpoint grids on [0, 1]; `*_steps` counts grid points.
 `_slices` lists every feasible compress-forward (q, R*) pair after refusing
 a request over MAX_GRID_CELLS; the C model has no beta knob, so its beta
 axis is just {0}.  `sweep_frontier` evaluates a strategy's kernel on the
-whole alpha x beta grid of every slice (numpy), keeps the Pareto-maximal
-corners and attaches full parameter provenance (alpha, beta, q, R*, active
-min-branch) to every surviving point, so CSV consumers can annotate plots;
-the labels come from one kernel call on the survivors.
+whole alpha x beta grid of every slice (numpy) and keeps the Pareto-maximal
+corners with full parameter provenance, so CSV consumers can annotate plots.
+
+Results are columnar, one array entry per point and no object per point: a
+`Frontier` holds `first`, `second`, `alpha`, `beta`, `q`, `rstar` and the
+`active` min-branch labels (from one kernel call on the survivors); a `Curve`
+holds `alpha`, `value`, `beta`, `q` and `rstar`, so `curve.value.max()` is the
+curve's peak.  Without compress-forward, q and rstar are None.  Both keep
+read-only copies of their columns and check the `StrategyParams` range rules
+(`check_params`) once per column.
 
 `max_r1_vs_alpha` keeps, per alpha, the best R1 over beta and every slice,
 but evaluates few beta columns.  For fixed alpha a B-model R1 is
@@ -22,7 +28,7 @@ full grid's argmax and its earliest-beta tie rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +38,8 @@ from .gaussian import (  # evaluate_strategy is re-exported for callers of this 
     GaussianNetwork,
     RatePair,
     Strategy,
-    StrategyParams,
     cf_rstar_max,
+    check_params,
     evaluate_strategy,  # noqa: F401
     resolve_strategy,
 )
@@ -67,59 +73,93 @@ class GridSpec:
             raise ValidationError("GridSpec: rstar_steps must be >= 2 for the grid policy")
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
-    rates: RatePair
-    params: StrategyParams
+def _as_columns(obj, owner: str, names: Sequence[str]) -> None:
+    """Store each named column of `obj` as a read-only float array copy (None
+    stays None), then check the strategy-parameter ranges and one entry per
+    point in every array."""
+    for n in names:
+        if getattr(obj, n) is not None:
+            object.__setattr__(obj, n, np.array(getattr(obj, n), dtype=float))
+    columns = {n: v for n, v in vars(obj).items() if isinstance(v, np.ndarray)}
+    for v in columns.values():
+        v.flags.writeable = False
+    check_params(owner, **columns)
+    if len({v.shape for v in columns.values()}) > 1:
+        raise ValidationError(f"{owner}: columns differ in length")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frontier:
+    """Pareto-maximal corners, one array entry per point, ascending in `first`:
+    the rates, the alpha, beta, q and R* that reach them, and the `active` label
+    ("" for a single-arm strategy); q and rstar are None without compress-forward."""
+
     strategy_id: str
     net: GaussianNetwork
-    points: tuple[FrontierPoint, ...]
+    first: np.ndarray
+    second: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    active: np.ndarray
+    q: np.ndarray | None = None
+    rstar: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        firsts = [p.rates.first for p in self.points]
-        if any(b <= a for a, b in zip(firsts, firsts[1:])):
+        object.__setattr__(self, "active", np.array(self.active, dtype=str))
+        _as_columns(self, "Frontier", ("first", "second", "alpha", "beta", "q", "rstar"))
+        if np.any(np.diff(self.first) <= 0.0):
             raise ValidationError("Frontier: first coordinates must be strictly increasing")
-        seconds = [p.rates.second for p in self.points]
         # Together with strictly increasing firsts this is Pareto-maximality.
-        if any(b >= a for a, b in zip(seconds, seconds[1:])):
+        if np.any(np.diff(self.second) >= 0.0):
             raise ValidationError("Frontier: contains a dominated or duplicate point")
 
     def max_first(self) -> float:
-        return max((p.rates.first for p in self.points), default=0.0)
+        return float(self.first.max()) if self.first.size else 0.0
 
     def max_second(self) -> float:
-        return max((p.rates.second for p in self.points), default=0.0)
+        return float(self.second.max()) if self.second.size else 0.0
+
+    def convex_hull(self) -> Frontier:
+        """The points on the upper concave envelope (optional time-sharing closure)."""
+        first, second = self.first.tolist(), self.second.tolist()
+        hull: list[int] = []
+        for i, (x, y) in enumerate(zip(first, second)):
+            while len(hull) >= 2:
+                (x1, y1), (x2, y2) = ((first[k], second[k]) for k in hull[-2:])
+                if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0.0:
+                    hull.pop()
+                else:
+                    break
+            hull.append(i)
+        columns = {n: v[hull] for n, v in vars(self).items() if isinstance(v, np.ndarray)}
+        return replace(self, **columns)
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    alpha: float
-    value: float
-    params: StrategyParams
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curve:
+    """Best R1 per alpha (`value`) and the beta, q and R* that reach it, one
+    array entry per alpha; q and rstar are None without compress-forward."""
+
     strategy_id: str
     net: GaussianNetwork
-    samples: tuple[CurveSample, ...]
+    alpha: np.ndarray
+    value: np.ndarray
+    beta: np.ndarray
+    q: np.ndarray | None = None
+    rstar: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        alphas = [s.alpha for s in self.samples]
-        if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        _as_columns(self, "Curve", ("alpha", "value", "beta", "q", "rstar"))
+        if np.any(np.diff(self.alpha) <= 0.0):
             raise ValidationError("Curve: alphas must be strictly increasing")
-        if not self.samples or self.samples[0].alpha != 0.0 or self.samples[-1].alpha != 1.0:
+        if not self.alpha.size or self.alpha[0] != 0.0 or self.alpha[-1] != 1.0:
             raise ValidationError("Curve: alpha grid must cover [0, 1]")
 
     def value_at(self, alpha: float, atol: float = 1e-12) -> float:
-        for s in self.samples:
-            if abs(s.alpha - alpha) <= atol:
-                return s.value
-        raise UsageError(f"alpha {alpha} is not on the curve grid")
+        hits = np.flatnonzero(np.abs(self.alpha - alpha) <= atol)
+        if not hits.size:
+            raise UsageError(f"alpha {alpha} is not on the curve grid")
+        return float(self.value[hits[0]])
 
 
 def _pareto_survivors(
@@ -195,7 +235,8 @@ def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Fr
     net.require_ordering()
     pairs = _slices(strategy, net, grid, curve=False)
     if not pairs:
-        return Frontier(strategy.strategy_id, net, ())
+        empty = np.empty(0)
+        return Frontier(strategy.strategy_id, net, *[empty] * 4, np.empty(0, str), empty, empty)
     A, B = np.meshgrid(_axis(grid.alpha_steps), _betas(strategy, grid), indexing="ij")
     slices = [strategy.rates(net, A, B, q, rstar) for q, rstar in pairs]
     f = np.concatenate([first.ravel() for first, _ in slices])
@@ -205,17 +246,13 @@ def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Fr
     qc = np.repeat([q or 0.0 for q, _ in pairs], A.size)
     rc = np.repeat([rstar or 0.0 for _, rstar in pairs], A.size)
     keep = _pareto_survivors(f, s, (a, b, qc, rc))
-    arms, _ = strategy.kernel(net, a[keep], b[keep], qc[keep], rc[keep])
-    points = []
-    for i, active in zip(keep, strategy.active(arms)):
-        sp = StrategyParams(
-            alpha=float(a[i]),
-            beta=float(b[i]),
-            q=float(qc[i]) if strategy.uses_q else None,
-            rstar=float(rc[i]) if strategy.uses_q else None,
-        )
-        points.append(FrontierPoint(RatePair(float(f[i]), float(s[i]), active), sp))
-    return Frontier(strategy.strategy_id, net, tuple(points))
+    a, b, qc, rc = a[keep], b[keep], qc[keep], rc[keep]
+    arms, _ = strategy.kernel(net, a, b, qc, rc)
+    cf = strategy.uses_q
+    return Frontier(
+        strategy.strategy_id, net, f[keep], s[keep], a, b, strategy.active(arms),
+        qc if cf else None, rc if cf else None,
+    )
 
 
 def _bracket_columns(strategy, net, grid, alphas, q, rstar) -> np.ndarray:
@@ -264,12 +301,9 @@ def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> C
         values.append(r1[rows, j])
         picked.append(betas[cols[rows, j]])
     best = np.argmax(values, axis=0)  # the first slice reaching the maximum
-    per_alpha = (alphas, best, np.array(values)[best, rows], np.array(picked)[best, rows])
-    samples = [
-        CurveSample(alpha, value, StrategyParams(alpha, beta, *pairs[k]))
-        for alpha, k, value, beta in zip(*(c.tolist() for c in per_alpha))
-    ]
-    return Curve(strategy.strategy_id, net, tuple(samples))
+    value, beta = np.array(values)[best, rows], np.array(picked)[best, rows]
+    q, rstar = (np.array(c)[best] if strategy.uses_q else None for c in zip(*pairs))
+    return Curve(strategy.strategy_id, net, alphas, value, beta, q, rstar)
 
 
 def region_boundary(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Frontier:
@@ -280,21 +314,3 @@ def region_boundary(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> F
             f"region_boundary applies to the common+confidential strategies, not {strategy_id}"
         )
     return sweep_frontier(strategy_id, net, grid)
-
-
-def convex_hull_filter(points: Sequence[RatePair]) -> list[RatePair]:
-    """Upper-concave envelope of a frontier (optional time-sharing closure)."""
-    pts = pareto_filter(points)
-    if len(pts) <= 2:
-        return pts
-    hull: list[RatePair] = []
-    for p in pts:
-        while len(hull) >= 2:
-            x1, y1 = hull[-2].first, hull[-2].second
-            x2, y2 = hull[-1].first, hull[-1].second
-            if (x2 - x1) * (p.second - y1) - (y2 - y1) * (p.first - x1) >= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull

@@ -11,11 +11,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaysec.acceptance import random_coupling, random_model
-from relaysec.cli import main, read_frontier_csv
+from relaysec.cli import fmt, main, read_frontier_csv
 from relaysec.errors import ValidationError
 from relaysec.scenario import load_scenario
 from relaysec.sweep import MAX_GRID_CELLS
@@ -560,6 +560,33 @@ class TestExitCodesAndHelp:
         assert float(row["r0"]) == pytest.approx(0.350219859, abs=1e-8)
 
 
+_FLOAT64 = st.one_of(
+    st.floats(width=64),
+    st.integers(-(2**60), 2**60).map(float),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
+class TestColumnFormat:
+    """`fmt` formats a whole column exactly as the per-value f"{v:.9g}" does."""
+
+    @given(st.lists(_FLOAT64, max_size=50))
+    @example([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 1e16, 123456789.0])
+    @settings(max_examples=200, deadline=None)
+    def test_column_equals_per_value_format(self, values):
+        want = [f"{float(v):.9g}" for v in values]
+        assert fmt(np.array(values, dtype=np.float64)) == want
+        assert fmt(values) == want
+
+    @given(_FLOAT64)
+    def test_one_number_is_one_field(self, value):
+        assert fmt(value) == fmt(np.float64(value)) == [f"{float(value):.9g}"]
+
+    def test_missing_parameter_is_empty_fields(self):
+        assert fmt(None) == [""]
+        assert fmt(None, 3) == ["", "", ""]
+
+
 class TestGoldenOutputs:
     """The shipped scenarios' outputs, pinned byte for byte."""
 
@@ -581,6 +608,40 @@ class TestGoldenOutputs:
         argv = [scenario_path(a) if a.endswith(".json") else a for a in argv]
         assert main(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # q = 0.5 cannot pay for its compression on the paper network; 40 and 300 can.
+    @pytest.mark.parametrize(
+        "command, scenario, digest",
+        [
+            ("curve",
+             {"model": "B", "strategies": ["cf"],
+              "grid": {"alpha_steps": 41, "beta_steps": 41, "q_values": [300.0, 0.5, 40.0],
+                       "rstar_policy": "grid", "rstar_steps": 3}},
+             "3502038236b46f98072dd713204749fd1f48c6a5b7852c9cca33b7de363112ac"),
+            ("region",
+             {"model": "C", "strategies": ["baseline", "df", "nf", "cf"],
+              "grid": {"alpha_steps": 61, "beta_steps": 2, "q_values": [300.0, 0.5, 40.0],
+                       "rstar_policy": "grid", "rstar_steps": 4}},
+             "7e9be2919e1a464811847a68f9b16b21000ec7e97fe1ae0766821613ece3705e"),
+        ],
+    )
+    def test_compress_forward_grid_bytes(self, tmp_path, command, scenario, digest):
+        path = write_json(tmp_path, "s.json", dict(scenario, net=PAPER_NET))
+        out = tmp_path / "o.csv"
+        assert main([command, "--scenario", path, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_stdout_equals_the_file(self, tmp_path, capsys):
+        scenario = scenario_path("paper_fig4.json")
+        out = tmp_path / "o.csv"
+        assert main(["curve", "--scenario", scenario, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["curve", "--scenario", scenario, "--out", "-"]) == 0
+        text = capsys.readouterr().out.encode("utf-8")
+        assert text == out.read_bytes()
+        assert hashlib.sha256(text).hexdigest() == (
+            "9e9ec2c6b3cd5c5b400eb4cafc6b5d281eab787381f7d31de02b4ab04bcf15a3"
+        )
 
 
 class TestGridBudgetRefusal:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysec.errors import InfeasibleError, ModelAssumptionError, ValidationError
+from relaysec.errors import InfeasibleError, ModelAssumptionError, UsageError, ValidationError
 from relaysec.gaussian import (
     STRATEGIES,
     GaussianNetwork,
@@ -56,6 +56,20 @@ class TestNetworkValidation:
             sp(1.5)
         with pytest.raises(ValidationError, match="q"):
             sp(0.5, q=-1.0)
+
+    @pytest.mark.parametrize(
+        "sid, params, match",
+        [
+            ("c_df", sp(0.5, beta=0.7, q=12.0, rstar=0.4), "beta"),
+            ("c_cf", sp(0.5, beta=0.7, q=300.0), "beta"),
+            ("b_df", sp(0.5, q=12.0), "q"),
+            ("b_nf", sp(0.5, rstar=0.4), "rstar"),
+            ("c_baseline", sp(0.5, q=12.0, rstar=0.0), "q"),
+        ],
+    )
+    def test_unused_params_refused(self, sid, params, match):
+        with pytest.raises(UsageError, match=match):
+            evaluate_strategy(sid, NET, params)
 
 
 class TestDecodeForward:

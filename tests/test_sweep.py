@@ -16,12 +16,9 @@ from relaysec.gaussian import (
 from relaysec.sweep import (
     RSTAR_POLICIES,
     Curve,
-    CurveSample,
     Frontier,
-    FrontierPoint,
     GridSpec,
     _bracket_columns,
-    convex_hull_filter,
     max_r1_vs_alpha,
     pareto_filter,
     region_boundary,
@@ -44,6 +41,34 @@ def pairs(coords):
 
 def coords(points):
     return [(p.first, p.second) for p in points]
+
+
+def _optional(column, n):
+    return [None] * n if column is None else column.tolist()
+
+
+def frontier_points(f):
+    """(first, second, active, StrategyParams) per point of a columnar frontier."""
+    n = f.first.size
+    return [
+        (x, y, (label,) if label else (), StrategyParams(a, b, q, rs))
+        for x, y, label, a, b, q, rs in zip(
+            f.first.tolist(), f.second.tolist(), f.active.tolist(), f.alpha.tolist(),
+            f.beta.tolist(), _optional(f.q, n), _optional(f.rstar, n),
+        )
+    ]
+
+
+def curve_samples(c):
+    """(value, StrategyParams) per alpha of a columnar curve."""
+    n = c.alpha.size
+    return [
+        (v, StrategyParams(a, b, q, rs))
+        for v, a, b, q, rs in zip(
+            c.value.tolist(), c.alpha.tolist(), c.beta.tolist(),
+            _optional(c.q, n), _optional(c.rstar, n),
+        )
+    ]
 
 
 def quadratic_pareto_oracle(points):
@@ -113,55 +138,54 @@ class TestGridSpec:
 
 class TestFrontierInvariants:
     def test_sorted_and_maximal_enforced(self):
-        good = Frontier(
-            "c_df",
-            NET,
-            (
-                FrontierPoint(RatePair(0.1, 0.5), StrategyParams(alpha=0.9)),
-                FrontierPoint(RatePair(0.4, 0.2), StrategyParams(alpha=0.1)),
-            ),
-        )
+        good = Frontier("c_df", NET, [0.1, 0.4], [0.5, 0.2], [0.9, 0.1], [0.0, 0.0], ["", ""])
         assert good.max_first() == 0.4
         with pytest.raises(ValidationError, match="dominated"):
-            Frontier(
-                "c_df",
-                NET,
-                (
-                    FrontierPoint(RatePair(0.1, 0.5), StrategyParams(alpha=0.9)),
-                    FrontierPoint(RatePair(0.4, 0.6), StrategyParams(alpha=0.1)),
-                ),
-            )
+            Frontier("c_df", NET, [0.1, 0.4], [0.5, 0.6], [0.9, 0.1], [0.0, 0.0], ["", ""])
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            Frontier("c_df", NET, [0.4, 0.1], [0.5, 0.2], [0.9, 0.1], [0.0, 0.0], ["", ""])
+
+    def test_parameter_ranges_checked_per_column(self):
+        cols = ([0.1, 0.4], [0.5, 0.2], [0.9, 0.1], [0.0, 0.0], ["", ""])
+        with pytest.raises(ValidationError, match="alpha must lie in"):
+            Frontier("c_df", NET, cols[0], cols[1], [0.9, 1.5], *cols[3:])
+        with pytest.raises(ValidationError, match="q must be positive"):
+            Frontier("c_cf", NET, *cols, q=[300.0, 0.0], rstar=[0.1, 0.1])
+        with pytest.raises(ValidationError, match="rstar must be >= 0"):
+            Frontier("c_cf", NET, *cols, q=[300.0, 300.0], rstar=[0.1, float("nan")])
+        with pytest.raises(ValidationError, match="differ in length"):
+            Frontier("c_df", NET, *cols[:4], [""])
 
 
 class TestSweepFrontier:
     def test_df_frontier_is_the_single_best_point(self):
         frontier = sweep_frontier("b_df", NET, GridSpec())
-        assert len(frontier.points) == 1
-        assert frontier.points[0].rates.first == pytest.approx(B_DF_MAX, abs=1e-3)
-        assert frontier.points[0].rates.second == 0.0
-        assert frontier.points[0].params.alpha == 1.0
-        assert frontier.points[0].params.beta == 0.0
+        assert frontier.first.size == 1
+        assert frontier.first[0] == pytest.approx(B_DF_MAX, abs=1e-3)
+        assert frontier.second[0] == 0.0
+        assert frontier.alpha[0] == 1.0
+        assert frontier.beta[0] == 0.0
+        assert frontier.q is None and frontier.rstar is None
 
     def test_beta_slice_containment(self):
         # A grid with only the two beta endpoints: every frontier point of the
         # full-filter of those two slices appears in the coarse sweep.
         grid = GridSpec(alpha_steps=41, beta_steps=2)
         frontier = sweep_frontier("b_nf", NET, grid)
-        betas = {p.params.beta for p in frontier.points}
+        betas = set(frontier.beta.tolist())
         assert betas <= {0.0, 1.0}
 
     def test_cf_sweep_skips_infeasible_q(self):
         grid = GridSpec(alpha_steps=11, beta_steps=2, q_values=(0.01,))
         frontier = sweep_frontier("b_cf", NET, grid)
-        assert frontier.points == ()
+        assert frontier.first.size == frontier.q.size == frontier.active.size == 0
 
     def test_provenance_recorded(self):
         grid = GridSpec(alpha_steps=41, beta_steps=5, q_values=(300.0,))
         frontier = sweep_frontier("b_cf", NET, grid)
-        p = frontier.points[0]
-        assert p.params.q == 300.0
-        assert p.params.rstar == pytest.approx(0.213077731881499, abs=1e-12)
-        assert p.rates.active  # active min-branch label travels with the point
+        assert frontier.q[0] == 300.0
+        assert frontier.rstar[0] == pytest.approx(0.213077731881499, abs=1e-12)
+        assert frontier.active[0]  # active min-branch label travels with the point
 
 
 class TestCurve:
@@ -181,14 +205,14 @@ class TestCurve:
     def test_nf_dominates_df_pointwise(self):
         df = max_r1_vs_alpha("b_df", NET, GridSpec(101, 51))
         nf = max_r1_vs_alpha("b_nf", NET, GridSpec(101, 51))
-        for s_df, s_nf in zip(df.samples, nf.samples):
-            assert s_nf.value >= s_df.value - 1e-12
+        for v_df, v_nf in zip(df.value, nf.value):
+            assert v_nf >= v_df - 1e-12
 
     def test_grid_refinement_never_decreases_values(self):
         coarse = max_r1_vs_alpha("b_nf", NET, GridSpec(11, 11))
         fine = max_r1_vs_alpha("b_nf", NET, GridSpec(21, 21))
-        for s in coarse.samples:
-            assert fine.value_at(s.alpha) >= s.value - 1e-15
+        for alpha, value in zip(coarse.alpha, coarse.value):
+            assert fine.value_at(alpha) >= value - 1e-15
 
     def test_cf_requires_q(self):
         with pytest.raises(UsageError, match="compression variance"):
@@ -196,11 +220,22 @@ class TestCurve:
 
     def test_curve_invariants_enforced(self):
         with pytest.raises(ValidationError, match="cover"):
-            Curve(
-                "b_df",
-                NET,
-                (CurveSample(0.5, 0.1, StrategyParams(alpha=0.5)),),
-            )
+            Curve("b_df", NET, [0.5], [0.1], [0.0])
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            Curve("b_df", NET, [0.0, 0.5, 0.5, 1.0], [0.0] * 4, [0.0] * 4)
+        with pytest.raises(ValidationError, match="beta must lie in"):
+            Curve("b_df", NET, [0.0, 1.0], [0.0, 0.1], [0.0, -0.5])
+
+    def test_columns_are_read_only_copies(self):
+        alpha = np.array([0.0, 1.0])
+        curve = Curve("b_df", NET, alpha, [0.0, 0.1], [0.0, 0.0])
+        alpha[1] = 0.5  # the caller's array stays writable and the curve keeps its copy
+        assert curve.alpha.tolist() == [0.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            curve.value[0] = 1.0
+        frontier = sweep_frontier("c_nf", NET, GridSpec(11, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            frontier.active[0] = "r0=arm2"
 
     def test_c_model_curves(self):
         nf = max_r1_vs_alpha("c_nf", NET, GridSpec(101, 2))
@@ -214,9 +249,9 @@ class TestRegionBoundary:
         f = region_boundary("c_baseline", NET, self.GRID)
         assert f.max_first() == pytest.approx(C_BASE_MAX_R0, abs=1e-3)
         assert f.max_second() == pytest.approx(B_DF_MAX, abs=1e-3)
-        by_alpha = {p.params.alpha: p for p in f.points}
-        assert by_alpha[0.0].rates.first == pytest.approx(C_BASE_MAX_R0, abs=1e-9)
-        assert by_alpha[1.0].rates.second == pytest.approx(B_DF_MAX, abs=1e-9)
+        by_alpha = {a: i for i, a in enumerate(f.alpha.tolist())}
+        assert f.first[by_alpha[0.0]] == pytest.approx(C_BASE_MAX_R0, abs=1e-9)
+        assert f.second[by_alpha[1.0]] == pytest.approx(B_DF_MAX, abs=1e-9)
 
     def test_df_raises_the_common_rate_ceiling(self):
         f = region_boundary("c_df", NET, self.GRID)
@@ -234,8 +269,7 @@ class TestRegionBoundary:
 
     def test_staircase_is_downward_closed_looking(self):
         f = region_boundary("c_df", NET, self.GRID)
-        firsts = [p.rates.first for p in f.points]
-        seconds = [p.rates.second for p in f.points]
+        firsts, seconds = f.first.tolist(), f.second.tolist()
         assert all(b > a for a, b in zip(firsts, firsts[1:]))
         assert all(b < a for a, b in zip(seconds, seconds[1:]))
 
@@ -244,9 +278,9 @@ class TestRegionBoundary:
         # Points ascend in first coordinate with descending seconds; the union
         # of their rectangles has height second_i over (first_{i-1}, first_i].
         area, prev_first = 0.0, 0.0
-        for p in frontier.points:
-            area += (p.rates.first - prev_first) * p.rates.second
-            prev_first = p.rates.first
+        for first, second in zip(frontier.first, frontier.second):
+            area += (first - prev_first) * second
+            prev_first = first
         return area
 
     def test_refinement_never_shrinks_the_hypervolume(self):
@@ -261,14 +295,15 @@ class TestRegionBoundary:
 
 class TestConvexHull:
     def test_hull_is_subset_and_concave(self):
-        pts = pairs([(0, 1), (0.2, 0.9), (0.5, 0.5), (0.8, 0.2), (1, 0)])
-        hull = convex_hull_filter(pts)
-        assert set(coords(hull)) <= set(coords(pts))
+        pts = [(0, 1), (0.2, 0.9), (0.5, 0.5), (0.8, 0.2), (1, 0)]
+        first, second = zip(*pts)
+        f = Frontier("c_nf", NET, first, second, first, [0.0] * 5, ["r0=arm1"] * 5)
+        h = f.convex_hull()
+        hull = list(zip(h.first.tolist(), h.second.tolist()))
+        assert set(hull) <= set(pts)
+        assert h.alpha.tolist() == h.first.tolist() and h.active.size == len(hull)
         # slopes nonincreasing along the hull
-        slopes = [
-            (b.second - a.second) / (b.first - a.first)
-            for a, b in zip(hull, hull[1:])
-        ]
+        slopes = [(b[1] - a[1]) / (b[0] - a[0]) for a, b in zip(hull, hull[1:])]
         assert all(s2 <= s1 + 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
 
 
@@ -312,13 +347,9 @@ class TestScalarOracle:
         net, grid = case
         assert sorted(cf_rstar_max(net, q) >= 0.0 for q in grid.q_values) == [False, True, True]
         for sid in STRATEGIES:
-            for p in sweep_frontier(sid, net, grid).points:
-                want = evaluate_strategy(sid, net, p.params)
-                assert (p.rates.first, p.rates.second, p.rates.active) == (
-                    want.first,
-                    want.second,
-                    want.active,
-                )
+            for first, second, active, params in frontier_points(sweep_frontier(sid, net, grid)):
+                want = evaluate_strategy(sid, net, params)
+                assert (first, second, active) == (want.first, want.second, want.active)
 
     @given(oracle_cases())
     @settings(max_examples=25, deadline=None)
@@ -336,16 +367,16 @@ class TestScalarOracle:
                     if cf_rstar_max(net, q) >= 0.0
                     for rs in np.linspace(0.0, cf_rstar_max(net, q), grid.rstar_steps)
                 ]
-            for sample in max_r1_vs_alpha(sid, net, grid).samples:
+            for value, params in curve_samples(max_r1_vs_alpha(sid, net, grid)):
                 best = None
                 for q, rs in slices:
                     for b in betas if strategy.config == "B" else (0.0,):
-                        sp = StrategyParams(sample.alpha, float(b), q, rs)
+                        sp = StrategyParams(params.alpha, float(b), q, rs)
                         pair = evaluate_strategy(sid, net, sp)
                         r1 = pair.first if strategy.config == "B" else pair.second
                         if best is None or r1 > best[0]:
                             best = (r1, sp)
-                assert (sample.value, sample.params) == best
+                assert (value, params) == best
 
 
 def full_grid_curve(sid, net, grid):
@@ -401,13 +432,13 @@ class TestBracketOracle:
     def test_bracketed_curve_is_the_full_grid_argmax(self, case):
         net, grid = case
         for sid in ("b_df", "b_nf", "b_cf"):
-            got = [(s.value, s.params) for s in max_r1_vs_alpha(sid, net, grid).samples]
+            got = curve_samples(max_r1_vs_alpha(sid, net, grid))
             assert got == full_grid_curve(sid, net, grid)
 
     def test_paper_network_at_full_resolution(self):
         grid = GridSpec(401, 401, q_values=(300.0,))
         for sid in ("b_df", "b_nf", "b_cf", "b_baseline"):
-            got = [(s.value, s.params) for s in max_r1_vs_alpha(sid, NET, grid).samples]
+            got = curve_samples(max_r1_vs_alpha(sid, NET, grid))
             assert got == full_grid_curve(sid, NET, grid)
 
     def test_bracket_is_narrow(self):
@@ -429,7 +460,7 @@ class TestGridBudget:
     def test_estimate_counts_cells_slices_and_axes(self, monkeypatch):
         # 11 alphas x 1 beta column x (2 feasible q x 3 R*) + 11 + 2 = 79 cells.
         monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 79)
-        assert region_boundary("c_cf", NET, self.GRID).points
+        assert region_boundary("c_cf", NET, self.GRID).first.size
         monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 78)
         with pytest.raises(ValidationError, match="about 79 cells"):
             region_boundary("c_cf", NET, self.GRID)
