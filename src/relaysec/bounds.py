@@ -27,13 +27,20 @@ implied carry `on_slice=False`.  The config-B inner bounds T6-T8 are T2-T4
 at R0 = 0: rows on R0 alone drop out and R0 leaves the others.  T5 stays
 written out because U survives inside its equivocation caps.
 
+Noise-forward and compress-forward share their rows: T4.L3 is T3.L1 with
+receiver 1 decoding from Y,Yh instead of Y, and with R* in place of the
+relay's confusion rate Min(I(X1;Z|U,V1,V2), I(X1;Y)) in the Re1 cap, that Min
+becoming R*'s budget (`_forward_two_messages`); CF's coupling adds the Y1 and
+Yh factors.  Likewise T12.L12 is T11.L10 with Yh added to both receivers' U
+terms and to receiver 1's V term, and budget I(X1;Y) (`_forward_one_message`).
+
 Two term maps (`_TermMap`) derive five more branches.  `_MIRROR` swaps the
 receivers Y/Z, the messages V1/V2 and their rates: T3.L2 and T4.L4 are
 T3.L1 and T4.L3 mirrored.  `_ONE_MESSAGE` holds V2 constant and reads V1 as
 V: T10, T11.L9 and T12.L11 are T2, T3.L1 and T4.L3 in config C.  Written out
 stay T1; T9, because T1 with V2 constant keeps an implied extra R0+R1 row and
-a repeated min alternative; and T11.L10 and T12.L12, where both receivers
-decode X1, a decoder config A does not have.
+a repeated min alternative; and the branch where both receivers decode X1
+(T11.L10, T12.L12), a decoder config A does not have.
 """
 
 from __future__ import annotations
@@ -442,23 +449,6 @@ def _df_pattern(aux: tuple[str, ...]) -> FactorizationPattern:
     return FactorizationPattern(((aux, ()), (("X", "X1"), aux)))
 
 
-def _nf_pattern(aux: tuple[str, ...]) -> FactorizationPattern:
-    # Relay input independent of everything the transmitter knows.
-    return FactorizationPattern(((aux, ()), (("X",), aux), (("X1",), ())))
-
-
-def _cf_pattern(aux: tuple[str, ...]) -> FactorizationPattern:
-    return FactorizationPattern(
-        (
-            (aux, ()),
-            (("X",), aux),
-            (("X1",), ()),
-            (("Y1",), ("X", "X1")),
-            (("Yh",), ("Y1", "X1")),
-        )
-    )
-
-
 def _outer_two_messages(theorem_id: str, config: str) -> TheoremSpec:
     re1_cap = Min(
         mi("V1;Y|U,V2") - mi("V1;Z|U,V2"),
@@ -531,75 +521,43 @@ def _df_two_messages() -> TheoremSpec:
     )
 
 
-def _nf_two_messages() -> TheoremSpec:
-    # Branch 1: relay-to-receiver-1 link less noisy; receiver 1 decodes X1.
-    m1 = Min(mi("U;Y|X1"), mi("U;Z"))
-    ineqs1 = (
+def _forward_two_messages(cf: bool) -> TheoremSpec:
+    """T3 (NF) or T4 (CF), whose rows differ as the module docstring says.  The
+    relay input is independent of everything the transmitter knows; CF adds the
+    channel's Y1 leg and the quantizer p(yh | y1, x1).  In branch 1 receiver 1
+    decodes X1; branch 2 is its mirror image."""
+    theorem_id, l_first = ("T4", 3) if cf else ("T3", 1)
+    y = "Y,Yh" if cf else "Y"
+    budget = Min(mi("X1;Z|U,V1,V2"), mi("X1;Y"))
+    m1 = Min(mi(f"U;{y}|X1"), mi("U;Z"))
+    ineqs = (
         _ineq(R0, m1),
-        _ineq(rsum(R0, R1), m1 + mi("V1;Y|U,X1")),
+        _ineq(rsum(R0, R1), m1 + mi(f"V1;{y}|U,X1")),
         _ineq(rsum(R0, R2), m1 + mi("V2;Z|U"), on_slice=False),
         _ineq(
             rsum(R0, R1, R2),
-            m1 + mi("V1;Y|U,X1") + mi("V2;Z|U") - mi("V1;V2|U"),
+            m1 + mi(f"V1;{y}|U,X1") + mi("V2;Z|U") - mi("V1;V2|U"),
             on_slice=False,
         ),
         _ineq(
             RE1,
-            Min(mi("X1;Z|U,V1,V2"), mi("X1;Y"))
-            + mi("V1;Y|U,X1")
-            - mi("V1;V2|U")
-            - mi("X1,V1;Z|U,V2"),
+            (RSTAR if cf else budget) + mi(f"V1;{y}|U,X1") - mi("V1;V2|U") - mi("X1,V1;Z|U,V2"),
             equivocation=True,
         ),
         _ineq(RE2, mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1"), equivocation=True),
     )
-
-    l1 = BranchSpec("T3.L1", ineqs1, Condition(mi("X1;Y"), mi("X1;Z|U,V2")))
-    # Branch 2: the mirror image, receiver 2 decodes X1.
-    branches = (l1, _MIRROR.branch(l1, "T3.L2"))
+    l1 = BranchSpec(f"{theorem_id}.L{l_first}", ineqs, Condition(mi("X1;Y"), mi("X1;Z|U,V2")),
+                    budget if cf else None)
+    aux = ("U", "V1", "V2")
+    factors = ((aux, ()), (("X",), aux), (("X1",), ()))
+    compressor = (("Y1",), ("X", "X1")), (("Yh",), ("Y1", "X1"))
     return TheoremSpec(
-        "T3",
+        theorem_id,
         "A",
-        "noise-forward",
-        ("U", "V1", "V2", "X", "X1"),
-        _nf_pattern(("U", "V1", "V2")),
-        branches,
-    )
-
-
-def _cf_two_messages() -> TheoremSpec:
-    m1 = Min(mi("U;Y,Yh|X1"), mi("U;Z"))
-    ineqs1 = (
-        _ineq(R0, m1),
-        _ineq(rsum(R0, R1), m1 + mi("V1;Y,Yh|U,X1")),
-        _ineq(rsum(R0, R2), m1 + mi("V2;Z|U"), on_slice=False),
-        _ineq(
-            rsum(R0, R1, R2),
-            m1 + mi("V1;Y,Yh|U,X1") + mi("V2;Z|U") - mi("V1;V2|U"),
-            on_slice=False,
-        ),
-        _ineq(
-            RE1,
-            RSTAR + mi("V1;Y,Yh|U,X1") - mi("V1;V2|U") - mi("X1,V1;Z|U,V2"),
-            equivocation=True,
-        ),
-        _ineq(RE2, mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1"), equivocation=True),
-    )
-
-    l3 = BranchSpec(
-        "T4.L3",
-        ineqs1,
-        Condition(mi("X1;Y"), mi("X1;Z|U,V2")),
-        rstar_budget=Min(mi("X1;Z|U,V1,V2"), mi("X1;Y")),
-    )
-    branches = (l3, _MIRROR.branch(l3, "T4.L4"))
-    return TheoremSpec(
-        "T4",
-        "A",
-        "compress-forward",
-        ("U", "V1", "V2", "X", "X1", "Y1", "Yh"),
-        _cf_pattern(("U", "V1", "V2")),
-        branches,
+        "compress-forward" if cf else "noise-forward",
+        aux + ("X", "X1") + (("Y1", "Yh") if cf else ()),
+        FactorizationPattern(factors + (compressor if cf else ())),
+        (l1, _MIRROR.branch(l1, f"{theorem_id}.L{l_first + 1}")),
     )
 
 
@@ -643,35 +601,26 @@ def _outer_one_message() -> TheoremSpec:
     )
 
 
-def _nf_one_message(t3: TheoremSpec) -> TheoremSpec:
-    # Branch 1 is T3.L1 with V2 constant.  Branch 2: both receivers decode the
-    # relay codeword; the relay adds no confusion.
-    m = Min(mi("U;Y|X1"), mi("U;Z|X1"))
+def _forward_one_message(parent: TheoremSpec, theorem_id: str, l_first: int) -> TheoremSpec:
+    """T11 from T3, T12 from T4.  Branch 1 is the parent's first branch with V2
+    constant.  In branch 2 both receivers decode the relay codeword, so the relay
+    adds no confusion."""
+    cf = parent.uses_compressor
+    yh = ",Yh" if cf else ""
+    m = Min(mi(f"U;Y{yh}|X1"), mi(f"U;Z{yh}|X1"))
     ineqs = (
         _ineq(R0, m),
-        _ineq(rsum(R0, R1), m + mi("V;Y|U,X1"), on_slice=False),
-        _ineq(RE1, mi("V;Y|U,X1") - mi("V;Z|U,X1"), equivocation=True),
+        _ineq(rsum(R0, R1), m + mi(f"V;Y{yh}|U,X1"), on_slice=False),
+        _ineq(RE1, mi(f"V;Y{yh}|U,X1") - mi("V;Z|U,X1"), equivocation=True),
     )
-    both = BranchSpec("T11.L10", ineqs, Condition(mi("X1;Z"), mi("X1;Y")))
-    return _ONE_MESSAGE.theorem(t3, "T11", (_ONE_MESSAGE.branch(t3.branches[0], "T11.L9"), both))
-
-
-def _cf_one_message(t4: TheoremSpec) -> TheoremSpec:
-    # Branch 1 is T4.L3 with V2 constant; branch 2 as in `_nf_one_message`.
-    m = Min(mi("U;Y,Yh|X1"), mi("U;Z,Yh|X1"))
-    ineqs = (
-        _ineq(R0, m),
-        _ineq(rsum(R0, R1), m + mi("V;Y,Yh|U,X1"), on_slice=False),
-        _ineq(RE1, mi("V;Y,Yh|U,X1") - mi("V;Z|U,X1"), equivocation=True),
-    )
-    both = BranchSpec(
-        "T12.L12", ineqs, Condition(mi("X1;Z"), mi("X1;Y")), rstar_budget=Min(mi("X1;Y"))
-    )
-    return _ONE_MESSAGE.theorem(t4, "T12", (_ONE_MESSAGE.branch(t4.branches[0], "T12.L11"), both))
+    both = BranchSpec(f"{theorem_id}.L{l_first + 1}", ineqs, Condition(mi("X1;Z"), mi("X1;Y")),
+                      Min(mi("X1;Y")) if cf else None)
+    first = _ONE_MESSAGE.branch(parent.branches[0], f"{theorem_id}.L{l_first}")
+    return _ONE_MESSAGE.theorem(parent, theorem_id, (first, both))
 
 
 def _catalog() -> dict[str, TheoremSpec]:
-    t2, t3, t4 = _df_two_messages(), _nf_two_messages(), _cf_two_messages()
+    t2, t3, t4 = _df_two_messages(), _forward_two_messages(False), _forward_two_messages(True)
     specs = (
         _outer_two_messages("T1", "A"),
         t2,
@@ -683,8 +632,8 @@ def _catalog() -> dict[str, TheoremSpec]:
         _without_common(t4, "T8", 7),
         _outer_one_message(),
         _ONE_MESSAGE.theorem(t2, "T10", (_ONE_MESSAGE.branch(t2.branches[0], "n/a"),)),
-        _nf_one_message(t3),
-        _cf_one_message(t4),
+        _forward_one_message(t3, "T11", 9),
+        _forward_one_message(t4, "T12", 11),
     )
     return {spec.theorem_id: spec for spec in specs}
 

@@ -25,15 +25,25 @@ is `second`, and both are clamped at zero.
 The `active` label of a point names the leftmost minimal arm (`arm_labels`;
 a single-arm strategy has no label).  `b_df` and `b_baseline` share a kernel:
 decoding-and-forwarding cannot enlarge the two-confidential-message region.
+The C-model baseline is DF at P2 = 0 without the relay-decoding arm.
 Negative values are clamped everywhere except in `cf_rstar_max`, whose sign
 is the compress-forward feasibility signal.
+
+Noise-forward and compress-forward are one formula per model (`_b_forward`,
+`_c_forward`) in how receiver 1 hears the relay, (scale, noise, head): the
+secret layer reaches it scaled by `scale` against `noise`, and `head` is the
+relay's confusion rate.  NF reads Y alone: (1, N1, relay budget), the budget
+being half the log2 of `_relay_gain`.  CF also reads the compressed relay
+observation Yh = Y1 + N(0, q): (N1 + Nr + q, N1 (Nr + q), R*).  The table
+entry picks `_nf_relay` or `_cf_relay`, never the value of q; each also gives
+the gain 2^(2 head), the form the log-affine `terms` read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -140,10 +150,10 @@ def _first(arms):
     return _clamp(reduce(np.minimum, arms))
 
 
-def _relay_budget(net: GaussianNetwork):
-    """Rate the relay's own codewords can carry to both receivers."""
+def _relay_gain(net: GaussianNetwork):
+    """2^(2 x) for the rate x the relay's own codewords can carry to both receivers."""
     p1, p2, n1, n2, _ = net.as_tuple()
-    return min(_hl((p2 + n2) / n2), _hl((p1 + p2 + n1) / (p1 + n1)))
+    return min((p2 + n2) / n2, (p1 + p2 + n1) / (p1 + n1))
 
 
 def cf_rstar_max(net: GaussianNetwork, q: float) -> float:
@@ -154,7 +164,22 @@ def cf_rstar_max(net: GaussianNetwork, q: float) -> float:
     """
     if not (math.isfinite(q) and q > 0.0):
         raise ValidationError(f"cf_rstar_max: q must be positive, got {q!r}")
-    return float(_relay_budget(net) - _hl((net.p1 + q + net.nr) / q))
+    return float(_hl(_relay_gain(net)) - _hl((net.p1 + q + net.nr) / q))
+
+
+def _nf_relay(net: GaussianNetwork, q, rstar):
+    """Noise-forward: receiver 1 hears the relay codeword in Y alone (scale 1,
+    noise N1), and the relay's confusion rate is its budget _hl(gain).
+    Returns (scale, noise, gain, head); head None stands for _hl(gain)."""
+    return 1.0, net.as_tuple()[2], _relay_gain(net), None
+
+
+def _cf_relay(net: GaussianNetwork, q, rstar):
+    """Compress-forward: receiver 1 also hears Yh = Y1 + N(0, q), so the secret
+    layer reaches it scaled by N1 + Nr + q against noise N1 (Nr + q), and the
+    confusion rate is the pure-noise rate R* (gain 2^(2 R*))."""
+    _, _, n1, _, nr = net.as_tuple()
+    return nr + q + n1, n1 * (nr + q), 2.0 ** (2.0 * rstar), rstar
 
 
 def _b_second(net: GaussianNetwork, s, a, relay_noise):
@@ -172,36 +197,28 @@ def _b_df(net: GaussianNetwork, a, b, q, rstar):
     return (r1,), _b_second(net, s, a, 0.0)
 
 
-def _b_nf(net: GaussianNetwork, a, b, q, rstar):
-    p1, p2, n1, n2, _ = net.as_tuple()
+def _b_forward(net: GaussianNetwork, a, b, q, rstar, relay):
+    """B-model NF and CF, one formula in the `relay` parameters."""
+    p1, p2, _, n2, _ = net.as_tuple()
+    scale, noise, gain, head = relay(net, q, rstar)
+    head = _hl(gain) if head is None else head
     s = (1.0 - b) * p1
-    secret = _hl((s + n1) / (s * (1.0 - a) + n1))
-    direct = np.minimum(_hl((p1 + n1) / (s + n1)), _hl((p1 + p2 + n2) / (s + p2 + n2))) + secret
-    secrecy = _relay_budget(net) + secret - _hl((s * a + p2 + n2) / n2)
-    return (direct, secrecy), _b_second(net, s, a, p2)
-
-
-def _b_cf(net: GaussianNetwork, a, b, q, rstar):
-    p1, p2, n1, n2, nr = net.as_tuple()
-    s = (1.0 - b) * p1
-    nq = nr + q
-    eff = nq + n1
-    secret = _hl((s * eff + n1 * nq) / (s * (1.0 - a) * eff + n1 * nq))
+    secret = _hl((s * scale + noise) / (s * (1.0 - a) * scale + noise))
     direct = (
         np.minimum(
-            _hl((p1 * eff + n1 * nq) / (s * eff + n1 * nq)),
+            _hl((p1 * scale + noise) / (s * scale + noise)),
             _hl((p1 + p2 + n2) / (s + p2 + n2)),
         )
         + secret
     )
-    secrecy = rstar + secret - _hl((s * a + p2 + n2) / n2)
+    secrecy = head + secret - _hl((s * a + p2 + n2) / n2)
     return (direct, secrecy), _b_second(net, s, a, p2)
 
 
 # Log-affine descriptions of the B kernels in s = (1 - beta) P1 for fixed alpha:
 # (secret, arms), ratio (u, v, w, x) = (u s + v) / (w s + x), arm i = _hl(secret)
-# + min of _hl(r) over its ratios r; the relay budget and R* are constant
-# numerator factors.  Plain arithmetic, so mpmath values work too.
+# + min of _hl(r) over its ratios r; the relay's head enters as its gain, a
+# constant numerator factor.  Plain arithmetic, so mpmath values work too.
 
 
 def _b_df_terms(net: GaussianNetwork, a, q, rstar):
@@ -209,22 +226,12 @@ def _b_df_terms(net: GaussianNetwork, a, q, rstar):
     return (1.0, n1, 1.0 - a, n1), (((0.0, n2, a, n2),),)
 
 
-def _b_relay_terms(net: GaussianNetwork, a, scale, noise, gain):
-    """NF (scale 1, noise N1) and CF (scale N1 + Nr + q, noise N1 (Nr + q)) share one shape."""
+def _b_forward_terms(net: GaussianNetwork, a, q, rstar, relay):
     p1, p2, _, n2, _ = net.as_tuple()
+    scale, noise, gain, _ = relay(net, q, rstar)
     m = p2 + n2
     direct = ((0.0, p1 * scale + noise, scale, noise), (0.0, p1 + m, 1.0, m))
     return (scale, noise, (1.0 - a) * scale, noise), (direct, ((0.0, gain * n2, a, m),))
-
-
-def _b_nf_terms(net: GaussianNetwork, a, q, rstar):
-    p1, p2, n1, n2, _ = net.as_tuple()
-    return _b_relay_terms(net, a, 1.0, n1, min((p2 + n2) / n2, (p1 + p2 + n1) / (p1 + n1)))
-
-
-def _b_cf_terms(net: GaussianNetwork, a, q, rstar):
-    _, _, n1, _, nr = net.as_tuple()
-    return _b_relay_terms(net, a, nr + q + n1, n1 * (nr + q), 2.0 ** (2.0 * rstar))
 
 
 def _mul(f, g):
@@ -262,51 +269,26 @@ def _quadratic_roots(c2, c1, c0):
         return np.concatenate((h / c2, c0 / h), axis=-1)
 
 
-def _c_plain_r1(net: GaussianNetwork, a):
-    """R1 of the C model when receiver 2 sees no relay noise (DF, baseline)."""
-    p1, _, n1, n2, _ = net.as_tuple()
-    return _hl((a * p1 + n1) / n1) - _hl((a * p1 + n2) / n2)
-
-
-def _c_df(net: GaussianNetwork, a, b, q, rstar):
+def _c_df(net: GaussianNetwork, a, b, q, rstar, baseline=False):
+    """C-model DF; baseline=True is the no-relay baseline, DF at P2 = 0 without
+    the relay-decoding arm."""
     p1, p2, n1, n2, nr = net.as_tuple()
-    arms = (
-        _hl((p1 + nr) / (a * p1 + nr)),
-        _hl((p1 + p2 + n1) / (a * p1 + n1)),
-        _hl((p1 + p2 + n2) / (a * p1 + n2)),
-    )
-    return arms, _c_plain_r1(net, a)
+    p2 = 0.0 if baseline else p2
+    arms = (_hl((p1 + p2 + n1) / (a * p1 + n1)), _hl((p1 + p2 + n2) / (a * p1 + n2)))
+    relay = () if baseline else (_hl((p1 + nr) / (a * p1 + nr)),)
+    return relay + arms, _hl((a * p1 + n1) / n1) - _hl((a * p1 + n2) / n2)
 
 
-def _c_nf(net: GaussianNetwork, a, b, q, rstar):
-    p1, p2, n1, n2, _ = net.as_tuple()
+def _c_forward(net: GaussianNetwork, a, b, q, rstar, relay):
+    """C-model NF and CF, one formula in the `relay` parameters."""
+    p1, p2, _, n2, _ = net.as_tuple()
+    scale, noise, gain, head = relay(net, q, rstar)
+    head = _hl(gain) if head is None else head
     arms = (
-        _hl((p1 + n1) / (a * p1 + n1)),
+        _hl((p1 * scale + noise) / (a * p1 * scale + noise)),
         _hl((p1 + p2 + n2) / (a * p1 + p2 + n2)),
     )
-    r1 = _relay_budget(net) + _hl((a * p1 + n1) / n1) - _hl((a * p1 + p2 + n2) / n2)
-    return arms, r1
-
-
-def _c_cf(net: GaussianNetwork, a, b, q, rstar):
-    p1, p2, n1, n2, nr = net.as_tuple()
-    nq = nr + q
-    eff = nq + n1
-    arms = (
-        _hl((p1 * eff + n1 * nq) / (a * p1 * eff + n1 * nq)),
-        _hl((p1 + p2 + n2) / (a * p1 + p2 + n2)),
-    )
-    r1 = rstar + _hl((a * p1 * eff + n1 * nq) / (n1 * nq)) - _hl((a * p1 + p2 + n2) / n2)
-    return arms, r1
-
-
-def _c_baseline(net: GaussianNetwork, a, b, q, rstar):
-    p1, _, n1, n2, _ = net.as_tuple()
-    arms = (
-        _hl((p1 + n1) / (a * p1 + n1)),
-        _hl((p1 + n2) / (a * p1 + n2)),
-    )
-    return arms, _c_plain_r1(net, a)
+    return arms, head + _hl((a * p1 * scale + noise) / noise) - _hl((a * p1 + p2 + n2) / n2)
 
 
 @dataclass(frozen=True)
@@ -349,13 +331,15 @@ STRATEGIES: dict[str, Strategy] = {
     s.strategy_id: s
     for s in (
         Strategy("b_df", "B", "df", False, _b_df, terms=_b_df_terms),
-        Strategy("b_nf", "B", "nf", False, _b_nf, _B_ARMS, _b_nf_terms),
-        Strategy("b_cf", "B", "cf", True, _b_cf, _B_ARMS, _b_cf_terms),
+        Strategy("b_nf", "B", "nf", False, partial(_b_forward, relay=_nf_relay), _B_ARMS,
+                 partial(_b_forward_terms, relay=_nf_relay)),
+        Strategy("b_cf", "B", "cf", True, partial(_b_forward, relay=_cf_relay), _B_ARMS,
+                 partial(_b_forward_terms, relay=_cf_relay)),
         Strategy("b_baseline", "B", "baseline", False, _b_df, terms=_b_df_terms),
         Strategy("c_df", "C", "df", False, _c_df, _C_ARMS),
-        Strategy("c_nf", "C", "nf", False, _c_nf, _C_ARMS[:2]),
-        Strategy("c_cf", "C", "cf", True, _c_cf, _C_ARMS[:2]),
-        Strategy("c_baseline", "C", "baseline", False, _c_baseline, _C_ARMS[:2]),
+        Strategy("c_nf", "C", "nf", False, partial(_c_forward, relay=_nf_relay), _C_ARMS[:2]),
+        Strategy("c_cf", "C", "cf", True, partial(_c_forward, relay=_cf_relay), _C_ARMS[:2]),
+        Strategy("c_baseline", "C", "baseline", False, partial(_c_df, baseline=True), _C_ARMS[:2]),
     )
 }
 

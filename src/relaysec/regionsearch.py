@@ -53,15 +53,6 @@ class ExtremePoint:
         return (self.rates.r0, self.rates.r1, self.rates.r2)
 
 
-def _rate_tuple_from_point(config: str, point: Sequence[float]) -> RateTuple:
-    r0, r1, r2 = (max(0.0, float(v)) for v in point)
-    if config == "B":
-        r0 = 0.0
-    if config == "C":
-        r2 = 0.0
-    return RateTuple(r0, r1, r2, re1=r1, re2=r2)
-
-
 def _vertex_system(coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows (R, d) plus axis planes r_k >= 0 (as -r_k <= 0): all rows, and the
     regular d-subsets of them with their matrices."""
@@ -149,7 +140,8 @@ def _stack_extremes(spec: TheoremSpec, ev: StackEvaluation, obj, tol: float):
 def _extreme_point(spec: TheoremSpec, value: float, point: np.ndarray, branch: int) -> ExtremePoint:
     if branch < 0:
         return ExtremePoint(RateTuple.zero(), 0.0, "none", empty_interior=True)
-    rates = _rate_tuple_from_point(spec.config, point.tolist())
+    r0, r1, r2 = point.tolist()  # a `_full_points` point: 0 off rate_dims(), never negative
+    rates = RateTuple(r0, r1, r2, re1=r1, re2=r2)
     return ExtremePoint(rates, value, spec.branches[branch].branch_id)
 
 

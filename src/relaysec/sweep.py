@@ -204,16 +204,17 @@ def _slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, curve: boo
     """Every feasible compress-forward (q, R*) in grid order, or [(None, None)].
 
     First refuses a request whose grid would exceed MAX_GRID_CELLS: alpha_steps
-    x beta columns (a curve's bracket width) x slices, plus the two axes."""
+    x beta columns (a curve's bracket width) x slices, plus the two axes as
+    built (the C model's beta axis is one point)."""
     pairs = [(None, None)]
     if strategy.uses_q:
         # A q whose limit is negative cannot pay for its own compression.
         pairs = [(q, limit) for q in grid.q_values if (limit := cf_rstar_max(net, q)) >= 0.0]
     per_q = grid.rstar_steps if strategy.uses_q and grid.rstar_policy == "grid" else 1
-    width = grid.beta_steps if strategy.config == "B" else 1
+    betas = width = grid.beta_steps if strategy.config == "B" else 1  # see `_betas`
     if curve and pairs and strategy.config == "B":
         width = min(width, 2 + len(_BRACKET) * strategy.candidates(net, [0.0], *pairs[0]).size)
-    cells = grid.alpha_steps * width * len(pairs) * per_q + grid.alpha_steps + grid.beta_steps
+    cells = grid.alpha_steps * width * len(pairs) * per_q + grid.alpha_steps + betas
     if cells > MAX_GRID_CELLS:
         raise ValidationError(
             f"{strategy.strategy_id}: the grid needs about {cells:.3g} cells, over the limit "

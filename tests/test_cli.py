@@ -644,6 +644,26 @@ class TestGoldenOutputs:
         )
 
 
+class TestFigureScripts:
+    """The figure scripts write the same bytes as the CLI (the `TestGoldenOutputs` digests)."""
+
+    @pytest.mark.parametrize(
+        "script, flags, digest",
+        [
+            ("make_fig4.py", [], "9e9ec2c6b3cd5c5b400eb4cafc6b5d281eab787381f7d31de02b4ab04bcf15a3"),
+            ("make_fig5.py", [], "16166fef0635c2a8b65f47c48553434c2c88426f8a57a7989a07ae9b91f5c4c9"),
+            ("make_fig5.py", ["--convex-hull"],
+             "82f169d19087d6f3ca8b8f3854f07002e9ba7946c24916ef9778e07d427ac972"),
+        ],
+    )
+    def test_script_bytes(self, tmp_path, script, flags, digest):
+        out = tmp_path / "o.csv"
+        argv = [sys.executable, os.path.join(REPO, "scripts", script), "--out", str(out), *flags]
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestGridBudgetRefusal:
     @pytest.mark.parametrize(
         "command, model, grid",
@@ -671,6 +691,18 @@ class TestGridBudgetRefusal:
         assert estimate >= max(v for v in grid.values() if isinstance(v, int)) > MAX_GRID_CELLS
         assert peak < 2**20  # no array on the scale of the request was ever allocated
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["curve", "region"])
+    def test_model_c_ignores_beta_steps(self, tmp_path, command):
+        # Model C's beta axis is {0} whatever beta_steps says, so a huge value costs nothing.
+        outputs = []
+        for beta_steps in (20_000_000, 2):
+            grid = {"alpha_steps": 11, "beta_steps": beta_steps}
+            path = write_json(tmp_path, "s.json", {"model": "C", "net": PAPER_NET, "grid": grid})
+            out = tmp_path / f"{beta_steps}.csv"
+            assert main([command, "--scenario", path, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 _FLAG_JUNK = st.one_of(

@@ -1,3 +1,5 @@
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -370,3 +372,53 @@ class TestLogAffineOracle:
             assert s == NET.p1  # beta = 0
             assert mpmath.nstr(sup, 10) == "0.6201593876"
             assert abs(sup - B_CF_A1_B0_Q300_R1) <= 1e-14
+
+
+def _bits_networks():
+    """The paper network and 20 seeded random networks under the less-noisy ordering."""
+    rng = np.random.default_rng(20)
+    nets = [NET]
+    for _ in range(20):
+        p1, n1 = rng.uniform(0.5, 10.0), rng.uniform(0.2, 4.0)
+        n2 = (p1 + n1) * rng.uniform(1.0, 2.5)
+        nets.append(GaussianNetwork(p1, rng.uniform(0.2, 8.0), n1, n2, rng.uniform(0.2, 5.0)))
+    return nets
+
+
+def _bits_slices(strategy, net):
+    if not strategy.uses_q:
+        return [(None, None)]
+    return [(q, f * cf_rstar_max(net, q)) for q in (40.0, 300.0, 1e3, 1e8) for f in (0.0, 0.5, 1.0)]
+
+
+class TestKernelBits:
+    """Every kernel's arms and second rate, and every B strategy's candidates, at
+    full precision on a 101 x 57 (alpha, beta) grid: a rewrite of a kernel must
+    keep every bit, which the 9-digit CSV goldens cannot show."""
+
+    # Pinned at the kernels as they stood before NF and CF shared one formula.
+    DIGESTS = {
+        "b_df": "d8e3d0ac2d47803c6872ef041ffae22c9191a899d6e999f220ce6d181f65d60b",
+        "b_nf": "8321a2dbac5cc0598787fa6e7e572016d06b235699e47849e571cbf879f3acb2",
+        "b_cf": "eedf06ace6848b5c4328f075ce3d8c052a5adf885aa507c40b00dd7e9af5190f",
+        "b_baseline": "d8e3d0ac2d47803c6872ef041ffae22c9191a899d6e999f220ce6d181f65d60b",
+        "c_df": "b52a03d699d7ee1c1474006f4a3b3ef6522d03ef4d9d9ff1bc33857ec889ed16",
+        "c_nf": "8dc430b403da5adf0b3bfe1770883cedd3d13363faa5d28446d8b04a332715bd",
+        "c_cf": "3558c9faba9cf89e39c844c44be9ea876381390ddc3bf9c1c60f5d1e519212f9",
+        "c_baseline": "58f81dcf644cc94db16c21c0005b816258d7f29aa266b7da92c5b75730f719b3",
+    }
+
+    @pytest.mark.parametrize("sid", list(STRATEGIES))
+    def test_kernel_bits(self, sid):
+        strategy = STRATEGIES[sid]
+        alphas = np.linspace(0.0, 1.0, 101)
+        A, B = np.meshgrid(alphas, np.linspace(0.0, 1.0, 57), indexing="ij")
+        h = hashlib.sha256()
+        for net in _bits_networks():
+            for q, rstar in _bits_slices(strategy, net):
+                arms, second = strategy.kernel(net, A, B, q, rstar)
+                for x in (*arms, second):
+                    h.update(np.ascontiguousarray(np.broadcast_to(x, A.shape), np.float64).tobytes())
+                if strategy.terms is not None:
+                    h.update(np.ascontiguousarray(strategy.candidates(net, alphas, q, rstar)).tobytes())
+        assert h.hexdigest() == self.DIGESTS[sid]

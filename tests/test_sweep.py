@@ -458,13 +458,14 @@ class TestGridBudget:
                     rstar_policy="grid", rstar_steps=3)
 
     def test_estimate_counts_cells_slices_and_axes(self, monkeypatch):
-        # 11 alphas x 1 beta column x (2 feasible q x 3 R*) + 11 + 2 = 79 cells.
-        monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 79)
-        assert region_boundary("c_cf", NET, self.GRID).first.size
+        # 11 alphas x 1 beta column x (2 feasible q x 3 R*) + 11 + 1 = 78 cells:
+        # the C model's beta axis is one point whatever beta_steps says.
         monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 78)
-        with pytest.raises(ValidationError, match="about 79 cells"):
+        assert region_boundary("c_cf", NET, self.GRID).first.size
+        monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 77)
+        with pytest.raises(ValidationError, match="about 78 cells"):
             region_boundary("c_cf", NET, self.GRID)
-        with pytest.raises(ValidationError, match="about 79 cells"):
+        with pytest.raises(ValidationError, match="about 78 cells"):
             max_r1_vs_alpha("c_cf", NET, self.GRID)
 
     def test_curve_counts_only_bracketing_columns(self, monkeypatch):
