@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from . import acceptance
 from .bounds import evaluate_membership
 from .dmc import RateTuple
 from .errors import InfeasibleError, UsageError, ValidationError
-from .gaussian import GaussianNetwork, StrategyParams
+from .gaussian import GaussianNetwork, StrategyParams, cf_rstar_max
 from .regionsearch import brute_force_best
 from .scenario import Scenario, load_scenario
 from .sweep import (
@@ -47,25 +47,38 @@ EXIT_INFEASIBLE = 3
 EXIT_SELFTEST = 4
 
 
-def fmt(column, size: int = 1) -> list[str]:
-    """CSV number format of a float column (or one number): 9 significant
-    digits, locale-independent.  None, a parameter the strategy does not use,
-    gives `size` empty fields."""
-    if column is None:
-        return [""] * size
-    return list(map("{:.9g}".format, np.asarray(column, dtype=float).ravel().tolist()))
+def _quote(text: str) -> str:
+    """A text field as csv.writer quotes it (minimal quoting, newline line ends)."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    """Write formatted rows (strings) under `header`, to stdout for None or "-"."""
-    import csv
-    import io
+def _write_csv(path: str | None, header: Sequence[str], tables) -> None:
+    """Write the rows of every table under `header`, to stdout for None or "-".
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
+    A table has one column per header name: a number or str (the same in every
+    row), None (empty fields), or a sequence of numbers or of str (one per row);
+    a table of single values is one row.  Numbers print with 9 significant
+    digits and text is quoted as csv.writer quotes it.  A table is formatted
+    in one pass: single values go into a %-template of its row, repeated once
+    per row, and the sequences fill the template's slots."""
+    parts = [",".join(map(_quote, header)) + "\n"]
+    for columns in tables:
+        template, slots = [], []
+        for col in columns:
+            if col is None or isinstance(col, str):
+                template.append(_quote(col or "").replace("%", "%%"))
+            elif np.ndim(col) == 0:
+                template.append("%.9g" % col)
+            else:
+                values = np.ravel(col).tolist()
+                text = bool(values) and isinstance(values[0], str)
+                template.append("%s" if text else "%.9g")
+                slots.append(list(map(_quote, values)) if text else values)
+        rows = (",".join(template) + "\n") * (len(slots[0]) if slots else 1)
+        parts.append(rows % tuple(itertools.chain.from_iterable(zip(*slots))))
+    text = "".join(parts)
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -80,14 +93,6 @@ def _write_file(path: str, text: str) -> None:
         raise ValidationError(
             f"cannot write {path} ({getattr(exc, 'strerror', None) or exc})"
         ) from exc
-
-
-def read_frontier_csv(path: str) -> list[dict[str, str]]:
-    """Bundled reader for the CSV emitted here (round-trip checks, plotting)."""
-    import csv as _csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [dict(row) for row in _csv.DictReader(fh)]
 
 
 def _require_gaussian(scenario: Scenario, command: str, model: str | None = None) -> None:
@@ -106,8 +111,8 @@ def _cmd_curve(args) -> int:
         strategy = resolve_strategy(label, scenario.model)
         curves.append(max_r1_vs_alpha(strategy.strategy_id, scenario.net, scenario.grid))
         header.append(f"{strategy.label}_r1")
-    columns = [fmt(curves[0].alpha)] + [fmt(c.value) for c in curves]
-    _write_csv(args.out or scenario.output, header, list(zip(*columns)))
+    table = [curves[0].alpha, *(c.value for c in curves)]
+    _write_csv(args.out or scenario.output, header, [table])
     return EXIT_OK
 
 
@@ -115,17 +120,14 @@ def _cmd_region(args) -> int:
     scenario = load_scenario(args.scenario)
     _require_gaussian(scenario, "region", model="C")
     header = ["strategy", "r0", "r1", "alpha", "q", "rstar", "branch"]
-    rows = []
+    tables = []
     for label in scenario.strategies:
         strategy = resolve_strategy(label, "C")
         f = region_boundary(strategy.strategy_id, scenario.net, scenario.grid)
         if args.convex_hull:
             f = f.convex_hull()
-        n = f.first.size
-        columns = ([strategy.label] * n, fmt(f.first), fmt(f.second), fmt(f.alpha),
-                   fmt(f.q, n), fmt(f.rstar, n), f.active.tolist())
-        rows.extend(zip(*columns))
-    _write_csv(args.out or scenario.output, header, rows)
+        tables.append([strategy.label, f.first, f.second, f.alpha, f.q, f.rstar, f.active])
+    _write_csv(args.out or scenario.output, header, tables)
     return EXIT_OK
 
 
@@ -136,16 +138,14 @@ def _cmd_gaussian(args) -> int:
         raise UsageError("gaussian: --beta applies to model B only")
     rstar = args.rstar
     if strategy.uses_q and args.q is not None and rstar is None:
-        from .gaussian import cf_rstar_max
-
         rstar = max(0.0, cf_rstar_max(net, args.q))
     beta = 0.0 if args.beta is None else args.beta
     sp = StrategyParams(alpha=args.alpha, beta=beta, q=args.q, rstar=rstar)
     pair = evaluate_strategy(strategy.strategy_id, net, sp)
     first_name, second_name = ("r1", "r2") if strategy.config == "B" else ("r0", "r1")
     header = ["model", "strategy", "alpha", "beta", "q", "rstar", first_name, second_name, "branch"]
-    row = [strategy.config, strategy.label, *fmt([sp.alpha, sp.beta]), *fmt(sp.q),
-           *fmt(sp.rstar), *fmt([pair.first, pair.second]), ";".join(pair.active)]
+    row = [strategy.config, strategy.label, sp.alpha, sp.beta, sp.q, sp.rstar,
+           pair.first, pair.second, ";".join(pair.active)]
     _write_csv(args.out, header, [row])
     return EXIT_OK
 
@@ -160,17 +160,15 @@ def _parse_floats(text: str, count: int, usage: str) -> list[float]:
     return values
 
 
-def _parse_rates_flag(text: str) -> RateTuple:
-    return RateTuple(*_parse_floats(text, 5, "--rates expects r0,r1,r2,re1,re2"))
-
-
 def _cmd_dmc_eval(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.model != "DMC":
         raise UsageError("dmc-eval needs a DMC scenario")
     if scenario.coupling is None:
         raise UsageError("dmc-eval: the scenario does not reference a coupling")
-    rates = _parse_rates_flag(args.rates) if args.rates else scenario.rates
+    rates = scenario.rates
+    if args.rates:
+        rates = RateTuple(*_parse_floats(args.rates, 5, "--rates expects r0,r1,r2,re1,re2"))
     evaluation = evaluate_membership(
         scenario.theorem,
         scenario.dmc_model,
@@ -185,14 +183,14 @@ def _cmd_dmc_eval(args) -> int:
     for branch in evaluation.branches:
         bid = branch.state.branch_id
         for cond in branch.state.conditions:
-            values = fmt([cond.lhs, cond.rhs, cond.lhs - cond.rhs])
+            values = [cond.lhs, cond.rhs, cond.lhs - cond.rhs]
             rows.append(["condition", bid, cond.name, *values, str(cond.satisfied).lower()])
         for rec in branch.inequalities:
-            values = fmt([rec.expression, rec.bound, rec.slack])
+            values = [rec.expression, rec.bound, rec.slack]
             rows.append(["inequality", bid, rec.name, *values, str(rec.satisfied).lower()])
     member = evaluation.member
-    summary = ["summary", evaluation.branch_taken, "member", *fmt(1.0 if member else 0.0)]
-    rows.append(summary + ["", "", str(member).lower()])
+    rows.append(["summary", evaluation.branch_taken, "member", 1.0 if member else 0.0,
+                 None, None, str(member).lower()])
     _write_csv(args.out or scenario.output, header, rows)
     return EXIT_OK
 
@@ -233,18 +231,19 @@ def _cmd_dmc_search(args) -> int:
         _write_file(args.best_coupling_out, result.coupling.to_json())
     header = ["theorem", "branch", "objective_value", "r0", "r1", "r2", "couplings_scanned"]
     rates = best.rates
-    values = fmt([best.objective_value, rates.r0, rates.r1, rates.r2, result.couplings_scanned])
-    _write_csv(args.out or scenario.output, header, [[scenario.theorem, best.branch_id, *values]])
+    row = [scenario.theorem, best.branch_id, best.objective_value, rates.r0, rates.r1, rates.r2,
+           result.couplings_scanned]
+    _write_csv(args.out or scenario.output, header, [row])
     return EXIT_OK
 
 
 def _cmd_selftest(args) -> int:
+    from . import acceptance  # random generators and oracles: selftest only
+
     results = acceptance.run_all()
     header = ["criterion", "description", "status", "seconds", "detail"]
-    rows = [
-        [r.cid, r.description, "pass" if r.passed else "FAIL", *fmt(r.seconds), r.detail]
-        for r in results
-    ]
+    rows = [[r.cid, r.description, "pass" if r.passed else "FAIL", r.seconds, r.detail]
+            for r in results]
     _write_csv(args.out, header, rows)
     failed = [r for r in results if not r.passed]
     if failed:
@@ -343,8 +342,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return EXIT_INVALID
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    return run_command(argv)
+main = run_command  # the console entry point
 
 
 if __name__ == "__main__":

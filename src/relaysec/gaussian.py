@@ -315,6 +315,12 @@ class Strategy:
         coeffs = zip(*candidate_polynomials(*self.terms(net, a, q, rstar)))
         return _quadratic_roots(*(np.hstack(np.broadcast_arrays(a, *c)[1:]) for c in coeffs))
 
+    def root_count(self, net: GaussianNetwork, q, rstar) -> int:
+        """Columns of `candidates`, without solving: n ratios give n stationary
+        points and n(n-1)/2 crossings, two roots each."""
+        n = sum(map(len, self.terms(net, 0.0, q, rstar)[1]))
+        return n * (n + 1)
+
     def active(self, arms) -> np.ndarray:
         """`active` label per point of 1-d (or scalar) arms: the leftmost
         minimal arm, "" for a single-arm strategy."""

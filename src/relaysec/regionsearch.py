@@ -22,7 +22,6 @@ import numpy as np
 from .bounds import (
     DEFAULT_TOL,
     AuxiliaryCoupling,
-    CorollaryBranch,
     StackEvaluation,
     TheoremSpec,
     compose_stack,
@@ -48,9 +47,6 @@ class ExtremePoint:
     objective_value: float
     branch_id: str
     empty_interior: bool = False
-
-    def point3(self) -> tuple[float, float, float]:
-        return (self.rates.r0, self.rates.r1, self.rates.r2)
 
 
 def _vertex_system(coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -85,16 +81,6 @@ def _full_points(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     full = np.zeros(points.shape[:-1] + (3,))
     full[..., list(dims)] = np.where(points > 0.0, points, 0.0)
     return full
-
-
-def _branch_vertices(
-    branch: CorollaryBranch, dims: tuple[int, ...], tol: float
-) -> list[tuple[float, float, float]]:
-    """Feasible vertices of one branch's polytope in subset order, less near-duplicates."""
-    coefs = np.array([[lc.coefs[i] for i in dims] for lc in branch.constraints])
-    b = np.array([[lc.bound for lc in branch.constraints]]).reshape(1, -1)
-    points, kept = _vertices(_vertex_system(coefs.reshape(-1, len(dims))), b, tol)
-    return [tuple(p) for p in _full_points(points[0][kept[0]], dims).tolist()]
 
 
 @functools.cache

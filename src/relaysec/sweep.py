@@ -155,12 +155,6 @@ class Curve:
         if not self.alpha.size or self.alpha[0] != 0.0 or self.alpha[-1] != 1.0:
             raise ValidationError("Curve: alpha grid must cover [0, 1]")
 
-    def value_at(self, alpha: float, atol: float = 1e-12) -> float:
-        hits = np.flatnonzero(np.abs(self.alpha - alpha) <= atol)
-        if not hits.size:
-            raise UsageError(f"alpha {alpha} is not on the curve grid")
-        return float(self.value[hits[0]])
-
 
 def _pareto_survivors(
     first: np.ndarray, second: np.ndarray, prov_cols: Sequence[np.ndarray]
@@ -204,8 +198,9 @@ def _slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, curve: boo
     """Every feasible compress-forward (q, R*) in grid order, or [(None, None)].
 
     First refuses a request whose grid would exceed MAX_GRID_CELLS: alpha_steps
-    x beta columns (a curve's bracket width) x slices, plus the two axes as
-    built (the C model's beta axis is one point)."""
+    x beta columns x slices, plus the two axes as built (the C model's beta
+    axis is one point).  A B-model curve's columns are both ends and
+    len(_BRACKET) per candidate root, counted by `Strategy.root_count`."""
     pairs = [(None, None)]
     if strategy.uses_q:
         # A q whose limit is negative cannot pay for its own compression.
@@ -213,7 +208,7 @@ def _slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, curve: boo
     per_q = grid.rstar_steps if strategy.uses_q and grid.rstar_policy == "grid" else 1
     betas = width = grid.beta_steps if strategy.config == "B" else 1  # see `_betas`
     if curve and pairs and strategy.config == "B":
-        width = min(width, 2 + len(_BRACKET) * strategy.candidates(net, [0.0], *pairs[0]).size)
+        width = min(width, 2 + len(_BRACKET) * strategy.root_count(net, *pairs[0]))
     cells = grid.alpha_steps * width * len(pairs) * per_q + grid.alpha_steps + betas
     if cells > MAX_GRID_CELLS:
         raise ValidationError(
@@ -223,6 +218,16 @@ def _slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, curve: boo
     if per_q == 1:
         return pairs
     return [(q, float(rs)) for q, limit in pairs for rs in np.linspace(0.0, limit, per_q)]
+
+
+def _no_slice(strategy: Strategy, net: GaussianNetwork, grid: GridSpec) -> Exception:
+    """Why a compress-forward sweep has no slice: no q, or none that pays its way."""
+    if not grid.q_values:
+        return UsageError(f"{strategy.strategy_id} needs a compression variance q")
+    return InfeasibleError(
+        f"compress-forward infeasible at every q in {list(grid.q_values)}",
+        limit=max(cf_rstar_max(net, q) for q in grid.q_values),
+    )
 
 
 def _betas(strategy: Strategy, grid: GridSpec) -> np.ndarray:
@@ -283,14 +288,9 @@ def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> C
     `_bracket_columns` are evaluated; the result is the full grid's argmax."""
     strategy = resolve_strategy(strategy_id)
     net.require_ordering()
-    if strategy.uses_q and not grid.q_values:
-        raise UsageError(f"{strategy.strategy_id} needs a compression variance q")
     pairs = _slices(strategy, net, grid, curve=True)
     if not pairs:
-        raise InfeasibleError(
-            f"compress-forward infeasible at every q in {list(grid.q_values)}",
-            limit=max(cf_rstar_max(net, q) for q in grid.q_values),
-        )
+        raise _no_slice(strategy, net, grid)
     alphas, betas = _axis(grid.alpha_steps), _betas(strategy, grid)
     rows = np.arange(alphas.size)
     values, picked = [], []
@@ -308,10 +308,14 @@ def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> C
 
 
 def region_boundary(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Frontier:
-    """Staircase of Pareto-maximal (R0max, R1max) corners over the sweep."""
+    """Staircase of Pareto-maximal (R0max, R1max) corners over the sweep;
+    like `max_r1_vs_alpha`, refuses a strategy left with no feasible slice."""
     strategy = resolve_strategy(strategy_id)
     if strategy.config != "C":
         raise UsageError(
             f"region_boundary applies to the common+confidential strategies, not {strategy_id}"
         )
-    return sweep_frontier(strategy_id, net, grid)
+    frontier = sweep_frontier(strategy_id, net, grid)
+    if not frontier.first.size:  # any slice keeps at least one corner
+        raise _no_slice(strategy, net, grid)
+    return frontier

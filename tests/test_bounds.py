@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from literal_tables import LITERAL, oracle_member
+from test_regionsearch import branch_vertices
 from relaysec.acceptance import (
     favorable_model,
     naive_cond_mutual_info,
@@ -30,7 +31,6 @@ from relaysec.bounds import (
 from relaysec.dmc import DMCModel, RateTuple
 from relaysec.errors import UsageError, ValidationError
 from relaysec.pmf import JointPMF
-from relaysec.regionsearch import _branch_vertices
 
 
 def bsc(p):
@@ -548,7 +548,7 @@ class TestCorollarySlice:
                 l8 = corollary_constraints("T8", model, coupling, clamp_equivocation=clamp)[1]
                 rows = l8.constraints
                 old = replace(l8, constraints=(rows[1], rows[0], rows[2]))
-                got = sorted(_branch_vertices(l8, dims, DEFAULT_TOL))
-                assert got == sorted(_branch_vertices(old, dims, DEFAULT_TOL))
+                got = sorted(branch_vertices(l8, dims, DEFAULT_TOL))
+                assert got == sorted(branch_vertices(old, dims, DEFAULT_TOL))
                 nonempty += len(got) > 1
         assert nonempty >= 4

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaysec.acceptance import random_coupling, random_model
-from relaysec.cli import fmt, main, read_frontier_csv
+from relaysec.cli import _write_csv, main
 from relaysec.errors import ValidationError
 from relaysec.scenario import load_scenario
 from relaysec.sweep import MAX_GRID_CELLS
@@ -31,6 +31,14 @@ ROW_AT_ALPHA_1 = {"df_r1": 0.553457601958256, "nf_r1": 0.633393270347451, "cf_r1
 
 def scenario_path(name):
     return os.path.join(SCENARIOS, name)
+
+
+def read_frontier_csv(path):
+    """The rows of a CSV written by the CLI, as header-keyed dicts."""
+    import csv
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [dict(row) for row in csv.DictReader(fh)]
 
 
 def write_json(tmp_path, name, payload):
@@ -185,6 +193,18 @@ class TestRegionCommand:
         assert main(["region", "--scenario", scenario, "--out", a]) == 0
         assert main(["region", "--scenario", scenario, "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_strategy_infeasible_at_every_q_is_exit_3(self, tmp_path, capsys):
+        # q = 0.5 cannot pay for its compression on the paper network: the cf
+        # staircase would be empty, so `region` refuses as `curve` does.
+        grid = {"alpha_steps": 11, "beta_steps": 2, "q_values": [0.5]}
+        payload = {"model": "C", "net": PAPER_NET, "strategies": ["df", "cf"], "grid": grid}
+        path = write_json(tmp_path, "s.json", payload)
+        for command in ("region", "curve"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--scenario", path, "--out", str(out)]) == 3
+            assert "compress-forward infeasible at every q in [0.5]" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_convex_hull_flag(self, tmp_path):
         out = str(tmp_path / "hull.csv")
@@ -545,6 +565,15 @@ class TestExitCodesAndHelp:
     def test_missing_scenario_file_is_exit_2(self):
         assert main(["curve", "--scenario", "/does/not/exist.json"]) == 2
 
+    def test_cli_import_leaves_out_the_acceptance_module(self):
+        # Only `selftest` needs the random generators and oracles.
+        code = "import sys, relaysec.cli; print('relaysec.acceptance' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_entry_point_runs(self, tmp_path):
         out = str(tmp_path / "gp.csv")
         proc = subprocess.run(
@@ -567,24 +596,86 @@ _FLOAT64 = st.one_of(
 )
 
 
+def csv_text(header, tables):
+    """What `_write_csv` prints for `header` and `tables`."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_csv(None, header, tables)
+    return buf.getvalue()
+
+
 class TestColumnFormat:
-    """`fmt` formats a whole column exactly as the per-value f"{v:.9g}" does."""
+    """The writer prints numbers as the per-value f"{v:.9g}" does."""
 
     @given(st.lists(_FLOAT64, max_size=50))
     @example([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 1e16, 123456789.0])
     @settings(max_examples=200, deadline=None)
     def test_column_equals_per_value_format(self, values):
-        want = [f"{float(v):.9g}" for v in values]
-        assert fmt(np.array(values, dtype=np.float64)) == want
-        assert fmt(values) == want
+        want = "".join(f"{float(v):.9g}\n" for v in values)
+        assert csv_text(["x"], [[np.array(values, dtype=np.float64)]]) == "x\n" + want
+        assert csv_text(["x"], [[values]]) == "x\n" + want
 
     @given(_FLOAT64)
     def test_one_number_is_one_field(self, value):
-        assert fmt(value) == fmt(np.float64(value)) == [f"{float(value):.9g}"]
+        want = f"x,y\n{float(value):.9g},{float(value):.9g}\n"
+        assert csv_text(["x", "y"], [[value, np.float64(value)]]) == want
+        assert csv_text(["x", "y"], [[[value], np.array([value])]]) == want
 
     def test_missing_parameter_is_empty_fields(self):
-        assert fmt(None) == [""]
-        assert fmt(None, 3) == ["", "", ""]
+        assert csv_text(["a", "q", "b"], [[1.5, None, "t"]]) == "a,q,b\n1.5,,t\n"
+        assert csv_text(["a", "q"], [[[1.0, 2.0, 3.0], None]]) == "a,q\n1,\n2,\n3,\n"
+
+
+_TEXT = st.text(st.sampled_from('ab ,"\n\r%;\'=<{}()|'), max_size=8)
+_FIELD = st.one_of(st.none(), _FLOAT64, _TEXT)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header of 2-6 names and tables of one kind per column: a single value
+    (number, text or None) or a sequence of numbers or of text."""
+    width = draw(st.integers(2, 6))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width))
+    tables = []
+    for _ in range(draw(st.integers(0, 3))):
+        rows = draw(st.integers(0, 5))
+        columns, values = [], []
+        for _ in range(width):
+            kind = draw(st.sampled_from(["single", "numbers", "text"]))
+            if kind == "single":
+                value = draw(_FIELD)
+                columns.append(value)
+                values.append([value] * rows)
+            else:
+                element = _FLOAT64 if kind == "numbers" else _TEXT
+                column = draw(st.lists(element, min_size=rows, max_size=rows))
+                columns.append(np.array(column) if kind == "numbers" else column)
+                values.append(column)
+        if all(np.ndim(c) == 0 for c in columns):  # a table of single values is one row
+            tables.append((columns, [columns]))
+        else:
+            tables.append((columns, list(zip(*values))))
+    return header, tables
+
+
+class TestWriterMatchesCSVModule:
+    """The one-pass writer against csv.writer over the same rows."""
+
+    @given(csv_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_text_equals_csv_writer(self, case):
+        import csv
+
+        header, tables = case
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for _, rows in tables:
+            writer.writerows(
+                [["" if v is None else v if isinstance(v, str) else f"{v:.9g}" for v in row]
+                 for row in rows]
+            )
+        assert csv_text(header, [columns for columns, _ in tables]) == buf.getvalue()
 
 
 class TestGoldenOutputs:
@@ -630,6 +721,33 @@ class TestGoldenOutputs:
         out = tmp_path / "o.csv"
         assert main([command, "--scenario", path, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--model", "B", "--strategy", "nf", "--alpha", "0.5", "--beta", "0.25"],
+             "15e8304d6e75ad3bdd82646927656dd43d86357aae88bf186e0793ade432572c"),
+            (["--model", "C", "--strategy", "cf", "--alpha", "0.5", "--q", "300"],
+             "99464c660fe1afca1b137517708bda05b13dcd855e537fbd988d2f8ead4962e8"),
+        ],
+    )
+    def test_gaussian_bytes(self, tmp_path, flags, digest):
+        out = tmp_path / "o.csv"
+        assert main(TestGaussianCommand.BASE + flags + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_dmc_search_bytes(self, tmp_path):
+        out, coupling = tmp_path / "o.csv", tmp_path / "c.json"
+        argv = ["dmc-search", "--scenario", scenario_path("dmc_demo.json"),
+                "--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "3", "--objective", "0,1,0",
+                "--out", str(out), "--best-coupling-out", str(coupling)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ec8247acccfac2d312d0129e978f774f557d45e857d3fc1fffaa5bf0db631b0d"
+        )
+        assert hashlib.sha256(coupling.read_bytes()).hexdigest() == (
+            "b30849a59b8026f0d61df41d116ebb9dfab0f61c2b8d60888ae5a6122578ef44"
+        )
 
     def test_stdout_equals_the_file(self, tmp_path, capsys):
         scenario = scenario_path("paper_fig4.json")

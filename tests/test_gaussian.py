@@ -422,3 +422,17 @@ class TestKernelBits:
                 if strategy.terms is not None:
                     h.update(np.ascontiguousarray(strategy.candidates(net, alphas, q, rstar)).tobytes())
         assert h.hexdigest() == self.DIGESTS[sid]
+
+
+class TestRootCount:
+    """`Strategy.root_count`, which sizes a curve's grid estimate, counts the
+    roots `candidates` solves for: n(n+1) for n ratios."""
+
+    @pytest.mark.parametrize("sid", [s for s in STRATEGIES if STRATEGIES[s].terms is not None])
+    def test_count_equals_the_solved_roots(self, sid):
+        strategy = STRATEGIES[sid]
+        for net in _bits_networks():
+            for q, rstar in _bits_slices(strategy, net):
+                count = strategy.root_count(net, q, rstar)
+                assert count == strategy.candidates(net, [0.0], q, rstar).size
+                assert count == (12 if strategy.arm_labels else 2)

@@ -21,7 +21,9 @@ from relaysec.errors import BudgetExceededError, UsageError, ValidationError
 from relaysec.pmf import FactorizationPattern, JointPMF
 from relaysec.regionsearch import (
     VERTEX_DEDUP_TOL,
-    _branch_vertices,
+    _full_points,
+    _vertex_system,
+    _vertices,
     brute_force_best,
     coupling_grid,
     estimate_grid_size,
@@ -287,6 +289,15 @@ class TestBruteForce:
         assert count > 0
 
 
+def branch_vertices(branch, dims, tol):
+    """The search's batched vertex solve on one branch's polytope: feasible
+    vertices in subset order, less near-duplicates."""
+    coefs = np.array([[lc.coefs[i] for i in dims] for lc in branch.constraints])
+    b = np.array([[lc.bound for lc in branch.constraints]]).reshape(1, -1)
+    points, kept = _vertices(_vertex_system(coefs.reshape(-1, len(dims))), b, tol)
+    return [tuple(p) for p in _full_points(points[0][kept[0]], dims).tolist()]
+
+
 def loop_branch_vertices(branch, dims, tol):
     """Reference: solve every d-subset of constraint rows one at a time."""
     d = len(dims)
@@ -335,7 +346,7 @@ class TestVertexOracle:
             for branch in corollary_constraints(
                 theorem_id, model, coupling, clamp_equivocation=clamp
             ):
-                got = _branch_vertices(branch, dims, DEFAULT_TOL)
+                got = branch_vertices(branch, dims, DEFAULT_TOL)
                 assert got == loop_branch_vertices(branch, dims, DEFAULT_TOL)
                 branches += 1
                 nonempty += len(got) > 1
@@ -347,7 +358,7 @@ def fold_per_coupling(theorem_id, model, sizes, steps, objective, **kwargs):
     best = None
     for coupling in coupling_grid(theorem_id, model, sizes, steps):
         pt = secrecy_region_extremes(theorem_id, model, coupling, objective, **kwargs)
-        key = (pt.objective_value, pt.point3())
+        key = (pt.objective_value, (pt.rates.r0, pt.rates.r1, pt.rates.r2))
         if best is None or key > best[0]:
             best = (key, pt, coupling)
     return best[1], best[2]

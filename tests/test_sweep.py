@@ -71,6 +71,13 @@ def curve_samples(c):
     ]
 
 
+def value_at(curve, alpha):
+    """The curve's value at a grid alpha (to 1e-12)."""
+    hits = np.flatnonzero(np.abs(curve.alpha - alpha) <= 1e-12)
+    assert hits.size, f"alpha {alpha} is not on the curve grid"
+    return float(curve.value[hits[0]])
+
+
 def quadratic_pareto_oracle(points):
     """O(n^2) domination scan."""
     out = []
@@ -193,14 +200,14 @@ class TestCurve:
         df = max_r1_vs_alpha("b_df", NET, GridSpec(401, 401))
         nf = max_r1_vs_alpha("b_nf", NET, GridSpec(401, 401))
         cf = max_r1_vs_alpha("b_cf", NET, GridSpec(401, 401, q_values=(300.0,)))
-        assert df.value_at(1.0) == pytest.approx(B_DF_MAX, abs=1e-6)
-        assert nf.value_at(1.0) == pytest.approx(B_NF_MAX, abs=1e-6)
-        assert cf.value_at(1.0) == pytest.approx(B_CF_MAX_Q300, abs=1e-6)
+        assert value_at(df, 1.0) == pytest.approx(B_DF_MAX, abs=1e-6)
+        assert value_at(nf, 1.0) == pytest.approx(B_NF_MAX, abs=1e-6)
+        assert value_at(cf, 1.0) == pytest.approx(B_CF_MAX_Q300, abs=1e-6)
 
     def test_alpha_zero_gives_zero_for_all_strategies(self):
         for sid, q in (("b_df", None), ("b_nf", None), ("b_cf", 300.0)):
             curve = max_r1_vs_alpha(sid, NET, GridSpec(51, 21, q_values=() if q is None else (q,)))
-            assert curve.value_at(0.0) == 0.0
+            assert value_at(curve, 0.0) == 0.0
 
     def test_nf_dominates_df_pointwise(self):
         df = max_r1_vs_alpha("b_df", NET, GridSpec(101, 51))
@@ -212,7 +219,7 @@ class TestCurve:
         coarse = max_r1_vs_alpha("b_nf", NET, GridSpec(11, 11))
         fine = max_r1_vs_alpha("b_nf", NET, GridSpec(21, 21))
         for alpha, value in zip(coarse.alpha, coarse.value):
-            assert fine.value_at(alpha) >= value - 1e-15
+            assert value_at(fine, alpha) >= value - 1e-15
 
     def test_cf_requires_q(self):
         with pytest.raises(UsageError, match="compression variance"):
@@ -239,7 +246,7 @@ class TestCurve:
 
     def test_c_model_curves(self):
         nf = max_r1_vs_alpha("c_nf", NET, GridSpec(101, 2))
-        assert nf.value_at(1.0) == pytest.approx(B_NF_MAX, abs=1e-6)
+        assert value_at(nf, 1.0) == pytest.approx(B_NF_MAX, abs=1e-6)
 
 
 class TestRegionBoundary:
