@@ -78,14 +78,14 @@ def _write_csv(path: str | None, header: Sequence[str], tables) -> None:
                 slots.append(list(map(_quote, values)) if text else values)
         rows = (",".join(template) + "\n") * (len(slots[0]) if slots else 1)
         parts.append(rows % tuple(itertools.chain.from_iterable(zip(*slots))))
-    text = "".join(parts)
+    _write_text(path, "".join(parts))
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write `text` to `path`, or to stdout for None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        _write_file(path, text)
-
-
-def _write_file(path: str, text: str) -> None:
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -228,7 +228,7 @@ def _cmd_dmc_search(args) -> int:
     best = result.best
     # The coupling goes first: a failed write must not leave a result CSV behind.
     if args.best_coupling_out:
-        _write_file(args.best_coupling_out, result.coupling.to_json())
+        _write_text(args.best_coupling_out, result.coupling.to_json())
     header = ["theorem", "branch", "objective_value", "r0", "r1", "r2", "couplings_scanned"]
     rates = best.rates
     row = [scenario.theorem, best.branch_id, best.objective_value, rates.r0, rates.r1, rates.r2,

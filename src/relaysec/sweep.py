@@ -4,16 +4,19 @@ Grids are inclusive-endpoint grids on [0, 1]; `*_steps` counts grid points.
 `_slices` lists every feasible compress-forward (q, R*) pair after refusing
 a request over MAX_GRID_CELLS; the C model has no beta knob, so its beta
 axis is just {0}.  `sweep_frontier` evaluates a strategy's kernel on the
-whole alpha x beta grid of every slice (numpy) and keeps the Pareto-maximal
-corners with full parameter provenance, so CSV consumers can annotate plots.
+whole alpha x beta grid of every slice in one call (numpy, q and R* on a
+leading slice axis) and keeps the Pareto-maximal corners with full parameter
+provenance, so CSV consumers can annotate plots; among exact (first, second)
+duplicates it keeps the smallest (alpha, beta, q, R*), then the earliest.
 
 Results are columnar, one array entry per point and no object per point: a
 `Frontier` holds `first`, `second`, `alpha`, `beta`, `q`, `rstar` and the
 `active` min-branch labels (from one kernel call on the survivors); a `Curve`
 holds `alpha`, `value`, `beta`, `q` and `rstar`, so `curve.value.max()` is the
 curve's peak.  Without compress-forward, q and rstar are None.  Both keep
-read-only copies of their columns and check the `StrategyParams` range rules
-(`check_params`) once per column.
+read-only copies of their columns, refuse rates that are not finite and
+>= 0, and check the `StrategyParams` range rules (`check_params`) once per
+column.
 
 `max_r1_vs_alpha` keeps, per alpha, the best R1 over beta and every slice,
 but evaluates few beta columns.  For fixed alpha a B-model R1 is
@@ -73,16 +76,19 @@ class GridSpec:
             raise ValidationError("GridSpec: rstar_steps must be >= 2 for the grid policy")
 
 
-def _as_columns(obj, owner: str, names: Sequence[str]) -> None:
+def _as_columns(obj, owner: str, rates: Sequence[str], params: Sequence[str]) -> None:
     """Store each named column of `obj` as a read-only float array copy (None
-    stays None), then check the strategy-parameter ranges and one entry per
-    point in every array."""
-    for n in names:
+    stays None), then check that the `rates` are finite and >= 0, the ranges of
+    the strategy `params` and one entry per point in every array."""
+    for n in (*rates, *params):
         if getattr(obj, n) is not None:
             object.__setattr__(obj, n, np.array(getattr(obj, n), dtype=float))
     columns = {n: v for n, v in vars(obj).items() if isinstance(v, np.ndarray)}
     for v in columns.values():
         v.flags.writeable = False
+    for n in rates:
+        if not np.all(np.isfinite(columns[n]) & (columns[n] >= 0.0)):
+            raise ValidationError(f"{owner}: {n} must be finite and >= 0")
     check_params(owner, **columns)
     if len({v.shape for v in columns.values()}) > 1:
         raise ValidationError(f"{owner}: columns differ in length")
@@ -106,7 +112,7 @@ class Frontier:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "active", np.array(self.active, dtype=str))
-        _as_columns(self, "Frontier", ("first", "second", "alpha", "beta", "q", "rstar"))
+        _as_columns(self, "Frontier", ("first", "second"), ("alpha", "beta", "q", "rstar"))
         if np.any(np.diff(self.first) <= 0.0):
             raise ValidationError("Frontier: first coordinates must be strictly increasing")
         # Together with strictly increasing firsts this is Pareto-maximality.
@@ -149,7 +155,7 @@ class Curve:
     rstar: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        _as_columns(self, "Curve", ("alpha", "value", "beta", "q", "rstar"))
+        _as_columns(self, "Curve", ("value",), ("alpha", "beta", "q", "rstar"))
         if np.any(np.diff(self.alpha) <= 0.0):
             raise ValidationError("Curve: alphas must be strictly increasing")
         if not self.alpha.size or self.alpha[0] != 0.0 or self.alpha[-1] != 1.0:
@@ -161,15 +167,25 @@ def _pareto_survivors(
 ) -> np.ndarray:
     """Indices of the Pareto-maximal points, ascending in the first coordinate.
 
-    Exact coordinate duplicates collapse to the provenance-lexicographically
-    smallest one (columns given most significant first).
+    One sort by first, descending, splits the points into groups of equal first
+    (0.0 and -0.0 alike).  A point is a candidate when its second is its group's
+    maximum and that maximum beats every earlier group's; the candidates of one
+    group are exact coordinate duplicates and collapse to the
+    provenance-lexicographically smallest one (columns given most significant
+    first), then to the earliest index.
     """
-    keys = tuple(reversed(prov_cols)) + (-second, -first)
-    order = np.lexsort(keys)
-    ss = second[order]
-    prev_best = np.concatenate(([-np.inf], np.maximum.accumulate(ss)[:-1]))
-    keep = ss > prev_best
-    return order[keep][::-1]
+    order = np.argsort(-first)
+    f, s = first[order], second[order]
+    new = np.ones(f.size, dtype=bool)
+    new[1:] = f[1:] != f[:-1]
+    group = np.cumsum(new) - 1
+    top = np.maximum.reduceat(s, np.flatnonzero(new))
+    beats = top > np.concatenate(([-np.inf], np.maximum.accumulate(top)[:-1]))
+    cand = np.flatnonzero((s == top[group]) & beats[group])
+    idx, group = order[cand], group[cand]
+    pick = np.lexsort((idx, *(c[idx] for c in reversed(prov_cols)), group))
+    idx, group = idx[pick], group[pick]
+    return idx[np.diff(group, prepend=-1) > 0][::-1]
 
 
 def pareto_filter(points: Sequence[RatePair]) -> list[RatePair]:
@@ -244,13 +260,12 @@ def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Fr
         empty = np.empty(0)
         return Frontier(strategy.strategy_id, net, *[empty] * 4, np.empty(0, str), empty, empty)
     A, B = np.meshgrid(_axis(grid.alpha_steps), _betas(strategy, grid), indexing="ij")
-    slices = [strategy.rates(net, A, B, q, rstar) for q, rstar in pairs]
-    f = np.concatenate([first.ravel() for first, _ in slices])
-    s = np.concatenate([second.ravel() for _, second in slices])
-    a, b = np.tile(A.ravel(), len(slices)), np.tile(B.ravel(), len(slices))
-    # Provenance sort keys; a constant 0 without compress-forward.
-    qc = np.repeat([q or 0.0 for q, _ in pairs], A.size)
-    rc = np.repeat([rstar or 0.0 for _, rstar in pairs], A.size)
+    # One kernel call on (slice, alpha, beta); q and R* are a constant 0 without
+    # compress-forward, which such a kernel ignores.
+    qs, rs = (np.array([v or 0.0 for v in col])[:, None, None] for col in zip(*pairs))
+    shape = (len(pairs), *A.shape)
+    columns = (*strategy.rates(net, A, B, qs, rs), A, B, qs, rs)
+    f, s, a, b, qc, rc = (np.broadcast_to(c, shape).ravel() for c in columns)
     keep = _pareto_survivors(f, s, (a, b, qc, rc))
     a, b, qc, rc = a[keep], b[keep], qc[keep], rc[keep]
     arms, _ = strategy.kernel(net, a, b, qc, rc)

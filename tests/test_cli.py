@@ -305,6 +305,23 @@ class TestDMCCommands:
         payload = json.loads(open(coupling_out).read())
         assert payload["theorem"] == "T3"
 
+    def test_search_coupling_to_stdout(self, tmp_path, monkeypatch, capsys):
+        # "-" means stdout for --best-coupling-out as for --out: the coupling
+        # JSON first, then the CSV, and no file named "-".
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["dmc-search", "--scenario", scenario_path("dmc_demo.json"),
+             "--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2",
+             "--best-coupling-out", "-", "--out", "-"]
+        )
+        assert code == 0
+        assert not (tmp_path / "-").exists()
+        out = capsys.readouterr().out
+        payload, end = json.JSONDecoder().raw_decode(out)
+        assert payload["theorem"] == "T3"
+        assert out[end:].startswith("theorem,branch,objective_value,")
+        assert len(out[end:].splitlines()) == 2
+
     def test_search_budget_exceeded_is_exit_2(self):
         code = main(
             ["dmc-search", "--scenario", scenario_path("dmc_demo.json"),

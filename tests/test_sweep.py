@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaysec import sweep
+from relaysec import gaussian, sweep
 from relaysec.errors import UsageError, ValidationError
 from relaysec.gaussian import (
     STRATEGIES,
@@ -19,6 +21,7 @@ from relaysec.sweep import (
     Frontier,
     GridSpec,
     _bracket_columns,
+    _pareto_survivors,
     max_r1_vs_alpha,
     pareto_filter,
     region_boundary,
@@ -162,6 +165,17 @@ class TestFrontierInvariants:
             Frontier("c_cf", NET, *cols, q=[300.0, 300.0], rstar=[0.1, float("nan")])
         with pytest.raises(ValidationError, match="differ in length"):
             Frontier("c_df", NET, *cols[:4], [""])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_rates_must_be_finite_and_nonnegative(self, bad):
+        # NaN compares false, so the order checks alone let it through.
+        cols = ([0.0, 0.0], ["", ""])
+        with pytest.raises(ValidationError, match="first must be finite and >= 0"):
+            Frontier("c_df", NET, [0.1, bad], [0.5, 0.2], [0.9, 0.1], *cols)
+        with pytest.raises(ValidationError, match="second must be finite and >= 0"):
+            Frontier("c_df", NET, [0.1, 0.4], [bad, 0.2], [0.9, 0.1], *cols)
+        with pytest.raises(ValidationError, match="value must be finite and >= 0"):
+            Curve("b_df", NET, [0.0, 1.0], [bad, 0.3], [0.0, 0.0])
 
 
 class TestSweepFrontier:
@@ -486,3 +500,106 @@ class TestGridBudget:
             max_r1_vs_alpha("b_df", NET, grid)
         with pytest.raises(ValidationError, match="cells"):
             sweep_frontier("b_df", NET, grid)
+
+
+def lexsort_survivors(first, second, prov_cols):
+    """The reference staircase rule: a six-key lexsort by (-first, -second,
+    provenance most significant first, index), then every point whose second
+    is strictly above the running maximum."""
+    order = np.lexsort(tuple(reversed(prov_cols)) + (-second, -first))
+    ss = second[order]
+    keep = ss > np.concatenate(([-np.inf], np.maximum.accumulate(ss)[:-1]))
+    return order[keep][::-1]
+
+
+@st.composite
+def tie_heavy_points(draw):
+    """Small-integer and half-integer coordinates with +-0.0, and 0-4
+    provenance columns with repeats, so exact duplicates fall back to the index."""
+    n = draw(st.integers(0, 300))
+    coord = st.one_of(st.integers(0, 6).map(lambda k: k / 2.0), st.sampled_from([0.0, -0.0]))
+    column = st.lists(coord, min_size=n, max_size=n).map(np.array)
+    prov = st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), max_size=4)
+    return draw(column), draw(column), [np.array(c, dtype=float) for c in draw(prov)]
+
+
+class TestParetoSurvivorsOracle:
+    @given(tie_heavy_points())
+    @settings(max_examples=300, deadline=None)
+    def test_indices_equal_the_lexsort_rule(self, case):
+        first, second, prov = case
+        got = _pareto_survivors(first, second, prov)
+        assert got.tolist() == lexsort_survivors(first, second, prov).tolist()
+
+
+def per_slice_frontier(sid, net, grid):
+    """The reference frontier columns: one kernel call per (q, R*) slice,
+    concatenated, the lexsort staircase, then the survivors' labels."""
+    strategy = STRATEGIES[sid]
+    pairs = sweep._slices(strategy, net, grid, curve=False)
+    A, B = np.meshgrid(np.linspace(0.0, 1.0, grid.alpha_steps),
+                       np.linspace(0.0, 1.0, grid.beta_steps) if strategy.config == "B"
+                       else np.zeros(1), indexing="ij")
+    slices = [strategy.rates(net, A, B, q, rstar) for q, rstar in pairs]
+    f = np.concatenate([first.ravel() for first, _ in slices])
+    s = np.concatenate([second.ravel() for _, second in slices])
+    a, b = np.tile(A.ravel(), len(slices)), np.tile(B.ravel(), len(slices))
+    qc = np.repeat([q or 0.0 for q, _ in pairs], A.size)
+    rc = np.repeat([rstar or 0.0 for _, rstar in pairs], A.size)
+    keep = lexsort_survivors(f, s, (a, b, qc, rc))
+    arms, _ = strategy.kernel(net, a[keep], b[keep], qc[keep], rc[keep])
+    cf = strategy.uses_q
+    return {"first": f[keep], "second": s[keep], "alpha": a[keep], "beta": b[keep],
+            "q": qc[keep] if cf else None, "rstar": rc[keep] if cf else None,
+            "active": strategy.active(arms)}
+
+
+@st.composite
+def frontier_cases(draw):
+    """A valid network and a small grid under either R* policy, its q values
+    unsorted, possibly repeated, and one of them infeasible."""
+    net, grid = draw(oracle_cases())
+    qs = list(grid.q_values) + draw(st.lists(st.sampled_from(grid.q_values), max_size=2))
+    grid = GridSpec(
+        alpha_steps=draw(st.integers(2, 21)),
+        beta_steps=draw(st.integers(2, 9)),
+        q_values=tuple(draw(st.permutations(qs))),
+        rstar_policy=draw(st.sampled_from(RSTAR_POLICIES)),
+        rstar_steps=draw(st.integers(2, 4)),
+    )
+    return net, grid
+
+
+class TestFrontierColumnOracle:
+    """`sweep_frontier` against the per-slice reference, bit for bit."""
+
+    @given(frontier_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_columns_equal_the_per_slice_reference(self, case):
+        net, grid = case
+        for sid in STRATEGIES:
+            got, want = sweep_frontier(sid, net, grid), per_slice_frontier(sid, net, grid)
+            for name, column in want.items():
+                mine = getattr(got, name)
+                if column is None:
+                    assert mine is None, (sid, name)
+                elif name == "active":
+                    assert mine.tolist() == column.tolist(), sid
+                else:
+                    assert mine.tobytes() == column.tobytes(), (sid, name)
+
+    @pytest.mark.parametrize("sid", ["c_cf", "b_cf", "c_nf", "b_df"])
+    @pytest.mark.parametrize("q_values, rstar_steps", [((300.0,), 2), ((300.0, 40.0, 0.01), 8)])
+    def test_two_kernel_calls_whatever_the_slice_count(self, monkeypatch, sid, q_values,
+                                                       rstar_steps):
+        calls = []
+        strategy = STRATEGIES[sid]
+
+        def counting(*args):
+            calls.append(args)
+            return strategy.kernel(*args)
+
+        monkeypatch.setitem(gaussian.STRATEGIES, sid, replace(strategy, kernel=counting))
+        grid = GridSpec(11, 3, q_values, rstar_policy="grid", rstar_steps=rstar_steps)
+        sweep_frontier(sid, NET, grid)
+        assert len(calls) == 2  # the whole grid, then the survivors' labels
