@@ -3,79 +3,39 @@
 Closed-form Gaussian strategy regions (decode-forward, noise-forward,
 compress-forward, no-relay baselines), discrete-memoryless evaluation of the
 twelve-bound catalog, Pareto frontier sweeps, and a CSV-emitting CLI.
+
+Each public name resolves on first use, importing only its defining module,
+so the Gaussian engine never loads the discrete-memoryless one.
 """
 
-from .bounds import (
-    AuxiliaryCoupling,
-    BoundEvaluation,
-    THEOREMS,
-    build_cf_coupling,
-    compose_full_joint,
-    corollary_constraints,
-    corollary_member,
-    evaluate_membership,
-    mi_terms,
-)
-from .dmc import DMCModel, RateTuple
-from .errors import (
-    BudgetExceededError,
-    InfeasibleError,
-    ModelAssumptionError,
-    RelaySecError,
-    UsageError,
-    ValidationError,
-)
-from .gaussian import GaussianNetwork, RatePair, StrategyParams, cf_rstar_max, evaluate_strategy
-from .pmf import FactorizationPattern, JointPMF, cond_mutual_info
-from .regionsearch import brute_force_best, secrecy_region_extremes
-from .scenario import Scenario, load_scenario
-from .sweep import (
-    Curve,
-    Frontier,
-    GridSpec,
-    max_r1_vs_alpha,
-    pareto_filter,
-    region_boundary,
-    sweep_frontier,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxiliaryCoupling",
-    "BoundEvaluation",
-    "BudgetExceededError",
-    "Curve",
-    "DMCModel",
-    "FactorizationPattern",
-    "Frontier",
-    "GaussianNetwork",
-    "GridSpec",
-    "InfeasibleError",
-    "JointPMF",
-    "ModelAssumptionError",
-    "RatePair",
-    "RateTuple",
-    "RelaySecError",
-    "Scenario",
-    "StrategyParams",
-    "THEOREMS",
-    "UsageError",
-    "ValidationError",
-    "brute_force_best",
-    "build_cf_coupling",
-    "cf_rstar_max",
-    "compose_full_joint",
-    "cond_mutual_info",
-    "corollary_constraints",
-    "corollary_member",
-    "evaluate_membership",
-    "evaluate_strategy",
-    "load_scenario",
-    "max_r1_vs_alpha",
-    "mi_terms",
-    "pareto_filter",
-    "region_boundary",
-    "secrecy_region_extremes",
-    "sweep_frontier",
-]
+_EXPORTS = {
+    "bounds": ("AuxiliaryCoupling", "BoundEvaluation", "THEOREMS", "build_cf_coupling",
+               "compose_full_joint", "corollary_constraints", "corollary_member",
+               "evaluate_membership", "mi_terms"),
+    "dmc": ("DMCModel", "RateTuple"),
+    "errors": ("BudgetExceededError", "InfeasibleError", "ModelAssumptionError",
+               "RelaySecError", "UsageError", "ValidationError"),
+    "gaussian": ("GaussianNetwork", "RatePair", "StrategyParams", "cf_rstar_max",
+                 "evaluate_strategy"),
+    "pmf": ("FactorizationPattern", "JointPMF", "cond_mutual_info"),
+    "regionsearch": ("brute_force_best", "secrecy_region_extremes"),
+    "scenario": ("Scenario", "load_scenario"),
+    "sweep": ("Curve", "Frontier", "GridSpec", "max_r1_vs_alpha", "pareto_filter",
+              "region_boundary", "sweep_frontier"),
+}
+_DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_DEFINED_IN)
+
+
+def __getattr__(name: str):
+    """Import a public name's module on first access (PEP 562)."""
+    if name not in _DEFINED_IN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_DEFINED_IN[name]}", __name__), name)
+    globals()[name] = value
+    return value

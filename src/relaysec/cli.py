@@ -27,11 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import evaluate_membership
-from .dmc import RateTuple
 from .errors import InfeasibleError, UsageError, ValidationError
 from .gaussian import GaussianNetwork, StrategyParams, cf_rstar_max
-from .regionsearch import brute_force_best
 from .scenario import Scenario, load_scenario
 from .sweep import (
     evaluate_strategy,
@@ -161,6 +158,9 @@ def _parse_floats(text: str, count: int, usage: str) -> list[float]:
 
 
 def _cmd_dmc_eval(args) -> int:
+    from .bounds import evaluate_membership  # the DMC engine: DMC commands only
+    from .dmc import RateTuple
+
     scenario = load_scenario(args.scenario)
     if scenario.model != "DMC":
         raise UsageError("dmc-eval needs a DMC scenario")
@@ -202,14 +202,19 @@ def _parse_aux_sizes(text: str) -> dict[str, int]:
         if not piece:
             continue
         name, _, size = piece.partition("=")
+        name = name.strip()
+        if name in out:
+            raise UsageError(f"--aux-sizes names {name} twice")
         try:
-            out[name.strip()] = int(size)
+            out[name] = int(size)
         except ValueError:
             raise UsageError("--aux-sizes expects NAME=SIZE pairs, e.g. U=1,V1=2,V2=1") from None
     return out
 
 
 def _cmd_dmc_search(args) -> int:
+    from .regionsearch import brute_force_best  # the DMC engine: DMC commands only
+
     scenario = load_scenario(args.scenario)
     if scenario.model != "DMC":
         raise UsageError("dmc-search needs a DMC scenario")

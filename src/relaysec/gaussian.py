@@ -351,13 +351,13 @@ STRATEGIES: dict[str, Strategy] = {
 
 
 def resolve_strategy(name: str, config: str | None = None) -> Strategy:
-    """Accept either a full id ("b_df") or a short label plus config ("df", "B")."""
-    if name in STRATEGIES:
-        return STRATEGIES[name]
-    if config is not None:
-        key = f"{config.lower()}_{name}"
-        if key in STRATEGIES:
-            return STRATEGIES[key]
+    """Accept either a full id ("b_df") or a short label plus config ("df", "B");
+    with a config, a full id of the other model is refused."""
+    s = STRATEGIES.get(name)
+    if s is None and config is not None:
+        s = STRATEGIES.get(f"{config.lower()}_{name}")
+    if s is not None and config in (None, s.config):
+        return s
     raise UsageError(
         f"unknown strategy {name!r}"
         + (f" for model {config!r}" if config is not None else "")

@@ -270,19 +270,6 @@ def _grid_chunks(
         yield probs
 
 
-def coupling_grid(
-    theorem_id: str,
-    model: DMCModel,
-    aux_sizes: Mapping[str, int],
-    grid_steps: int,
-) -> Iterator[AuxiliaryCoupling]:
-    """Every coupling of the factorized simplex grid, in deterministic order, built
-    from the search's chunks (only the factor tables and one chunk are held)."""
-    spec = theorem_spec(theorem_id)
-    for probs in _grid_chunks(spec, model, aux_sizes, grid_steps):
-        yield from (AuxiliaryCoupling(JointPMF(spec.coupling_vars, p), theorem_id) for p in probs)
-
-
 @dataclass(frozen=True)
 class BruteForceResult:
     best: ExtremePoint

@@ -36,12 +36,15 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .bounds import THEOREMS, AuxiliaryCoupling
-from .dmc import DMCModel, RateTuple
 from .errors import ValidationError
 from .gaussian import GaussianNetwork
 from .sweep import GridSpec, resolve_strategy
+
+if TYPE_CHECKING:  # the DMC engine loads only for DMC scenarios
+    from .bounds import AuxiliaryCoupling
+    from .dmc import DMCModel, RateTuple
 
 DEFAULT_STRATEGIES = {"B": ("df", "nf", "cf"), "C": ("baseline", "df", "nf", "cf")}
 
@@ -118,6 +121,8 @@ def _is_finite_number(v: object) -> bool:
 
 
 def _parse_rates(payload: object) -> RateTuple:
+    from .dmc import RateTuple
+
     names = ("r0", "r1", "r2", "re1", "re2")
     if isinstance(payload, (list, tuple)) and len(payload) == 5:
         payload = dict(zip(names, payload))
@@ -185,6 +190,9 @@ def load_scenario(path: str) -> Scenario:
             grid=_parse_grid(payload.get("grid")),
             output=output,
         )
+
+    from .bounds import THEOREMS, AuxiliaryCoupling
+    from .dmc import DMCModel, RateTuple
 
     _reject_unknown(
         payload,

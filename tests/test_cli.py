@@ -148,6 +148,14 @@ class TestCurveCommand:
         path = write_json(tmp_path, "s.json", {"model": "B", "net": PAPER_NET, "grid": grid})
         assert main(["curve", "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 3
 
+    def test_other_models_strategy_id_is_usage_error(self, tmp_path, capsys):
+        payload = {"model": "C", "net": PAPER_NET, "strategies": ["b_df", "df"]}
+        out = tmp_path / "o.csv"
+        assert main(["curve", "--scenario", write_json(tmp_path, "s.json", payload),
+                     "--out", str(out)]) == 1
+        assert "unknown strategy 'b_df' for model 'C'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRegionCommand:
     def test_fig5_endpoints(self, tmp_path):
@@ -253,6 +261,7 @@ class TestGaussianCommand:
             ["--model", "C", "--strategy", "nf", "--q", "12"],
             ["--model", "B", "--strategy", "df", "--rstar", "0.3"],
             ["--model", "B", "--strategy", "baseline", "--q", "300"],
+            ["--model", "C", "--strategy", "b_df"],  # a full id of the other model
         ],
     )
     def test_unread_flags_are_usage_errors(self, tmp_path, extra):
@@ -346,6 +355,7 @@ class TestDMCCommands:
             ["dmc-eval", "--tol=-5"],
             ["dmc-eval", "--tol=nan"],
             ["dmc-eval", "--tol=0"],
+            ["dmc-search", "--aux-sizes", "U=2,V1=2,V2=1,U=1", "--grid-steps", "2"],
         ],
     )
     def test_bad_flags_are_usage_errors(self, tmp_path, capsys, argv):
@@ -582,14 +592,31 @@ class TestExitCodesAndHelp:
     def test_missing_scenario_file_is_exit_2(self):
         assert main(["curve", "--scenario", "/does/not/exist.json"]) == 2
 
-    def test_cli_import_leaves_out_the_acceptance_module(self):
-        # Only `selftest` needs the random generators and oracles.
-        code = "import sys, relaysec.cli; print('relaysec.acceptance' in sys.modules)"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["curve", "--scenario", scenario_path("paper_fig4.json")],
+            ["region", "--scenario", scenario_path("paper_fig5.json")],
+            ["gaussian", "--model", "C", "--strategy", "cf", "--p1", "5", "--p2", "3",
+             "--n1", "2", "--n2", "8", "--nr", "2", "--alpha", "0.5", "--q", "300"],
+        ],
+        ids=["import", "curve", "region", "gaussian"],
+    )
+    def test_gaussian_paths_leave_out_the_dmc_engine(self, tmp_path, argv):
+        # Only the DMC commands load the DMC engine, and only `selftest` the
+        # random generators and oracles.
+        code = (
+            "import sys, relaysec.cli\n"
+            f"assert not {argv!r} or relaysec.cli.main({argv!r} + ['--out', sys.argv[1]]) == 0\n"
+            "print(*[m for m in ('bounds', 'regionsearch', 'dmc', 'pmf', 'acceptance')\n"
+            "        if 'relaysec.' + m in sys.modules])"
+        )
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o.csv")],
+                              capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == ""
 
     def test_console_entry_point_runs(self, tmp_path):
         out = str(tmp_path / "gp.csv")

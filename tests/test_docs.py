@@ -20,5 +20,8 @@ def test_library_entry_points_block_runs(capsys):
 
 
 def test_every_exported_name_resolves():
+    star = {}
+    exec("from relaysec import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(relaysec.__all__)
     assert [n for n in relaysec.__all__ if not hasattr(relaysec, n)] == []
     assert len(set(relaysec.__all__)) == len(relaysec.__all__)

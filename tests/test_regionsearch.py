@@ -25,12 +25,18 @@ from relaysec.regionsearch import (
     _vertex_system,
     _vertices,
     brute_force_best,
-    coupling_grid,
     estimate_grid_size,
     secrecy_region_extremes,
     simplex_grid,
     simplex_grid_count,
 )
+
+
+def coupling_grid(theorem_id, model, aux_sizes, grid_steps):
+    """Every coupling of the search grid, in grid order, built from its chunks."""
+    spec = theorem_spec(theorem_id)
+    for probs in regionsearch._grid_chunks(spec, model, aux_sizes, grid_steps):
+        yield from (AuxiliaryCoupling(JointPMF(spec.coupling_vars, p), theorem_id) for p in probs)
 
 
 def bsc(p):

@@ -337,6 +337,11 @@ class TestStrategyRegistry:
         with pytest.raises(UsageError, match="unknown strategy"):
             resolve_strategy("af", "B")
 
+    @pytest.mark.parametrize("name, config", [("b_df", "C"), ("c_cf", "B")])
+    def test_other_models_id_rejected(self, name, config):
+        with pytest.raises(UsageError, match=f"unknown strategy '{name}' for model '{config}'"):
+            resolve_strategy(name, config)
+
 
 @st.composite
 def oracle_cases(draw):
