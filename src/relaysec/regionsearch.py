@@ -3,10 +3,14 @@
 The slice constraint systems live in at most three rate dimensions with at
 most a dozen inequalities, so extreme points come from exhaustive vertex
 enumeration (every d-subset of active constraints plus the axis planes)
-rather than an LP dependency.  A branch's coefficients do not depend on the
-coupling, so its regular d-subsets are found once; only right-hand sides vary.
-Couplings go through `bounds.evaluate_stack` as stacks (one coupling is a
-stack of one), and the search walks its grid in chunks of bounded size.
+rather than an LP dependency.  A theorem's coefficients do not depend on the
+coupling, so the regular d-subsets of all its branches are found once and
+stacked into one system; only right-hand sides vary.  A stack of couplings
+then takes one vertex pass for every branch at once: one solve, one
+feasibility test of each vertex against its own branch's rows, and one
+near-duplicate pass within each branch.  Couplings go through
+`bounds.evaluate_stack` as stacks (one coupling is a stack of one), and the
+search walks its grid in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -49,31 +53,95 @@ class ExtremePoint:
     empty_interior: bool = False
 
 
-def _vertex_system(coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (R, d) plus axis planes r_k >= 0 (as -r_k <= 0): all rows, and the
-    regular d-subsets of them with their matrices."""
-    d = coefs.shape[1]
-    a = np.vstack([coefs, np.diag(np.full(d, -1.0))])
-    subsets = np.array(list(itertools.combinations(range(len(a)), d)))
-    regular = np.abs(np.linalg.det(a[subsets])) >= 1e-12
-    return a, subsets[regular], a[subsets[regular]]
+class _VertexSystem:
+    """Every branch's rows, then its axis planes r_k >= 0 (as -r_k <= 0), stacked
+    as R rows: the column `source` (R,) of a bound matrix each row reads (-1: the
+    zero column `rhs` appends) and `corollary` (branches, R), each branch's own
+    non-axis rows.  The regular d-subsets of each branch's rows, K in all, in
+    branch then subset order: their rows `subsets` (K, d) and matrices `sub_a`
+    (K, d, d), their branch `owner` (K,), and that branch's rows `rows` (K, W)
+    with coefficients `row_a` (K, W, d), the last row repeated up to the widest
+    branch's W.  The dedup compares pairs (`earlier`, `later`) of subsets of one
+    branch, grouped by `later`: pair `starts`[m] begins the pairs of `targets`[m]."""
+
+    def __init__(self, coefs: Sequence[np.ndarray], sources: Sequence[Sequence[int]]) -> None:
+        """Branch k has rows `coefs[k]` (R_k, d) reading bound columns `sources[k]`."""
+        d = coefs[0].shape[1]
+        blocks = [np.vstack([c, np.diag(np.full(d, -1.0))]) for c in coefs]
+        ends = np.cumsum([len(a) for a in blocks])
+        width = max(len(a) for a in blocks)
+        subsets, rows = [], []
+        for a, end in zip(blocks, ends):
+            start = end - len(a)
+            sub = np.array(list(itertools.combinations(range(len(a)), d)))
+            sub = start + sub[np.abs(np.linalg.det(a[sub])) >= 1e-12]
+            subsets.append(sub)
+            own = np.minimum(np.arange(start, start + width), end - 1)
+            rows.append(np.broadcast_to(own, (len(sub), width)))
+        a = np.vstack(blocks)
+        self.subsets, self.rows = np.concatenate(subsets), np.concatenate(rows)
+        self.sub_a, self.row_a = a[self.subsets], a[self.rows]
+        row_owner = np.searchsorted(ends, np.arange(len(a)), side="right")
+        self.owner = row_owner[self.subsets[:, 0]]
+        self.later, self.earlier = np.nonzero(np.tril(self.owner[:, None] == self.owner, -1))
+        self.targets, self.starts = np.unique(self.later, return_index=True)
+        self.source = np.concatenate([np.r_[np.array(s, dtype=int), [-1] * d] for s in sources])
+        self.corollary = (row_owner == np.arange(len(blocks))[:, None]) & (self.source >= 0)
+
+    def rhs(self, bounds: np.ndarray) -> np.ndarray:
+        """(N, R) right-hand sides of the stacked rows from (N, columns) bounds."""
+        return np.concatenate([bounds, np.zeros((len(bounds), 1))], axis=1)[:, self.source]
 
 
-def _vertices(system, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices (N, subsets, d) of one system under right-hand sides `b` (N, R), and a
-    mask of the kept ones: feasible, not within VERTEX_DEDUP_TOL of an earlier kept one."""
-    a, subsets, sub_a = system
-    n, k, d = len(b), len(subsets), a.shape[1]
-    b = np.concatenate([b, np.zeros((n, d))], axis=1)
-    points = np.linalg.solve(np.broadcast_to(sub_a, (n, k, d, d)), b[:, subsets][..., None])[..., 0]
-    lhs = sum(a[:, i] * points[..., i : i + 1] for i in range(d))  # fixed order, no BLAS
-    kept = ~np.any(points < -tol, axis=2) & ~np.any(lhs > b[:, None, :] + tol, axis=2)
-    cols = np.flatnonzero(kept.any(axis=0))
-    for m in range(1, len(cols)):
-        earlier, j = cols[:m], cols[m]
-        near = np.max(np.abs(points[:, earlier] - points[:, j : j + 1]), axis=2) <= VERTEX_DEDUP_TOL
-        kept[:, j] &= ~np.any(kept[:, earlier] & near, axis=1)
-    return points, kept
+@functools.cache
+def _theorem_system(theorem_id: str) -> _VertexSystem:
+    spec = theorem_spec(theorem_id)
+    dims = spec.rate_dims()
+    coefs = [
+        np.array([[r.rates[i] for i in dims] for r in br.corollary]).reshape(-1, len(dims))
+        for br in spec.branches
+    ]
+    return _VertexSystem(coefs, [br.corollary for br in spec.compiled.branches])
+
+
+def _near_pairs(system: _VertexSystem, points: np.ndarray) -> np.ndarray:
+    """(N, pairs): the pair's two vertices are within VERTEX_DEDUP_TOL in every
+    coordinate.  Pairs go in blocks of about CHUNK_CELLS coordinates, so the
+    temporaries stay near a megabyte even for T1's thousands of pairs."""
+    n, _, d = points.shape
+    near = np.empty((n, len(system.later)), dtype=bool)
+    step = max(1, CHUNK_CELLS // (n * d))
+    for lo in range(0, near.shape[1], step):
+        pairs = slice(lo, lo + step)
+        diff = points[:, system.earlier[pairs]] - points[:, system.later[pairs]]
+        close = np.abs(diff) <= VERTEX_DEDUP_TOL
+        near[:, pairs] = functools.reduce(np.logical_and, np.moveaxis(close, 2, 0))
+    return near
+
+
+def _vertices(system: _VertexSystem, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (N, K, d) of every branch under right-hand sides `b` (N, R), and a mask
+    of the kept ones: feasible on their branch's rows, and not within VERTEX_DEDUP_TOL
+    of an earlier kept vertex of their branch."""
+    s = system
+    n, (k, d) = len(b), s.subsets.shape
+    sub_a = np.broadcast_to(s.sub_a, (n, k, d, d))
+    points = np.linalg.solve(sub_a, b[:, s.subsets][..., None])[..., 0]
+    # A branch's rows include its axis planes, so this also tests r_k >= -tol.
+    lhs = sum(s.row_a[..., i] * points[..., i : i + 1] for i in range(d))  # fixed order, no BLAS
+    feasible = ~np.any(lhs > (b + tol)[:, s.rows], axis=2)
+    # The greedy keeps a feasible vertex when no earlier kept one of its branch is
+    # near it.  That recurrence is triangular, so it has exactly one solution;
+    # iterating it from the feasible set reaches it within K rounds, and the
+    # first state that repeats is that solution.
+    near, kept = _near_pairs(s, points), feasible
+    while True:
+        blocked = np.zeros_like(feasible)
+        blocked[:, s.targets] = np.logical_or.reduceat(kept[:, s.earlier] & near, s.starts, axis=1)
+        step = feasible & ~blocked
+        if np.array_equal(step, kept):
+            return points, kept
+        kept = step
 
 
 def _full_points(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -81,13 +149,6 @@ def _full_points(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     full = np.zeros(points.shape[:-1] + (3,))
     full[..., list(dims)] = np.where(points > 0.0, points, 0.0)
     return full
-
-
-@functools.cache
-def _branch_systems(theorem_id: str) -> tuple:
-    spec = theorem_spec(theorem_id)
-    coefs = ([[r.rates[i] for i in spec.rate_dims()] for r in br.corollary] for br in spec.branches)
-    return tuple(_vertex_system(np.array(c)) for c in coefs)
 
 
 def _first_max(keys: Sequence[np.ndarray], valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,23 +164,19 @@ def _stack_extremes(spec: TheoremSpec, ev: StackEvaluation, obj, tol: float):
     """Per coupling of a stack: best value (N,), point (N, 3), branch (N,; -1: none) over
     the kept vertices of each applicable branch with a feasible origin, in branch then
     subset order: the largest (value, R0, R1, R2), first on a tie."""
-    values, points, valid, owner = [], [], [], []
-    systems = _branch_systems(spec.theorem_id)
-    for k, (br, system) in enumerate(zip(spec.compiled.branches, systems)):
-        b = ev.bounds[:, list(br.corollary)]
-        vertices, kept = _vertices(system, b, tol)
-        full = _full_points(vertices, spec.rate_dims())
-        values.append(((0.0 + obj[0] * full[..., 0]) + obj[1] * full[..., 1]) + obj[2] * full[..., 2])
-        points.append(full)
-        valid.append(kept & (ev.applicable[:, k] & np.all(b >= -tol, axis=1))[:, None])
-        owner += [k] * kept.shape[1]
-    value, point = np.concatenate(values, axis=1), np.concatenate(points, axis=1)
-    found, first = _first_max([value, *np.moveaxis(point, 2, 0)], np.concatenate(valid, axis=1))
+    system = _theorem_system(spec.theorem_id)
+    b = system.rhs(ev.bounds)
+    vertices, kept = _vertices(system, b, tol)
+    origin = np.all((b >= -tol)[:, None, :] | ~system.corollary, axis=2)
+    valid = kept & (ev.applicable & origin)[:, system.owner]
+    point = _full_points(vertices, spec.rate_dims())
+    value = ((0.0 + obj[0] * point[..., 0]) + obj[1] * point[..., 1]) + obj[2] * point[..., 2]
+    found, first = _first_max([value, *np.moveaxis(point, 2, 0)], valid)
     rows = np.arange(len(value))
     return (
         np.where(found, value[rows, first], 0.0),
         np.where(found[:, None], point[rows, first], 0.0),
-        np.where(found, np.array(owner)[first], -1),
+        np.where(found, system.owner[first], -1),
     )
 
 

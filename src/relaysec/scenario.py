@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
+from .errors import UsageError, ValidationError
 from .gaussian import GaussianNetwork
 from .sweep import GridSpec, resolve_strategy
 
@@ -182,7 +182,10 @@ def load_scenario(path: str) -> Scenario:
         if not strategies:
             raise ValidationError(f"scenario {path}: 'strategies' must not be empty")
         for s in strategies:
-            resolve_strategy(s, model)  # raises on unknown labels
+            try:
+                resolve_strategy(s, model)
+            except UsageError as exc:
+                raise ValidationError(f"scenario {path}: {exc}") from exc
         return Scenario(
             model=model,
             net=net,

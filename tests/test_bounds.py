@@ -84,7 +84,7 @@ def test_import_compiles_nothing():
         "import relaysec\n"
         "from relaysec import bounds, regionsearch\n"
         "print(sum('compiled' in s.__dict__ for s in bounds.THEOREMS.values()),"
-        " regionsearch._branch_systems.cache_info().currsize)"
+        " regionsearch._theorem_system.cache_info().currsize)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["0", "0"]

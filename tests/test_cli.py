@@ -148,12 +148,22 @@ class TestCurveCommand:
         path = write_json(tmp_path, "s.json", {"model": "B", "net": PAPER_NET, "grid": grid})
         assert main(["curve", "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 3
 
-    def test_other_models_strategy_id_is_usage_error(self, tmp_path, capsys):
-        payload = {"model": "C", "net": PAPER_NET, "strategies": ["b_df", "df"]}
+    # A scenario's strategies are scenario data: an unknown one exits 2 like any
+    # other bad scenario value (the `gaussian --strategy` flag stays a usage error).
+    @pytest.mark.parametrize(
+        "command, model, strategies",
+        [("curve", "C", ["b_df", "df"]), ("curve", "B", ["zf"]), ("region", "C", ["zf"])],
+        ids=["curve-other-models-id", "curve-zf", "region-zf"],
+    )
+    def test_unknown_scenario_strategy_is_a_validation_error(
+        self, tmp_path, capsys, command, model, strategies
+    ):
+        payload = {"model": model, "net": PAPER_NET, "strategies": strategies}
+        path = write_json(tmp_path, "s.json", payload)
         out = tmp_path / "o.csv"
-        assert main(["curve", "--scenario", write_json(tmp_path, "s.json", payload),
-                     "--out", str(out)]) == 1
-        assert "unknown strategy 'b_df' for model 'C'" in capsys.readouterr().err
+        assert main([command, "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario {path}: unknown strategy {strategies[0]!r} for model {model!r}" in err
         assert not out.exists()
 
 
@@ -792,6 +802,55 @@ class TestGoldenOutputs:
         assert hashlib.sha256(coupling.read_bytes()).hexdigest() == (
             "b30849a59b8026f0d61df41d116ebb9dfab0f61c2b8d60888ae5a6122578ef44"
         )
+
+    # One search per theorem on the shipped model, U=1 and every other auxiliary 2,
+    # at grid steps 3 where the grid stays under about 2500 couplings, else 2.
+    @pytest.mark.parametrize(
+        "theorem, aux_sizes, steps, csv_digest, coupling_digest",
+        [
+            ("T2", "U=1,V1=2,V2=2", 2,
+             "90eb5215f2cb6da1b442568ad8b2b5a5051eb49e3ce5eabcf97820d43c2557e0",
+             "505f8c84a00e268817b44b22eb6cef5137d8e7420c8094491283ab658b00fabc"),
+            ("T3", "U=1,V1=2,V2=2", 3,
+             "da9f813ce3cf649f25ccafec46b1abb40c8d4bad718f3243240e10d4639c2657",
+             "d3cecb9e5c1c4de025a605dfe689f61998c530a95ea2da24fc967563892afc48"),
+            ("T4", "U=1,V1=2,V2=2,Yh=2", 2,
+             "e44bc63ad6272737958bd1f7ab4f79d9298e9afafecd1912939aa5c8bf3dc8b0",
+             "aec95f249baf8b761d3c148e390d61d952294344441acbb31cf1a1a1ab6e4a0e"),
+            ("T6", "U=1,V1=2,V2=2", 2,
+             "cf89a2eb6749fe14d45c2eb01620105b6fb849e5ff0c0db5d1190a6af23c5932",
+             "f4e5107e42b98f9226d14c7157274c212997238bacf0919594b69d55fc30b390"),
+            ("T7", "U=1,V1=2,V2=2", 3,
+             "6cb54be1f2c925df4a497943a54afe8bfb0d4dbff0e98d578013276ceea573b6",
+             "e7ab4e64864048905e2c940466e972b021159c073f6df08273a299ea943716c3"),
+            ("T8", "U=1,V1=2,V2=2,Yh=2", 2,
+             "defb1f718bfda3aeecfb52134bc7982e9d327247cf0f9508b0a6e2604113ce7a",
+             "efbd92a60b47afffd186fbdd2385082433467d6bc4d8e920529615c6bb4a0870"),
+            ("T10", "U=1,V=2", 3,
+             "e2f5c9d829e97772f5be7ecbb3420fbf222703ccee93e2375ccb71cfa440adc8",
+             "bf738d8878c4388e5911f568bd885498fa0c0c747cb9cf08eb96dfdd841835c0"),
+            ("T11", "U=1,V=2", 3,
+             "5966472ff14136c44c65d161b54d3f786d3cef87c3cdef351bf84e1ebc78bc43",
+             "75e8e080c0c1146b9cd558914d4c54257a07cc6760b90c0b592bd3d5c94592e6"),
+            ("T12", "U=1,V=2,Yh=2", 2,
+             "1e93b2646d8f0c9f9054fca7469f135e7dadcb08135ceadbd806d0cec082f3a6",
+             "7aced8fc3adaed2ab63d146e52af114b95f614d3578ca3d2394090ff009895e8"),
+        ],
+        ids=["T2", "T3", "T4", "T6", "T7", "T8", "T10", "T11", "T12"],
+    )
+    def test_dmc_search_bytes_per_theorem(
+        self, tmp_path, theorem, aux_sizes, steps, csv_digest, coupling_digest
+    ):
+        scenario = write_json(tmp_path, "s.json", {
+            "model": "DMC", "dmc_model": scenario_path("dmc_model.json"), "theorem": theorem,
+        })
+        out, coupling = tmp_path / "o.csv", tmp_path / "c.json"
+        argv = ["dmc-search", "--scenario", scenario, "--aux-sizes", aux_sizes,
+                "--grid-steps", str(steps), "--objective", "0,1,0",
+                "--out", str(out), "--best-coupling-out", str(coupling)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(coupling.read_bytes()).hexdigest() == coupling_digest
 
     def test_stdout_equals_the_file(self, tmp_path, capsys):
         scenario = scenario_path("paper_fig4.json")

@@ -1,9 +1,12 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaysec import regionsearch
 from relaysec.acceptance import favorable_model, random_coupling, random_model
@@ -13,6 +16,7 @@ from relaysec.bounds import (
     AuxiliaryCoupling,
     compose_stack,
     corollary_constraints,
+    coupling_stack,
     evaluate_stack,
     theorem_spec,
 )
@@ -21,8 +25,8 @@ from relaysec.errors import BudgetExceededError, UsageError, ValidationError
 from relaysec.pmf import FactorizationPattern, JointPMF
 from relaysec.regionsearch import (
     VERTEX_DEDUP_TOL,
+    _VertexSystem,
     _full_points,
-    _vertex_system,
     _vertices,
     brute_force_best,
     estimate_grid_size,
@@ -295,13 +299,31 @@ class TestBruteForce:
         assert count > 0
 
 
+def system_vertices(branches, dims, tol):
+    """The search's one vertex pass over several branches' polytopes at once: per
+    branch, its feasible vertices in subset order, less near-duplicates."""
+    coefs = [
+        np.array([[lc.coefs[i] for i in dims] for lc in br.constraints]).reshape(-1, len(dims))
+        for br in branches
+    ]
+    bounds = np.array([[lc.bound for br in branches for lc in br.constraints]])
+    ends = np.cumsum([len(c) for c in coefs])
+    system = _VertexSystem(coefs, [range(end - len(c), end) for c, end in zip(coefs, ends)])
+    points, kept = _vertices(system, system.rhs(bounds), tol)
+    return kept_by_branch(system, points[0], kept[0], dims)
+
+
+def kept_by_branch(system, points, kept, dims):
+    """One coupling's kept vertices (K, d) as rate triples, per branch in subset order."""
+    return [
+        [tuple(p) for p in _full_points(points[kept & (system.owner == k)], dims).tolist()]
+        for k in range(len(system.corollary))
+    ]
+
+
 def branch_vertices(branch, dims, tol):
-    """The search's batched vertex solve on one branch's polytope: feasible
-    vertices in subset order, less near-duplicates."""
-    coefs = np.array([[lc.coefs[i] for i in dims] for lc in branch.constraints])
-    b = np.array([[lc.bound for lc in branch.constraints]]).reshape(1, -1)
-    points, kept = _vertices(_vertex_system(coefs.reshape(-1, len(dims))), b, tol)
-    return [tuple(p) for p in _full_points(points[0][kept[0]], dims).tolist()]
+    """`system_vertices` on one branch."""
+    return system_vertices([branch], dims, tol)[0]
 
 
 def loop_branch_vertices(branch, dims, tol):
@@ -357,6 +379,114 @@ class TestVertexOracle:
                 branches += 1
                 nonempty += len(got) > 1
         assert branches >= 24 and nonempty >= 2
+
+
+def axis_branch(caps):
+    """A branch of rows r_dim <= cap, one per (dim, cap): its vertices are the
+    grid of caps (with 0 for an axis plane), so they can be placed by hand."""
+    rows = [
+        SimpleNamespace(coefs=tuple(float(k == dim) for k in range(3)), bound=cap)
+        for dim, cap in caps
+    ]
+    return SimpleNamespace(constraints=rows)
+
+
+# Loose enough that every vertex of an `axis_branch` with caps inside 1e-6 is feasible.
+PLACED_TOL = 1e-6
+# Coordinates on a 0.4e-9 lattice: neighbours and next-neighbours are within
+# VERTEX_DEDUP_TOL, so drawn clusters hold non-transitive chains.
+_NEAR_CAPS = st.integers(0, 8).map(lambda k: k * 0.4e-9)
+
+
+class TestVertexDedup:
+    """The dedup is the sequential greedy: in subset order, keep a feasible vertex
+    unless an earlier kept vertex of the same branch is within VERTEX_DEDUP_TOL."""
+
+    def test_chain_keeps_the_first_and_the_third(self):
+        # 0.8e-9 is near 0 and near 1.6e-9, which is not near 0.  The greedy drops
+        # 0.8e-9 (near the kept 0), then keeps 1.6e-9: its only near vertex was dropped.
+        # The axis plane's vertex comes last and is near the kept 0.
+        chain = axis_branch([(1, 0.0), (1, 0.8e-9), (1, 1.6e-9)])
+        want = [(0.0, 0.0, 0.0), (0.0, 1.6e-9, 0.0)]
+        assert branch_vertices(chain, (1,), PLACED_TOL) == want
+        assert loop_branch_vertices(chain, (1,), PLACED_TOL) == want
+
+    def test_branches_do_not_dedup_each_other(self):
+        chain = axis_branch([(1, 0.0), (1, 0.8e-9), (1, 1.6e-9)])
+        shifted = axis_branch([(1, 0.5e-9), (1, 1.2e-9)])
+        got = system_vertices([chain, shifted, chain], (1,), PLACED_TOL)
+        assert got == [
+            [(0.0, 0.0, 0.0), (0.0, 1.6e-9, 0.0)],
+            [(0.0, 0.5e-9, 0.0)],
+            [(0.0, 0.0, 0.0), (0.0, 1.6e-9, 0.0)],
+        ]
+
+    @given(
+        caps=st.lists(
+            st.lists(st.tuples(st.sampled_from([0, 1]), _NEAR_CAPS), min_size=1, max_size=5),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_clusters_match_the_loop(self, caps):
+        branches = [axis_branch(c) for c in caps]
+        got = system_vertices(branches, (0, 1), PLACED_TOL)
+        assert got == [loop_branch_vertices(br, (0, 1), PLACED_TOL) for br in branches]
+
+
+def reference_extremes(theorem_id, model, coupling, objective, clamp):
+    """Best (value, point, branch) of one coupling: every applicable branch with a
+    feasible origin solved on its own by the loop reference, first largest
+    (value, R0, R1, R2) in branch then subset order."""
+    branches = corollary_constraints(theorem_id, model, coupling, clamp_equivocation=clamp)
+    dims, best = theorem_spec(theorem_id).rate_dims(), None
+    for k, br in enumerate(branches):
+        if not (br.applicable and all(lc.bound >= -DEFAULT_TOL for lc in br.constraints)):
+            continue
+        for v in loop_branch_vertices(br, dims, DEFAULT_TOL):
+            value = ((0.0 + objective[0] * v[0]) + objective[1] * v[1]) + objective[2] * v[2]
+            if best is None or (value, *v) > (best[0], *best[1]):
+                best = (value, v, k)
+    return best or (0.0, (0.0, 0.0, 0.0), -1)
+
+
+class TestMultiBranchPass:
+    """The one pass over every branch equals solving each branch on its own: no
+    subset is tested against another branch's rows or deduplicated against
+    another branch's vertices, and the best vertex is the reference's."""
+
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS, key=lambda t: int(t[1:])))
+    def test_stack_extremes_match_the_per_branch_reference(self, theorem_id):
+        rng = np.random.default_rng(100 + int(theorem_id[1:]))
+        spec = theorem_spec(theorem_id)
+        dims, system = spec.rate_dims(), regionsearch._theorem_system(theorem_id)
+        nonempty = differing = 0
+        for make_model, clamp in itertools.product((favorable_model, random_model), (False, True)):
+            model = make_model(rng)
+            couplings = [
+                random_coupling(rng, theorem_id, model, independent_aux=k % 2 == 0)
+                for k in range(6)
+            ]
+            full = np.concatenate([coupling_stack(spec, model, c) for c in couplings])
+            ev = evaluate_stack(spec, full, clamp_equivocation=clamp)
+            points, kept = _vertices(system, system.rhs(ev.bounds), DEFAULT_TOL)
+            for i, coupling in enumerate(couplings):
+                branches = corollary_constraints(
+                    theorem_id, model, coupling, clamp_equivocation=clamp
+                )
+                want = [loop_branch_vertices(br, dims, DEFAULT_TOL) for br in branches]
+                assert kept_by_branch(system, points[i], kept[i], dims) == want
+                nonempty += sum(len(v) > 1 for v in want)
+                differing += len(want) > 1 and want[0] != want[1] and min(map(len, want)) > 1
+            for objective in ((0.0, 1.0, 0.0), (1.0, 1.0, 0.5), (0.0, 0.0, 0.0)):
+                value, point, branch = regionsearch._stack_extremes(
+                    spec, ev, objective, DEFAULT_TOL
+                )
+                for i, coupling in enumerate(couplings):
+                    want = reference_extremes(theorem_id, model, coupling, objective, clamp)
+                    assert (value[i], tuple(point[i].tolist()), branch[i]) == want
+        assert nonempty > 0 and (differing > 0 or not spec.branched)
 
 
 def fold_per_coupling(theorem_id, model, sizes, steps, objective, **kwargs):
