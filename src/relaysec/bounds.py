@@ -941,13 +941,6 @@ class BoundEvaluation:
     member: bool
     branches: tuple[BranchEvaluation, ...]
 
-    @property
-    def records(self) -> tuple[IneqRecord, ...]:
-        for b in self.branches:
-            if b.state.branch_id == self.branch_taken:
-                return b.inequalities
-        return ()
-
 
 def _check_rates_config(spec: TheoremSpec, rates: Sequence[float]) -> None:
     """Refuse an (R0, R1, R2[, Re1, Re2]) point that is nonzero off `spec.rate_dims()`."""

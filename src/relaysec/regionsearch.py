@@ -6,9 +6,9 @@ enumeration (every d-subset of active constraints plus the axis planes)
 rather than an LP dependency.  A theorem's coefficients do not depend on the
 coupling, so the regular d-subsets of all its branches are found once and
 stacked into one system; only right-hand sides vary.  A stack of couplings
-then takes one vertex pass for every branch at once: one solve, one
-feasibility test of each vertex against its own branch's rows, and one
-near-duplicate pass within each branch.  Couplings go through
+then takes one vertex pass for every branch at once: one solve, and one
+feasibility test of each vertex against its own branch's rows.  The extreme
+point is the best feasible vertex.  Couplings go through
 `bounds.evaluate_stack` as stacks (one coupling is a stack of one), and the
 search walks its grid in chunks of bounded size.
 """
@@ -39,7 +39,6 @@ from .errors import BudgetExceededError, UsageError
 from .pmf import JointPMF, check_masses
 
 DEFAULT_BUDGET = 10_000_000
-VERTEX_DEDUP_TOL = 1e-9
 # A search chunk holds CHUNK_CELLS // (cells of one composed joint) couplings,
 # at least one, so its arrays stay near a megabyte whatever the grid size.
 CHUNK_CELLS = 1 << 16
@@ -61,8 +60,7 @@ class _VertexSystem:
     branch then subset order: their rows `subsets` (K, d) and matrices `sub_a`
     (K, d, d), their branch `owner` (K,), and that branch's rows `rows` (K, W)
     with coefficients `row_a` (K, W, d), the last row repeated up to the widest
-    branch's W.  The dedup compares pairs (`earlier`, `later`) of subsets of one
-    branch, grouped by `later`: pair `starts`[m] begins the pairs of `targets`[m]."""
+    branch's W."""
 
     def __init__(self, coefs: Sequence[np.ndarray], sources: Sequence[Sequence[int]]) -> None:
         """Branch k has rows `coefs[k]` (R_k, d) reading bound columns `sources[k]`."""
@@ -83,8 +81,6 @@ class _VertexSystem:
         self.sub_a, self.row_a = a[self.subsets], a[self.rows]
         row_owner = np.searchsorted(ends, np.arange(len(a)), side="right")
         self.owner = row_owner[self.subsets[:, 0]]
-        self.later, self.earlier = np.nonzero(np.tril(self.owner[:, None] == self.owner, -1))
-        self.targets, self.starts = np.unique(self.later, return_index=True)
         self.source = np.concatenate([np.r_[np.array(s, dtype=int), [-1] * d] for s in sources])
         self.corollary = (row_owner == np.arange(len(blocks))[:, None]) & (self.source >= 0)
 
@@ -104,44 +100,16 @@ def _theorem_system(theorem_id: str) -> _VertexSystem:
     return _VertexSystem(coefs, [br.corollary for br in spec.compiled.branches])
 
 
-def _near_pairs(system: _VertexSystem, points: np.ndarray) -> np.ndarray:
-    """(N, pairs): the pair's two vertices are within VERTEX_DEDUP_TOL in every
-    coordinate.  Pairs go in blocks of about CHUNK_CELLS coordinates, so the
-    temporaries stay near a megabyte even for T1's thousands of pairs."""
-    n, _, d = points.shape
-    near = np.empty((n, len(system.later)), dtype=bool)
-    step = max(1, CHUNK_CELLS // (n * d))
-    for lo in range(0, near.shape[1], step):
-        pairs = slice(lo, lo + step)
-        diff = points[:, system.earlier[pairs]] - points[:, system.later[pairs]]
-        close = np.abs(diff) <= VERTEX_DEDUP_TOL
-        near[:, pairs] = functools.reduce(np.logical_and, np.moveaxis(close, 2, 0))
-    return near
-
-
 def _vertices(system: _VertexSystem, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Vertices (N, K, d) of every branch under right-hand sides `b` (N, R), and a mask
-    of the kept ones: feasible on their branch's rows, and not within VERTEX_DEDUP_TOL
-    of an earlier kept vertex of their branch."""
+    of the feasible ones: within `tol` of every row of their own branch."""
     s = system
     n, (k, d) = len(b), s.subsets.shape
     sub_a = np.broadcast_to(s.sub_a, (n, k, d, d))
     points = np.linalg.solve(sub_a, b[:, s.subsets][..., None])[..., 0]
     # A branch's rows include its axis planes, so this also tests r_k >= -tol.
     lhs = sum(s.row_a[..., i] * points[..., i : i + 1] for i in range(d))  # fixed order, no BLAS
-    feasible = ~np.any(lhs > (b + tol)[:, s.rows], axis=2)
-    # The greedy keeps a feasible vertex when no earlier kept one of its branch is
-    # near it.  That recurrence is triangular, so it has exactly one solution;
-    # iterating it from the feasible set reaches it within K rounds, and the
-    # first state that repeats is that solution.
-    near, kept = _near_pairs(s, points), feasible
-    while True:
-        blocked = np.zeros_like(feasible)
-        blocked[:, s.targets] = np.logical_or.reduceat(kept[:, s.earlier] & near, s.starts, axis=1)
-        step = feasible & ~blocked
-        if np.array_equal(step, kept):
-            return points, kept
-        kept = step
+    return points, ~np.any(lhs > (b + tol)[:, s.rows], axis=2)
 
 
 def _full_points(points: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -162,13 +130,13 @@ def _first_max(keys: Sequence[np.ndarray], valid: np.ndarray) -> tuple[np.ndarra
 
 def _stack_extremes(spec: TheoremSpec, ev: StackEvaluation, obj, tol: float):
     """Per coupling of a stack: best value (N,), point (N, 3), branch (N,; -1: none) over
-    the kept vertices of each applicable branch with a feasible origin, in branch then
-    subset order: the largest (value, R0, R1, R2), first on a tie."""
+    the feasible vertices of each applicable branch with a feasible origin, in branch
+    then subset order: the largest (value, R0, R1, R2), first on a tie."""
     system = _theorem_system(spec.theorem_id)
     b = system.rhs(ev.bounds)
-    vertices, kept = _vertices(system, b, tol)
+    vertices, feasible = _vertices(system, b, tol)
     origin = np.all((b >= -tol)[:, None, :] | ~system.corollary, axis=2)
-    valid = kept & (ev.applicable & origin)[:, system.owner]
+    valid = feasible & (ev.applicable & origin)[:, system.owner]
     point = _full_points(vertices, spec.rate_dims())
     value = ((0.0 + obj[0] * point[..., 0]) + obj[1] * point[..., 1]) + obj[2] * point[..., 2]
     found, first = _first_max([value, *np.moveaxis(point, 2, 0)], valid)

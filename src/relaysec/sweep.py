@@ -4,10 +4,11 @@ Grids are inclusive-endpoint grids on [0, 1]; `*_steps` counts grid points.
 `_slices` lists every feasible compress-forward (q, R*) pair after refusing
 a request over MAX_GRID_CELLS; the C model has no beta knob, so its beta
 axis is just {0}.  `sweep_frontier` evaluates a strategy's kernel on the
-whole alpha x beta grid of every slice in one call (numpy, q and R* on a
-leading slice axis) and keeps the Pareto-maximal corners with full parameter
-provenance, so CSV consumers can annotate plots; among exact (first, second)
-duplicates it keeps the smallest (alpha, beta, q, R*), then the earliest.
+alpha x beta grid of every slice (numpy, one call per block of at most
+BLOCK_CELLS cells, so memory stays bounded whatever the grid) and keeps the
+Pareto-maximal corners with full parameter provenance, so CSV consumers can
+annotate plots; among exact (first, second) duplicates it keeps the smallest
+(alpha, beta, q, R*), then the earliest.
 
 Results are columnar, one array entry per point and no object per point: a
 `Frontier` holds `first`, `second`, `alpha`, `beta`, `q`, `rstar` and the
@@ -31,6 +32,8 @@ full grid's argmax and its earliest-beta tie rule.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -49,6 +52,7 @@ from .gaussian import (  # evaluate_strategy is re-exported for callers of this 
 
 RSTAR_POLICIES = ("max", "grid")
 MAX_GRID_CELLS = 10_000_000  # a larger Gaussian grid request is refused up front
+BLOCK_CELLS = 1 << 18  # `sweep_frontier` holds one block of at most this many grid cells at a time
 _BRACKET = (-1, 0, 1, 2)  # around a root's floor; the outer two absorb its rounding
 
 
@@ -259,13 +263,27 @@ def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Fr
     if not pairs:
         empty = np.empty(0)
         return Frontier(strategy.strategy_id, net, *[empty] * 4, np.empty(0, str), empty, empty)
-    A, B = np.meshgrid(_axis(grid.alpha_steps), _betas(strategy, grid), indexing="ij")
-    # One kernel call on (slice, alpha, beta); q and R* are a constant 0 without
-    # compress-forward, which such a kernel ignores.
-    qs, rs = (np.array([v or 0.0 for v in col])[:, None, None] for col in zip(*pairs))
-    shape = (len(pairs), *A.shape)
-    columns = (*strategy.rates(net, A, B, qs, rs), A, B, qs, rs)
-    f, s, a, b, qc, rc = (np.broadcast_to(c, shape).ravel() for c in columns)
+    # The grid is (slice, alpha, beta) in C order, evaluated in boxes of at most
+    # BLOCK_CELLS cells that take whole trailing axes while they fit, so the
+    # blocks follow that order; q and R* are a constant 0 without
+    # compress-forward, which such a kernel ignores.  A global survivor survives
+    # its own block, so filtering every block's survivors once more, in grid
+    # order, gives the whole grid's survivors and its earliest-index tie rule.
+    qs, rs = (np.array([v or 0.0 for v in col]) for col in zip(*pairs))
+    alphas, betas = _axis(grid.alpha_steps), _betas(strategy, grid)
+    shape = (len(pairs), alphas.size, betas.size)
+    steps = [min(n, max(1, BLOCK_CELLS // math.prod(shape[k + 1 :]))) for k, n in enumerate(shape)]
+    blocks = []
+    for corner in itertools.product(*(range(0, n, step) for n, step in zip(shape, steps))):
+        ps, js, ks = (slice(c, c + step) for c, step in zip(corner, steps))
+        a, b = alphas[None, js, None], betas[None, None, ks]
+        qc, rc = qs[ps, None, None], rs[ps, None, None]
+        box = np.broadcast_shapes(a.shape, b.shape, qc.shape)
+        columns = (*strategy.rates(net, a, b, qc, rc), a, b, qc, rc)
+        f, s, a, b, qc, rc = (np.broadcast_to(c, box).ravel() for c in columns)
+        keep = np.sort(_pareto_survivors(f, s, (a, b, qc, rc)))
+        blocks.append([c[keep] for c in (f, s, a, b, qc, rc)])
+    f, s, a, b, qc, rc = map(np.concatenate, zip(*blocks))
     keep = _pareto_survivors(f, s, (a, b, qc, rc))
     a, b, qc, rc = a[keep], b[keep], qc[keep], rc[keep]
     arms, _ = strategy.kernel(net, a, b, qc, rc)

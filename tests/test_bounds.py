@@ -448,7 +448,8 @@ def near_edge_rates(rng, theorem_id, model, coupling, clamp):
     ray = random_rates(rng, "C").as_tuple()
     ev = evaluate_membership(theorem_id, model, coupling, RateTuple.zero(), clamp_equivocation=clamp)
     rows = theorem_spec(theorem_id).branches[0].inequalities
-    edge = min(rec.bound / np.dot(row.rates, ray) for rec, row in zip(ev.records, rows))
+    records = ev.branches[0].inequalities
+    edge = min(rec.bound / np.dot(row.rates, ray) for rec, row in zip(records, rows))
     t = max(edge, 0.0) * rng.uniform(0.5, 1.5)
     return RateTuple(*(t * v for v in ray))
 

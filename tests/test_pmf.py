@@ -9,8 +9,10 @@ from relaysec.pmf import (
     FactorizationPattern,
     JointPMF,
     SubsetEntropies,
+    check_masses,
     cond_mutual_info,
     factorization_deviation,
+    information,
 )
 
 # Frozen from high-precision evaluation of -p log2 p - (1-p) log2 (1-p).
@@ -60,6 +62,13 @@ class TestFinitePMF:
         with pytest.raises(ValidationError, match="total mass"):
             JointPMF(("X",), np.array([0.5, 0.4]))
 
+    def test_a_stack_names_the_entry_of_its_bad_table(self):
+        probs = np.full((3, 2, 2), 0.25)
+        probs[2, 1] = [0.6, -0.1]
+        with pytest.raises(ValidationError, match=r"stack: negative mass -0\.1 at entry \(1, 1\)"):
+            check_masses(probs, "stack")
+        check_masses(probs[:2], "stack")
+
 
 class TestJointPMF:
     def test_axis_names_must_be_distinct(self):
@@ -74,6 +83,13 @@ class TestJointPMF:
         j = uniform_joint(2, 2, names=("X", "Y"))
         with pytest.raises(UsageError, match="unknown variable"):
             j.axis_index("Z")
+
+    @pytest.mark.parametrize("names", [("X", "X"), ("Y",), ("Y", "X", "Y")])
+    def test_reordered_needs_a_permutation(self, names):
+        j = uniform_joint(2, 3, names=("X", "Y"))
+        assert j.reordered(("Y", "X")).axis_sizes == (3, 2)
+        with pytest.raises(UsageError, match="not a permutation"):
+            j.reordered(names)
 
     def test_json_round_trip(self):
         probs = np.arange(1, 7, dtype=float)
@@ -147,6 +163,14 @@ class TestCondMutualInfo:
         probs = rng.dirichlet(np.ones(int(np.prod(sizes)))).reshape(sizes)
         j = JointPMF(("A", "B", "C"), probs)
         assert cond_mutual_info(j, ("A",), ("B",), ("C",)) >= 0.0
+
+    def test_a_negative_information_beyond_rounding_is_refused(self):
+        # H(AC) + H(BC) - H(ABC) - H(C) = 0.5 + 0.5 - 1.25 - 0 is no entropy table's.
+        h = np.array([[0.5, 0.5, 1.25, 0.0]])
+        with pytest.raises(ValidationError, match="impossible negative value -0.25"):
+            information(h, np.array([[0, 1, 2, 3]]))
+        value, _ = information(h, np.array([[0, 2, 1, 3]]))
+        assert value.tolist() == [[1.25]]
 
 
 class TestFactorization:

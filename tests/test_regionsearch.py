@@ -24,7 +24,6 @@ from relaysec.dmc import DMCModel, RateTuple
 from relaysec.errors import BudgetExceededError, UsageError, ValidationError
 from relaysec.pmf import FactorizationPattern, JointPMF
 from relaysec.regionsearch import (
-    VERTEX_DEDUP_TOL,
     _VertexSystem,
     _full_points,
     _vertices,
@@ -301,7 +300,7 @@ class TestBruteForce:
 
 def system_vertices(branches, dims, tol):
     """The search's one vertex pass over several branches' polytopes at once: per
-    branch, its feasible vertices in subset order, less near-duplicates."""
+    branch, its feasible vertices in subset order."""
     coefs = [
         np.array([[lc.coefs[i] for i in dims] for lc in br.constraints]).reshape(-1, len(dims))
         for br in branches
@@ -347,8 +346,6 @@ def loop_branch_vertices(branch, dims, tol):
         v = np.linalg.solve(sub_a, sub_b)
         if np.any(v < -tol) or np.any(a @ v > b + tol):
             continue
-        if any(np.max(np.abs(v - w)) <= VERTEX_DEDUP_TOL for w in vertices):
-            continue
         vertices.append(v)
     out = []
     for v in vertices:
@@ -393,33 +390,14 @@ def axis_branch(caps):
 
 # Loose enough that every vertex of an `axis_branch` with caps inside 1e-6 is feasible.
 PLACED_TOL = 1e-6
-# Coordinates on a 0.4e-9 lattice: neighbours and next-neighbours are within
-# VERTEX_DEDUP_TOL, so drawn clusters hold non-transitive chains.
+# Coordinates on a 0.4e-9 lattice, so drawn clusters hold distinct vertices far
+# closer to each other than the feasibility tolerance.
 _NEAR_CAPS = st.integers(0, 8).map(lambda k: k * 0.4e-9)
 
 
 class TestVertexDedup:
-    """The dedup is the sequential greedy: in subset order, keep a feasible vertex
-    unless an earlier kept vertex of the same branch is within VERTEX_DEDUP_TOL."""
-
-    def test_chain_keeps_the_first_and_the_third(self):
-        # 0.8e-9 is near 0 and near 1.6e-9, which is not near 0.  The greedy drops
-        # 0.8e-9 (near the kept 0), then keeps 1.6e-9: its only near vertex was dropped.
-        # The axis plane's vertex comes last and is near the kept 0.
-        chain = axis_branch([(1, 0.0), (1, 0.8e-9), (1, 1.6e-9)])
-        want = [(0.0, 0.0, 0.0), (0.0, 1.6e-9, 0.0)]
-        assert branch_vertices(chain, (1,), PLACED_TOL) == want
-        assert loop_branch_vertices(chain, (1,), PLACED_TOL) == want
-
-    def test_branches_do_not_dedup_each_other(self):
-        chain = axis_branch([(1, 0.0), (1, 0.8e-9), (1, 1.6e-9)])
-        shifted = axis_branch([(1, 0.5e-9), (1, 1.2e-9)])
-        got = system_vertices([chain, shifted, chain], (1,), PLACED_TOL)
-        assert got == [
-            [(0.0, 0.0, 0.0), (0.0, 1.6e-9, 0.0)],
-            [(0.0, 0.5e-9, 0.0)],
-            [(0.0, 0.0, 0.0), (0.0, 1.6e-9, 0.0)],
-        ]
+    """No vertex is merged into a near one: every feasible vertex of a branch is
+    kept, in subset order, however close it lies to another."""
 
     @given(
         caps=st.lists(
@@ -433,6 +411,18 @@ class TestVertexDedup:
         branches = [axis_branch(c) for c in caps]
         got = system_vertices(branches, (0, 1), PLACED_TOL)
         assert got == [loop_branch_vertices(br, (0, 1), PLACED_TOL) for br in branches]
+
+    def test_a_better_vertex_next_to_a_worse_one_wins(self):
+        # T3.L1 has a vertex at R0 = 1.4e-12 and, later in subset order, a better
+        # one at R0 = 0 with R1 larger by 1.4e-12: the best feasible vertex is the second.
+        rng = np.random.default_rng(2)
+        model = random_model(rng)
+        couplings = [
+            random_coupling(rng, "T3", model, independent_aux=k % 2 == 0) for k in range(10)
+        ]
+        pt = secrecy_region_extremes("T3", model, couplings[2], (0, 1, 0), clamp_equivocation=True)
+        assert (pt.rates.r1, pt.branch_id) == (0.0005218635081063461, "T3.L1")
+        assert (pt.objective_value, pt.rates.r0) == (pt.rates.r1, 0.0)
 
 
 def reference_extremes(theorem_id, model, coupling, objective, clamp):
@@ -453,8 +443,8 @@ def reference_extremes(theorem_id, model, coupling, objective, clamp):
 
 class TestMultiBranchPass:
     """The one pass over every branch equals solving each branch on its own: no
-    subset is tested against another branch's rows or deduplicated against
-    another branch's vertices, and the best vertex is the reference's."""
+    subset is tested against another branch's rows, and the best vertex is the
+    reference's."""
 
     @pytest.mark.parametrize("theorem_id", sorted(THEOREMS, key=lambda t: int(t[1:])))
     def test_stack_extremes_match_the_per_branch_reference(self, theorem_id):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -517,15 +518,23 @@ def lexsort_survivors(first, second, prov_cols):
     return order[keep][::-1]
 
 
+# A quarter each of 0.0 and -0.0, and k/2 for k = 0..6 alike in the other half.
+_TIE_COORDS = np.repeat([k / 2.0 for k in range(7)] + [0.0, -0.0], [2] * 7 + [7, 7])
+
+
 @st.composite
 def tie_heavy_points(draw):
     """Small-integer and half-integer coordinates with +-0.0, and 0-4
-    provenance columns with repeats, so exact duplicates fall back to the index."""
+    provenance columns with repeats, so exact duplicates fall back to the index.
+    Each column is drawn as n bytes, one value per byte."""
     n = draw(st.integers(0, 300))
-    coord = st.one_of(st.integers(0, 6).map(lambda k: k / 2.0), st.sampled_from([0.0, -0.0]))
-    column = st.lists(coord, min_size=n, max_size=n).map(np.array)
-    prov = st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), max_size=4)
-    return draw(column), draw(column), [np.array(c, dtype=float) for c in draw(prov)]
+
+    def column(values):
+        raw = st.binary(min_size=n, max_size=n)
+        return raw.map(lambda b: values[np.frombuffer(b, np.uint8) % len(values)])
+
+    coord, prov = column(_TIE_COORDS), column(np.arange(3.0))
+    return draw(coord), draw(coord), draw(st.lists(prov, max_size=4))
 
 
 class TestParetoSurvivorsOracle:
@@ -575,23 +584,52 @@ def frontier_cases(draw):
     return net, grid
 
 
+def assert_same_columns(got, want, sid):
+    """A frontier's columns equal a reference's (a dict of columns), bit for bit."""
+    for name, column in want.items():
+        mine = getattr(got, name)
+        if column is None:
+            assert mine is None, (sid, name)
+        elif name == "active":
+            assert mine.tolist() == column.tolist(), sid
+        else:
+            assert mine.tobytes() == column.tobytes(), (sid, name)
+
+
+def frontier_columns(f):
+    return {name: getattr(f, name) for name in ("first", "second", "alpha", "beta", "q",
+                                                "rstar", "active")}
+
+
 class TestFrontierColumnOracle:
     """`sweep_frontier` against the per-slice reference, bit for bit."""
 
-    @given(frontier_cases())
-    @settings(max_examples=40, deadline=None)
-    def test_columns_equal_the_per_slice_reference(self, case):
+    @given(frontier_cases(), st.one_of(st.just(sweep.BLOCK_CELLS), st.integers(1, 40)))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_equal_the_per_slice_reference(self, case, block):
+        # Blocks of a few cells put their edges anywhere in a slice, a row or a
+        # run of duplicates.
         net, grid = case
-        for sid in STRATEGIES:
-            got, want = sweep_frontier(sid, net, grid), per_slice_frontier(sid, net, grid)
-            for name, column in want.items():
-                mine = getattr(got, name)
-                if column is None:
-                    assert mine is None, (sid, name)
-                elif name == "active":
-                    assert mine.tolist() == column.tolist(), sid
-                else:
-                    assert mine.tobytes() == column.tobytes(), (sid, name)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "BLOCK_CELLS", block)
+            for sid in STRATEGIES:
+                assert_same_columns(sweep_frontier(sid, net, grid),
+                                    per_slice_frontier(sid, net, grid), sid)
+
+    def test_memory_stays_bounded_near_the_grid_budget(self, monkeypatch):
+        # 401 x 401 x (6 q x 8 R*) = 7.7M cells, just under MAX_GRID_CELLS; the
+        # whole grid at once peaked near 700 MiB.
+        grid = GridSpec(401, 401, (300.0, 200.0, 100.0, 50.0, 30.0, 20.0),
+                        rstar_policy="grid", rstar_steps=8)
+        tracemalloc.start()
+        try:
+            got = sweep_frontier("b_cf", NET, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        monkeypatch.setattr(sweep, "BLOCK_CELLS", 100_003)
+        assert_same_columns(got, frontier_columns(sweep_frontier("b_cf", NET, grid)), "b_cf")
 
     @pytest.mark.parametrize("sid", ["c_cf", "b_cf", "c_nf", "b_df"])
     @pytest.mark.parametrize("q_values, rstar_steps", [((300.0,), 2), ((300.0, 40.0, 0.01), 8)])
