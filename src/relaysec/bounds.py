@@ -754,32 +754,26 @@ def build_cf_coupling(
     return AuxiliaryCoupling(joint, theorem_id)
 
 
+def _grid_coupling(spec: TheoremSpec, probs: np.ndarray) -> AuxiliaryCoupling:
+    """A search-grid coupling (canonical axes), which is of unit mass and factorized
+    by construction, as an AuxiliaryCoupling without re-running those checks."""
+    probs.setflags(write=False)
+    joint = object.__new__(JointPMF)
+    joint.__dict__.update(axis_names=spec.coupling_vars, probs=probs)
+    coupling = object.__new__(AuxiliaryCoupling)
+    coupling.__dict__.update(joint=joint, theorem_id=spec.theorem_id)
+    return coupling
+
+
 def compose_stack(spec: TheoremSpec, model: DMCModel, probs: np.ndarray) -> np.ndarray:
     """Stacked couplings (N, canonical axes) and the channel: stacked joints over
-    `spec.full_vars`.  Compress-forward couplings must carry the channel's Y1 leg."""
-    sizes = dict(zip(spec.coupling_vars, probs.shape[1:]))
-    if sizes["X"] != model.x_size or sizes["X1"] != model.x1_size:
-        raise UsageError(
-            f"coupling alphabet (X={sizes['X']}, X1={sizes['X1']}) does not match "
-            f"the channel (X={model.x_size}, X1={model.x1_size})"
-        )
+    `spec.full_vars`.  Checks nothing: the couplings' alphabets and any Y1 leg must
+    already match the channel, as the search grid's do by construction and a single
+    coupling's do once `coupling_stack` has checked them."""
     if not spec.uses_compressor:
         return probs[..., None, None, None] * model.transition
-
-    if sizes["Y1"] != model.y1_size:
-        raise UsageError(
-            f"coupling Y1 alphabet ({sizes['Y1']}) does not match the channel ({model.y1_size})"
-        )
     n = len(probs)
     aux_xx1 = probs.sum(axis=(-2, -1))
-    implied_y1 = aux_xx1[..., None] * model.y1_conditional()
-    dev = np.max(np.abs(implied_y1 - probs.sum(axis=-1)).reshape(n, -1), axis=1)
-    bad = np.flatnonzero(dev > DEFAULT_TOL)
-    if bad.size:
-        raise ValidationError(
-            f"coupling's Y1 leg is inconsistent with the channel's p(y1|x,x1): "
-            f"max deviation {dev[bad[0]]:.3e}"
-        )
     # Quantizer p(yh | y1, x1); unreachable (y1, x1) cells get a uniform row.
     m = probs.sum(axis=tuple(range(1, probs.ndim - 4)))  # (N, X, X1, Y1, Yh)
     m_x1y1yh = m.sum(axis=1)  # (N, X1, Y1, Yh)
@@ -791,11 +785,32 @@ def compose_stack(spec: TheoremSpec, model: DMCModel, probs: np.ndarray) -> np.n
 
 
 def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupling) -> np.ndarray:
-    """One coupling composed with the channel, as a stack of one.  Cross-use by
+    """One coupling composed with the channel, as a stack of one.  Every single
+    coupling enters here, so here its alphabets, and a compress-forward coupling's
+    Y1 leg p(aux, x, x1)·p(y1|x, x1), are checked against the channel.  Cross-use by
     another theorem is allowed when its variables and factorization agree."""
     if spec.theorem_id != coupling.theorem_id:
         coupling = AuxiliaryCoupling(coupling.joint, spec.theorem_id)
-    return compose_stack(spec, model, coupling.joint.probs[None])
+    probs = coupling.joint.probs
+    sizes = dict(zip(spec.coupling_vars, probs.shape))
+    if sizes["X"] != model.x_size or sizes["X1"] != model.x1_size:
+        raise UsageError(
+            f"coupling alphabet (X={sizes['X']}, X1={sizes['X1']}) does not match "
+            f"the channel (X={model.x_size}, X1={model.x1_size})"
+        )
+    if spec.uses_compressor:
+        if sizes["Y1"] != model.y1_size:
+            raise UsageError(
+                f"coupling Y1 alphabet ({sizes['Y1']}) does not match the channel ({model.y1_size})"
+            )
+        implied_y1 = probs.sum(axis=(-2, -1))[..., None] * model.y1_conditional()
+        dev = float(np.max(np.abs(implied_y1 - probs.sum(axis=-1))))
+        if dev > DEFAULT_TOL:
+            raise ValidationError(
+                f"coupling's Y1 leg is inconsistent with the channel's p(y1|x,x1): "
+                f"max deviation {dev:.3e}"
+            )
+    return compose_stack(spec, model, probs[None])
 
 
 def compose_full_joint(

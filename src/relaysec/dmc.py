@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .pmf import MASS_TOL
+from .pmf import MASS_TOL, require_json_int
 
 #: Canonical variable order used whenever a joint over several of these is built.
 CANONICAL_VARS = ("U", "U1", "U2", "V", "V1", "V2", "X", "X1", "Y", "Y1", "Yh", "Z")
@@ -92,11 +92,12 @@ class DMCModel:
     def from_json_dict(cls, payload: dict) -> "DMCModel":
         try:
             arr = np.asarray(payload["transition"], dtype=np.float64)
-            sizes = tuple(
-                int(payload[k]) for k in ("x_size", "x1_size", "y_size", "y1_size", "z_size")
-            )
+            keys = ("x_size", "x1_size", "y_size", "y1_size", "z_size")
+            sizes = tuple(payload[k] for k in keys)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"DMCModel JSON: malformed payload ({exc})") from exc
+        for key, size in zip(keys, sizes):
+            require_json_int(size, f"DMCModel JSON: {key}")
         if arr.shape != sizes:
             raise ValidationError(
                 f"DMCModel JSON: transition shape {arr.shape} does not match declared sizes {sizes}"

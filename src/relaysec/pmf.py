@@ -88,7 +88,9 @@ class JointPMF:
         return tuple(self.axis_index(n) for n in names)
 
     def reordered(self, names: Sequence[str]) -> "JointPMF":
-        """Same joint with axes permuted into the requested order."""
+        """Same joint with axes permuted into the requested order (itself if already so)."""
+        if tuple(names) == self.axis_names:
+            return self
         perm = self.axis_indices(names)
         if sorted(perm) != list(range(self.probs.ndim)):
             raise UsageError(
@@ -113,10 +115,12 @@ class JointPMF:
         try:
             axes = payload["axes"]
             names = tuple(str(a["name"]) for a in axes)
-            sizes = tuple(int(a["size"]) for a in axes)
+            sizes = tuple(a["size"] for a in axes)
             probs = np.asarray(payload["probs"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"JointPMF JSON: malformed payload ({exc})") from exc
+        for name, size in zip(names, sizes):
+            require_json_int(size, f"JointPMF JSON: the size of axis {name}")
         if probs.shape != sizes:
             raise ValidationError(
                 f"JointPMF JSON: probs shape {probs.shape} does not match axis sizes {sizes}"
@@ -130,6 +134,12 @@ class JointPMF:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"JointPMF JSON: parse failure at line {exc.lineno}: {exc.msg}") from exc
         return cls.from_json_dict(payload)
+
+
+def require_json_int(value: object, what: str) -> None:
+    """Refuse a JSON value that is not an integer: a float, a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _clamp_information(value: np.ndarray, what: str) -> np.ndarray:

@@ -28,15 +28,15 @@ from .bounds import (
     AuxiliaryCoupling,
     StackEvaluation,
     TheoremSpec,
+    _grid_coupling,
     compose_stack,
     coupling_stack,
     evaluate_stack,
-    require_factorization,
     theorem_spec,
 )
 from .dmc import DMCModel, RateTuple
 from .errors import BudgetExceededError, UsageError
-from .pmf import JointPMF, check_masses
+from .pmf import check_masses
 
 DEFAULT_BUDGET = 10_000_000
 # A search chunk holds CHUNK_CELLS // (cells of one composed joint) couplings,
@@ -226,6 +226,16 @@ def simplex_grid(cells: int, steps: int) -> Iterator[tuple[float, ...]]:
         yield tuple(c / total for c in combo)
 
 
+@functools.cache
+def _simplex_table(cells: int, steps: int) -> np.ndarray:
+    """`simplex_grid(cells, steps)` as a read-only (count, cells) array, built once per
+    process; its rows' masses are checked here, so no grid chunk re-checks them."""
+    table = np.array(list(simplex_grid(cells, steps)))
+    check_masses(table, "simplex grid")
+    table.setflags(write=False)
+    return table
+
+
 def _axis_sizes(
     spec: TheoremSpec,
     model: DMCModel,
@@ -271,7 +281,10 @@ def _grid_chunks(
     spec: TheoremSpec, model: DMCModel, aux_sizes: Mapping[str, int], grid_steps: int
 ) -> Iterator[np.ndarray]:
     """The factorized simplex grid as stacked couplings in grid order, chunk by
-    chunk; each chunk passes every check a single AuxiliaryCoupling makes."""
+    chunk.  A chunk is `product_stack` of conditional tables, the checked
+    `_simplex_table` rows and the channel's validated p(y1|x,x1), so it is canonical,
+    of unit mass, factorized and carries the channel's Y1 leg by construction; no
+    chunk is checked again (the tests check every chunk of their grids)."""
     sizes = _axis_sizes(spec, model, aux_sizes)
     tables = []  # per factor: every grid table, stacked as (choices, given..., targets...)
     for targets, given in spec.pattern.factors:
@@ -280,7 +293,7 @@ def _grid_chunks(
             # Pinned to the channel's own relay observation law.
             tables.append(model.y1_conditional().reshape((1,) + shape))
             continue
-        per_cell = np.array(list(simplex_grid(math.prod(sizes[v] for v in targets), grid_steps)))
+        per_cell = _simplex_table(math.prod(sizes[v] for v in targets), grid_steps)
         rows = math.prod(sizes[v] for v in given)
         picks = np.array(list(itertools.product(range(len(per_cell)), repeat=rows))).reshape(-1, rows)
         tables.append(per_cell[picks].reshape((len(picks),) + shape))
@@ -289,10 +302,7 @@ def _grid_chunks(
     step = max(1, CHUNK_CELLS // math.prod(channel[v] for v in spec.full_vars))
     for start in range(0, math.prod(counts), step):
         picks = np.unravel_index(np.arange(start, min(start + step, math.prod(counts))), counts)
-        probs = spec.pattern.product_stack(spec.coupling_vars, [t[p] for t, p in zip(tables, picks)])
-        check_masses(probs, "JointPMF")
-        require_factorization(spec, probs)
-        yield probs
+        yield spec.pattern.product_stack(spec.coupling_vars, [t[p] for t, p in zip(tables, picks)])
 
 
 @dataclass(frozen=True)
@@ -320,7 +330,8 @@ def brute_force_best(
     would exceed `budget` evaluations.  One serial pass evaluates the grid
     chunk by chunk and keeps only the running best by (objective,
     lexicographic rates), so memory does not grow with the grid; ties keep the
-    earliest coupling in grid order, the only one built as AuxiliaryCoupling.
+    earliest coupling in grid order.  Only the winner becomes an AuxiliaryCoupling,
+    built without the checks its grid already passed by construction.
     """
     for name, size in aux_sizes.items():
         if size > 3:
@@ -344,5 +355,5 @@ def brute_force_best(
             best = (key, point[i], int(branch[i]), probs[i].copy())
         scanned += len(probs)
     (value_i, _), point_i, branch_i, probs_i = best
-    coupling = AuxiliaryCoupling(JointPMF(spec.coupling_vars, probs_i), theorem_id)
+    coupling = _grid_coupling(spec, probs_i)
     return BruteForceResult(_extreme_point(spec, value_i, point_i, branch_i), coupling, scanned)

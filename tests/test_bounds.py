@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -145,6 +146,16 @@ class TestCouplingValidation:
         model = DMCModel(np.full((3, 2, 2, 2, 2), 1.0 / 8.0))
         with pytest.raises(UsageError, match="alphabet"):
             compose_full_joint(model, v1_copies_x_coupling())
+
+
+class TestModelJSON:
+    @pytest.mark.parametrize("key, value", [("x_size", 2.7), ("x1_size", 2.0),
+                                            ("z_size", "2"), ("y1_size", True)])
+    def test_sizes_must_be_integers(self, key, value):
+        payload = json.loads(product_channel().to_json())
+        payload[key] = value
+        with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+            DMCModel.from_json_dict(payload)
 
 
 class TestMITerms:

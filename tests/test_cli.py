@@ -482,6 +482,35 @@ class TestScenarioGridTypes:
         assert main(argv) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dmc-eval", "dmc-search"])
+    @pytest.mark.parametrize(
+        "key, path, value",
+        [
+            ("dmc_model", ("x_size",), 2.7),
+            ("dmc_model", ("z_size",), "2"),
+            ("coupling", ("axes", 1, "size"), 2.9),
+            ("coupling", ("axes", 3, "size"), "2"),
+            ("coupling", ("axes", 0, "size"), True),
+        ],
+    )
+    def test_non_integer_json_sizes_are_exit_2(self, tmp_path, capsys, command, key, path, value):
+        # int() used to truncate these: x_size 2.7 loaded as a binary input.
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        for name in ("dmc_model", "coupling"):
+            payload[name] = scenario_path(payload[name])
+        spoiled = json.loads(open(payload[key]).read())
+        target = spoiled
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        payload[key] = write_json(tmp_path, "spoiled.json", spoiled)
+        argv = [command, "--scenario", write_json(tmp_path, "s.json", payload)]
+        if command == "dmc-search":
+            argv += ["--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and "Traceback" not in err
+
 
 _JUNK = st.one_of(
     st.integers(-3, 1), st.floats(allow_nan=True, allow_infinity=True), st.booleans(),

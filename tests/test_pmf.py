@@ -99,6 +99,17 @@ class TestJointPMF:
         assert back.axis_names == j.axis_names
         np.testing.assert_array_equal(back.probs, j.probs)
 
+    @pytest.mark.parametrize("size, probs", [(2.9, [0.5, 0.5]), (2.0, [0.5, 0.5]),
+                                             ("2", [0.5, 0.5]), (True, [1.0])])
+    def test_json_axis_size_must_be_an_integer(self, size, probs):
+        payload = {"axes": [{"name": "X", "size": size}], "probs": probs}
+        with pytest.raises(ValidationError, match="size of axis X must be an integer"):
+            JointPMF.from_json_dict(payload)
+
+    def test_reordered_in_its_own_order_is_itself(self):
+        j = uniform_joint(2, 3, names=("X", "Y"))
+        assert j.reordered(("X", "Y")) is j and j.reordered(["X", "Y"]) is j
+
     def test_json_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="shape"):
             JointPMF.from_json(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tracemalloc
 from types import SimpleNamespace
 
@@ -18,11 +19,12 @@ from relaysec.bounds import (
     corollary_constraints,
     coupling_stack,
     evaluate_stack,
+    require_factorization,
     theorem_spec,
 )
 from relaysec.dmc import DMCModel, RateTuple
 from relaysec.errors import BudgetExceededError, UsageError, ValidationError
-from relaysec.pmf import FactorizationPattern, JointPMF
+from relaysec.pmf import JointPMF, check_masses
 from relaysec.regionsearch import (
     _VertexSystem,
     _full_points,
@@ -40,6 +42,13 @@ def coupling_grid(theorem_id, model, aux_sizes, grid_steps):
     spec = theorem_spec(theorem_id)
     for probs in regionsearch._grid_chunks(spec, model, aux_sizes, grid_steps):
         yield from (AuxiliaryCoupling(JointPMF(spec.coupling_vars, p), theorem_id) for p in probs)
+
+
+def y1_leg_deviation(model, probs):
+    """Per stacked compress-forward coupling, the largest cell of
+    |p(aux, x, x1, y1) - p(aux, x, x1)·p(y1|x, x1)| against the channel."""
+    implied = probs.sum(axis=(-2, -1))[..., None] * model.y1_conditional()
+    return np.max(np.abs(implied - probs.sum(axis=-1)).reshape(len(probs), -1), axis=1)
 
 
 def bsc(p):
@@ -290,12 +299,12 @@ class TestBruteForce:
 
     def test_cf_grid_pins_the_relay_observation_leg(self):
         model = product_channel()
+        sizes = {"U": 1, "V": 2, "Yh": 2}
         count = 0
-        for coupling in coupling_grid("T12", model, {"U": 1, "V": 2, "Yh": 2}, 2):
+        for coupling in coupling_grid("T12", model, sizes, 2):
+            assert y1_leg_deviation(model, coupling.joint.probs[None])[0] <= DEFAULT_TOL
             count += 1
-            if count > 3:
-                break
-        assert count > 0
+        assert count == estimate_grid_size("T12", model, sizes, 2)
 
 
 def system_vertices(branches, dims, tol):
@@ -545,21 +554,87 @@ class TestStackedEngine:
                 monkeypatch.setattr(regionsearch, "CHUNK_CELLS", chunk_of(chunk, theorem_id, sizes))
             res = brute_force_best(model, sizes, steps, theorem_id, objective, **extra)
             assert res.best == want_pt
-            assert np.array_equal(res.coupling.joint.probs, want_coupling.joint.probs)
+            assert res.coupling.to_json() == want_coupling.to_json()
             assert res.couplings_scanned == estimate_grid_size(theorem_id, model, sizes, steps)
 
-    def test_a_chunk_with_one_broken_coupling_is_refused(self, monkeypatch):
-        # X1 copies V1, which the noise-forward factorization forbids.
-        broken = np.zeros((1, 2, 1, 2, 2))
-        for i in range(2):
-            broken[0, i, 0, i, i] = 0.5
-        real = FactorizationPattern.product_stack
+    def test_a_broken_simplex_row_is_refused_where_the_grid_is_built(self, monkeypatch):
+        # The grid's masses are checked once per (cells, steps) table, not per chunk.
+        real = regionsearch.simplex_grid
 
-        def spoiled(self, var_order, tables):
-            probs = real(self, var_order, tables)
-            probs[len(probs) // 2] = broken
-            return probs
+        def spoiled(cells, steps):
+            rows = list(real(cells, steps))
+            rows[len(rows) // 2] = tuple(p * (1 + 1e-9) for p in rows[len(rows) // 2])
+            return iter(rows)
 
-        monkeypatch.setattr(FactorizationPattern, "product_stack", spoiled)
-        with pytest.raises(ValidationError, match="violates the T3 factorization"):
-            brute_force_best(product_channel(), {"U": 1, "V1": 2, "V2": 1}, 3, "T3", (0, 1, 0))
+        regionsearch._simplex_table.cache_clear()
+        try:
+            monkeypatch.setattr(regionsearch, "simplex_grid", spoiled)
+            with pytest.raises(ValidationError, match="simplex grid: total mass"):
+                brute_force_best(product_channel(), {"U": 1, "V1": 2, "V2": 1}, 3, "T3", (0, 1, 0))
+        finally:
+            monkeypatch.undo()
+            regionsearch._simplex_table.cache_clear()
+        table = regionsearch._simplex_table(2, 3)
+        assert table is regionsearch._simplex_table(2, 3) and not table.flags.writeable
+        assert table.tolist() == [list(p) for p in simplex_grid(2, 3)]
+
+
+def shipped_model():
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "dmc_model.json")
+    with open(path, encoding="utf-8") as fh:
+        return DMCModel.from_json(fh.read())
+
+
+# The grids `TestGoldenOutputs` searches on the shipped model: `test_dmc_search_bytes`,
+# then `test_dmc_search_bytes_per_theorem`.
+GOLDEN_GRIDS = [
+    ("T3", {"U": 1, "V1": 2, "V2": 1}, 3),
+    ("T2", {"U": 1, "V1": 2, "V2": 2}, 2),
+    ("T3", {"U": 1, "V1": 2, "V2": 2}, 3),
+    ("T4", {"U": 1, "V1": 2, "V2": 2, "Yh": 2}, 2),
+    ("T6", {"U": 1, "V1": 2, "V2": 2}, 2),
+    ("T7", {"U": 1, "V1": 2, "V2": 2}, 3),
+    ("T8", {"U": 1, "V1": 2, "V2": 2, "Yh": 2}, 2),
+    ("T10", {"U": 1, "V": 2}, 3),
+    ("T11", {"U": 1, "V": 2}, 3),
+    ("T12", {"U": 1, "V": 2, "Yh": 2}, 2),
+]
+# The benchmark's five dmc-search shapes, which it searches on favorable models.
+BENCH_SHAPES = [
+    ("T11", {"U": 1, "V": 2}),
+    ("T10", {"U": 1, "V": 2}),
+    ("T12", {"U": 1, "V": 1, "Yh": 2}),
+    ("T4", {"U": 1, "V1": 2, "V2": 1, "Yh": 1}),
+    ("T3", {"U": 1, "V1": 2, "V2": 1}),
+]
+GRID_CASES = (
+    [(t, sizes, g, "favorable") for t, sizes, g, extra in STACK_CASES if not extra]
+    + [(t, sizes, g, "shipped") for t, sizes, g in GOLDEN_GRIDS]
+    + [(t, sizes, g, "favorable") for t, sizes in BENCH_SHAPES for g in (2, 3)]
+)
+
+
+class TestGridConstruction:
+    """The search checks no chunk of its grid, which is a product of checked
+    conditional tables; so every chunk of every grid the tests, the golden outputs and
+    the benchmark search is checked here as a single coupling would be: unit mass, the
+    bound's factorization and, for compress-forward, the channel's Y1 leg."""
+
+    @pytest.mark.parametrize(
+        "theorem_id,sizes,steps,model_name",
+        GRID_CASES,
+        ids=[f"{t}-{''.join(f'{k}{v}' for k, v in s.items())}-g{g}-{m}" for t, s, g, m in GRID_CASES],
+    )
+    def test_every_chunk_passes_the_coupling_checks(self, theorem_id, sizes, steps, model_name):
+        spec = theorem_spec(theorem_id)
+        model = shipped_model() if model_name == "shipped" else favorable_model(np.random.default_rng(0))
+        axes = regionsearch._axis_sizes(spec, model, sizes)
+        scanned = 0
+        for probs in regionsearch._grid_chunks(spec, model, sizes, steps):
+            assert probs.shape[1:] == tuple(axes[v] for v in spec.coupling_vars)
+            check_masses(probs, "grid chunk")
+            require_factorization(spec, probs)
+            if spec.uses_compressor:
+                assert np.all(y1_leg_deviation(model, probs) <= DEFAULT_TOL)
+            scanned += len(probs)
+        assert scanned == estimate_grid_size(theorem_id, model, sizes, steps)
