@@ -228,6 +228,7 @@ def _cmd_dmc_search(args) -> int:
         scenario.theorem,
         objective,
         budget=args.budget,
+        tol=scenario.tol,
         clamp_equivocation=args.clamp_equivocation,
     )
     best = result.best

@@ -196,8 +196,6 @@ def simplex_grid_count(cells: int, steps: int) -> int:
     """Number of grid distributions over `cells` outcomes at resolution `steps`."""
     if steps < 1:
         raise UsageError("steps must be >= 1")
-    if steps == 1:
-        return 1
     return math.comb(steps - 1 + cells - 1, cells - 1)
 
 
@@ -260,49 +258,49 @@ def _axis_sizes(
     return sizes
 
 
+def _grid(
+    spec: TheoremSpec, model: DMCModel, aux_sizes: Mapping[str, int], grid_steps: int
+) -> tuple[int, Iterator[np.ndarray]]:
+    """The factorized simplex grid: its size, and its couplings in grid order as
+    stacks, chunk by chunk.  A coupling is one mixed-radix index, the first digit
+    slowest, with one digit per given value of each factor that picks a row of the
+    checked `_simplex_table` of the factor's target cells; the Y1 factor has no
+    digit, being the channel's validated p(y1|x,x1).  A chunk is `product_stack` of
+    its picked rows, so it is canonical, of unit mass, factorized and carries the
+    channel's Y1 leg by construction; no chunk is checked again (the tests check
+    every chunk of their grids).  No table is built before the first chunk."""
+    sizes = _axis_sizes(spec, model, aux_sizes)
+    factors = []  # per factor: its table shape (given..., targets...), target cells, digits
+    for targets, given in spec.pattern.factors:
+        shape = tuple(sizes[v] for v in given + targets)
+        cells = math.prod(sizes[v] for v in targets)
+        factors.append((shape, cells, 0 if targets == ("Y1",) else math.prod(shape) // cells))
+    radices = [simplex_grid_count(cells, grid_steps) for _, cells, n in factors for _ in range(n)]
+    count = math.prod(radices)
+    channel = {"Y": model.y_size, "Y1": model.y1_size, "Z": model.z_size, **sizes}
+    step = max(1, CHUNK_CELLS // math.prod(channel[v] for v in spec.full_vars))
+
+    def chunks() -> Iterator[np.ndarray]:
+        y1 = model.y1_conditional()[None]
+        for start in range(0, count, step):
+            digits = np.stack(np.unravel_index(np.arange(start, min(start + step, count)), radices), 1)
+            tables, first = [], 0
+            for shape, cells, n in factors:
+                picks = digits[:, first : first + n]
+                tables.append(_simplex_table(cells, grid_steps)[picks].reshape((-1,) + shape) if n else y1)
+                first += n
+            yield spec.pattern.product_stack(spec.coupling_vars, tables)
+
+    return count, chunks()
+
+
 def estimate_grid_size(
     theorem_id: str,
     model: DMCModel,
     aux_sizes: Mapping[str, int],
     grid_steps: int,
 ) -> int:
-    spec = theorem_spec(theorem_id)
-    sizes = _axis_sizes(spec, model, aux_sizes)
-    total = 1
-    for targets, given in spec.pattern.factors:
-        if targets == ("Y1",):
-            continue
-        t_cells = math.prod(sizes[v] for v in targets)
-        total *= simplex_grid_count(t_cells, grid_steps) ** math.prod(sizes[v] for v in given)
-    return total
-
-
-def _grid_chunks(
-    spec: TheoremSpec, model: DMCModel, aux_sizes: Mapping[str, int], grid_steps: int
-) -> Iterator[np.ndarray]:
-    """The factorized simplex grid as stacked couplings in grid order, chunk by
-    chunk.  A chunk is `product_stack` of conditional tables, the checked
-    `_simplex_table` rows and the channel's validated p(y1|x,x1), so it is canonical,
-    of unit mass, factorized and carries the channel's Y1 leg by construction; no
-    chunk is checked again (the tests check every chunk of their grids)."""
-    sizes = _axis_sizes(spec, model, aux_sizes)
-    tables = []  # per factor: every grid table, stacked as (choices, given..., targets...)
-    for targets, given in spec.pattern.factors:
-        shape = tuple(sizes[v] for v in given + targets)
-        if targets == ("Y1",):
-            # Pinned to the channel's own relay observation law.
-            tables.append(model.y1_conditional().reshape((1,) + shape))
-            continue
-        per_cell = _simplex_table(math.prod(sizes[v] for v in targets), grid_steps)
-        rows = math.prod(sizes[v] for v in given)
-        picks = np.array(list(itertools.product(range(len(per_cell)), repeat=rows))).reshape(-1, rows)
-        tables.append(per_cell[picks].reshape((len(picks),) + shape))
-    counts = [len(t) for t in tables]
-    channel = {"Y": model.y_size, "Y1": model.y1_size, "Z": model.z_size, **sizes}
-    step = max(1, CHUNK_CELLS // math.prod(channel[v] for v in spec.full_vars))
-    for start in range(0, math.prod(counts), step):
-        picks = np.unravel_index(np.arange(start, min(start + step, math.prod(counts))), counts)
-        yield spec.pattern.product_stack(spec.coupling_vars, [t[p] for t, p in zip(tables, picks)])
+    return _grid(theorem_spec(theorem_id), model, aux_sizes, grid_steps)[0]
 
 
 @dataclass(frozen=True)
@@ -336,16 +334,16 @@ def brute_force_best(
     for name, size in aux_sizes.items():
         if size > 3:
             raise UsageError(f"aux size for {name} exceeds the brute-force cap of 3")
-    estimated = estimate_grid_size(theorem_id, model, aux_sizes, grid_steps)
+    spec = theorem_spec(theorem_id)
+    estimated, chunks = _grid(spec, model, aux_sizes, grid_steps)
     if estimated > budget:
         raise BudgetExceededError(
             f"grid for {theorem_id} needs {estimated} evaluations, over the budget of {budget}",
             estimated=estimated,
         )
     obj = _objective(objective)
-    spec = theorem_spec(theorem_id)
     best, scanned = None, 0
-    for probs in _grid_chunks(spec, model, aux_sizes, grid_steps):
+    for probs in chunks:
         full = compose_stack(spec, model, probs)
         ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation)
         value, point, branch = _stack_extremes(spec, ev, obj, tol)

@@ -349,6 +349,37 @@ class TestDMCCommands:
         )
         assert code == 2
 
+    def test_search_uses_the_scenario_tol(self, tmp_path):
+        from relaysec.regionsearch import brute_force_best
+
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        for ref in ("dmc_model", "coupling"):
+            payload[ref] = scenario_path(payload[ref])
+        payload["tol"] = 0.3
+        scenario = write_json(tmp_path, "tol.json", payload)
+        out = tmp_path / "o.csv"
+        code = main(["dmc-search", "--scenario", scenario, "--aux-sizes", "U=1,V1=2,V2=1",
+                     "--grid-steps", "3", "--objective", "1,1,1", "--out", str(out)])
+        assert code == 0
+        model = load_scenario(scenario).dmc_model
+        want, default = (
+            brute_force_best(model, {"U": 1, "V1": 2, "V2": 1}, 3, "T3", (1, 1, 1), **kw)
+            .best.objective_value
+            for kw in ({"tol": 0.3}, {})
+        )
+        assert abs(want - default) > 0.1  # the tolerance moves this search's maximum
+        assert float(read_frontier_csv(out)[0]["objective_value"]) == pytest.approx(want, abs=1e-9)
+
+    def test_search_budget_default_is_the_engine_default(self):
+        # The parser spells the default out so that parsing does not load the DMC engine.
+        from relaysec.cli import build_parser
+        from relaysec.regionsearch import DEFAULT_BUDGET
+
+        args = build_parser().parse_args(
+            ["dmc-search", "--scenario", "s.json", "--aux-sizes", "U=1", "--grid-steps", "2"]
+        )
+        assert args.budget == DEFAULT_BUDGET
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -40,7 +40,7 @@ from relaysec.regionsearch import (
 def coupling_grid(theorem_id, model, aux_sizes, grid_steps):
     """Every coupling of the search grid, in grid order, built from its chunks."""
     spec = theorem_spec(theorem_id)
-    for probs in regionsearch._grid_chunks(spec, model, aux_sizes, grid_steps):
+    for probs in regionsearch._grid(spec, model, aux_sizes, grid_steps)[1]:
         yield from (AuxiliaryCoupling(JointPMF(spec.coupling_vars, p), theorem_id) for p in probs)
 
 
@@ -503,7 +503,7 @@ def stacked_extremes(theorem_id, model, sizes, steps, objective, tol=DEFAULT_TOL
     """Every grid coupling's extreme point as the search computes it, chunk by chunk."""
     spec = theorem_spec(theorem_id)
     out = []
-    for probs in regionsearch._grid_chunks(spec, model, sizes, steps):
+    for probs in regionsearch._grid(spec, model, sizes, steps)[1]:
         ev = evaluate_stack(spec, compose_stack(spec, model, probs), tol=tol, **kwargs)
         value, point, branch = regionsearch._stack_extremes(spec, ev, objective, tol)
         out += [
@@ -614,23 +614,49 @@ GRID_CASES = (
 )
 
 
+GRID_IDS = [f"{t}-{''.join(f'{k}{v}' for k, v in s.items())}-g{g}-{m}" for t, s, g, m in GRID_CASES]
+
+
+def reference_grid_chunks(spec, model, sizes, steps):
+    """The search grid enumerated factor by factor: every combination of a factor's
+    simplex rows, one per given value (`itertools.product`, the first given value
+    slowest), then every combination of the factors' tables in pattern order, the
+    first factor slowest, in chunks of the search's size."""
+    axes = regionsearch._axis_sizes(spec, model, sizes)
+    tables = []  # per factor: (choices, given..., targets...)
+    for targets, given in spec.pattern.factors:
+        shape = tuple(axes[v] for v in given + targets)
+        if targets == ("Y1",):
+            tables.append(model.y1_conditional().reshape((1,) + shape))
+            continue
+        rows = np.array(list(simplex_grid(math.prod(axes[v] for v in targets), steps)))
+        combos = list(itertools.product(range(len(rows)), repeat=math.prod(axes[v] for v in given)))
+        tables.append(np.stack([rows[list(c)].reshape(shape) for c in combos]))
+    channel = {"Y": model.y_size, "Y1": model.y1_size, "Z": model.z_size, **axes}
+    step = max(1, regionsearch.CHUNK_CELLS // math.prod(channel[v] for v in spec.full_vars))
+    picks = list(itertools.product(*(range(len(t)) for t in tables)))
+    for start in range(0, len(picks), step):
+        chunk = np.array(picks[start : start + step])
+        yield spec.pattern.product_stack(spec.coupling_vars, [t[chunk[:, k]] for k, t in enumerate(tables)])
+
+
+def grid_model(model_name):
+    return shipped_model() if model_name == "shipped" else favorable_model(np.random.default_rng(0))
+
+
 class TestGridConstruction:
     """The search checks no chunk of its grid, which is a product of checked
     conditional tables; so every chunk of every grid the tests, the golden outputs and
     the benchmark search is checked here as a single coupling would be: unit mass, the
     bound's factorization and, for compress-forward, the channel's Y1 leg."""
 
-    @pytest.mark.parametrize(
-        "theorem_id,sizes,steps,model_name",
-        GRID_CASES,
-        ids=[f"{t}-{''.join(f'{k}{v}' for k, v in s.items())}-g{g}-{m}" for t, s, g, m in GRID_CASES],
-    )
+    @pytest.mark.parametrize("theorem_id,sizes,steps,model_name", GRID_CASES, ids=GRID_IDS)
     def test_every_chunk_passes_the_coupling_checks(self, theorem_id, sizes, steps, model_name):
         spec = theorem_spec(theorem_id)
-        model = shipped_model() if model_name == "shipped" else favorable_model(np.random.default_rng(0))
+        model = grid_model(model_name)
         axes = regionsearch._axis_sizes(spec, model, sizes)
         scanned = 0
-        for probs in regionsearch._grid_chunks(spec, model, sizes, steps):
+        for probs in regionsearch._grid(spec, model, sizes, steps)[1]:
             assert probs.shape[1:] == tuple(axes[v] for v in spec.coupling_vars)
             check_masses(probs, "grid chunk")
             require_factorization(spec, probs)
@@ -638,3 +664,31 @@ class TestGridConstruction:
                 assert np.all(y1_leg_deviation(model, probs) <= DEFAULT_TOL)
             scanned += len(probs)
         assert scanned == estimate_grid_size(theorem_id, model, sizes, steps)
+
+    @pytest.mark.parametrize("theorem_id,sizes,steps,model_name", GRID_CASES, ids=GRID_IDS)
+    def test_chunks_equal_the_factor_by_factor_enumeration(self, theorem_id, sizes, steps, model_name):
+        spec = theorem_spec(theorem_id)
+        model = grid_model(model_name)
+        count, chunks = regionsearch._grid(spec, model, sizes, steps)
+        want = list(reference_grid_chunks(spec, model, sizes, steps))
+        got = list(chunks)
+        assert [p.shape for p in got] == [p.shape for p in want]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert count == sum(len(p) for p in want)
+
+    def test_first_chunk_of_a_large_grid_is_built_in_bounded_memory(self):
+        # T2 with U=1, V1=3, V2=3 at g=2 has 2,359,296 couplings (inside the default
+        # budget); the grid is indexed, not enumerated, so its first chunk is small.
+        spec = theorem_spec("T2")
+        model = favorable_model(np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            count, chunks = regionsearch._grid(spec, model, {"U": 1, "V1": 3, "V2": 3}, 2)
+            first = next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2_359_296 <= regionsearch.DEFAULT_BUDGET
+        assert first.shape == (regionsearch.CHUNK_CELLS // 288, 1, 3, 3, 2, 2)
+        check_masses(first, "grid chunk")
+        assert peak < 8 * 2**20
