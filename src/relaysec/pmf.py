@@ -10,7 +10,9 @@ All operations are pure functions of immutable values.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -152,30 +154,60 @@ def _clamp_information(value: np.ndarray, what: str) -> np.ndarray:
     return np.where(value >= 0.0, value, 0.0)
 
 
+@functools.cache
+def _marginal_plan(axes: tuple[str, ...], subsets: tuple[frozenset, ...], shape: tuple[int, ...]):
+    """Index arrays, built once per (axes, subsets, joint shape), that fill a buffer
+    row with the joint's cells, each subset's marginal table in turn, and a 1.  A
+    marginal is summed from its smallest superset already in the row; each chain
+    depth is one (columns, gather, starts) segment sum whose runs list each output
+    cell's source cells, the summed axes in C order.  Returns each table's first
+    column (and the 1's) and the per-depth sums, in depth order."""
+    names, shapes, first, depth, levels = [axes], [shape], [0, math.prod(shape)], [0], {}
+    for s in subsets:
+        src = min((k for k, c in enumerate(names) if s <= set(c)), key=lambda k: len(names[k]))
+        kept_first = sorted(range(len(names[src])), key=lambda k: names[src][k] not in s)
+        source = np.arange(math.prod(shapes[src])).reshape(shapes[src]).transpose(kept_first)
+        names.append(tuple(v for v in names[src] if v in s))
+        shapes.append(source.shape[: len(names[-1])])
+        depth.append(depth[src] + 1)
+        runs = first[src] + source.reshape(math.prod(shapes[-1]), -1)
+        levels.setdefault(depth[-1], []).append((first[-1] + np.arange(len(runs)), runs))
+        first.append(first[-1] + len(runs))
+    plan = []
+    for level in levels.values():  # keys were first seen in depth order
+        cols, runs = zip(*level)
+        starts = np.cumsum([0] + [r.shape[1] for r in runs for _ in r])[:-1]
+        plan.append((np.concatenate(cols), np.concatenate([r.ravel() for r in runs]), starts))
+    return np.array(first), tuple(plan)
+
+
+def _marginals(plan, probs: np.ndarray) -> np.ndarray:
+    """Buffer rows (N, tables' cells + 1) of stacked joints `probs` (N, *sizes)."""
+    first, levels = plan
+    buf = np.empty((len(probs), first[-1] + 1))
+    buf[:, : first[1]] = probs.reshape(len(probs), -1)
+    buf[:, -1] = 1.0
+    for cols, gather, starts in levels:
+        buf[:, cols] = np.add.reduceat(buf[:, gather], starts, axis=1)
+    return buf
+
+
 class SubsetEntropies:
-    """Entropies in bits of fixed non-empty variable subsets (large ones first) of
-    stacked joints over `axes`, plus a last column 0 for the empty subset.  Each
-    marginal is summed from its smallest superset already computed, all cells go
-    through one x*log2(x) pass, and a joint gets the same bits alone or stacked."""
+    """Entropies in bits of fixed variable subsets (large ones first; the empty one
+    reads the total mass) of stacked joints over `axes`, plus a last column 0 for
+    the empty subset.  Each marginal is summed from its smallest superset already
+    computed, through one `_marginal_plan` per joint shape; all cells go through
+    one x*log2(x) pass, and a joint gets the same bits alone or stacked."""
 
     def __init__(self, axes: Sequence[str], subsets: Sequence[Iterable[str]]) -> None:
-        done = [tuple(axes)]
-        self._steps: list[tuple[int, tuple[int, ...]]] = []  # (source, summed axes)
-        for s in map(set, subsets):
-            src = min((k for k, c in enumerate(done) if s <= set(c)), key=lambda k: len(done[k]))
-            self._steps.append((src, tuple(1 + k for k, v in enumerate(done[src]) if v not in s)))
-            done.append(tuple(v for v in done[src] if v in s))
+        self._chain = (tuple(axes), tuple(map(frozenset, subsets)))
 
     def __call__(self, probs: np.ndarray) -> np.ndarray:
         """(N, subsets + 1) entropies of stacked joints `probs` (N, *sizes)."""
-        n = len(probs)
-        tables = [probs]
-        for src, drop in self._steps:
-            tables.append(tables[src].sum(axis=drop))
-        flat = [t.reshape(n, -1) for t in tables[1:]] + [np.ones((n, 1))]
-        offsets = np.cumsum([0] + [f.shape[1] for f in flat[:-1]])
-        flat = np.concatenate(flat, axis=1)
-        return 0.0 - np.add.reduceat(flat * np.log2(np.where(flat > 0.0, flat, 1.0)), offsets, axis=1)
+        plan = _marginal_plan(*self._chain, probs.shape[1:])
+        start = plan[0][1:] - plan[0][1]  # each table's and the 1's segment
+        flat = _marginals(plan, probs)[:, plan[0][1] :]
+        return 0.0 - np.add.reduceat(flat * np.log2(np.where(flat > 0.0, flat, 1.0)), start, axis=1)
 
 
 def information(h: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,19 +294,30 @@ class FactorizationPattern:
         return " * ".join(parts)
 
 
+@functools.cache
+def _factorization_plan(axes: tuple[str, ...], pattern: FactorizationPattern, shape: tuple):
+    """The `_marginal_plan` of every factor's p(targets, given) and p(given) (the
+    empty given being the total mass), and the buffer column of each joint cell's
+    value of each: (plan, numerators (F, cells), denominators (F, cells))."""
+    sides = [(t + g, g) for t, g in pattern.factors]
+    subsets = tuple(dict.fromkeys(frozenset(s) for side in sides for s in side))
+    plan = _marginal_plan(axes, subsets, shape)
+
+    def columns(names: tuple[str, ...]) -> np.ndarray:
+        sizes = [n if v in names else 1 for v, n in zip(axes, shape)]
+        cell = np.arange(math.prod(sizes)).reshape(sizes)
+        return plan[0][1 + subsets.index(frozenset(names))] + np.broadcast_to(cell, shape).ravel()
+
+    return plan, *(np.array([columns(side[k]) for side in sides]) for k in (0, 1))
+
+
 def factorization_deviation(
     probs: np.ndarray, axis_names: Sequence[str], pattern: FactorizationPattern
 ) -> np.ndarray:
     """Worst cell error (N,) of stacked joints (N, *sizes) rebuilt from the
     pattern's conditionals p(targets | given), with 0/0 cells read as 0."""
-    pos = {v: 1 + k for k, v in enumerate(axis_names)}
-    product = np.ones((1,) * probs.ndim)
-    for targets, given in pattern.factors:
-        ptg, pg = (
-            probs.sum(axis=tuple(set(pos.values()) - {pos[v] for v in keep}), keepdims=True)
-            for keep in (targets + given, given)
-        )
-        factor = np.zeros(np.broadcast_shapes(ptg.shape, pg.shape))
-        np.divide(ptg, pg, out=factor, where=pg > 0.0)
-        product = product * factor
-    return np.max(np.abs(probs - product).reshape(len(probs), -1), axis=1)
+    plan, num, den = _factorization_plan(tuple(axis_names), pattern, probs.shape[1:])
+    buf = _marginals(plan, probs)
+    top, bottom = buf[:, num], buf[:, den]
+    factor = np.divide(top, bottom, out=np.zeros_like(top), where=bottom > 0.0)
+    return np.max(np.abs(buf[:, : num.shape[1]] - factor.prod(axis=1)), axis=1)

@@ -39,6 +39,7 @@ from .errors import BudgetExceededError, UsageError
 from .pmf import check_masses
 
 DEFAULT_BUDGET = 10_000_000
+MAX_GRID_INDEX = int(np.iinfo(np.intp).max)  # grid indices are decoded as numpy intp
 # A search chunk holds CHUNK_CELLS // (cells of one composed joint) couplings,
 # at least one, so its arrays stay near a megabyte whatever the grid size.
 CHUNK_CELLS = 1 << 16
@@ -324,23 +325,27 @@ def brute_force_best(
 ) -> BruteForceResult:
     """Grid search over the bound's admissible couplings.
 
-    Deterministic for a given `grid_steps`; refuses up front when the grid
-    would exceed `budget` evaluations.  One serial pass evaluates the grid
-    chunk by chunk and keeps only the running best by (objective,
-    lexicographic rates), so memory does not grow with the grid; ties keep the
-    earliest coupling in grid order.  Only the winner becomes an AuxiliaryCoupling,
+    Deterministic for a given `grid_steps`; refuses up front a `budget` below 1
+    (UsageError) and a grid of more than `budget` or `MAX_GRID_INDEX` couplings
+    (BudgetExceededError).  One serial pass evaluates the grid chunk by chunk
+    and keeps only the running best by (objective, lexicographic rates), so
+    memory does not grow with the grid; ties keep the earliest coupling in grid
+    order.  Only the winner becomes an AuxiliaryCoupling,
     built without the checks its grid already passed by construction.
     """
     for name, size in aux_sizes.items():
         if size > 3:
             raise UsageError(f"aux size for {name} exceeds the brute-force cap of 3")
+    if budget < 1:
+        raise UsageError("budget must be >= 1")
     spec = theorem_spec(theorem_id)
     estimated, chunks = _grid(spec, model, aux_sizes, grid_steps)
-    if estimated > budget:
-        raise BudgetExceededError(
-            f"grid for {theorem_id} needs {estimated} evaluations, over the budget of {budget}",
-            estimated=estimated,
-        )
+    for limit, what in ((budget, "the budget of"), (MAX_GRID_INDEX, "the grid index limit of")):
+        if estimated > limit:
+            raise BudgetExceededError(
+                f"grid for {theorem_id} needs {estimated} evaluations, over {what} {limit}",
+                estimated=estimated,
+            )
     obj = _objective(objective)
     best, scanned = None, 0
     for probs in chunks:

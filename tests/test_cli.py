@@ -349,6 +349,24 @@ class TestDMCCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "aux_sizes, budget, code, message",
+        [
+            ("U=1,V1=2,V2=1", "0", 1, "usage error: budget must be >= 1"),
+            ("U=1,V1=2,V2=1", "-5", 1, "usage error: budget must be >= 1"),
+            ("U=3,V1=3,V2=3", "10000000000000000000000000", 2,
+             "needs 1020915806293487548828125 evaluations, over the grid index limit of"),
+        ],
+    )
+    def test_search_refuses_a_budget_below_1_or_a_grid_past_the_index_range(
+        self, capsys, aux_sizes, budget, code, message
+    ):
+        argv = ["dmc-search", "--scenario", scenario_path("dmc_demo.json"),
+                "--aux-sizes", aux_sizes, "--grid-steps", "5", f"--budget={budget}"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_search_uses_the_scenario_tol(self, tmp_path):
         from relaysec.regionsearch import brute_force_best
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysec.bounds import THEOREMS
 from relaysec.errors import UsageError, ValidationError
 from relaysec.pmf import (
     FACTORIZATION_TOL,
@@ -33,6 +34,46 @@ def entropy(probs):
 
 def deviation(j, pattern):
     return float(factorization_deviation(j.probs[None], j.axis_names, pattern)[0])
+
+
+def reference_entropies(probs, axes, subsets):
+    """(N, subsets + 1) entropies of stacked joints, each subset summed from the
+    joint on its own, plus the empty subset's 0."""
+    h = []
+    for s in subsets:
+        drop = tuple(1 + k for k, v in enumerate(axes) if v not in s)
+        marginal = probs.sum(axis=drop).reshape(len(probs), -1)
+        h.append(-np.sum(marginal * np.log2(np.where(marginal > 0.0, marginal, 1.0)), axis=1))
+    return np.stack(h + [np.zeros(len(probs))], axis=1)
+
+
+def reference_deviation(probs, axis_names, pattern):
+    """`factorization_deviation` as two full-table sums per factor."""
+    pos = {v: 1 + k for k, v in enumerate(axis_names)}
+    product = np.ones((1,) * probs.ndim)
+    for targets, given in pattern.factors:
+        ptg, pg = (
+            probs.sum(axis=tuple(set(pos.values()) - {pos[v] for v in keep}), keepdims=True)
+            for keep in (targets + given, given)
+        )
+        factor = np.zeros(np.broadcast_shapes(ptg.shape, pg.shape))
+        np.divide(ptg, pg, out=factor, where=pg > 0.0)
+        product = product * factor
+    return np.max(np.abs(probs - product).reshape(len(probs), -1), axis=1)
+
+
+def random_sizes(rng, names):
+    """Sizes 1-3 per variable, one of them 1."""
+    sizes = rng.integers(1, 4, size=len(names))
+    sizes[rng.integers(len(names))] = 1
+    return tuple(int(n) for n in sizes)
+
+
+def random_stack(rng, n, sizes):
+    """n joints of the given sizes, about a tenth of their cells 0."""
+    probs = rng.random((n, *sizes)) * (rng.random((n, *sizes)) > 0.1)
+    probs[(slice(None),) + (0,) * len(sizes)] += 1e-3
+    return probs / probs.sum(axis=tuple(range(1, 1 + len(sizes))), keepdims=True)
 
 
 class TestFinitePMF:
@@ -184,7 +225,60 @@ class TestCondMutualInfo:
         assert value.tolist() == [[1.25]]
 
 
+class TestSubsetEntropies:
+    """The planned marginals against each subset summed from the joint on its own."""
+
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_every_theorem_subset_matches_the_reference(self, theorem_id, n):
+        spec = THEOREMS[theorem_id]
+        axes = spec.full_vars
+        groups = [g for t in spec.all_terms() for g in (t.a + t.c, t.b + t.c, t.a + t.b + t.c, t.c)]
+        subsets = sorted(dict.fromkeys(frozenset(g) for g in groups if g), key=len, reverse=True)
+        subsets.append(frozenset())
+        rng = np.random.default_rng([n, *map(ord, theorem_id)])
+        for _ in range(3):
+            probs = random_stack(rng, n, random_sizes(rng, axes))
+            got = SubsetEntropies(axes, subsets)(probs)
+            np.testing.assert_allclose(got, reference_entropies(probs, axes, subsets), rtol=0, atol=1e-14)
+            for i in range(n):
+                assert np.array_equal(SubsetEntropies(axes, subsets)(probs[i : i + 1]), got[i : i + 1])
+
+    def test_two_shapes_in_one_process_get_their_own_plans(self):
+        axes, subsets = ("A", "B", "C"), [("A", "B"), ("B", "C"), ("B",), ("C",), ()]
+        entropies = SubsetEntropies(axes, subsets)
+        rng = np.random.default_rng(5)
+        for sizes in [(2, 3, 1), (3, 1, 2), (2, 3, 1)]:
+            probs = random_stack(rng, 4, sizes)
+            np.testing.assert_allclose(
+                entropies(probs), reference_entropies(probs, axes, subsets), rtol=0, atol=1e-14
+            )
+
+
 class TestFactorization:
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    def test_every_theorem_pattern_matches_the_per_factor_sums(self, theorem_id):
+        spec = THEOREMS[theorem_id]
+        names, pattern = spec.coupling_vars, spec.pattern
+        assert any(not given for _, given in pattern.factors)  # the total-mass denominator
+        rng = np.random.default_rng([7, *map(ord, theorem_id)])
+        for _ in range(3):
+            sizes = dict(zip(names, random_sizes(rng, names)))
+            tables = []
+            for targets, given in pattern.factors:
+                shape = [sizes[v] for v in given + targets]
+                table = rng.random((7, *shape)) * (rng.random((7, *shape)) > 0.2) + 1e-9
+                axes = tuple(range(1 + len(given), 1 + len(shape)))
+                tables.append(table / table.sum(axis=axes, keepdims=True))
+            factorized = pattern.product_stack(names, tables)
+            assert np.all(factorization_deviation(factorized, names, pattern) <= FACTORIZATION_TOL)
+            perturbed = random_stack(rng, 7, factorized.shape[1:])
+            for probs in (factorized, 0.5 * (factorized + perturbed)):
+                got = factorization_deviation(probs, names, pattern)
+                want = reference_deviation(probs, names, pattern)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+                assert np.array_equal(got <= FACTORIZATION_TOL, want <= FACTORIZATION_TOL)
+
     def test_independent_bits_pass(self):
         j = uniform_joint(2, 2, names=("X", "Y"))
         pattern = FactorizationPattern(((("X",), ()), (("Y",), ())))

@@ -248,6 +248,16 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError, match=str(estimated)):
             brute_force_best(model, sizes, 4, "T2", (0, 1, 0), budget=10)
 
+    def test_budget_below_1_and_grid_past_the_index_range_are_refused(self):
+        model = product_channel()
+        with pytest.raises(UsageError, match="budget must be >= 1"):
+            brute_force_best(model, {"U": 1, "V1": 1, "V2": 1}, 2, "T2", (0, 1, 0), budget=0)
+        sizes = {"U": 3, "V1": 3, "V2": 3}
+        estimated = estimate_grid_size("T2", model, sizes, 5)
+        assert estimated > regionsearch.MAX_GRID_INDEX
+        with pytest.raises(BudgetExceededError, match=f"needs {estimated} evaluations"):
+            brute_force_best(model, sizes, 5, "T2", (0, 1, 0), budget=10 * estimated)
+
     def test_aux_cap_enforced(self):
         with pytest.raises(UsageError, match="cap of 3"):
             brute_force_best(product_channel(), {"U": 4, "V1": 1, "V2": 1}, 2, "T2", (0, 1, 0))
