@@ -116,9 +116,9 @@ def naive_cond_mutual_info(
 # ---------------------------------------------------------------------------
 
 
-def random_model(rng: np.random.Generator, nx=2, nx1=2, ny=2, ny1=2, nz=2) -> DMCModel:
-    t = rng.dirichlet(np.ones(ny * ny1 * nz), size=nx * nx1)
-    return DMCModel(t.reshape(nx, nx1, ny, ny1, nz))
+def random_model(rng: np.random.Generator) -> DMCModel:
+    """Binary channel whose (x, x1) slices are uniform Dirichlet draws."""
+    return DMCModel(rng.dirichlet(np.ones(8), size=4).reshape(2, 2, 2, 2, 2))
 
 
 def _bsc_row(x: int, p: float) -> np.ndarray:

@@ -53,12 +53,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dmc import CANONICAL_VARS, DMCModel, RateTuple
-from .errors import UsageError, ValidationError
+from .errors import UsageError, ValidationError, parse_json
 from .pmf import (
     FACTORIZATION_TOL,
     FactorizationPattern,
     JointPMF,
     SubsetEntropies,
+    check_masses,
     factorization_deviation,
     information,
 )
@@ -700,14 +701,7 @@ class AuxiliaryCoupling:
 
     @classmethod
     def from_json(cls, text: str) -> "AuxiliaryCoupling":
-        import json as _json
-
-        try:
-            payload = _json.loads(text)
-        except _json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"coupling JSON: parse failure at line {exc.lineno}: {exc.msg}"
-            ) from exc
+        payload = parse_json(text, "coupling JSON")
         if not isinstance(payload, dict):
             raise ValidationError("coupling JSON: top level must be an object")
         try:
@@ -728,20 +722,22 @@ def build_cf_coupling(
     """Assemble a compress-forward coupling from its free ingredients.
 
     `base` is the joint over the auxiliaries and (X, X1); `compressor` is the
-    quantizer p(yh | y1, x1) indexed [x1, y1, yh].  The Y1 leg is pinned to the
-    channel's own p(y1 | x, x1).
+    quantizer p(yh | y1, x1) indexed [x1, y1, yh], whose (x1, y1) rows go through
+    `pmf.check_masses` as one stack, x1-major, so a refusal names the bad row by
+    its position x1 * y1_size + y1.  The Y1 leg is pinned to the channel's own
+    p(y1 | x, x1).
     """
     spec = theorem_spec(theorem_id)
     if not spec.uses_compressor:
         raise UsageError(f"{theorem_id} does not use a compressed observation")
     q = np.asarray(compressor, dtype=np.float64)
-    if q.shape[:2] != (model.x1_size, model.y1_size):
+    if q.ndim != 3 or q.shape[:2] != (model.x1_size, model.y1_size):
         raise ValidationError(
             f"compressor must be indexed [x1,y1,yh] with x1 size {model.x1_size} "
             f"and y1 size {model.y1_size}; got shape {q.shape}"
         )
-    if np.any(q < 0.0) or np.max(np.abs(q.sum(axis=2) - 1.0)) > 1e-9:
-        raise ValidationError("compressor rows must be distributions over yh")
+    rows = q.reshape(model.x1_size * model.y1_size, -1)
+    check_masses(rows, "compressor rows p(yh|y1,x1) in x1-major order")
     base_vars = tuple(v for v in spec.coupling_vars if v not in ("Y1", "Yh"))
     ordered = base.reordered(_canonical_order(base_vars))
     y1c = model.y1_conditional()  # (x, x1, y1)
@@ -767,21 +763,14 @@ def _grid_coupling(spec: TheoremSpec, probs: np.ndarray) -> AuxiliaryCoupling:
 
 def compose_stack(spec: TheoremSpec, model: DMCModel, probs: np.ndarray) -> np.ndarray:
     """Stacked couplings (N, canonical axes) and the channel: stacked joints over
-    `spec.full_vars`.  Checks nothing: the couplings' alphabets and any Y1 leg must
-    already match the channel, as the search grid's do by construction and a single
-    coupling's do once `coupling_stack` has checked them."""
+    `spec.full_vars`.  A compress-forward coupling already carries the channel's
+    Y1 leg, so it is multiplied by p(y, z | x, x1, y1) alone.  Checks nothing: the
+    couplings' alphabets and any Y1 leg must already match the channel, as the
+    search grid's do by construction and a single coupling's do once
+    `coupling_stack` has checked them."""
     if not spec.uses_compressor:
         return probs[..., None, None, None] * model.transition
-    n = len(probs)
-    aux_xx1 = probs.sum(axis=(-2, -1))
-    # Quantizer p(yh | y1, x1); unreachable (y1, x1) cells get a uniform row.
-    m = probs.sum(axis=tuple(range(1, probs.ndim - 4)))  # (N, X, X1, Y1, Yh)
-    m_x1y1yh = m.sum(axis=1)  # (N, X1, Y1, Yh)
-    denom = m_x1y1yh.sum(axis=3, keepdims=True)
-    nx1, ny1, nyh = m_x1y1yh.shape[1:]
-    q = np.where(denom > 0.0, np.divide(m_x1y1yh, np.where(denom > 0.0, denom, 1.0)), 1.0 / nyh)
-    q = q.reshape((n,) + (1,) * (probs.ndim - 4) + (nx1, 1, ny1, 1, nyh))
-    return aux_xx1[..., None, None, None, None] * model.transition[..., None] * q
+    return probs[..., None, :, None, :] * model.yz_given_y1[..., None]
 
 
 def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupling) -> np.ndarray:

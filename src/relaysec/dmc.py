@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
-from .pmf import MASS_TOL, require_json_int
+from .errors import ValidationError, parse_json, require_json_int
+from .pmf import check_masses
 
 #: Canonical variable order used whenever a joint over several of these is built.
 CANONICAL_VARS = ("U", "U1", "U2", "V", "V1", "V2", "X", "X1", "Y", "Y1", "Yh", "Z")
@@ -26,7 +27,11 @@ ADMISSIBILITY_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DMCModel:
-    """Transition law p(y, y1, z | x, x1), indexed [x, x1, y, y1, z]."""
+    """Transition law p(y, y1, z | x, x1), indexed [x, x1, y, y1, z].
+
+    Its (x, x1) slices go through `pmf.check_masses` as one stack, x-major, so a
+    refusal names the bad slice by its position x * x1_size + x1.  A model with
+    an empty alphabet is refused there too."""
 
     transition: np.ndarray
 
@@ -36,18 +41,8 @@ class DMCModel:
             raise ValidationError(
                 f"DMCModel: transition must be indexed [x,x1,y,y1,z]; got {arr.ndim} axes"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("DMCModel: non-finite transition probability")
-        if np.any(arr < 0.0):
-            idx = np.unravel_index(int(np.argmax(arr < 0.0)), arr.shape)
-            raise ValidationError(f"DMCModel: negative probability at {tuple(idx)}")
-        slice_mass = arr.sum(axis=(2, 3, 4))
-        bad = np.abs(slice_mass - 1.0) > MASS_TOL
-        if np.any(bad):
-            x, x1 = np.unravel_index(int(np.argmax(bad)), slice_mass.shape)
-            raise ValidationError(
-                f"DMCModel: conditional slice (x={x}, x1={x1}) sums to {slice_mass[x, x1]!r}"
-            )
+        slices = arr.reshape(arr.shape[0] * arr.shape[1], *arr.shape[2:])
+        check_masses(slices, "DMCModel slices p(y,y1,z|x,x1) in x-major order")
         object.__setattr__(self, "transition", arr)
         arr.setflags(write=False)
 
@@ -74,6 +69,14 @@ class DMCModel:
     def y1_conditional(self) -> np.ndarray:
         """p(y1 | x, x1), shape (x, x1, y1)."""
         return self.transition.sum(axis=(2, 4))
+
+    @cached_property
+    def yz_given_y1(self) -> np.ndarray:
+        """p(y, z | x, x1, y1), indexed [x, x1, y, y1, z]; 0 where y1 cannot occur."""
+        y1 = self.y1_conditional()[:, :, None, :, None]
+        table = np.divide(self.transition, y1, out=np.zeros_like(self.transition), where=y1 > 0.0)
+        table.setflags(write=False)
+        return table
 
     def to_json(self) -> str:
         return json.dumps(
@@ -106,13 +109,7 @@ class DMCModel:
 
     @classmethod
     def from_json(cls, text: str) -> "DMCModel":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"DMCModel JSON: parse failure at line {exc.lineno}: {exc.msg}"
-            ) from exc
-        return cls.from_json_dict(payload)
+        return cls.from_json_dict(parse_json(text, "DMCModel JSON"))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: UsageError -> 1, ValidationError (and
 subclasses) -> 2, InfeasibleError -> 3.
 """
 
+import json
+
 
 class RelaySecError(Exception):
     """Base class for all package errors."""
@@ -38,3 +40,22 @@ class BudgetExceededError(ValidationError):
     def __init__(self, message: str, *, estimated: int):
         super().__init__(message)
         self.estimated = estimated
+
+
+def parse_json(text: str, what: str) -> object:
+    """`text` as JSON.  A syntax error is refused naming its line and column; an
+    integer too long to convert, or nesting too deep to decode, is refused too."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{what}: JSON parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{what}: JSON parse failure: {exc}") from exc
+
+
+def require_json_int(value: object, what: str) -> None:
+    """Refuse a JSON value that is not an integer: a float, a string or a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import UsageError, ValidationError, parse_json, require_json_int
 
 MASS_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10  # looser than MASS_TOL: reconstruction compounds rounding
@@ -26,31 +26,29 @@ FACTORIZATION_TOL = 1e-10  # looser than MASS_TOL: reconstruction compounds roun
 ENTROPY_RESIDUE = 8 * np.finfo(np.float64).eps
 
 
-def _check_mass(probs: np.ndarray, what: str) -> None:
+def check_masses(probs: np.ndarray, what: str) -> None:
+    """Refuse a stack (N, ...) of mass tables unless it holds a table, and each one
+    is finite, nonnegative and of total mass 1 within MASS_TOL.  The refusal names
+    the first bad table's first bad entry, or its total, and, in a stack of more
+    than one, the table's position."""
     if probs.size == 0:
         raise ValidationError(f"{what}: empty mass table")
-    if not np.all(np.isfinite(probs)):
-        idx = np.unravel_index(int(np.argmin(np.isfinite(probs))), probs.shape)
-        raise ValidationError(
-            f"{what}: non-finite mass at entry {tuple(int(i) for i in idx)}"
-        )
-    neg = probs < 0.0
-    if np.any(neg):
-        idx = np.unravel_index(int(np.argmax(neg)), probs.shape)
-        raise ValidationError(
-            f"{what}: negative mass {probs[idx]:.6g} at entry {tuple(int(i) for i in idx)}"
-        )
-    total = float(probs.sum())
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValidationError(f"{what}: total mass {total!r} differs from 1 by more than {MASS_TOL}")
-
-
-def check_masses(probs: np.ndarray, what: str) -> None:
-    """`_check_mass` on each table of a stack (N, ...); raises on the first bad one."""
     flat = probs.reshape(len(probs), -1)
-    ok = np.all(np.isfinite(flat) & (flat >= 0.0), axis=1) & (abs(flat.sum(axis=1) - 1) <= MASS_TOL)
-    for i in np.flatnonzero(~ok)[:1]:
-        _check_mass(probs[i], what)
+    total = flat.sum(axis=1)
+    ok = np.all(np.isfinite(flat) & (flat >= 0.0), axis=1) & (abs(total - 1.0) <= MASS_TOL)
+    if np.all(ok):
+        return
+    i = int(np.argmin(ok))
+    table, at = probs[i], (f" in table {i}" if len(probs) > 1 else "")
+    for fault, bad in (("non-finite", ~np.isfinite(table)), ("negative", table < 0.0)):
+        if np.any(bad):
+            idx = np.unravel_index(int(np.argmax(bad)), table.shape)
+            raise ValidationError(
+                f"{what}: {fault} mass {table[idx]:.6g} at entry {tuple(int(k) for k in idx)}{at}"
+            )
+    raise ValidationError(
+        f"{what}: total mass {float(total[i])!r} differs from 1 by more than {MASS_TOL}{at}"
+    )
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ class JointPMF:
             )
         object.__setattr__(self, "probs", arr)
         arr.setflags(write=False)
-        _check_mass(arr, "JointPMF")
+        check_masses(arr[None], "JointPMF")
 
     @property
     def axis_sizes(self) -> tuple[int, ...]:
@@ -131,17 +129,7 @@ class JointPMF:
 
     @classmethod
     def from_json(cls, text: str) -> "JointPMF":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"JointPMF JSON: parse failure at line {exc.lineno}: {exc.msg}") from exc
-        return cls.from_json_dict(payload)
-
-
-def require_json_int(value: object, what: str) -> None:
-    """Refuse a JSON value that is not an integer: a float, a string or a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
+        return cls.from_json_dict(parse_json(text, "JointPMF JSON"))
 
 
 def _clamp_information(value: np.ndarray, what: str) -> np.ndarray:

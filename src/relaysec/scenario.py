@@ -32,13 +32,12 @@ Schema (unknown keys are rejected):
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import UsageError, ValidationError
+from .errors import UsageError, ValidationError, parse_json, require_json_int
 from .gaussian import GaussianNetwork
 from .sweep import GridSpec, resolve_strategy
 
@@ -98,9 +97,8 @@ def _parse_grid(payload: object) -> GridSpec:
     _reject_unknown(payload, allowed, "scenario grid")
     kwargs = dict(payload)
     for key in ("alpha_steps", "beta_steps", "rstar_steps"):
-        steps = kwargs.get(key)
-        if key in kwargs and (isinstance(steps, bool) or not isinstance(steps, int)):
-            raise ValidationError(f"scenario grid: {key} must be an integer, got {steps!r}")
+        if key in kwargs:
+            require_json_int(kwargs[key], f"scenario grid: {key}")
     if "q_values" in kwargs:
         qs = kwargs["q_values"]
         if not isinstance(qs, list) or not all(_is_finite_number(q) for q in qs):
@@ -145,13 +143,7 @@ def _read_text(path: str, what: str) -> str:
 
 def load_scenario(path: str) -> Scenario:
     """Parse and fully validate a scenario file."""
-    text = _read_text(path, f"scenario {path}: cannot read")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"scenario {path}: JSON parse failure at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    payload = parse_json(_read_text(path, f"scenario {path}: cannot read"), f"scenario {path}")
     if not isinstance(payload, dict):
         raise ValidationError(f"scenario {path}: top level must be an object")
     model = payload.get("model")

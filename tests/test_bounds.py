@@ -79,7 +79,7 @@ def degenerate_coupling(theorem_id):
     )
 
 
-def test_import_compiles_nothing():
+def test_import_compiles_nothing(src_env):
     # Each theorem compiles to its numeric maps on first use, never at import.
     code = (
         "import relaysec\n"
@@ -87,7 +87,8 @@ def test_import_compiles_nothing():
         "print(sum('compiled' in s.__dict__ for s in bounds.THEOREMS.values()),"
         " regionsearch._theorem_system.cache_info().currsize)"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=src_env)
     assert out.stdout.split() == ["0", "0"]
 
 
@@ -147,6 +148,31 @@ class TestCouplingValidation:
         with pytest.raises(UsageError, match="alphabet"):
             compose_full_joint(model, v1_copies_x_coupling())
 
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 1)])
+    def test_compressor_shape_is_checked(self, shape):
+        base = JointPMF(("U", "V", "X", "X1"), np.full((1, 2, 2, 2), 1 / 8))
+        with pytest.raises(ValidationError, match=r"compressor must be indexed \[x1,y1,yh\]"):
+            build_cf_coupling("T12", base, product_channel(), np.full(shape, 0.5))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # Off by +-2e-10, these two rows cancel in the coupling's total mass.
+            ({(0, 0): [0.5 + 2e-10, 0.5], (1, 0): [0.5 - 2e-10, 0.5]},
+             r"total mass 1\.0000000002 differs from 1 by more than 1e-12 in table 0"),
+            ({(1, 1): [1.1, -0.1]}, r"negative mass -0\.1 at entry \(1,\) in table 3"),
+            ({(0, 1): [np.inf, 0.5]}, r"non-finite mass inf at entry \(0,\) in table 1"),
+        ],
+    )
+    def test_a_bad_compressor_row_is_named(self, rows, message):
+        model = favorable_model(np.random.default_rng(3))
+        base = JointPMF(("U", "V", "X", "X1"), np.full((1, 2, 2, 2), 1 / 8))
+        q = np.full((2, 2, 2), 0.5)
+        for row, values in rows.items():
+            q[row] = values
+        with pytest.raises(ValidationError, match=r"compressor rows p\(yh\|y1,x1\) [^:]*: " + message):
+            build_cf_coupling("T12", base, model, q)
+
 
 class TestModelJSON:
     @pytest.mark.parametrize("key, value", [("x_size", 2.7), ("x1_size", 2.0),
@@ -156,6 +182,61 @@ class TestModelJSON:
         payload[key] = value
         with pytest.raises(ValidationError, match=f"{key} must be an integer"):
             DMCModel.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "x, x1, value, message",
+        [
+            (1, 0, np.nan, r"non-finite mass nan at entry \(0, 1, 0\) in table 2"),
+            (1, 1, -0.1, r"negative mass -0\.1 at entry \(0, 1, 0\) in table 3"),
+            (0, 1, 0.5, r"total mass 1\.37\d* differs from 1 by more than 1e-12 in table 1"),
+        ],
+    )
+    def test_a_bad_slice_is_named(self, x, x1, value, message):
+        t = np.array(product_channel().transition)
+        t[x, x1, 0, 1, 0] = value
+        with pytest.raises(ValidationError, match=r"DMCModel slices [^:]*: " + message):
+            DMCModel(t)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2, 2, 2), (2, 2, 2, 0, 2)])
+    def test_an_empty_alphabet_is_refused(self, shape):
+        # An empty input alphabet would leave a search grid of zero cells per coupling.
+        with pytest.raises(ValidationError, match="DMCModel slices [^:]*: empty mass table"):
+            DMCModel(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "load", [DMCModel.from_json, JointPMF.from_json, AuxiliaryCoupling.from_json]
+    )
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{\n  "x_size": 2\n  "y_size": 2\n}', r"JSON parse failure at line 3, column 3"),
+            ("", r"JSON parse failure at line 1, column 1"),
+            ("[" * 100_000, "JSON parse failure: maximum recursion depth"),
+            ('{"x_size": ' + "1" * 5000 + "}", "JSON parse failure: Exceeds the limit"),
+        ],
+        ids=["syntax", "empty", "deep", "long-int"],
+    )
+    def test_parse_failures_are_refused(self, load, text, message):
+        with pytest.raises(ValidationError, match=message):
+            load(text)
+
+
+@pytest.mark.parametrize("theorem_id", ["T4", "T8", "T12"])
+@pytest.mark.parametrize("channel", ["random", "noiseless-relay-link"])
+def test_cf_joint_is_the_product_of_its_ingredients(theorem_id, channel):
+    # The channel's Y1 leg is divided back out of p(y,y1,z|x,x1), which moves
+    # only the last bits; a noiseless relay link leaves y1 cells that cannot occur.
+    rng = np.random.default_rng(11)
+    model = random_model(rng) if channel == "random" else product_channel(py1=0.0)
+    base_vars = theorem_spec(theorem_id).coupling_vars[:-2]
+    base = np.ones(())
+    for _ in base_vars:  # independent variables meet every factorization
+        base = np.multiply.outer(base, rng.dirichlet(np.ones(2)))
+    q = rng.dirichlet(np.ones(3), size=4).reshape(2, 2, 3)
+    coupling = build_cf_coupling(theorem_id, JointPMF(base_vars, base), model, q)
+    want = np.einsum("...ab,abcde,bdf->...abcdef", base, model.transition, q)
+    np.testing.assert_allclose(compose_full_joint(model, coupling).probs, want,
+                               rtol=8 * np.finfo(np.float64).eps, atol=0.0)
 
 
 class TestMITerms:

@@ -82,6 +82,16 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="line 1"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"model": ' + "1" * 5000 + "}"],
+                             ids=["deep", "long-int"])
+    def test_undecodable_json_is_exit_2(self, tmp_path, capsys, text):
+        # json raises RecursionError and ValueError here, not JSONDecodeError.
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        assert main(["curve", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario {path}: JSON parse failure" in err and "Traceback" not in err
+
     def test_unknown_fields_rejected(self, tmp_path):
         path = write_json(
             tmp_path,
@@ -533,32 +543,45 @@ class TestScenarioGridTypes:
 
     @pytest.mark.parametrize("command", ["dmc-eval", "dmc-search"])
     @pytest.mark.parametrize(
-        "key, path, value",
+        "key, path, value, named",
         [
-            ("dmc_model", ("x_size",), 2.7),
-            ("dmc_model", ("z_size",), "2"),
-            ("coupling", ("axes", 1, "size"), 2.9),
-            ("coupling", ("axes", 3, "size"), "2"),
-            ("coupling", ("axes", 0, "size"), True),
+            ("dmc_model", ("x_size",), 2.7, "must be an integer"),
+            ("dmc_model", ("z_size",), "2", "must be an integer"),
+            ("coupling", ("axes", 1, "size"), 2.9, "must be an integer"),
+            ("coupling", ("axes", 3, "size"), "2", "must be an integer"),
+            ("coupling", ("axes", 0, "size"), True, "must be an integer"),
+            ("dmc_model", ("transition", 1, 0, 0, 1, 0), -0.1,
+             r"DMCModel slices [^:]*: negative mass -0\.1 at entry \(0, 1, 0\) in table 2"),
+            ("coupling", ("probs", 0, 1, 0, 1, 1), -0.1,
+             r"JointPMF: negative mass -0\.1 at entry \(0, 1, 0, 1, 1\)"),
+            # No path: the file loses its first comma.
+            ("dmc_model", None, None, r"DMCModel JSON: JSON parse failure at line 3, column 3"),
+            ("coupling", None, None, r"coupling JSON: JSON parse failure at line 5, column 7"),
         ],
     )
-    def test_non_integer_json_sizes_are_exit_2(self, tmp_path, capsys, command, key, path, value):
-        # int() used to truncate these: x_size 2.7 loaded as a binary input.
+    def test_spoiled_model_and_coupling_files_are_exit_2(self, tmp_path, capsys, command, key,
+                                                         path, value, named):
+        # int() used to truncate sizes: x_size 2.7 loaded as a binary input.
         payload = json.loads(open(scenario_path("dmc_demo.json")).read())
         for name in ("dmc_model", "coupling"):
             payload[name] = scenario_path(payload[name])
         spoiled = json.loads(open(payload[key]).read())
-        target = spoiled
-        for step in path[:-1]:
-            target = target[step]
-        target[path[-1]] = value
-        payload[key] = write_json(tmp_path, "spoiled.json", spoiled)
+        if path is None:
+            text = json.dumps(spoiled, indent=2).replace(",", "", 1)
+        else:
+            target = spoiled
+            for step in path[:-1]:
+                target = target[step]
+            target[path[-1]] = value
+            text = json.dumps(spoiled)
+        (tmp_path / "spoiled.json").write_text(text)
+        payload[key] = str(tmp_path / "spoiled.json")
         argv = [command, "--scenario", write_json(tmp_path, "s.json", payload)]
         if command == "dmc-search":
             argv += ["--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "must be an integer" in err and "Traceback" not in err
+        assert re.search(named, err) and "Traceback" not in err
 
 
 _JUNK = st.one_of(
@@ -665,11 +688,12 @@ class TestExitCodesAndHelp:
     @pytest.mark.parametrize(
         "sub", ["curve", "region", "gaussian", "dmc-eval", "dmc-search", "selftest"]
     )
-    def test_help_exits_zero(self, sub):
+    def test_help_exits_zero(self, sub, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "relaysec", sub, "--help"],
             capture_output=True,
             text=True,
+            env=src_env,
         )
         assert proc.returncode == 0
         assert "--help" in proc.stdout
@@ -706,7 +730,7 @@ class TestExitCodesAndHelp:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
-    def test_console_entry_point_runs(self, tmp_path):
+    def test_console_entry_point_runs(self, tmp_path, src_env):
         out = str(tmp_path / "gp.csv")
         proc = subprocess.run(
             [sys.executable, "-m", "relaysec", "gaussian",
@@ -715,6 +739,7 @@ class TestExitCodesAndHelp:
              "--alpha", "0", "--out", out],
             capture_output=True,
             text=True,
+            env=src_env,
         )
         assert proc.returncode == 0
         row = read_frontier_csv(out)[0]

@@ -110,6 +110,25 @@ class TestFinitePMF:
             check_masses(probs, "stack")
         check_masses(probs[:2], "stack")
 
+    @pytest.mark.parametrize(
+        "table, value, message",
+        [
+            (0, np.nan, r"non-finite mass nan at entry \(1, 0\) in table 0"),
+            (1, -0.5, r"negative mass -0\.5 at entry \(1, 0\) in table 1"),
+            (2, 0.5, r"total mass 1\.25 differs from 1 by more than 1e-12 in table 2"),
+        ],
+    )
+    def test_a_stack_names_the_position_of_its_bad_table(self, table, value, message):
+        probs = np.full((3, 2, 2), 0.25)
+        probs[table, 1, 0] = value
+        with pytest.raises(ValidationError, match="stack: " + message):
+            check_masses(probs, "stack")
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2), (3, 0)])
+    def test_an_empty_stack_is_refused(self, shape):
+        with pytest.raises(ValidationError, match="stack: empty mass table"):
+            check_masses(np.zeros(shape), "stack")
+
 
 class TestJointPMF:
     def test_axis_names_must_be_distinct(self):
