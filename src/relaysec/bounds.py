@@ -775,26 +775,23 @@ def compose_stack(spec: TheoremSpec, model: DMCModel, probs: np.ndarray) -> np.n
 
 def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupling) -> np.ndarray:
     """One coupling composed with the channel, as a stack of one.  Every single
-    coupling enters here, so here its alphabets, and a compress-forward coupling's
-    Y1 leg p(aux, x, x1)·p(y1|x, x1), are checked against the channel.  Cross-use by
-    another theorem is allowed when its variables and factorization agree."""
+    coupling enters here, so here it is checked against the channel, as invalid
+    input: its X, X1 (and Y1) alphabets, and a compress-forward coupling's Y1 leg
+    p(aux, x, x1)·p(y1|x, x1), within FACTORIZATION_TOL like the rest of its
+    factorization.  Cross-use by another theorem is allowed when its variables and
+    factorization agree."""
     if spec.theorem_id != coupling.theorem_id:
         coupling = AuxiliaryCoupling(coupling.joint, spec.theorem_id)
     probs = coupling.joint.probs
-    sizes = dict(zip(spec.coupling_vars, probs.shape))
-    if sizes["X"] != model.x_size or sizes["X1"] != model.x1_size:
-        raise UsageError(
-            f"coupling alphabet (X={sizes['X']}, X1={sizes['X1']}) does not match "
-            f"the channel (X={model.x_size}, X1={model.x1_size})"
-        )
+    channel = {"X": model.x_size, "X1": model.x1_size, "Y1": model.y1_size}
+    have = {v: n for v, n in zip(spec.coupling_vars, probs.shape) if v in channel}
+    if any(n != channel[v] for v, n in have.items()):
+        ours, theirs = (", ".join(f"{v}={sizes[v]}" for v in have) for sizes in (have, channel))
+        raise ValidationError(f"coupling alphabet ({ours}) does not match the channel ({theirs})")
     if spec.uses_compressor:
-        if sizes["Y1"] != model.y1_size:
-            raise UsageError(
-                f"coupling Y1 alphabet ({sizes['Y1']}) does not match the channel ({model.y1_size})"
-            )
         implied_y1 = probs.sum(axis=(-2, -1))[..., None] * model.y1_conditional()
         dev = float(np.max(np.abs(implied_y1 - probs.sum(axis=-1))))
-        if dev > DEFAULT_TOL:
+        if not dev <= FACTORIZATION_TOL:
             raise ValidationError(
                 f"coupling's Y1 leg is inconsistent with the channel's p(y1|x,x1): "
                 f"max deviation {dev:.3e}"
@@ -1003,7 +1000,6 @@ class CorollaryBranch:
     branch_id: str
     applicable: bool
     constraints: tuple[LinearConstraint, ...]
-    rstar_used: float | None
 
 
 def corollary_constraints(
@@ -1022,7 +1018,7 @@ def corollary_constraints(
         CorollaryBranch(state.branch_id, state.applicable, tuple(
             LinearConstraint(row.name, row.rates[:3], bounds[r], row.equivocation)
             for r, row in zip(br.corollary, br.spec.corollary)
-        ), state.rstar_used)
+        ))
         for br, state in zip(c.branches, states)
     )
 
@@ -1032,21 +1028,16 @@ def corollary_member(
     model: DMCModel,
     coupling: AuxiliaryCoupling,
     point: Sequence[float],
-    *,
-    rstar: float | None = None,
-    tol: float = DEFAULT_TOL,
-    clamp_equivocation: bool = False,
 ) -> bool:
-    """Direct membership of an (R0, R1, R2) point in the Re = R slice."""
+    """Direct membership of an (R0, R1, R2) point in the Re = R slice, at each
+    branch's largest feasible R* and within DEFAULT_TOL."""
     p = tuple(float(v) for v in point)
     if len(p) != 3:
         raise UsageError("corollary_member expects an (R0, R1, R2) triple")
     _check_rates_config(theorem_spec(theorem_id), p)
-    branches = corollary_constraints(
-        theorem_id, model, coupling, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation
-    )
     return any(
         br.applicable
-        and all(sum(c * v for c, v in zip(lc.coefs, p)) <= lc.bound + tol for lc in br.constraints)
-        for br in branches
+        and all(sum(c * v for c, v in zip(lc.coefs, p)) <= lc.bound + DEFAULT_TOL
+                for lc in br.constraints)
+        for br in corollary_constraints(theorem_id, model, coupling)
     )

@@ -92,16 +92,18 @@ def _write_text(path: str | None, text: str) -> None:
         ) from exc
 
 
-def _require_gaussian(scenario: Scenario, command: str, model: str | None = None) -> None:
-    if scenario.model == "DMC":
-        raise UsageError(f"{command} needs a Gaussian scenario (model B or C)")
-    if model is not None and scenario.model != model:
-        raise UsageError(f"{command} needs a model {model} scenario, got {scenario.model}")
+def _load_scenario(args, *models: str) -> Scenario:
+    """The --scenario file; a usage error unless its model is one of `models`."""
+    scenario = load_scenario(args.scenario)
+    if scenario.model not in models:
+        raise UsageError(
+            f"{args.command} needs a model {' or '.join(models)} scenario, got {scenario.model}"
+        )
+    return scenario
 
 
 def _cmd_curve(args) -> int:
-    scenario = load_scenario(args.scenario)
-    _require_gaussian(scenario, "curve")
+    scenario = _load_scenario(args, "B", "C")
     header = ["alpha"]
     curves = []
     for label in scenario.strategies:
@@ -114,8 +116,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    scenario = load_scenario(args.scenario)
-    _require_gaussian(scenario, "region", model="C")
+    scenario = _load_scenario(args, "C")
     header = ["strategy", "r0", "r1", "alpha", "q", "rstar", "branch"]
     tables = []
     for label in scenario.strategies:
@@ -161,9 +162,7 @@ def _cmd_dmc_eval(args) -> int:
     from .bounds import evaluate_membership  # the DMC engine: DMC commands only
     from .dmc import RateTuple
 
-    scenario = load_scenario(args.scenario)
-    if scenario.model != "DMC":
-        raise UsageError("dmc-eval needs a DMC scenario")
+    scenario = _load_scenario(args, "DMC")
     if scenario.coupling is None:
         raise UsageError("dmc-eval: the scenario does not reference a coupling")
     rates = scenario.rates
@@ -215,9 +214,7 @@ def _parse_aux_sizes(text: str) -> dict[str, int]:
 def _cmd_dmc_search(args) -> int:
     from .regionsearch import brute_force_best  # the DMC engine: DMC commands only
 
-    scenario = load_scenario(args.scenario)
-    if scenario.model != "DMC":
-        raise UsageError("dmc-search needs a DMC scenario")
+    scenario = _load_scenario(args, "DMC")
     objective = _parse_floats(
         args.objective, 3, "--objective expects three comma-separated weights over R0,R1,R2"
     )

@@ -13,7 +13,9 @@ class RelaySecError(Exception):
 
 class UsageError(RelaySecError):
     """Caller broke an API contract: unknown label, overlapping sets,
-    pattern/axis mismatch, wrong model for an operation."""
+    pattern/axis mismatch, wrong model for an operation.  A data file whose
+    shape does not match another's (a coupling's alphabets against the
+    model's) is invalid input, a ValidationError."""
 
 
 class ValidationError(RelaySecError, ValueError):

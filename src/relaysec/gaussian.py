@@ -77,7 +77,7 @@ class GaussianNetwork:
     def require_ordering(self) -> None:
         if not self.less_noisy_to_rx1:
             raise ModelAssumptionError(
-                f"closed forms require the less-noisy ordering P1 + N1 <= N2; "
+                f"closed forms require receiver 1 less noisy (P1 + N1 <= N2); "
                 f"got P1 + N1 = {self.p1 + self.n1} > N2 = {self.n2}"
             )
 
@@ -162,8 +162,7 @@ def cf_rstar_max(net: GaussianNetwork, q: float) -> float:
     Returned unclamped: a negative value signals that compress-forward is
     infeasible at this q (the compression cost exceeds the relay rate).
     """
-    if not (math.isfinite(q) and q > 0.0):
-        raise ValidationError(f"cf_rstar_max: q must be positive, got {q!r}")
+    check_params("cf_rstar_max", q=q)
     return float(_hl(_relay_gain(net)) - _hl((net.p1 + q + net.nr) / q))
 
 

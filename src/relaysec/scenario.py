@@ -59,7 +59,7 @@ class Scenario:
     coupling: AuxiliaryCoupling | None = None
     theorem: str | None = None
     rates: RateTuple | None = None
-    tol: float = 1e-9
+    tol: float | None = None  # a DMC scenario's membership slack; None for Gaussian ones
 
 
 def _reject_unknown(payload: dict, allowed: set[str], where: str) -> None:
@@ -162,11 +162,7 @@ def load_scenario(path: str) -> Scenario:
         if "net" not in payload:
             raise ValidationError(f"scenario {path}: Gaussian scenarios need a 'net'")
         net = _parse_net(payload["net"])
-        if not net.less_noisy_to_rx1:
-            raise ValidationError(
-                f"scenario {path}: the closed forms assume receiver 1 less noisy "
-                f"(P1 + N1 <= N2), but P1 + N1 = {net.p1 + net.n1} > N2 = {net.n2}"
-            )
+        net.require_ordering()
         raw = payload.get("strategies", DEFAULT_STRATEGIES[model])
         if not isinstance(raw, (list, tuple)) or not all(isinstance(s, str) for s in raw):
             raise ValidationError(f"scenario {path}: 'strategies' must be a list of names")
@@ -186,7 +182,7 @@ def load_scenario(path: str) -> Scenario:
             output=output,
         )
 
-    from .bounds import THEOREMS, AuxiliaryCoupling
+    from .bounds import DEFAULT_TOL, AuxiliaryCoupling, theorem_spec
     from .dmc import DMCModel, RateTuple
 
     _reject_unknown(
@@ -202,10 +198,10 @@ def load_scenario(path: str) -> Scenario:
                 f"scenario {path}: {key!r} must be a non-empty string, got {payload[key]!r}"
             )
     theorem = payload["theorem"]
-    if theorem not in THEOREMS:
-        raise ValidationError(
-            f"scenario {path}: unknown theorem id {theorem!r}; known: {', '.join(THEOREMS)}"
-        )
+    try:
+        theorem_spec(theorem)
+    except UsageError as exc:
+        raise ValidationError(f"scenario {path}: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(ref: str) -> str:
@@ -221,7 +217,7 @@ def load_scenario(path: str) -> Scenario:
         )
 
     rates = _parse_rates(payload["rates"]) if "rates" in payload else RateTuple.zero()
-    tol = payload.get("tol", 1e-9)
+    tol = payload.get("tol", DEFAULT_TOL)
     if not _is_finite_number(tol) or tol <= 0.0:
         raise ValidationError(f"scenario {path}: tol must be a positive number, got {tol!r}")
     return Scenario(

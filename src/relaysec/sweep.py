@@ -70,8 +70,7 @@ class GridSpec:
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
         if self.alpha_steps < 2 or self.beta_steps < 2:
             raise ValidationError("GridSpec: alpha_steps and beta_steps must be >= 2")
-        if any(q <= 0.0 for q in self.q_values):
-            raise ValidationError("GridSpec: q_values must be positive")
+        check_params("GridSpec", q=self.q_values)
         if self.rstar_policy not in RSTAR_POLICIES:
             raise ValidationError(
                 f"GridSpec: rstar_policy must be one of {RSTAR_POLICIES}, got {self.rstar_policy!r}"

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from channels import bsc, product_channel, v1_copies_x_coupling, z_copies_y_channel
 from literal_tables import LITERAL, oracle_member
 from test_regionsearch import branch_vertices
 from relaysec.acceptance import (
@@ -32,35 +33,6 @@ from relaysec.bounds import (
 from relaysec.dmc import DMCModel, RateTuple
 from relaysec.errors import UsageError, ValidationError
 from relaysec.pmf import JointPMF
-
-
-def bsc(p):
-    return np.array([[1 - p, p], [p, 1 - p]])
-
-
-def product_channel(py=0.1, py1=0.2, pz=0.3):
-    """x drives three independent binary symmetric legs; x1 is ignored."""
-    t = np.einsum("xy,xw,xz->xywz", bsc(py), bsc(py1), bsc(pz))
-    return DMCModel(np.repeat(t[:, None, :, :, :], 2, axis=1))
-
-
-def z_copies_y_channel(py=0.15):
-    """z is the identical observation to y; no secrecy is possible."""
-    t = np.zeros((2, 2, 2, 2, 2))
-    for x in range(2):
-        for x1 in range(2):
-            for y in range(2):
-                for y1 in range(2):
-                    t[x, x1, y, y1, y] = bsc(py)[x, y] * bsc(0.2)[x, y1]
-    return DMCModel(t)
-
-
-def v1_copies_x_coupling(theorem_id="T3"):
-    probs = np.zeros((1, 2, 1, 2, 2))
-    for i in range(2):
-        for k in range(2):
-            probs[0, i, 0, i, k] = 0.25
-    return AuxiliaryCoupling(JointPMF(("U", "V1", "V2", "X", "X1"), probs), theorem_id)
 
 
 def degenerate_coupling(theorem_id):
@@ -130,23 +102,38 @@ class TestCouplingValidation:
         with pytest.raises(UsageError, match="unknown theorem"):
             AuxiliaryCoupling(JointPMF(("X",), np.array([1.0, 0.0])), "T99")
 
-    def test_cf_coupling_y1_must_match_channel(self):
-        model = product_channel()
-        rng = np.random.default_rng(3)
-        good = random_coupling(rng, "T12", model)
-        # Perturb the Y1 leg: rebuild against a different channel.
-        other = product_channel(py1=0.45)
-        base_probs = good.joint.probs.sum(axis=(-2, -1))
-        base = JointPMF(good.joint.axis_names[:-2], base_probs)
+    @pytest.mark.parametrize("leg", ["other-channel", "off-by-5e-10"])
+    def test_cf_coupling_y1_must_match_channel(self, leg):
         q = np.full((2, 2, 2), 0.5)
-        bad = build_cf_coupling("T12", base, other, q)
+        if leg == "other-channel":
+            # Perturb the Y1 leg: rebuild against a different channel.
+            model = product_channel()
+            good = random_coupling(np.random.default_rng(3), "T12", model)
+            base_probs = good.joint.probs.sum(axis=(-2, -1))
+            base = JointPMF(good.joint.axis_names[:-2], base_probs)
+            bad = build_cf_coupling("T12", base, product_channel(py1=0.45), q)
+        else:
+            # Off by 5e-10 in one cell, above FACTORIZATION_TOL and below DEFAULT_TOL:
+            # row (0, 0) of p(y1|x,x1) moved by +-4e-9, times the base's 1/8 and
+            # the uniform quantizer row q[0, 0].
+            model = favorable_model(np.random.default_rng(3))
+            y1 = model.y1_conditional().copy()
+            y1[0, 0] += (4e-9, -4e-9)
+            probs = np.full((1, 2, 2, 2, 1, 1), 1 / 8) * y1[..., None] * q[0, 0]
+            bad = AuxiliaryCoupling(JointPMF(("U", "V", "X", "X1", "Y1", "Yh"), probs), "T12")
         with pytest.raises(ValidationError, match="inconsistent with the channel"):
             compose_full_joint(model, bad)
 
-    def test_alphabet_mismatch_is_usage_error(self):
-        model = DMCModel(np.full((3, 2, 2, 2, 2), 1.0 / 8.0))
-        with pytest.raises(UsageError, match="alphabet"):
-            compose_full_joint(model, v1_copies_x_coupling())
+    @pytest.mark.parametrize("theorem_id, shape, message", [
+        ("T3", (3, 2, 2, 2, 2), r"\(X=2, X1=2\) does not match the channel \(X=3, X1=2\)"),
+        ("T12", (2, 2, 2, 3, 2),
+         r"\(X=2, X1=2, Y1=2\) does not match the channel \(X=2, X1=2, Y1=3\)"),
+    ], ids=["X", "Y1"])
+    def test_alphabet_mismatch_is_invalid_input(self, theorem_id, shape, message):
+        model = DMCModel(np.full(shape, 1.0 / np.prod(shape[2:])))
+        coupling = degenerate_coupling(theorem_id)
+        with pytest.raises(ValidationError, match="coupling alphabet " + message):
+            compose_full_joint(model, coupling)
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 1)])
     def test_compressor_shape_is_checked(self, shape):

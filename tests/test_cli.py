@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from relaysec.acceptance import random_coupling, random_model
 from relaysec.cli import _write_csv, main
+from relaysec.dmc import DMCModel
 from relaysec.errors import ValidationError
 from relaysec.scenario import load_scenario
 from relaysec.sweep import MAX_GRID_CELLS
@@ -483,6 +484,19 @@ class TestDMCCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err
+
+    def test_a_coupling_off_the_model_alphabet_is_exit_2(self, tmp_path, capsys):
+        # The shipped coupling (X=2, X1=2) beside a model with three inputs.
+        (tmp_path / "model.json").write_text(DMCModel(np.full((3, 2, 2, 2, 2), 1 / 8)).to_json())
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        payload.update(dmc_model="model.json", coupling=scenario_path(payload["coupling"]))
+        out = tmp_path / "o.csv"
+        code = main(["dmc-eval", "--scenario", write_json(tmp_path, "s.json", payload),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "coupling alphabet (X=2, X1=2) does not match the channel (X=3, X1=2)" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestScenarioGridTypes:

@@ -26,6 +26,7 @@ import math
 import numpy as np
 import pytest
 
+from channels import bsc, product_channel
 from relaysec.dmc import DMCModel
 from relaysec.regionsearch import brute_force_best
 
@@ -41,13 +42,8 @@ def h(p):
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def bsc(p):
-    return np.array([[1 - p, p], [p, 1 - p]])
-
-
 def useless_relay(py, pz, py1):
-    t = np.einsum("xy,xw,xz->xywz", bsc(py), bsc(py1), bsc(pz))
-    return DMCModel(np.repeat(t[:, None], 2, axis=1))
+    return product_channel(py, py1, pz)
 
 
 def jamming_relay(py, pz, py1, y_sees_x1=True):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from channels import bsc, product_channel, v1_copies_x_coupling, z_copies_y_channel
 from relaysec import regionsearch
 from relaysec.acceptance import favorable_model, random_coupling, random_model
 from relaysec.bounds import (
@@ -51,25 +52,6 @@ def y1_leg_deviation(model, probs):
     return np.max(np.abs(implied - probs.sum(axis=-1)).reshape(len(probs), -1), axis=1)
 
 
-def bsc(p):
-    return np.array([[1 - p, p], [p, 1 - p]])
-
-
-def product_channel(py=0.1, py1=0.2, pz=0.3):
-    t = np.einsum("xy,xw,xz->xywz", bsc(py), bsc(py1), bsc(pz))
-    return DMCModel(np.repeat(t[:, None, :, :, :], 2, axis=1))
-
-
-def z_copies_y_channel(py=0.15):
-    t = np.zeros((2, 2, 2, 2, 2))
-    for x in range(2):
-        for x1 in range(2):
-            for y in range(2):
-                for y1 in range(2):
-                    t[x, x1, y, y1, y] = bsc(py)[x, y] * bsc(0.2)[x, y1]
-    return DMCModel(t)
-
-
 def z_noise_channel(py=0.1):
     """Receiver 2 sees an unbiased coin regardless of the inputs."""
     t = np.zeros((2, 2, 2, 2, 2))
@@ -80,14 +62,6 @@ def z_noise_channel(py=0.1):
                     for z in range(2):
                         t[x, x1, y, y1, z] = bsc(py)[x, y] * bsc(0.2)[x, y1] * 0.5
     return DMCModel(t)
-
-
-def v1_copies_x_coupling(theorem_id="T3"):
-    probs = np.zeros((1, 2, 1, 2, 2))
-    for i in range(2):
-        for k in range(2):
-            probs[0, i, 0, i, k] = 0.25
-    return AuxiliaryCoupling(JointPMF(("U", "V1", "V2", "X", "X1"), probs), theorem_id)
 
 
 class TestSimplexGrid:

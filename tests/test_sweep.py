@@ -138,9 +138,10 @@ class TestGridSpec:
         with pytest.raises(ValidationError, match=">= 2"):
             GridSpec(alpha_steps=1)
 
-    def test_q_positive(self):
-        with pytest.raises(ValidationError, match="positive"):
-            GridSpec(q_values=(0.0,))
+    @pytest.mark.parametrize("q", [0.0, float("nan"), float("inf")])
+    def test_q_positive(self, q):
+        with pytest.raises(ValidationError, match="GridSpec: q must be positive"):
+            GridSpec(q_values=(300.0, q))
 
     def test_policy_names(self):
         with pytest.raises(ValidationError, match="rstar_policy"):
