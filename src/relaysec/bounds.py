@@ -16,7 +16,7 @@ Each bound is stored as structured data: a coupling factorization, branch
 conditions, and inequality lists whose right-hand sides are affine
 combinations of conditional mutual informations (optionally inside a min{}).
 On first use a theorem compiles to numeric maps (`CompiledTheorem`): subset
-entropies, MI terms as +-1 sums of them, and bounds as gathered sums with a
+entropies, MI terms as +-1 sums of them, and bounds as a matrix product with a
 segmented min.  `evaluate_stack` runs them on N stacked couplings at once;
 membership, branch reports and corollary systems are one coupling's view.
 
@@ -284,32 +284,29 @@ _COMPRESS_COST = mi("Y1;Yh|X1")  # rate spent describing the quantized observati
 
 
 class _BoundTable:
-    """Bounds as gather tables over MI-term columns: min over Lin alternatives, plus a tail."""
+    """Bounds over MI-term columns, a min over Lin alternatives plus a tail: each Lin is
+    a column of the coefficient matrix `matrix` (terms, lins) and of its `magnitude`."""
 
     def __init__(self, bounds: Sequence[Bound], column: Mapping[MITerm, int]) -> None:
         lins = [lin for b in bounds for lin in b.alternatives] + [b.tail for b in bounds]
-        width = max((len(lin.terms) for lin in lins), default=0)
-        # Padding points at the all-zero column past the last term.
-        self.index = np.full((len(lins), width), len(column))
-        self.coef = np.zeros((len(lins), width))
+        self.matrix = np.zeros((len(column), len(lins)))
         for i, lin in enumerate(lins):
-            for k, (coef, term) in enumerate(lin.terms):
-                self.index[i, k], self.coef[i, k] = column[term], coef
+            for coef, term in lin.terms:
+                self.matrix[column[term], i] += coef
+        self.magnitude = np.abs(self.matrix)
         self.rstar = np.array([lin.rstar for lin in lins])
         owner = [k for k, b in enumerate(bounds) for _ in b.alternatives] + list(range(len(bounds)))
         self.owner = np.array(owner, dtype=int)
         self.starts = np.cumsum([0] + [len(b.alternatives) for b in bounds])[:-1]
         self.count = len(bounds)
 
-    def __call__(self, mi: np.ndarray, residue: np.ndarray, rstar: np.ndarray) -> np.ndarray:
-        """(N, bounds) values from MI columns and their rounding scales (N, terms + 1)
-        and each bound's R* (N, bounds).  Each Lin adds its terms to its R* share
-        in written order; a bound within its terms' summed rounding scale is 0."""
-        total = self.rstar * rstar[:, self.owner]
-        scale = np.zeros_like(total)
-        for k in range(self.index.shape[1]):
-            total = total + self.coef[:, k] * mi[:, self.index[:, k]]
-            scale = scale + np.abs(self.coef[:, k]) * residue[:, self.index[:, k]]
+    def __call__(self, mi: np.ndarray, residue: np.ndarray, rstar=None) -> np.ndarray:
+        """(N, bounds) values from MI columns and their rounding scales (N, terms), plus each
+        Lin's share of its bound's R* (N, bounds) if given; a bound within its scale is 0."""
+        total = mi @ self.matrix
+        if rstar is not None:
+            total = total + self.rstar * rstar[:, self.owner]
+        scale = residue @ self.magnitude
         n_alt = len(self.owner) - self.count
         value = np.minimum.reduceat(total[:, :n_alt], self.starts, axis=1) + total[:, n_alt:]
         scale = np.maximum.reduceat(scale[:, :n_alt], self.starts, axis=1) + scale[:, n_alt:]
@@ -328,7 +325,7 @@ class CompiledBranch:
 class CompiledTheorem:
     """One theorem as numeric maps, built on first use: every term I(A;B|C) is
     H(AC) + H(BC) - H(ABC) - H(C) over a fixed list of variable subsets, and
-    every bound a min over gathered term sums plus a tail."""
+    every bound a min over term sums plus a tail (`_BoundTable`)."""
 
     def __init__(self, spec: TheoremSpec) -> None:
         pre: list[Bound] = []
@@ -704,13 +701,13 @@ class AuxiliaryCoupling:
         payload = parse_json(text, "coupling JSON")
         if not isinstance(payload, dict):
             raise ValidationError("coupling JSON: top level must be an object")
+        if "theorem" not in payload:
+            raise ValidationError("coupling JSON: missing 'theorem' field")
         try:
-            theorem_id = str(payload.pop("theorem"))
-        except KeyError:
-            raise ValidationError("coupling JSON: missing 'theorem' field") from None
-        if theorem_id not in THEOREMS:
-            raise ValidationError(f"coupling JSON: unknown theorem id {theorem_id!r}")
-        return cls(JointPMF.from_json_dict(payload), theorem_id)
+            spec = theorem_spec(str(payload.pop("theorem")))
+        except UsageError as exc:
+            raise ValidationError(f"coupling JSON: {exc}") from exc
+        return cls(JointPMF.from_json_dict(payload), spec.theorem_id)
 
 
 def build_cf_coupling(
@@ -855,8 +852,8 @@ def evaluate_stack(
     if not (math.isfinite(tol) and tol > 0.0):
         raise UsageError(f"tol must be a positive finite number, got {tol!r}")
     n, shape = len(full), (len(full), len(c.branches))
-    mi, residue = (np.concatenate([a, np.zeros((n, 1))], axis=1) for a in c.mi(full))
-    pre = c.pre(mi, residue, np.zeros((n, c.pre.count)))
+    mi, residue = c.mi(full)
+    pre = c.pre(mi, residue)
     condition_ok, budget_ok = np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
     top, used = np.full(shape, np.nan), np.full(shape, np.nan)
     row_rstar = np.zeros((n, c.rows.count))

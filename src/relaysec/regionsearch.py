@@ -4,13 +4,13 @@ The slice constraint systems live in at most three rate dimensions with at
 most a dozen inequalities, so extreme points come from exhaustive vertex
 enumeration (every d-subset of active constraints plus the axis planes)
 rather than an LP dependency.  A theorem's coefficients do not depend on the
-coupling, so the regular d-subsets of all its branches are found once and
-stacked into one system; only right-hand sides vary.  A stack of couplings
-then takes one vertex pass for every branch at once: one solve, and one
-feasibility test of each vertex against its own branch's rows.  The extreme
-point is the best feasible vertex.  Couplings go through
-`bounds.evaluate_stack` as stacks (one coupling is a stack of one), and the
-search walks its grid in chunks of bounded size.
+coupling, so the regular d-subsets of all its branches, each of determinant
++-1, and their integer inverses are found once and stacked into one system.  A
+stack of couplings then takes one vertex pass for every branch at once: each
+vertex coordinate is a signed sum of at most three bounds, and each vertex is
+tested against its own branch's rows.  The extreme point is the best feasible
+vertex.  Couplings go through `bounds.evaluate_stack` as stacks (one coupling
+is a stack of one), and the search walks its grid in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -58,28 +58,39 @@ class _VertexSystem:
     as R rows: the column `source` (R,) of a bound matrix each row reads (-1: the
     zero column `rhs` appends) and `corollary` (branches, R), each branch's own
     non-axis rows.  The regular d-subsets of each branch's rows, K in all, in
-    branch then subset order: their rows `subsets` (K, d) and matrices `sub_a`
-    (K, d, d), their branch `owner` (K,), and that branch's rows `rows` (K, W)
-    with coefficients `row_a` (K, W, d), the last row repeated up to the widest
-    branch's W."""
+    branch then subset order: their rows `subsets` (K, d), integer matrices `sub_a`
+    (K, d, d) of determinant +-1 and exact inverses `inverse` (K, d, d), their
+    branch `owner` (K,), and that branch's rows `rows` (K, W) with coefficients
+    `row_a` (K, W, d), the last row repeated up to the widest branch's W."""
 
-    def __init__(self, coefs: Sequence[np.ndarray], sources: Sequence[Sequence[int]]) -> None:
-        """Branch k has rows `coefs[k]` (R_k, d) reading bound columns `sources[k]`."""
+    def __init__(self, name: str, coefs: Sequence[np.ndarray], sources: Sequence[Sequence[int]]) -> None:
+        """Branch k of `name` has rows `coefs[k]` (R_k, d <= 3) reading bound columns `sources[k]`."""
         d = coefs[0].shape[1]
         blocks = [np.vstack([c, np.diag(np.full(d, -1.0))]) for c in coefs]
         ends = np.cumsum([len(a) for a in blocks])
         width = max(len(a) for a in blocks)
-        subsets, rows = [], []
-        for a, end in zip(blocks, ends):
+        subsets, inverses, rows = [], [], []
+        for k, (a, end) in enumerate(zip(blocks, ends)):
             start = end - len(a)
             sub = np.array(list(itertools.combinations(range(len(a)), d)))
-            sub = start + sub[np.abs(np.linalg.det(a[sub])) >= 1e-12]
-            subsets.append(sub)
+            # Rows padded by the identity to 3 x 3: det r0.(r1 x r2), adjugate [r1 x r2, r2 x r0, r0 x r1].
+            m = np.broadcast_to(np.eye(3, dtype=np.int64), (len(sub), 3, 3)).copy()
+            m[:, :d, :d] = a[sub]
+            adj = np.stack([np.cross(m[:, i - 2], m[:, i - 1]) for i in range(3)], axis=2)
+            det = np.sum(m[:, 0] * adj[:, :, 0], axis=1)
+            bad = np.flatnonzero((np.abs(det) > 1) | np.any(m[:, :d, :d] != a[sub], axis=(1, 2)))
+            if bad.size:  # its vertex would be no signed sum of bounds: refuse the catalog
+                raise ValueError(f"{name} branch {k}: rows {sub[bad[0]].tolist()} (axis planes from row "
+                                 f"{len(a) - d}) are not integer rows of determinant 0 or +-1")
+            sub, det, adj = sub[det != 0], det[det != 0, None, None], adj[det != 0, :d, :d]
+            inverses.append(adj * det)  # adjugate / det, as det = +-1
+            subsets.append(start + sub)
             own = np.minimum(np.arange(start, start + width), end - 1)
             rows.append(np.broadcast_to(own, (len(sub), width)))
         a = np.vstack(blocks)
         self.subsets, self.rows = np.concatenate(subsets), np.concatenate(rows)
         self.sub_a, self.row_a = a[self.subsets], a[self.rows]
+        self.inverse = np.concatenate(inverses).astype(float)
         row_owner = np.searchsorted(ends, np.arange(len(a)), side="right")
         self.owner = row_owner[self.subsets[:, 0]]
         self.source = np.concatenate([np.r_[np.array(s, dtype=int), [-1] * d] for s in sources])
@@ -93,21 +104,17 @@ class _VertexSystem:
 @functools.cache
 def _theorem_system(theorem_id: str) -> _VertexSystem:
     spec = theorem_spec(theorem_id)
-    dims = spec.rate_dims()
-    coefs = [
-        np.array([[r.rates[i] for i in dims] for r in br.corollary]).reshape(-1, len(dims))
-        for br in spec.branches
-    ]
-    return _VertexSystem(coefs, [br.corollary for br in spec.compiled.branches])
+    dims = list(spec.rate_dims())
+    coefs = [np.array([r.rates for r in br.corollary]).reshape(-1, 5)[:, dims] for br in spec.branches]
+    return _VertexSystem(theorem_id, coefs, [br.corollary for br in spec.compiled.branches])
 
 
 def _vertices(system: _VertexSystem, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Vertices (N, K, d) of every branch under right-hand sides `b` (N, R), and a mask
     of the feasible ones: within `tol` of every row of their own branch."""
-    s = system
-    n, (k, d) = len(b), s.subsets.shape
-    sub_a = np.broadcast_to(s.sub_a, (n, k, d, d))
-    points = np.linalg.solve(sub_a, b[:, s.subsets][..., None])[..., 0]
+    s, d = system, system.subsets.shape[1]
+    # Each coordinate is a signed sum of the subset's bounds, added in subset order from 0.
+    points = sum(s.inverse[:, :, j] * b[:, s.subsets[:, j], None] for j in range(d))
     # A branch's rows include its axis planes, so this also tests r_k >= -tol.
     lhs = sum(s.row_a[..., i] * points[..., i : i + 1] for i in range(d))  # fixed order, no BLAS
     return points, ~np.any(lhs > (b + tol)[:, s.rows], axis=2)
@@ -212,17 +219,10 @@ def simplex_grid(cells: int, steps: int) -> Iterator[tuple[float, ...]]:
         yield (1.0 / cells,) * cells
         return
     total = steps - 1
-
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining, -1, -1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    for combo in rec(total, cells):
-        yield tuple(c / total for c in combo)
+    # Stars and bars, the bars' positions in reverse lexicographic order: most mass first.
+    for bars in reversed(list(itertools.combinations(range(total + cells - 1), cells - 1))):
+        edges = (-1, *bars, total + cells - 1)
+        yield tuple((edges[k + 1] - edges[k] - 1) / total for k in range(cells))
 
 
 @functools.cache

@@ -182,7 +182,7 @@ def load_scenario(path: str) -> Scenario:
             output=output,
         )
 
-    from .bounds import DEFAULT_TOL, AuxiliaryCoupling, theorem_spec
+    from .bounds import DEFAULT_TOL, AuxiliaryCoupling, coupling_stack, theorem_spec
     from .dmc import DMCModel, RateTuple
 
     _reject_unknown(
@@ -199,7 +199,7 @@ def load_scenario(path: str) -> Scenario:
             )
     theorem = payload["theorem"]
     try:
-        theorem_spec(theorem)
+        spec = theorem_spec(theorem)
     except UsageError as exc:
         raise ValidationError(f"scenario {path}: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
@@ -215,6 +215,7 @@ def load_scenario(path: str) -> Scenario:
         coupling = AuxiliaryCoupling.from_json(
             _read_text(resolve(payload["coupling"]), f"scenario {path}: cannot read coupling")
         )
+        coupling_stack(spec, dmc_model, coupling)  # every command refuses a coupling off its model
 
     rates = _parse_rates(payload["rates"]) if "rates" in payload else RateTuple.zero()
     tol = payload.get("tol", DEFAULT_TOL)

@@ -102,6 +102,12 @@ class TestCouplingValidation:
         with pytest.raises(UsageError, match="unknown theorem"):
             AuxiliaryCoupling(JointPMF(("X",), np.array([1.0, 0.0])), "T99")
 
+    def test_a_coupling_file_with_an_unknown_theorem_lists_the_known_ids(self):
+        joint = JointPMF(("X",), np.array([1.0, 0.0])).to_json_dict()
+        message = f"coupling JSON: unknown theorem id 'T99'; known: {', '.join(THEOREMS)}$"
+        with pytest.raises(ValidationError, match=message):
+            AuxiliaryCoupling.from_json(json.dumps({**joint, "theorem": "T99"}))
+
     @pytest.mark.parametrize("leg", ["other-channel", "off-by-5e-10"])
     def test_cf_coupling_y1_must_match_channel(self, leg):
         q = np.full((2, 2, 2), 0.5)

@@ -485,14 +485,18 @@ class TestDMCCommands:
         assert code == 2
         assert "Traceback" not in err
 
-    def test_a_coupling_off_the_model_alphabet_is_exit_2(self, tmp_path, capsys):
-        # The shipped coupling (X=2, X1=2) beside a model with three inputs.
+    @pytest.mark.parametrize("command", ["dmc-eval", "dmc-search"])
+    def test_a_coupling_off_the_model_alphabet_is_exit_2(self, tmp_path, capsys, command):
+        # The shipped coupling (X=2, X1=2) beside a model with three inputs; a search,
+        # which never evaluates the coupling, refuses the scenario all the same.
         (tmp_path / "model.json").write_text(DMCModel(np.full((3, 2, 2, 2, 2), 1 / 8)).to_json())
         payload = json.loads(open(scenario_path("dmc_demo.json")).read())
         payload.update(dmc_model="model.json", coupling=scenario_path(payload["coupling"]))
         out = tmp_path / "o.csv"
-        code = main(["dmc-eval", "--scenario", write_json(tmp_path, "s.json", payload),
-                     "--out", str(out)])
+        argv = [command, "--scenario", write_json(tmp_path, "s.json", payload), "--out", str(out)]
+        if command == "dmc-search":
+            argv += ["--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2"]
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert "coupling alphabet (X=2, X1=2) does not match the channel (X=3, X1=2)" in err

@@ -1,7 +1,9 @@
+import copy
 import itertools
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,12 +39,31 @@ from relaysec.regionsearch import (
     simplex_grid_count,
 )
 
+THEOREM_IDS = sorted(THEOREMS, key=lambda t: int(t[1:]))
+
 
 def coupling_grid(theorem_id, model, aux_sizes, grid_steps):
     """Every coupling of the search grid, in grid order, built from its chunks."""
     spec = theorem_spec(theorem_id)
     for probs in regionsearch._grid(spec, model, aux_sizes, grid_steps)[1]:
         yield from (AuxiliaryCoupling(JointPMF(spec.coupling_vars, p), theorem_id) for p in probs)
+
+
+def random_stack(rng, spec, model, n, aux_size=2):
+    """`n` stacked random couplings (canonical axes) of the spec's factorization, every
+    auxiliary of `aux_size` values: one Dirichlet row per given value of each factor,
+    and the channel's own Y1 leg."""
+    sizes = {"X": model.x_size, "X1": model.x1_size, "Y1": model.y1_size}
+    tables = []
+    for targets, given in spec.pattern.factors:
+        shape = tuple(sizes.get(v, aux_size) for v in given + targets)
+        if targets == ("Y1",):
+            tables.append(model.y1_conditional()[None])
+            continue
+        cells = math.prod(sizes.get(v, aux_size) for v in targets)
+        rows = rng.dirichlet(np.ones(cells), size=(n, math.prod(shape) // cells))
+        tables.append(rows.reshape((n,) + shape))
+    return spec.pattern.product_stack(spec.coupling_vars, tables)
 
 
 def y1_leg_deviation(model, probs):
@@ -300,7 +321,8 @@ def system_vertices(branches, dims, tol):
     ]
     bounds = np.array([[lc.bound for br in branches for lc in br.constraints]])
     ends = np.cumsum([len(c) for c in coefs])
-    system = _VertexSystem(coefs, [range(end - len(c), end) for c, end in zip(coefs, ends)])
+    sources = [range(end - len(c), end) for c, end in zip(coefs, ends)]
+    system = _VertexSystem("test", coefs, sources)
     points, kept = _vertices(system, system.rhs(bounds), tol)
     return kept_by_branch(system, points[0], kept[0], dims)
 
@@ -350,7 +372,7 @@ def loop_branch_vertices(branch, dims, tol):
 
 
 class TestVertexOracle:
-    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS, key=lambda t: int(t[1:])))
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
     def test_batched_vertices_match_the_loop(self, theorem_id):
         rng = np.random.default_rng(int(theorem_id[1:]))
         dims = theorem_spec(theorem_id).rate_dims()
@@ -369,6 +391,80 @@ class TestVertexOracle:
                 branches += 1
                 nonempty += len(got) > 1
         assert branches >= 24 and nonempty >= 2
+
+
+def exact_solve(a, b):
+    """x with a x = b, by Gauss-Jordan elimination in Fractions: exact for the
+    integer matrix `a` and the floats `b`."""
+    d = len(a)
+    m = [[Fraction(int(v)) for v in row] + [Fraction(float(r))] for row, r in zip(a, b)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        for r in range(d):
+            if r != col and m[r][col] != 0:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [m[i][d] / m[i][i] for i in range(d)]
+
+
+# Unit roundoff of float64, and gamma_2 = 2u / (1 - 2u) (Higham, Accuracy and
+# Stability of Numerical Algorithms, lemma 3.1).
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+GAMMA_2 = 2 * UNIT_ROUNDOFF / (1 - 2 * UNIT_ROUNDOFF)
+
+
+def vertices_off_the_exact_ones(system, b, points):
+    """Coordinates of `_vertices`' points (N, K, d) farther from the exact solution of
+    their subset's rows under right-hand sides `b` (N, R) than a sum of three terms
+    can round.  Each coordinate is inverse[i, 0] b_0 + inverse[i, 1] b_1 +
+    inverse[i, 2] b_2, added in that order starting from an exact 0: every product
+    of an entry in {-1, 0, 1} and a float is exact, the first addition to 0 is
+    exact, and the two additions left round once each, so recursive summation
+    bounds the error by gamma_2 * sum_j |inverse[i, j] b_j| <= gamma_2 * sum_j |b_j|."""
+    misses = 0
+    for n, k in itertools.product(range(len(b)), range(len(system.subsets))):
+        rhs = b[n, system.subsets[k]]
+        slack = GAMMA_2 * sum(abs(Fraction(float(v))) for v in rhs)
+        for got, want in zip(points[n, k].tolist(), exact_solve(system.sub_a[k], rhs)):
+            misses += abs(Fraction(got) - want) > slack
+    return misses
+
+
+class TestVertexSystem:
+    """Every vertex is a signed sum of at most three bounds."""
+
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_every_regular_subset_is_unimodular(self, theorem_id):
+        system = regionsearch._theorem_system(theorem_id)
+        d = system.subsets.shape[1]
+        assert d <= 3
+        assert np.array_equal(system.sub_a, np.rint(system.sub_a))
+        assert set(np.unique(system.inverse)) <= {-1.0, 0.0, 1.0}
+        assert np.count_nonzero(system.inverse, axis=2).max() <= 3
+        # Integer matrices whose product is the identity both have determinant +-1.
+        product = np.einsum("kij,kjl->kil", system.sub_a, system.inverse)
+        assert np.array_equal(product, np.broadcast_to(np.eye(d), product.shape))
+
+    @pytest.mark.parametrize("rows", [[[2.0, 0.0], [0.0, 1.0]], [[0.5, 1.0]]], ids=["det-2", "half"])
+    def test_a_system_without_a_signed_sum_is_refused(self, rows):
+        with pytest.raises(ValueError, match=r"T0 branch 0: rows \[0, 1\] .* determinant 0 or \+-1"):
+            _VertexSystem("T0", [np.array(rows)], [range(len(rows))])
+
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_vertices_are_within_rounding_of_the_exact_ones(self, theorem_id):
+        rng = np.random.default_rng(300 + int(theorem_id[1:]))
+        system = regionsearch._theorem_system(theorem_id)
+        # Every row reads its own value, axis planes too, so every inverse entry counts.
+        scale = 10.0 ** rng.integers(-6, 2, size=(3, 1))
+        b = rng.uniform(-1.0, 1.0, size=(3, len(system.source))) * scale
+        points, _ = _vertices(system, b, DEFAULT_TOL)
+        assert vertices_off_the_exact_ones(system, b, points) == 0
+        # The oracle is sharp enough to see one inverse entry flipped.
+        flipped = copy.copy(system)
+        flipped.inverse = system.inverse.copy()
+        flipped.inverse[tuple(np.argwhere(system.inverse)[-1])] *= -1.0
+        assert vertices_off_the_exact_ones(system, b, _vertices(flipped, b, DEFAULT_TOL)[0]) > 0
 
 
 def axis_branch(caps):
@@ -439,7 +535,7 @@ class TestMultiBranchPass:
     subset is tested against another branch's rows, and the best vertex is the
     reference's."""
 
-    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS, key=lambda t: int(t[1:])))
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
     def test_stack_extremes_match_the_per_branch_reference(self, theorem_id):
         rng = np.random.default_rng(100 + int(theorem_id[1:]))
         spec = theorem_spec(theorem_id)
@@ -540,6 +636,23 @@ class TestStackedEngine:
             assert res.best == want_pt
             assert res.coupling.to_json() == want_coupling.to_json()
             assert res.couplings_scanned == estimate_grid_size(theorem_id, model, sizes, steps)
+
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_the_stack_size_does_not_change_the_bits(self, theorem_id):
+        # A stack of one may take another BLAS path (gemv) than a stack of many (gemm).
+        spec = theorem_spec(theorem_id)
+        model = favorable_model(np.random.default_rng(4))
+        full = compose_stack(spec, model, random_stack(np.random.default_rng(5), spec, model, 256))
+        objective = (1.0, 1.0, 0.5)
+
+        def run(stack):
+            ev = evaluate_stack(spec, stack)
+            return [*vars(ev).values(), *regionsearch._stack_extremes(spec, ev, objective, DEFAULT_TOL)]
+
+        alone = [np.concatenate(arrays) for arrays in zip(*(run(full[i : i + 1]) for i in range(256)))]
+        for n in (16, 256):
+            for got, want in zip(run(full[:n]), alone):
+                assert np.array_equal(got, want[:n], equal_nan=True)
 
     def test_a_broken_simplex_row_is_refused_where_the_grid_is_built(self, monkeypatch):
         # The grid's masses are checked once per (cells, steps) table, not per chunk.
