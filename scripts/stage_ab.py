@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Time the DMC engine's stages in two source trees, in one interpreter.
 
-    python scripts/stage_ab.py OLD_SRC NEW_SRC [--theorems T1,T3,T4,T11]
-                               [--sizes 1,16,256,1024] [--repeats 7]
+    python scripts/stage_ab.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold a `relaysec` package (a
 checkout's `src`).  Each is loaded under its own package name, with BLAS
-pinned to one thread.  Per theorem and stack size N, on the same N random
-couplings of a favorable model (`acceptance.random_coupling`, independent
-auxiliaries of two values), it times:
+pinned to one thread.  Per theorem of THEOREMS and stack size N of SIZES, on
+the same N random couplings of a favorable model
+(`acceptance.random_coupling`, independent auxiliaries of two values), it
+times:
 
   tables     the `_BoundTable.__call__` calls that one `evaluate_stack` makes,
              replayed with the arguments that tree passes them;
@@ -17,7 +17,7 @@ auxiliaries of two values), it times:
 
 and per theorem one dmc-query op (an `AuxiliaryCoupling` and an
 `evaluate_membership`, listed at N = 1).  The trees take turns, in
-alternating order, and each figure is the best of --repeats samples, in
+alternating order, and each figure is the best of REPEATS samples, in
 microseconds per call.  `max|diff|` is the largest difference between the
 trees' bounds (evaluate) or extreme values (extremes).
 """
@@ -27,7 +27,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse
 import importlib
 import importlib.util
 import sys
@@ -35,6 +34,9 @@ import timeit
 
 import numpy as np
 
+THEOREMS = ("T1", "T3", "T4", "T11")
+SIZES = (1, 16, 256, 1024)
+REPEATS = 7
 OBJECTIVE = (1.0, 1.0, 0.5)
 SAMPLE_S = 0.02  # target length of one timing sample
 
@@ -107,34 +109,27 @@ def best_of(funcs: list, repeats: int) -> list:
     return best
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    ap.add_argument("old_src")
-    ap.add_argument("new_src")
-    ap.add_argument("--theorems", default="T1,T3,T4,T11")
-    ap.add_argument("--sizes", default="1,16,256,1024")
-    ap.add_argument("--repeats", type=int, default=7)
-    args = ap.parse_args(argv)
-    trees = [load_tree(args.old_src, "relaysec_old"), load_tree(args.new_src, "relaysec_new")]
-    sizes = [int(s) for s in args.sizes.split(",")]
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    trees = [load_tree(argv[0], "relaysec_old"), load_tree(argv[1], "relaysec_new")]
     print(f"# numpy {np.__version__}, python {sys.version.split()[0]}, BLAS pinned to 1 thread, "
-          f"best of {args.repeats}, microseconds per call")
+          f"best of {REPEATS}, microseconds per call")
     print(f"{'theorem':<8}{'N':>6}  {'stage':<10}{'old':>12}{'new':>12}{'new/old':>9}{'max|diff|':>11}")
-    for theorem in args.theorems.split(","):
+    for theorem in THEOREMS:
         old = trees[0]
         rng = np.random.default_rng(int(theorem[1:]))
         model = old["acceptance"].favorable_model(np.random.default_rng(0))
         probs = np.stack([
             old["acceptance"].random_coupling(rng, theorem, model, independent_aux=True).joint.probs
-            for _ in range(max(sizes))
+            for _ in range(max(SIZES))
         ])
-        for n in sizes:
+        for n in SIZES:
             per_tree = [stages(tree, theorem, probs, n) for tree in trees]
             for stage in per_tree[0]:
                 (f_old, v_old), (f_new, v_new) = per_tree[0][stage], per_tree[1][stage]
-                t_old, t_new = best_of([f_old, f_new], args.repeats)
+                t_old, t_new = best_of([f_old, f_new], REPEATS)
                 diff = "" if v_old is None else f"{np.max(np.abs(v_new - v_old), initial=0.0):.1e}"
                 print(f"{theorem:<8}{n:>6}  {stage:<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
                       f"{t_new / t_old:>9.2f}{diff:>11}", flush=True)
@@ -142,4 +137,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

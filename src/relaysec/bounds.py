@@ -16,9 +16,10 @@ Each bound is stored as structured data: a coupling factorization, branch
 conditions, and inequality lists whose right-hand sides are affine
 combinations of conditional mutual informations (optionally inside a min{}).
 On first use a theorem compiles to numeric maps (`CompiledTheorem`): subset
-entropies, MI terms as +-1 sums of them, and bounds as a matrix product with a
-segmented min.  `evaluate_stack` runs them on N stacked couplings at once;
-membership, branch reports and corollary systems are one coupling's view.
+entropies, MI terms as +-1 sums of them, and bounds as matrix products (one
+per term slot) with a segmented min.  `evaluate_stack` runs them on N stacked
+couplings at once; membership, branch reports and corollary systems are one
+coupling's view.
 
 Every row is written once.  A branch's perfect-secrecy corollary (the
 Re = R slice) is derived from its own rows: each row marked `on_slice` is
@@ -284,16 +285,20 @@ _COMPRESS_COST = mi("Y1;Yh|X1")  # rate spent describing the quantized observati
 
 
 class _BoundTable:
-    """Bounds over MI-term columns, a min over Lin alternatives plus a tail: each Lin is
-    a column of the coefficient matrix `matrix` (terms, lins) and of its `magnitude`."""
+    """Bounds over MI-term columns, a min over Lin alternatives plus a tail.  Each slot
+    is a (terms, lins) coefficient matrix and its magnitude: slot 0 holds each Lin's
+    first two terms, slot k >= 1 its (k + 2)-th.  Every entry of a slot's product then
+    sums at most two nonzero products, which round once in any order BLAS takes, so a
+    Lin's terms add in written order at every stack size."""
 
     def __init__(self, bounds: Sequence[Bound], column: Mapping[MITerm, int]) -> None:
         lins = [lin for b in bounds for lin in b.alternatives] + [b.tail for b in bounds]
-        self.matrix = np.zeros((len(column), len(lins)))
+        width = max((len(lin.terms) for lin in lins), default=0)
+        matrix = np.zeros((max(width - 1, 1), 2, len(column), len(lins)))
         for i, lin in enumerate(lins):
-            for coef, term in lin.terms:
-                self.matrix[column[term], i] += coef
-        self.magnitude = np.abs(self.matrix)
+            for k, (coef, term) in enumerate(lin.terms):
+                matrix[max(k - 1, 0), :, column[term], i] += (coef, abs(coef))
+        self.slots = tuple(map(tuple, matrix))
         self.rstar = np.array([lin.rstar for lin in lins])
         owner = [k for k, b in enumerate(bounds) for _ in b.alternatives] + list(range(len(bounds)))
         self.owner = np.array(owner, dtype=int)
@@ -302,11 +307,14 @@ class _BoundTable:
 
     def __call__(self, mi: np.ndarray, residue: np.ndarray, rstar=None) -> np.ndarray:
         """(N, bounds) values from MI columns and their rounding scales (N, terms), plus each
-        Lin's share of its bound's R* (N, bounds) if given; a bound within its scale is 0."""
-        total = mi @ self.matrix
+        Lin's share of its bound's R* (N, bounds) if given.  Each Lin adds its terms in
+        written order, then its R* share; a bound within its terms' summed scale is 0."""
+        (signed, magnitude), *later = self.slots
+        total, scale = mi @ signed, residue @ magnitude
+        for signed, magnitude in later:
+            total, scale = total + mi @ signed, scale + residue @ magnitude
         if rstar is not None:
             total = total + self.rstar * rstar[:, self.owner]
-        scale = residue @ self.magnitude
         n_alt = len(self.owner) - self.count
         value = np.minimum.reduceat(total[:, :n_alt], self.starts, axis=1) + total[:, n_alt:]
         scale = np.maximum.reduceat(scale[:, :n_alt], self.starts, axis=1) + scale[:, n_alt:]

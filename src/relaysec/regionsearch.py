@@ -104,8 +104,11 @@ class _VertexSystem:
 @functools.cache
 def _theorem_system(theorem_id: str) -> _VertexSystem:
     spec = theorem_spec(theorem_id)
-    dims = list(spec.rate_dims())
-    coefs = [np.array([r.rates for r in br.corollary]).reshape(-1, 5)[:, dims] for br in spec.branches]
+    dims = spec.rate_dims()
+    coefs = [
+        np.array([[r.rates[i] for i in dims] for r in br.corollary]).reshape(-1, len(dims))
+        for br in spec.branches
+    ]
     return _VertexSystem(theorem_id, coefs, [br.corollary for br in spec.compiled.branches])
 
 
@@ -219,10 +222,17 @@ def simplex_grid(cells: int, steps: int) -> Iterator[tuple[float, ...]]:
         yield (1.0 / cells,) * cells
         return
     total = steps - 1
-    # Stars and bars, the bars' positions in reverse lexicographic order: most mass first.
-    for bars in reversed(list(itertools.combinations(range(total + cells - 1), cells - 1))):
-        edges = (-1, *bars, total + cells - 1)
-        yield tuple((edges[k + 1] - edges[k] - 1) / total for k in range(cells))
+
+    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
+        if slots == 1:
+            yield (remaining,)
+            return
+        for first in range(remaining, -1, -1):
+            for rest in rec(remaining - first, slots - 1):
+                yield (first,) + rest
+
+    for combo in rec(total, cells):
+        yield tuple(c / total for c in combo)
 
 
 @functools.cache

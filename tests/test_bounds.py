@@ -10,7 +10,7 @@ import pytest
 
 from channels import bsc, product_channel, v1_copies_x_coupling, z_copies_y_channel
 from literal_tables import LITERAL, oracle_member
-from test_regionsearch import branch_vertices
+from test_regionsearch import THEOREM_IDS, branch_vertices
 from relaysec.acceptance import (
     favorable_model,
     naive_cond_mutual_info,
@@ -270,6 +270,43 @@ class TestMITerms:
         terms = mi_terms(model, v1_copies_x_coupling())
         names = list(terms)
         assert names == sorted(names)
+
+
+class TestBoundTable:
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    @pytest.mark.parametrize("with_rstar", [True, False], ids=["rows", "no-rstar"])
+    def test_a_stack_of_any_size_sums_each_lin_in_written_order(self, theorem_id, with_rstar):
+        # Full-precision columns, unlike a coupling's MI values (differences of entropies),
+        # round in most sums of three: a BLAS that summed a Lin in another order at some
+        # stack size (gemv for one row, gemm tails for 23) would show here.
+        c, rng = theorem_spec(theorem_id).compiled, np.random.default_rng(int(theorem_id[1:]))
+        column = {t: i for i, t in enumerate(c.terms)}
+        bounds = [ineq.bound for br in theorem_spec(theorem_id).branches for ineq in br.inequalities]
+        mi = rng.uniform(0.0, 1.0, (256, len(c.terms))) ** 3
+        residue = rng.uniform(0.0, 1.0, mi.shape) ** 3 * 1e-16
+        rstar = rng.uniform(0.0, 1.0, (256, len(bounds))) ** 3 if with_rstar else None
+
+        def written(lin, k, columns, signed):  # the terms left to right, then the R* share
+            total = np.zeros(len(columns))
+            for coef, term in lin.terms:
+                total = total + (coef if signed else abs(coef)) * columns[:, column[term]]
+            return total + lin.rstar * rstar[:, k] if signed and with_rstar else total
+
+        def reference(columns, signed, pick):
+            return np.stack([
+                pick([written(a, k, columns, signed) for a in b.alternatives], axis=0)
+                + written(b.tail, k, columns, signed)
+                for k, b in enumerate(bounds)
+            ], axis=1)
+
+        value = reference(mi, True, np.min)
+        want = np.where(np.abs(value) <= reference(residue, False, np.max), 0.0, value)
+        for n in (1, 16, 23, 256):
+            got = np.concatenate([
+                c.rows(mi[i : i + n], residue[i : i + n], None if rstar is None else rstar[i : i + n])
+                for i in range(0, 256, n)
+            ])
+            assert np.array_equal(got, want), n
 
 
 def branch_states(theorem_id, model, coupling):
