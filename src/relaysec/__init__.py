@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "bounds": ("AuxiliaryCoupling", "BoundEvaluation", "THEOREMS", "build_cf_coupling",
-               "compose_full_joint", "corollary_constraints", "corollary_member",
+               "compose_full_joint", "corollary_member",
                "evaluate_membership", "mi_terms"),
     "dmc": ("DMCModel", "RateTuple"),
     "errors": ("BudgetExceededError", "InfeasibleError", "ModelAssumptionError",

@@ -18,14 +18,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .bounds import (
+    DEFAULT_TOL,
     AuxiliaryCoupling,
     THEOREMS,
     build_cf_coupling,
     compose_full_joint,
-    corollary_constraints,
-    corollary_member,
+    coupling_stack,
     evaluate_membership,
+    evaluate_stack,
     mi_terms,
+    stack_membership,
     theorem_spec,
 )
 from .dmc import DMCModel, RateTuple
@@ -410,82 +412,78 @@ def criterion_6() -> CriterionResult:
     )
 
 
-def _slice_membership_agrees(rng, theorem_id: str) -> tuple[bool, str]:
-    spec = theorem_spec(theorem_id)
-    model = random_model(rng)
-    coupling = random_coupling(rng, theorem_id, model)
-    r = random_rates(rng, spec.config)
-    point = (r.r0, r.r1, r.r2)
-    slice_rates = RateTuple(r.r0, r.r1, r.r2, re1=r.r1, re2=r.r2)
-    via_theorem = evaluate_membership(theorem_id, model, coupling, slice_rates).member
-    via_corollary = corollary_member(theorem_id, model, coupling, point)
-    if via_theorem != via_corollary:
-        return False, (
-            f"{theorem_id}: slice membership {via_theorem} but corollary says "
-            f"{via_corollary} at {point}"
-        )
-    return True, ""
-
-
 _REDUCTIONS = {"T5": "T1", "T6": "T2", "T7": "T3", "T8": "T4"}
 
 
-def _reduction_agrees(rng, reduced_id: str) -> tuple[bool, str]:
-    parent_id = _REDUCTIONS[reduced_id]
-    model = random_model(rng)
-    # The parent's common-message auxiliary collapses to a constant for the
-    # outer-bound pair; the inner bounds share U as-is.
-    aux_sizes = {"U": 1} if reduced_id == "T5" else None
-    coupling = random_coupling(rng, reduced_id, model, aux_sizes=aux_sizes)
-    r = random_rates(rng, "B")
-    reduced = evaluate_membership(reduced_id, model, coupling, r)
-    parent = evaluate_membership(parent_id, model, coupling, r)
-    if reduced.member != parent.member:
-        return False, (
-            f"{reduced_id} vs {parent_id}: members differ "
-            f"({reduced.member} vs {parent.member}) at {r.as_tuple()}"
-        )
-    return True, ""
+def _c7_cases() -> list[tuple[str, str | None, list]]:
+    """C7's instances in draw order, 200 per case: each theorem's Re = R slice
+    (parent None), then each config-B bound beside its config-A parent.  An
+    instance is (model, coupling, rates)."""
+    rng = np.random.default_rng(7041776)
+    cases = []
+    for theorem_id, parent_id in [(t, None) for t in THEOREMS] + list(_REDUCTIONS.items()):
+        # The parent's common-message auxiliary collapses to a constant for the
+        # outer-bound pair; the inner bounds share U as-is.
+        aux_sizes = {"U": 1} if parent_id == "T1" else None
+        draws = []
+        for _ in range(200):
+            model = random_model(rng)
+            coupling = random_coupling(rng, theorem_id, model, aux_sizes=aux_sizes)
+            draws.append((model, coupling, random_rates(rng, theorem_spec(theorem_id).config)))
+        cases.append((theorem_id, parent_id, draws))
+    return cases
+
+
+def _c7_stack(theorem_id: str, draws: list):
+    """One case's couplings as one stack under `theorem_id`: its spec and StackEvaluation."""
+    spec = theorem_spec(theorem_id)
+    full = np.concatenate([coupling_stack(spec, model, coupling) for model, coupling, _ in draws])
+    return spec, evaluate_stack(spec, full)
 
 
 def criterion_7() -> CriterionResult:
     def check():
-        rng = np.random.default_rng(7041776)
-        per_pair = 200
-        for theorem_id in THEOREMS:
-            for _ in range(per_pair):
-                ok, msg = _slice_membership_agrees(rng, theorem_id)
-                if not ok:
-                    return False, msg
-        for reduced_id in _REDUCTIONS:
-            for _ in range(per_pair):
-                ok, msg = _reduction_agrees(rng, reduced_id)
-                if not ok:
-                    return False, msg
-        return True, f"{per_pair} random instances per theorem pair, all consistent"
+        counts = {"slice": 0, "reduction": 0}
+        for theorem_id, parent_id, draws in _c7_cases():
+            rates = np.array([r.as_tuple() for _, _, r in draws])
+            if parent_id is None:
+                spec, ev = _c7_stack(theorem_id, draws)
+                rates = rates[:, [0, 1, 2, 1, 2]]  # the Re = R point of (r0, r1, r2)
+                got, want = (stack_membership(spec, ev, rates, corollary=corollary)[2].any(axis=1)
+                             for corollary in (False, True))
+                names = (f"{theorem_id} on the slice", f"{theorem_id}'s corollary")
+            else:
+                got, want = (stack_membership(*_c7_stack(t, draws), rates)[2].any(axis=1)
+                             for t in (theorem_id, parent_id))
+                names = (theorem_id, parent_id)
+            bad = np.flatnonzero(got != want)
+            if bad.size:
+                i, point = bad[0], tuple(rates[bad[0]].tolist())
+                return False, f"{names[0]} says {got[i]} but {names[1]} says {want[i]} at {point}"
+            counts["reduction" if parent_id else "slice"] += len(draws)
+        return True, (f"{counts['slice']} slice instances and {counts['reduction']} reduction "
+                      "instances, all consistent")
 
     return _result("C7", "Corollary slices and reduced configurations agree", 60.0, check)
 
 
-def _grid_scan_best(branches, dims, objective, steps=50):
-    box = 0.0
-    for br in branches:
-        if not br.applicable:
-            continue
-        for lc in br.constraints:
-            box = max(box, lc.bound)
+def _grid_scan_best(spec, ev, objective, steps=50):
+    """A stack of one coupling: the best objective over a steps^d grid of [0, box]^d,
+    box the largest applicable Re = R bound (or 1), that some applicable branch's
+    Re = R rows admit within DEFAULT_TOL (None: no point), and the grid spacing."""
+    dims = spec.rate_dims()
+    live = [br for k, br in enumerate(spec.compiled.branches) if ev.applicable[0, k]]
+    bounds = [ev.bounds[0, list(br.corollary)] for br in live]
+    box = max([0.0] + [float(b.max()) for b in bounds])
     if box <= 0.0:
         box = 1.0
     axes = [np.linspace(0.0, box, steps) for _ in dims]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     best = None
-    for br in branches:
-        if not br.applicable:
-            continue
-        a = np.array([[lc.coefs[d] for d in dims] for lc in br.constraints])
-        b = np.array([lc.bound for lc in br.constraints])
-        feas = np.all(pts @ a.T <= b + 1e-9, axis=1)
+    for br, b in zip(live, bounds):
+        a = np.array([[row.rates[d] for d in dims] for row in br.spec.corollary])
+        feas = np.all(pts @ a.T <= b + DEFAULT_TOL, axis=1)
         if not np.any(feas):
             continue
         vals = pts[feas] @ np.array([objective[d] for d in dims])
@@ -550,8 +548,8 @@ def criterion_8() -> CriterionResult:
                 )
                 for objective in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1.0)):
                     ext = secrecy_region_extremes(theorem_id, model, coupling, objective)
-                    branches = corollary_constraints(theorem_id, model, coupling)
-                    grid_best, resolution = _grid_scan_best(branches, dims, objective)
+                    ev = evaluate_stack(spec, coupling_stack(spec, model, coupling))
+                    grid_best, resolution = _grid_scan_best(spec, ev, objective)
                     if grid_best is None:
                         continue
                     if ext.objective_value < grid_best - 1e-9:

@@ -18,7 +18,8 @@ combinations of conditional mutual informations (optionally inside a min{}).
 On first use a theorem compiles to numeric maps (`CompiledTheorem`): subset
 entropies, MI terms as +-1 sums of them, and bounds as matrix products (one
 per term slot) with a segmented min.  `evaluate_stack` runs them on N stacked
-couplings at once; membership, branch reports and corollary systems are one
+couplings at once, and `stack_membership` decides every membership, of a
+theorem or of its Re = R slice, against that stack; branch reports are one
 coupling's view.
 
 Every row is written once.  A branch's perfect-secrecy corollary (the
@@ -364,6 +365,11 @@ class CompiledTheorem:
         self.branches = tuple(branches)
         self.pre = _BoundTable(pre, term_column)
         self.rows = _BoundTable([ineq.bound for ineq in rows], term_column)
+        self.rates = np.array([ineq.rates for ineq in rows])  # (rows, 5) rate coefficients
+        # (2, rows, branches): the rows each branch tests, [0] all of them, [1] its Re = R rows.
+        self.tested = np.zeros((2, len(rows), len(branches)), dtype=bool)
+        for k, br in enumerate(branches):
+            self.tested[0, br.rows, k] = self.tested[1, br.corollary, k] = True
         self.equivocation = np.array([ineq.equivocation for ineq in rows])
 
     def mi(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -898,26 +904,26 @@ class BranchState:
     rstar_used: float | None = None
 
 
-def _evaluate_one(
-    theorem_id: str, model: DMCModel, coupling: AuxiliaryCoupling, rstar, tol, clamp
-) -> tuple[CompiledTheorem, StackEvaluation, tuple[BranchState, ...]]:
-    """One coupling through `evaluate_stack`, with its branch states as records."""
-    spec = theorem_spec(theorem_id)
-    full = coupling_stack(spec, model, coupling)
-    ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp)
-    states = []
-    for k, br in enumerate(spec.compiled.branches):
-        records, top, used = [], None, None
-        if br.condition_col >= 0:
-            lhs, rhs = ev.pre[0, br.condition_col : br.condition_col + 2].tolist()
-            ok = bool(ev.condition_ok[0, k])
-            records.append(ConditionRecord(br.spec.condition.name, lhs, rhs, ok))
-        if br.budget_col >= 0:
-            top, used = float(ev.rstar_max[0, k]), float(ev.rstar_used[0, k])
-            records.append(ConditionRecord(br.spec.budget_name, top, used, bool(ev.budget_ok[0, k])))
-        applicable = bool(ev.applicable[0, k])
-        states.append(BranchState(br.spec.branch_id, applicable, tuple(records), top, used))
-    return spec.compiled, ev, tuple(states)
+def stack_membership(
+    spec: TheoremSpec,
+    ev: StackEvaluation,
+    points: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    *,
+    corollary: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rate points (N, 5) against a stack's rows, one point per coupling: each row's
+    expression (N, rows), its rate coefficients times the point summed left to right
+    from 0; each row's bound - expression >= -tol (N, rows); and each branch's verdict
+    (N, branches), applicable with every tested row passing.  The tested rows are a
+    branch's rows or, with `corollary`, its Re = R rows, read at points
+    (r0, r1, r2, r1, r2)."""
+    c = spec.compiled
+    # ((0 + term 0) + term 1) ... + term 4: a scan is sequential, and 0 + its sum keeps
+    # the sign of a zero as starting from 0 would.
+    expression = 0.0 + np.add.accumulate(c.rates.T[:, None, :] * points.T[:, :, None])[-1]
+    satisfied = ev.bounds - expression >= -tol
+    return expression, satisfied, ev.applicable & ~(~satisfied @ c.tested[int(corollary)])
 
 
 @dataclass(frozen=True)
@@ -950,8 +956,9 @@ class BoundEvaluation:
 
 def _check_rates_config(spec: TheoremSpec, rates: Sequence[float]) -> None:
     """Refuse an (R0, R1, R2[, Re1, Re2]) point that is nonzero off `spec.rate_dims()`."""
+    dims = spec.rate_dims()
     for name, dim, v in zip(("r0", "r1", "r2", "re1", "re2"), (0, 1, 2, 1, 2), rates):
-        if v != 0.0 and dim not in spec.rate_dims():
+        if v != 0.0 and dim not in dims:
             raise UsageError(f"rate {name} must be 0 in message configuration {spec.config}")
 
 
@@ -969,63 +976,35 @@ def evaluate_membership(
 
     Union bounds are members when at least one qualifying branch accepts the
     point.  For compress-forward bounds, `rstar=None` uses the largest
-    feasible pure-noise rate (membership in the union over R*).
+    feasible pure-noise rate (membership in the union over R*).  The records
+    are one coupling's view of `evaluate_stack` and `stack_membership`.
     """
-    _check_rates_config(theorem_spec(theorem_id), rates.as_tuple())
-    c, ev, states = _evaluate_one(theorem_id, model, coupling, rstar, tol, clamp_equivocation)
-    rt = rates.as_tuple()
-    bounds = ev.bounds[0].tolist()
+    spec = theorem_spec(theorem_id)
+    _check_rates_config(spec, rates.as_tuple())
+    full = coupling_stack(spec, model, coupling)
+    ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation)
+    expression, satisfied, verdict = stack_membership(spec, ev, np.array([rates.as_tuple()]), tol)
+    exprs, bounds, oks = expression[0].tolist(), ev.bounds[0].tolist(), satisfied[0].tolist()
+    applicable, accepted = ev.applicable[0].tolist(), verdict[0].tolist()
     evaluations = []
-    for br, state in zip(c.branches, states):
-        recs = []
-        for r, ineq in zip(range(br.rows.start, br.rows.stop), br.spec.inequalities):
-            expr = sum(coef * rate for coef, rate in zip(ineq.rates, rt))
-            recs.append(IneqRecord(ineq.name, expr, bounds[r], bounds[r] - expr >= -tol))
-        member = state.applicable and all(r.satisfied for r in recs)
-        evaluations.append(BranchEvaluation(state, tuple(recs), member))
+    for k, br in enumerate(spec.compiled.branches):
+        records, top, used = [], None, None
+        if br.condition_col >= 0:
+            lhs, rhs = ev.pre[0, br.condition_col : br.condition_col + 2].tolist()
+            ok = bool(ev.condition_ok[0, k])
+            records.append(ConditionRecord(br.spec.condition.name, lhs, rhs, ok))
+        if br.budget_col >= 0:
+            top, used = float(ev.rstar_max[0, k]), float(ev.rstar_used[0, k])
+            records.append(ConditionRecord(br.spec.budget_name, top, used, bool(ev.budget_ok[0, k])))
+        state = BranchState(br.spec.branch_id, applicable[k], tuple(records), top, used)
+        names = [ineq.name for ineq in br.spec.inequalities]
+        recs = tuple(map(IneqRecord, names, exprs[br.rows], bounds[br.rows], oks[br.rows]))
+        evaluations.append(BranchEvaluation(state, recs, accepted[k]))
     member = any(b.member for b in evaluations)
     # The first accepting branch, else the first qualifying one.
     first = [b for b in evaluations if b.member] + [b for b in evaluations if b.state.applicable]
     taken = first[0].state.branch_id if first else "none"
     return BoundEvaluation(theorem_id, rates, taken, member, tuple(evaluations))
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """coefs . (R0, R1, R2) <= bound, from a corollary inequality."""
-
-    name: str
-    coefs: tuple[float, float, float]
-    bound: float
-    equivocation: bool
-
-
-@dataclass(frozen=True)
-class CorollaryBranch:
-    branch_id: str
-    applicable: bool
-    constraints: tuple[LinearConstraint, ...]
-
-
-def corollary_constraints(
-    theorem_id: str,
-    model: DMCModel,
-    coupling: AuxiliaryCoupling,
-    *,
-    rstar: float | None = None,
-    tol: float = DEFAULT_TOL,
-    clamp_equivocation: bool = False,
-) -> tuple[CorollaryBranch, ...]:
-    """Numeric constraint systems of the perfect-secrecy (Re = R) slice."""
-    c, ev, states = _evaluate_one(theorem_id, model, coupling, rstar, tol, clamp_equivocation)
-    bounds = ev.bounds[0].tolist()
-    return tuple(
-        CorollaryBranch(state.branch_id, state.applicable, tuple(
-            LinearConstraint(row.name, row.rates[:3], bounds[r], row.equivocation)
-            for r, row in zip(br.corollary, br.spec.corollary)
-        ))
-        for br, state in zip(c.branches, states)
-    )
 
 
 def corollary_member(
@@ -1035,14 +1014,14 @@ def corollary_member(
     point: Sequence[float],
 ) -> bool:
     """Direct membership of an (R0, R1, R2) point in the Re = R slice, at each
-    branch's largest feasible R* and within DEFAULT_TOL."""
+    branch's largest feasible R* and within DEFAULT_TOL.  The point is the
+    RateTuple (R0, R1, R2, Re1 = R1, Re2 = R2), so negative and non-finite
+    rates are refused as there."""
     p = tuple(float(v) for v in point)
     if len(p) != 3:
         raise UsageError("corollary_member expects an (R0, R1, R2) triple")
-    _check_rates_config(theorem_spec(theorem_id), p)
-    return any(
-        br.applicable
-        and all(sum(c * v for c, v in zip(lc.coefs, p)) <= lc.bound + DEFAULT_TOL
-                for lc in br.constraints)
-        for br in corollary_constraints(theorem_id, model, coupling)
-    )
+    rates = RateTuple(*p, re1=p[1], re2=p[2])
+    spec = theorem_spec(theorem_id)
+    _check_rates_config(spec, p)
+    ev = evaluate_stack(spec, coupling_stack(spec, model, coupling))
+    return bool(stack_membership(spec, ev, np.array([rates.as_tuple()]), corollary=True)[2].any())

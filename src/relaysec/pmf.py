@@ -35,8 +35,8 @@ def check_masses(probs: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what}: empty mass table")
     flat = probs.reshape(len(probs), -1)
     total = flat.sum(axis=1)
-    ok = np.all(np.isfinite(flat) & (flat >= 0.0), axis=1) & (abs(total - 1.0) <= MASS_TOL)
-    if np.all(ok):
+    ok = (np.isfinite(flat) & (flat >= 0.0)).all(axis=1) & (abs(total - 1.0) <= MASS_TOL)
+    if ok.all():
         return
     i = int(np.argmin(ok))
     table, at = probs[i], (f" in table {i}" if len(probs) > 1 else "")
@@ -135,7 +135,7 @@ class JointPMF:
 def _clamp_information(value: np.ndarray, what: str) -> np.ndarray:
     """Tiny negative rounding residues become 0; anything below -1e-9 is an error."""
     bad = ~(value > -1e-9)
-    if np.any(bad):
+    if bad.any():
         raise ValidationError(
             f"{what}: impossible negative value {float(value[bad][0])!r} (corrupt mass table?)"
         )
@@ -203,7 +203,8 @@ def information(h: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarra
     row of `index` (the columns of AC, BC, ABC, C in stacked entropies `h`),
     and its rounding scale, ENTROPY_RESIDUE times the four entropies' sum.
     A value within its scale reads 0, as the direct sum gives for independence."""
-    ac, bc, abc, c = (h[:, index[:, k]] for k in range(4))
+    columns = h[:, index]
+    ac, bc, abc, c = columns[..., 0], columns[..., 1], columns[..., 2], columns[..., 3]
     value = ((ac + bc) - abc) - c
     residue = ENTROPY_RESIDUE * (ac + bc + abc + c)
     value = np.where(np.abs(value) <= residue, 0.0, value)
@@ -308,4 +309,4 @@ def factorization_deviation(
     buf = _marginals(plan, probs)
     top, bottom = buf[:, num], buf[:, den]
     factor = np.divide(top, bottom, out=np.zeros_like(top), where=bottom > 0.0)
-    return np.max(np.abs(buf[:, : num.shape[1]] - factor.prod(axis=1)), axis=1)
+    return np.abs(buf[:, : num.shape[1]] - factor.prod(axis=1)).max(axis=1)

@@ -182,7 +182,8 @@ def load_scenario(path: str) -> Scenario:
             output=output,
         )
 
-    from .bounds import DEFAULT_TOL, AuxiliaryCoupling, coupling_stack, theorem_spec
+    from .bounds import (DEFAULT_TOL, AuxiliaryCoupling, _check_rates_config, coupling_stack,
+                         theorem_spec)
     from .dmc import DMCModel, RateTuple
 
     _reject_unknown(
@@ -198,8 +199,10 @@ def load_scenario(path: str) -> Scenario:
                 f"scenario {path}: {key!r} must be a non-empty string, got {payload[key]!r}"
             )
     theorem = payload["theorem"]
+    rates = _parse_rates(payload["rates"]) if "rates" in payload else RateTuple.zero()
     try:
         spec = theorem_spec(theorem)
+        _check_rates_config(spec, rates.as_tuple())
     except UsageError as exc:
         raise ValidationError(f"scenario {path}: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
@@ -217,7 +220,6 @@ def load_scenario(path: str) -> Scenario:
         )
         coupling_stack(spec, dmc_model, coupling)  # every command refuses a coupling off its model
 
-    rates = _parse_rates(payload["rates"]) if "rates" in payload else RateTuple.zero()
     tol = payload.get("tol", DEFAULT_TOL)
     if not _is_finite_number(tol) or tol <= 0.0:
         raise ValidationError(f"scenario {path}: tol must be a positive number, got {tol!r}")

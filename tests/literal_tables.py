@@ -3,8 +3,9 @@
 Kept deliberately independent of relaysec.bounds' structured tables: each
 branch below is a plain function from an MI-lookup to explicit
 (rate-coefficients, bound) rows.  MI values are produced by the naive
-summation oracle, not the production implementation.  Membership computed
-here is compared against evaluate_membership on random draws.
+summation oracle, not the production implementation.  Every row's bound, both
+sides of each branch condition, each R* budget and the membership computed
+here are compared against evaluate_membership on random draws.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def make_lookup(model, coupling, theorem_id):
     return val
 
 
-# Each branch: (condition_fn(val) -> bool or None for unconditioned,
+# Each branch: (condition (lhs, rhs) read lhs >= rhs, or None for unconditioned,
 #               rstar_budget_fn(val) -> float or None,
 #               rows_fn(val, rstar) -> [(coefs, bound), ...])
 
@@ -271,22 +272,22 @@ def _t12_l12_rows(v, rs):
 
 
 # theorem -> list of branches; each branch is
-# (condition(v) or None, rstar_budget(v) or None, rows_fn)
+# ((lhs, rhs) or None, rstar_budget(v) or None, rows_fn)
 LITERAL = {
     "T1": [(None, None, _t1_rows)],
     "T2": [(None, None, _t2_rows)],
     "T3": [
-        (lambda v: v("X1;Y") >= v("X1;Z|U,V2") - TOL, None, _t3_l1_rows),
-        (lambda v: v("X1;Z") >= v("X1;Y|U,V1") - TOL, None, _t3_l2_rows),
+        (("X1;Y", "X1;Z|U,V2"), None, _t3_l1_rows),
+        (("X1;Z", "X1;Y|U,V1"), None, _t3_l2_rows),
     ],
     "T4": [
         (
-            lambda v: v("X1;Y") >= v("X1;Z|U,V2") - TOL,
+            ("X1;Y", "X1;Z|U,V2"),
             lambda v: min(v("X1;Z|U,V1,V2"), v("X1;Y")) - v("Y1;Yh|X1"),
             _t4_l3_rows,
         ),
         (
-            lambda v: v("X1;Z") >= v("X1;Y|U,V1") - TOL,
+            ("X1;Z", "X1;Y|U,V1"),
             lambda v: min(v("X1;Y|U,V1,V2"), v("X1;Z")) - v("Y1;Yh|X1"),
             _t4_l4_rows,
         ),
@@ -294,17 +295,17 @@ LITERAL = {
     "T5": [(None, None, _t5_rows)],
     "T6": [(None, None, _t6_rows)],
     "T7": [
-        (lambda v: v("X1;Y") >= v("X1;Z|U,V2") - TOL, None, _t7_l5_rows),
-        (lambda v: v("X1;Z") >= v("X1;Y|U,V1") - TOL, None, _t7_l6_rows),
+        (("X1;Y", "X1;Z|U,V2"), None, _t7_l5_rows),
+        (("X1;Z", "X1;Y|U,V1"), None, _t7_l6_rows),
     ],
     "T8": [
         (
-            lambda v: v("X1;Y") >= v("X1;Z|U,V2") - TOL,
+            ("X1;Y", "X1;Z|U,V2"),
             lambda v: min(v("X1;Z|U,V1,V2"), v("X1;Y")) - v("Y1;Yh|X1"),
             _t8_l7_rows,
         ),
         (
-            lambda v: v("X1;Z") >= v("X1;Y|U,V1") - TOL,
+            ("X1;Z", "X1;Y|U,V1"),
             lambda v: min(v("X1;Y|U,V1,V2"), v("X1;Z")) - v("Y1;Yh|X1"),
             _t8_l8_rows,
         ),
@@ -312,17 +313,17 @@ LITERAL = {
     "T9": [(None, None, _t9_rows)],
     "T10": [(None, None, _t10_rows)],
     "T11": [
-        (lambda v: v("X1;Y") >= v("X1;Z|U") - TOL, None, _t11_l9_rows),
-        (lambda v: v("X1;Z") >= v("X1;Y") - TOL, None, _t11_l10_rows),
+        (("X1;Y", "X1;Z|U"), None, _t11_l9_rows),
+        (("X1;Z", "X1;Y"), None, _t11_l10_rows),
     ],
     "T12": [
         (
-            lambda v: v("X1;Y") >= v("X1;Z|U") - TOL,
+            ("X1;Y", "X1;Z|U"),
             lambda v: min(v("X1;Z|U,V"), v("X1;Y")) - v("Y1;Yh|X1"),
             _t12_l11_rows,
         ),
         (
-            lambda v: v("X1;Z") >= v("X1;Y") - TOL,
+            ("X1;Z", "X1;Y"),
             lambda v: v("X1;Y") - v("Y1;Yh|X1"),
             _t12_l12_rows,
         ),
@@ -330,22 +331,28 @@ LITERAL = {
 }
 
 
-def oracle_member(theorem_id, model, coupling, rates, tol=TOL) -> bool:
-    """Literal-transcription membership: union over qualifying branches."""
+def literal_branches(theorem_id, model, coupling):
+    """Per branch: its condition's two sides (None if unconditioned), its R* budget
+    (None if it has none) and its rows [(coefs, bound)] at R* = max(0, budget)."""
     v = make_lookup(model, coupling, theorem_id)
+    out = []
+    for condition, budget, rows_fn in LITERAL[theorem_id]:
+        sides = None if condition is None else (v(condition[0]), v(condition[1]))
+        top = None if budget is None else budget(v)
+        out.append((sides, top, rows_fn(v, 0.0 if top is None else max(0.0, top))))
+    return out
+
+
+def oracle_member(branches, rates, tol=TOL) -> bool:
+    """Literal-transcription membership of `literal_branches`: union over qualifying branches."""
     rt = rates.as_tuple()
     if rt[3] > rt[1] + tol or rt[4] > rt[2] + tol:
         return False
-    for condition, budget, rows_fn in LITERAL[theorem_id]:
-        if condition is not None and not condition(v):
+    for sides, top, rows in branches:
+        if sides is not None and not sides[0] >= sides[1] - tol:
             continue
-        rs = 0.0
-        if budget is not None:
-            rs_max = budget(v)
-            if rs_max < -tol:
-                continue
-            rs = max(0.0, rs_max)
-        rows = rows_fn(v, rs)
+        if top is not None and top < -tol:
+            continue
         if all(
             sum(c * r for c, r in zip(coefs, rt)) <= bound + tol for coefs, bound in rows
         ):

@@ -1,9 +1,20 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line.  `relaysec selftest` executes the same checks."""
 
+import re
+
+import numpy as np
 import pytest
 
 from relaysec import acceptance
+from relaysec.bounds import (
+    corollary_member,
+    coupling_stack,
+    evaluate_membership,
+    evaluate_stack,
+    stack_membership,
+)
+from relaysec.dmc import RateTuple
 
 
 @pytest.mark.parametrize(
@@ -16,6 +27,38 @@ def test_criterion(criterion):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.cid} ({result.seconds:.2f}s): {result.description} -- {result.detail}")
     assert result.passed, f"{result.cid}: {result.detail}"
+
+
+def test_c7_checks_at_least_its_instance_counts():
+    # 200 draws per theorem and per reduced pair: a count may rise, never fall.
+    detail = acceptance.criterion_7().detail
+    counts = re.match(r"(\d+) slice instances and (\d+) reduction instances", detail)
+    assert counts is not None, detail
+    assert int(counts[1]) >= 2400 and int(counts[2]) >= 800
+
+
+def test_c7_stacks_equal_one_coupling_at_a_time():
+    """The first instances of every C7 case, stacked as C7 evaluates them, give the
+    verdicts and the expression and bound bits of one coupling at a time."""
+    for theorem_id, parent_id, draws in acceptance._c7_cases():
+        on_slice = parent_id is None
+        rates = np.array([r.as_tuple() for _, _, r in draws])
+        points = rates[:, [0, 1, 2, 1, 2]] if on_slice else rates
+        for checked in (theorem_id,) if on_slice else (theorem_id, parent_id):
+            spec, ev = acceptance._c7_stack(checked, draws)
+            expression, _, verdict = stack_membership(spec, ev, points)
+            sliced = stack_membership(spec, ev, points, corollary=True)[2]
+            for i, (model, coupling, r) in enumerate(draws[:4]):
+                one = evaluate_membership(checked, model, coupling, RateTuple(*points[i]))
+                records = [rec for b in one.branches for rec in b.inequalities]
+                assert np.array([rec.expression for rec in records]).tobytes() == expression[i].tobytes()
+                assert np.array([rec.bound for rec in records]).tobytes() == ev.bounds[i].tobytes()
+                assert [b.member for b in one.branches] == verdict[i].tolist()
+                if on_slice:
+                    alone = evaluate_stack(spec, coupling_stack(spec, model, coupling))
+                    got = stack_membership(spec, alone, points[i : i + 1], corollary=True)[2]
+                    assert got[0].tolist() == sliced[i].tolist()
+                    assert corollary_member(checked, model, coupling, (r.r0, r.r1, r.r2)) == sliced[i].any()
 
 
 def _stub(cid, check, limit_s=60.0):

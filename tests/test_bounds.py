@@ -1,16 +1,18 @@
+import functools
 import hashlib
 import itertools
 import json
+import math
 import subprocess
 import sys
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from channels import bsc, product_channel, v1_copies_x_coupling, z_copies_y_channel
-from literal_tables import LITERAL, oracle_member
-from test_regionsearch import THEOREM_IDS, branch_vertices
+from literal_tables import LITERAL, literal_branches, oracle_member
+from test_regionsearch import THEOREM_IDS, branch_vertices, slice_branches
 from relaysec.acceptance import (
     favorable_model,
     naive_cond_mutual_info,
@@ -24,15 +26,15 @@ from relaysec.bounds import (
     THEOREMS,
     build_cf_coupling,
     compose_full_joint,
-    corollary_constraints,
     corollary_member,
     evaluate_membership,
     mi_terms,
+    stack_membership,
     theorem_spec,
 )
 from relaysec.dmc import DMCModel, RateTuple
 from relaysec.errors import UsageError, ValidationError
-from relaysec.pmf import JointPMF
+from relaysec.pmf import ENTROPY_RESIDUE, JointPMF
 
 
 def degenerate_coupling(theorem_id):
@@ -309,6 +311,38 @@ class TestBoundTable:
             assert np.array_equal(got, want), n
 
 
+class TestStackMembership:
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_a_stack_of_any_size_sums_each_row_as_sum_does(self, theorem_id):
+        # Full-precision points, zeros of both signs among them, against each row's
+        # Python sum() from 0 in written order, bit for bit, and the verdicts.
+        spec, rng = theorem_spec(theorem_id), np.random.default_rng(int(theorem_id[1:]))
+        rows = [ineq for br in spec.branches for ineq in br.inequalities]
+        points = rng.uniform(0.0, 1.0, (256, 5)) ** 3
+        points[rng.uniform(size=points.shape) < 0.3] = 0.0
+        points[rng.uniform(size=points.shape) < 0.3] = -0.0
+        expression = np.array([[sum(c * p for c, p in zip(ineq.rates, pt)) for ineq in rows]
+                               for pt in points.tolist()])
+        bounds = expression + rng.uniform(-0.05, 0.2, expression.shape)
+        satisfied = bounds - expression >= -DEFAULT_TOL
+        applicable = rng.uniform(size=(256, len(spec.branches))) < 0.8
+        for corollary in (False, True):
+            tested = [br.corollary if corollary else range(br.rows.start, br.rows.stop)
+                      for br in spec.compiled.branches]
+            verdict = np.array([[a and all(ok[r] for r in t) for a, t in zip(app, tested)]
+                                for app, ok in zip(applicable.tolist(), satisfied.tolist())])
+            assert verdict.any() and not verdict.all()
+            for n in (1, 16, 23, 256):
+                got = [
+                    stack_membership(spec, SimpleNamespace(bounds=bounds[i : i + n],
+                                                           applicable=applicable[i : i + n]),
+                                     points[i : i + n], corollary=corollary)
+                    for i in range(0, 256, n)
+                ]
+                for k, want in enumerate((expression, satisfied, verdict)):
+                    assert np.concatenate([g[k] for g in got]).tobytes() == want.tobytes(), (n, k)
+
+
 def branch_states(theorem_id, model, coupling):
     """Each branch's condition record, as `evaluate_membership` reports it at the origin."""
     ev = evaluate_membership(theorem_id, model, coupling, RateTuple.zero())
@@ -414,6 +448,18 @@ class TestEvaluateMembership:
         with pytest.raises(UsageError, match="r2"):
             evaluate_membership(*args, RateTuple(r2=50.0, re2=50.0))
         assert corollary_member(*args, (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("point", [(0.0, -3.0, -1.0), (float("nan"), 0.0, 0.0),
+                                       (0.0, 0.0, float("inf"))], ids=["negative", "nan", "inf"])
+    def test_corollary_point_must_be_a_rate(self, point):
+        # The slice point is a RateTuple, refused as evaluate_membership's rates are.
+        rng = np.random.default_rng(0)
+        model = favorable_model(rng)
+        args = ("T2", model, random_coupling(rng, "T2", model))
+        with pytest.raises(ValidationError, match="must be a finite nonnegative rate"):
+            corollary_member(*args, point)
+        with pytest.raises(ValidationError, match="must be a finite nonnegative rate"):
+            evaluate_membership(*args, RateTuple(*point, re1=point[1], re2=point[2]))
 
     def test_no_branch_applicable_reports_none(self):
         # Both receivers see only x XOR x1: unconditionally the relay input is
@@ -538,8 +584,45 @@ class TestEvaluateMembership:
         assert a == b
 
 
+def row_terms(spec):
+    """At least as many MI terms as any row, condition side or R* budget of `spec`
+    sums: a min's widest alternative plus its tail, and in a branch with an R*
+    budget the budget's terms and the compress cost."""
+    def width(bound):
+        return max(len(lin.terms) for lin in bound.alternatives) + len(bound.tail.terms)
+
+    return max(
+        width(ineq.bound) + (width(br.rstar_budget) + 1 if br.rstar_budget else 0)
+        for br in spec.branches for ineq in br.inequalities
+    )
+
+
+def literal_atol(cells, terms):
+    """How far the engine's and the naive oracle's value of a sum of `terms` MI terms
+    of a joint of `cells` cells may lie apart.  With u the unit roundoff, g(n) =
+    nu / (1 - nu) (Higham, lemma 3.1) and H = log2(cells), which bounds every
+    entropy of the joint:
+    - the engine reads each term H(AC) + H(BC) - H(ABC) - H(C) to within its
+      rounding scale, ENTROPY_RESIDUE times the four entropies' sum, so within
+      4 H ENTROPY_RESIDUE;
+    - the naive oracle sums at most `cells` terms p log2(p p(c) / (p(a,c) p(b,c))).
+      Each marginal is at least p, so a term is at most 4 p |log2 p| in size and
+      their sizes add up to at most 4 H; recursive summation errs by at most
+      g(cells) 4 H.  Each of the four marginals in a log is a sum of at most
+      `cells` masses, off by a relative g(cells), which moves the log by at most
+      g(cells) / ln 2 < 1.5 g(cells) each; weighted by masses summing to 1 that
+      is at most 6 g(cells).
+    A min errs no more than its worst alternative, so a value errs by at most
+    `terms` times the bound of one term."""
+    u = 2.0**-53
+    gamma = cells * u / (1.0 - cells * u)
+    h = math.log2(cells)
+    return terms * (4 * h * ENTROPY_RESIDUE + gamma * (4 * h + 6))
+
+
 class TestLiteralOracle:
-    """Membership verdicts agree with the flat, separately transcribed tables."""
+    """Every row's bound, both sides of each branch condition, each R* budget and
+    the membership verdict agree with the flat, separately transcribed tables."""
 
     @pytest.mark.parametrize("theorem_id", sorted(LITERAL))
     def test_agreement_on_random_draws(self, theorem_id):
@@ -552,9 +635,22 @@ class TestLiteralOracle:
                 rng, theorem_id, model, independent_aux=rng.uniform() < 0.5
             )
             rates = random_rates(rng, spec.config, scale=0.35)
-            got = evaluate_membership(theorem_id, model, coupling, rates).member
-            want = oracle_member(theorem_id, model, coupling, rates)
-            assert got == want, f"{theorem_id} disagrees at {rates.as_tuple()}"
+            got = evaluate_membership(theorem_id, model, coupling, rates)
+            literal = literal_branches(theorem_id, model, coupling)
+            cells = compose_full_joint(model, coupling).probs.size
+            close = functools.partial(pytest.approx, abs=literal_atol(cells, row_terms(spec)), rel=0)
+            for branch, ours, (sides, top, rows) in zip(spec.branches, got.branches, literal,
+                                                         strict=True):
+                assert [ineq.rates for ineq in branch.inequalities] == [c for c, _ in rows]
+                assert [rec.bound for rec in ours.inequalities] == close([b for _, b in rows])
+                records = ours.state.conditions  # the condition's, then the R* budget's
+                assert len(records) == (sides is not None) + (top is not None)
+                if sides is not None:
+                    assert (records[0].lhs, records[0].rhs) == close(sides)
+                if top is not None:
+                    assert ours.state.rstar_max == close(top)
+            want = oracle_member(literal, rates)
+            assert got.member == want, f"{theorem_id} disagrees at {rates.as_tuple()}"
 
 
 def with_constant_v2(coupling, parent_id):
@@ -668,9 +764,8 @@ class TestCorollarySlice:
             model = favorable_model(rng) if k % 2 else random_model(rng)
             coupling = random_coupling(rng, "T8", model, independent_aux=k % 3 == 0)
             for clamp in (False, True):
-                l8 = corollary_constraints("T8", model, coupling, clamp_equivocation=clamp)[1]
-                rows = l8.constraints
-                old = replace(l8, constraints=(rows[1], rows[0], rows[2]))
+                _, l8 = slice_branches("T8", model, coupling, clamp)[1]
+                old = tuple(column[[1, 0, 2]] for column in l8)
                 got = sorted(branch_vertices(l8, dims, DEFAULT_TOL))
                 assert got == sorted(branch_vertices(old, dims, DEFAULT_TOL))
                 nonempty += len(got) > 1

@@ -503,6 +503,24 @@ class TestDMCCommands:
         assert "Traceback" not in err and not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["dmc-eval", "dmc-search"])
+    def test_rates_off_the_message_configuration_are_exit_2(self, tmp_path, capsys, command):
+        # T7 has no common message, so a scenario's r0 = 0.1 is invalid input to every command.
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        for key in ("dmc_model", "coupling"):
+            payload[key] = scenario_path(payload[key])
+        payload.update(theorem="T7", rates={"r0": 0.1})
+        out = tmp_path / "o.csv"
+        argv = [command, "--scenario", write_json(tmp_path, "s.json", payload), "--out", str(out)]
+        if command == "dmc-search":
+            argv += ["--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "rate r0 must be 0 in message configuration B" in err
+        assert "Traceback" not in err and not out.exists()
+
+
 class TestScenarioGridTypes:
     @pytest.mark.parametrize("command", ["curve", "region"])
     @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import math
 import os
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +12,12 @@ from hypothesis import strategies as st
 
 from channels import bsc, product_channel, v1_copies_x_coupling, z_copies_y_channel
 from relaysec import regionsearch
-from relaysec.acceptance import favorable_model, random_coupling, random_model
+from relaysec.acceptance import _grid_scan_best, favorable_model, random_coupling, random_model
 from relaysec.bounds import (
     DEFAULT_TOL,
     THEOREMS,
     AuxiliaryCoupling,
     compose_stack,
-    corollary_constraints,
     coupling_stack,
     evaluate_stack,
     require_factorization,
@@ -54,6 +52,19 @@ def y1_leg_deviation(model, probs):
     |p(aux, x, x1, y1) - p(aux, x, x1)·p(y1|x, x1)| against the channel."""
     implied = probs.sum(axis=(-2, -1))[..., None] * model.y1_conditional()
     return np.max(np.abs(implied - probs.sum(axis=-1)).reshape(len(probs), -1), axis=1)
+
+
+def slice_branches(theorem_id, model, coupling, clamp=False):
+    """One coupling's Re = R systems read off its `StackEvaluation`, per branch:
+    applicable, and the branch as its rows' (R0, R1, R2) coefficients (R, 3) and
+    their bounds (R,)."""
+    spec = theorem_spec(theorem_id)
+    ev = evaluate_stack(spec, coupling_stack(spec, model, coupling), clamp_equivocation=clamp)
+    return [
+        (bool(ev.applicable[0, k]),
+         (np.array([row.rates[:3] for row in br.spec.corollary]), ev.bounds[0, list(br.corollary)]))
+        for k, br in enumerate(spec.compiled.branches)
+    ]
 
 
 def z_noise_channel(py=0.1):
@@ -103,10 +114,8 @@ class TestExtremes:
         # V1 = X through a clean/noisy pair: the R1 cap binds alone.
         model = product_channel(py=0.05, pz=0.4)
         coupling = v1_copies_x_coupling("T2")
-        branches = corollary_constraints("T2", model, coupling)
-        r1_cap = next(
-            lc.bound for lc in branches[0].constraints if lc.coefs == (0.0, 1.0, 0.0)
-        )
+        _, (coefs, bounds) = slice_branches("T2", model, coupling)[0]
+        r1_cap = next(b for c, b in zip(coefs.tolist(), bounds) if c == [0.0, 1.0, 0.0])
         ext = secrecy_region_extremes("T2", model, coupling, (0, 1, 0))
         assert ext.objective_value == pytest.approx(r1_cap, abs=1e-12)
         assert ext.rates.r1 == pytest.approx(r1_cap, abs=1e-12)
@@ -135,30 +144,14 @@ class TestExtremes:
                 rng, "T11", model, aux_sizes=None, independent_aux=True
             )
             ext = secrecy_region_extremes("T11", model, coupling, (0.4, 1.0, 0.0))
-            branches = corollary_constraints("T11", model, coupling)
-            box = max(
-                (lc.bound for br in branches if br.applicable for lc in br.constraints),
-                default=0.0,
-            )
-            if box <= 0.0:
+            spec = theorem_spec("T11")
+            ev = evaluate_stack(spec, coupling_stack(spec, model, coupling))
+            best, spacing = _grid_scan_best(spec, ev, (0.4, 1.0, 0.0), steps=50)
+            if best is None:
                 continue
-            hits += 1
-            axis = np.linspace(0.0, box, 50)
-            g0, g1 = np.meshgrid(axis, axis, indexing="ij")
-            pts = np.stack([g0.ravel(), g1.ravel()], axis=1)
-            best = -np.inf
-            for br in branches:
-                if not br.applicable:
-                    continue
-                a = np.array([[lc.coefs[0], lc.coefs[1]] for lc in br.constraints])
-                b = np.array([lc.bound for lc in br.constraints])
-                feas = np.all(pts @ a.T <= b + 1e-9, axis=1)
-                if np.any(feas):
-                    best = max(best, float((pts[feas] @ np.array([0.4, 1.0])).max()))
-            if best == -np.inf:
-                continue
+            hits += best > 0.0
             assert ext.objective_value >= best - 1e-9
-            assert ext.objective_value <= best + 1.4 * box / 49 + 1e-9
+            assert ext.objective_value <= best + 1.4 * spacing + 1e-9
         assert hits >= 3
 
     def test_tie_breaks_to_lexicographically_largest(self):
@@ -296,13 +289,11 @@ class TestBruteForce:
 
 
 def system_vertices(branches, dims, tol):
-    """The search's one vertex pass over several branches' polytopes at once: per
-    branch, its feasible vertices in subset order."""
-    coefs = [
-        np.array([[lc.coefs[i] for i in dims] for lc in br.constraints]).reshape(-1, len(dims))
-        for br in branches
-    ]
-    bounds = np.array([[lc.bound for br in branches for lc in br.constraints]])
+    """The search's one vertex pass over several branches' polytopes at once, each
+    branch its rows' (R0, R1, R2) coefficients and bounds: per branch, its feasible
+    vertices in subset order."""
+    coefs = [np.asarray(a)[:, list(dims)] for a, _ in branches]
+    bounds = np.concatenate([b for _, b in branches])[None]
     ends = np.cumsum([len(c) for c in coefs])
     sources = [range(end - len(c), end) for c, end in zip(coefs, ends)]
     system = _VertexSystem("test", coefs, sources)
@@ -324,10 +315,11 @@ def branch_vertices(branch, dims, tol):
 
 
 def loop_branch_vertices(branch, dims, tol):
-    """Reference: solve every d-subset of constraint rows one at a time."""
+    """Reference: solve every d-subset of a branch's rows, its (R0, R1, R2)
+    coefficients and bounds, one at a time."""
     d = len(dims)
-    rows = [np.array([lc.coefs[i] for i in dims], dtype=np.float64) for lc in branch.constraints]
-    rhs = [lc.bound for lc in branch.constraints]
+    rows = [np.array([c[i] for i in dims], dtype=np.float64) for c in branch[0]]
+    rhs = [float(b) for b in branch[1]]
     for k in range(d):  # axis planes r_k >= 0 as -r_k <= 0
         e = np.zeros(d)
         e[k] = -1.0
@@ -366,9 +358,7 @@ class TestVertexOracle:
         ):
             model = make_model(rng)
             coupling = random_coupling(rng, theorem_id, model, independent_aux=independent)
-            for branch in corollary_constraints(
-                theorem_id, model, coupling, clamp_equivocation=clamp
-            ):
+            for _, branch in slice_branches(theorem_id, model, coupling, clamp):
                 got = branch_vertices(branch, dims, DEFAULT_TOL)
                 assert got == loop_branch_vertices(branch, dims, DEFAULT_TOL)
                 branches += 1
@@ -453,11 +443,7 @@ class TestVertexSystem:
 def axis_branch(caps):
     """A branch of rows r_dim <= cap, one per (dim, cap): its vertices are the
     grid of caps (with 0 for an axis plane), so they can be placed by hand."""
-    rows = [
-        SimpleNamespace(coefs=tuple(float(k == dim) for k in range(3)), bound=cap)
-        for dim, cap in caps
-    ]
-    return SimpleNamespace(constraints=rows)
+    return np.eye(3)[[dim for dim, _ in caps]], np.array([cap for _, cap in caps])
 
 
 # Loose enough that every vertex of an `axis_branch` with caps inside 1e-6 is feasible.
@@ -501,10 +487,9 @@ def reference_extremes(theorem_id, model, coupling, objective, clamp):
     """Best (value, point, branch) of one coupling: every applicable branch with a
     feasible origin solved on its own by the loop reference, first largest
     (value, R0, R1, R2) in branch then subset order."""
-    branches = corollary_constraints(theorem_id, model, coupling, clamp_equivocation=clamp)
     dims, best = theorem_spec(theorem_id).rate_dims(), None
-    for k, br in enumerate(branches):
-        if not (br.applicable and all(lc.bound >= -DEFAULT_TOL for lc in br.constraints)):
+    for k, (applicable, br) in enumerate(slice_branches(theorem_id, model, coupling, clamp)):
+        if not (applicable and all(b >= -DEFAULT_TOL for b in br[1])):
             continue
         for v in loop_branch_vertices(br, dims, DEFAULT_TOL):
             value = ((0.0 + objective[0] * v[0]) + objective[1] * v[1]) + objective[2] * v[2]
@@ -534,10 +519,8 @@ class TestMultiBranchPass:
             ev = evaluate_stack(spec, full, clamp_equivocation=clamp)
             points, kept = _vertices(system, system.rhs(ev.bounds), DEFAULT_TOL)
             for i, coupling in enumerate(couplings):
-                branches = corollary_constraints(
-                    theorem_id, model, coupling, clamp_equivocation=clamp
-                )
-                want = [loop_branch_vertices(br, dims, DEFAULT_TOL) for br in branches]
+                branches = slice_branches(theorem_id, model, coupling, clamp)
+                want = [loop_branch_vertices(br, dims, DEFAULT_TOL) for _, br in branches]
                 assert kept_by_branch(system, points[i], kept[i], dims) == want
                 nonempty += sum(len(v) > 1 for v in want)
                 differing += len(want) > 1 and want[0] != want[1] and min(map(len, want)) > 1
