@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the DMC engine's stages in two source trees, in one interpreter.
+"""Time the DMC and Gaussian engines' stages in two source trees, in one interpreter.
 
     python scripts/stage_ab.py OLD_SRC NEW_SRC
 
@@ -16,10 +16,21 @@ times:
   extremes   `regionsearch._stack_extremes` at objective (1, 1, 0.5);
 
 and per theorem one dmc-query op (an `AuxiliaryCoupling` and an
-`evaluate_membership`, listed at N = 1).  The trees take turns, in
-alternating order, and each figure is the best of REPEATS samples, in
-microseconds per call.  `max|diff|` is the largest difference between the
-trees' bounds (evaluate) or extreme values (extremes).
+`evaluate_membership`, listed at N = 1).  A second table times the Gaussian
+stages on the paper network: per curve strategy of CURVES at 401 alphas x
+401 betas,
+
+  candidates `Strategy.candidates`;
+  bracket    `sweep._bracket_columns`;
+  curve      `sweep.max_r1_vs_alpha`;
+
+and per region grid of REGIONS one `sweep.sweep_frontier` (frontier).  The
+trees take turns, in alternating order, and each figure is the best of
+REPEATS samples, in microseconds per call.  `max|diff|` is the largest
+difference between the trees' bounds (evaluate), extreme values (extremes),
+roots (candidates; equal non-finite roots count 0), columns (bracket), curve
+values and betas (curve) or frontier columns (frontier); arrays of unequal
+shape read inf.
 """
 
 import os
@@ -39,6 +50,14 @@ SIZES = (1, 16, 256, 1024)
 REPEATS = 7
 OBJECTIVE = (1.0, 1.0, 0.5)
 SAMPLE_S = 0.02  # target length of one timing sample
+PAPER_NET = (5.0, 3.0, 2.0, 8.0, 2.0)  # (P1, P2, N1, N2, Nr)
+CURVES = (("b_df", None), ("b_nf", None), ("b_cf", 300.0))  # (strategy, q)
+# (strategy, q_values, rstar_steps) at 401 alphas: a C-model grid and the
+# 96-slice compress-forward region of the gauss-sweep benchmark.
+REGIONS = (
+    ("c_df", (300.0,), 2),
+    ("c_cf", (300.0, 200.0, 100.0, 50.0, 30.0, 20.0), 16),
+)
 
 
 def load_tree(src: str, name: str) -> dict:
@@ -50,7 +69,7 @@ def load_tree(src: str, name: str) -> dict:
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    mods = ("acceptance", "bounds", "pmf", "regionsearch")
+    mods = ("acceptance", "bounds", "gaussian", "pmf", "regionsearch", "sweep")
     return {m: importlib.import_module(f"{name}.{m}") for m in mods}
 
 
@@ -97,6 +116,51 @@ def stages(tree: dict, theorem: str, probs: np.ndarray, n: int) -> dict:
     return out
 
 
+def max_diff(old, new) -> float:
+    """Largest |new - old|; equal non-finite entries count 0, unequal shapes inf."""
+    old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
+    if old.shape != new.shape:
+        return float("inf")
+    with np.errstate(invalid="ignore"):
+        diff = np.where((old == new) | (np.isnan(old) & np.isnan(new)), 0.0, np.abs(new - old))
+    return float(np.max(diff, initial=0.0))
+
+
+def gaussian_stages(tree: dict) -> list:
+    """(strategy, grid, stage, callable, output) rows of one tree's Gaussian stages."""
+    g, sw = tree["gaussian"], tree["sweep"]
+    net = g.GaussianNetwork(*PAPER_NET)
+    out = []
+    for sid, q in CURVES:
+        strategy, grid = g.STRATEGIES[sid], sw.GridSpec(401, 401)
+        alphas = np.linspace(0.0, 1.0, grid.alpha_steps)
+        rstar = g.cf_rstar_max(net, q) if q else None
+
+        def candidates(strategy=strategy, alphas=alphas, q=q, rstar=rstar):
+            return strategy.candidates(net, alphas, q, rstar)
+
+        def bracket(strategy=strategy, grid=grid, alphas=alphas, q=q, rstar=rstar):
+            return sw._bracket_columns(strategy, net, grid, alphas, q, rstar)
+
+        def curve(sid=sid, grid=grid):
+            c = sw.max_r1_vs_alpha(sid, net, grid)
+            return np.concatenate((c.value, c.beta))
+
+        out += [(sid, "401x401", name, f, f()) for name, f in
+                (("candidates", candidates), ("bracket", bracket), ("curve", curve))]
+    for sid, q_values, rstar_steps in REGIONS:
+        grid = sw.GridSpec(401, 2, q_values, rstar_policy="grid", rstar_steps=rstar_steps)
+        slices = len(q_values) * rstar_steps if g.STRATEGIES[sid].uses_q else 1
+
+        def frontier(sid=sid, grid=grid):
+            f = sw.sweep_frontier(sid, net, grid)
+            cols = (f.first, f.second, f.alpha, f.beta, f.q, f.rstar)
+            return np.concatenate([c for c in cols if c is not None])
+
+        out.append((sid, f"401x{slices}", "frontier", frontier, frontier()))
+    return out
+
+
 def best_of(funcs: list, repeats: int) -> list:
     """Best seconds per call of each callable, sampled in turns, alternating order."""
     loops, seconds = timeit.Timer(funcs[0]).autorange()
@@ -133,6 +197,14 @@ def main(argv: list) -> int:
                 diff = "" if v_old is None else f"{np.max(np.abs(v_new - v_old), initial=0.0):.1e}"
                 print(f"{theorem:<8}{n:>6}  {stage:<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
                       f"{t_new / t_old:>9.2f}{diff:>11}", flush=True)
+    print(f"\n{'strategy':<10}{'grid':>8}  {'stage':<10}{'old':>12}{'new':>12}{'new/old':>9}"
+          f"{'max|diff|':>11}")
+    for (sid, grid, stage, f_old, v_old), (*_, f_new, v_new) in zip(
+        *(gaussian_stages(tree) for tree in trees)
+    ):
+        t_old, t_new = best_of([f_old, f_new], REPEATS)
+        print(f"{sid:<10}{grid:>8}  {stage:<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
+              f"{t_new / t_old:>9.2f}{max_diff(v_old, v_new):>11.1e}", flush=True)
     return 0
 
 

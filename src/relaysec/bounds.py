@@ -668,7 +668,8 @@ def theorem_spec(theorem_id: str) -> TheoremSpec:
 
 
 def _canonical_order(names: Iterable[str]) -> tuple[str, ...]:
-    return tuple(v for v in CANONICAL_VARS if v in set(names))
+    names = set(names)
+    return tuple(v for v in CANONICAL_VARS if v in names)
 
 
 def require_factorization(spec: TheoremSpec, probs: np.ndarray) -> None:

@@ -252,20 +252,22 @@ def candidate_polynomials(secret, arms) -> list[tuple]:
         return tuple(x - y for x, y in zip(_mul(f, g), _mul(h, k)))
 
     terms = [r for arm in arms for r in arm]
+    s_slope, s_prod = slope(secret), _mul(secret[:2], secret[2:])
     polys = []
     for i, r in enumerate(terms):
-        stat = zip(_mul(r[:2], r[2:]), _mul(secret[:2], secret[2:]))
-        polys.append(tuple(slope(secret) * x + slope(r) * y for x, y in stat))
+        r_slope = slope(r)
+        polys.append(tuple(s_slope * x + r_slope * y for x, y in zip(_mul(r[:2], r[2:]), s_prod)))
         polys.extend(diff(r[:2], o[2:], o[:2], r[2:]) for o in terms[i + 1 :])
     return polys
 
 
 def _quadratic_roots(c2, c1, c0):
-    """Both roots of c2 s^2 + c1 s + c0 by the cancellation-free formula; a
-    complex pair gives two real points (spare brackets), a missing root non-finite."""
+    """Both roots of c2 s^2 + c1 s + c0 by the cancellation-free formula, the
+    first roots stacked above the second along axis 0; a complex pair gives
+    two real points (spare brackets), a missing root non-finite."""
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c0, 0.0)), c1))
-        return np.concatenate((h / c2, c0 / h), axis=-1)
+        return np.concatenate((h / c2, c0 / h))
 
 
 def _c_df(net: GaussianNetwork, a, b, q, rstar, baseline=False):
@@ -309,10 +311,16 @@ class Strategy:
 
     def candidates(self, net: GaussianNetwork, a, q, rstar) -> np.ndarray:
         """Roots in s of every `candidate_polynomials` quadratic, shape
-        (len(a), n) for a 1-d alpha array `a`; non-finite entries are no root."""
-        a = np.asarray(a, dtype=float)[:, None]
-        coeffs = zip(*candidate_polynomials(*self.terms(net, a, q, rstar)))
-        return _quadratic_roots(*(np.hstack(np.broadcast_arrays(a, *c)[1:]) for c in coeffs))
+        (len(a), n) for a 1-d alpha array `a`, as the transpose of a
+        contiguous (n, len(a)) array; non-finite entries are no root."""
+        a = np.asarray(a, dtype=float)
+        polys = candidate_polynomials(*self.terms(net, a, q, rstar))
+        # One row of alphas per coefficient and quadratic.
+        coeffs = np.empty((3, len(polys), a.size))
+        for i, poly in enumerate(polys):
+            for c, value in enumerate(poly):
+                coeffs[c, i] = value
+        return _quadratic_roots(*coeffs).T
 
     def root_count(self, net: GaussianNetwork, q, rstar) -> int:
         """Columns of `candidates`, without solving: n ratios give n stationary

@@ -8,7 +8,9 @@ alpha x beta grid of every slice (numpy, one call per block of at most
 BLOCK_CELLS cells, so memory stays bounded whatever the grid) and keeps the
 Pareto-maximal corners with full parameter provenance, so CSV consumers can
 annotate plots; among exact (first, second) duplicates it keeps the smallest
-(alpha, beta, q, R*), then the earliest.
+(alpha, beta, q, R*), then the earliest.  The Pareto filter reads that
+provenance from the grid index at its tie candidates only, and a grid of one
+block (every request up to BLOCK_CELLS cells) is filtered once.
 
 Results are columnar, one array entry per point and no object per point: a
 `Frontier` holds `first`, `second`, `alpha`, `beta`, `q`, `rstar` and the
@@ -28,14 +30,16 @@ consecutive roots one E_i is the minimum and monotone, and so is R1, so the
 grid points of that stretch peak at one of its ends; a row whose best R1 is
 0 has it first at beta = 0.  Columns floor(k) - 1 .. floor(k) + 2 around
 each root's beta index k, plus both ends, sorted ascending, thus hold the
-full grid's argmax and its earliest-beta tie rule.
+full grid's argmax and its earliest-beta tie rule.  Only a root strictly
+inside the beta grid needs its four columns; a root clipped to an end (not
+finite, or outside [0, P1]) adds 1 and 2, or top - 1, once per alpha.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,27 +170,33 @@ class Curve:
 
 
 def _pareto_survivors(
-    first: np.ndarray, second: np.ndarray, prov_cols: Sequence[np.ndarray]
+    first: np.ndarray,
+    second: np.ndarray,
+    provenance: Callable[[np.ndarray], Sequence[np.ndarray]] = lambda idx: (),
 ) -> np.ndarray:
     """Indices of the Pareto-maximal points, ascending in the first coordinate.
 
     One sort by first, descending, splits the points into groups of equal first
     (0.0 and -0.0 alike).  A point is a candidate when its second is its group's
-    maximum and that maximum beats every earlier group's; the candidates of one
-    group are exact coordinate duplicates and collapse to the
-    provenance-lexicographically smallest one (columns given most significant
-    first), then to the earliest index.
+    maximum and that maximum beats every earlier group's (the points of a group
+    that does not are compared with NaN, which none equals); the candidates of
+    one group are exact coordinate duplicates and collapse to the
+    provenance-lexicographically smallest one, then to the earliest index.
+    `provenance(idx)` gives the provenance columns at the candidate indices
+    `idx`, most significant first; it and the group numbers are read at the
+    candidates only.
     """
     order = np.argsort(-first)
     f, s = first[order], second[order]
     new = np.ones(f.size, dtype=bool)
     new[1:] = f[1:] != f[:-1]
-    group = np.cumsum(new) - 1
-    top = np.maximum.reduceat(s, np.flatnonzero(new))
+    starts = np.flatnonzero(new)
+    top = np.maximum.reduceat(s, starts)
     beats = top > np.concatenate(([-np.inf], np.maximum.accumulate(top)[:-1]))
-    cand = np.flatnonzero((s == top[group]) & beats[group])
-    idx, group = order[cand], group[cand]
-    pick = np.lexsort((idx, *(c[idx] for c in reversed(prov_cols)), group))
+    bar = np.repeat(np.where(beats, top, np.nan), np.diff(starts, append=f.size))
+    cand = np.flatnonzero(s == bar)
+    idx, group = order[cand], np.searchsorted(starts, cand, side="right")
+    pick = np.lexsort((idx, *reversed(provenance(idx)), group))
     idx, group = idx[pick], group[pick]
     return idx[np.diff(group, prepend=-1) > 0][::-1]
 
@@ -205,7 +215,7 @@ def pareto_filter(points: Sequence[RatePair]) -> list[RatePair]:
         raise ValidationError("pareto_filter: coordinates must be finite")
     if np.any(first < 0.0) or np.any(second < 0.0):
         raise ValidationError("pareto_filter: coordinates must be nonnegative")
-    keep = _pareto_survivors(first, second, ())
+    keep = _pareto_survivors(first, second)
     return [RatePair(float(first[i]), float(second[i])) for i in keep]
 
 
@@ -263,54 +273,79 @@ def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Fr
         empty = np.empty(0)
         return Frontier(strategy.strategy_id, net, *[empty] * 4, np.empty(0, str), empty, empty)
     # The grid is (slice, alpha, beta) in C order, evaluated in boxes of at most
-    # BLOCK_CELLS cells that take whole trailing axes while they fit, so the
-    # blocks follow that order; q and R* are a constant 0 without
-    # compress-forward, which such a kernel ignores.  A global survivor survives
-    # its own block, so filtering every block's survivors once more, in grid
-    # order, gives the whole grid's survivors and its earliest-index tie rule.
+    # BLOCK_CELLS cells that take whole trailing axes while they fit, so each
+    # block is a run of flat grid indices and the blocks follow grid order; q
+    # and R* are a constant 0 without compress-forward, which such a kernel
+    # ignores.  The filter reads alpha, beta, q and R* from the grid index at
+    # its tie candidates only.  One block's survivors are the grid's; with
+    # more, a global survivor survives its own block, so filtering every
+    # block's survivors once more, in grid order, gives the whole grid's
+    # survivors and its earliest-index tie rule.
     qs, rs = (np.array([v or 0.0 for v in col]) for col in zip(*pairs))
     alphas, betas = _axis(grid.alpha_steps), _betas(strategy, grid)
     shape = (len(pairs), alphas.size, betas.size)
+
+    def provenance(cells):
+        p, j, k = np.unravel_index(cells, shape)
+        return alphas[j], betas[k], qs[p], rs[p]
+
     steps = [min(n, max(1, BLOCK_CELLS // math.prod(shape[k + 1 :]))) for k, n in enumerate(shape)]
-    blocks = []
-    for corner in itertools.product(*(range(0, n, step) for n, step in zip(shape, steps))):
+    corners = list(itertools.product(*(range(0, n, step) for n, step in zip(shape, steps))))
+    found = []
+    for corner in corners:
         ps, js, ks = (slice(c, c + step) for c, step in zip(corner, steps))
         a, b = alphas[None, js, None], betas[None, None, ks]
         qc, rc = qs[ps, None, None], rs[ps, None, None]
         box = np.broadcast_shapes(a.shape, b.shape, qc.shape)
-        columns = (*strategy.rates(net, a, b, qc, rc), a, b, qc, rc)
-        f, s, a, b, qc, rc = (np.broadcast_to(c, box).ravel() for c in columns)
-        keep = np.sort(_pareto_survivors(f, s, (a, b, qc, rc)))
-        blocks.append([c[keep] for c in (f, s, a, b, qc, rc)])
-    f, s, a, b, qc, rc = map(np.concatenate, zip(*blocks))
-    keep = _pareto_survivors(f, s, (a, b, qc, rc))
-    a, b, qc, rc = a[keep], b[keep], qc[keep], rc[keep]
+        f, s = (np.broadcast_to(c, box).ravel() for c in strategy.rates(net, a, b, qc, rc))
+        start = int(np.ravel_multi_index(corner, shape))
+        keep = _pareto_survivors(f, s, lambda idx: provenance(start + idx))
+        keep = np.sort(keep) if len(corners) > 1 else keep
+        found.append((f[keep], s[keep], start + keep))
+    f, s, cells = map(np.concatenate, zip(*found))
+    if len(corners) > 1:
+        keep = _pareto_survivors(f, s, lambda idx: provenance(cells[idx]))
+        f, s, cells = f[keep], s[keep], cells[keep]
+    a, b, qc, rc = provenance(cells)
     arms, _ = strategy.kernel(net, a, b, qc, rc)
     cf = strategy.uses_q
     return Frontier(
-        strategy.strategy_id, net, f[keep], s[keep], a, b, strategy.active(arms),
+        strategy.strategy_id, net, f, s, a, b, strategy.active(arms),
         qc if cf else None, rc if cf else None,
     )
 
 
 def _bracket_columns(strategy, net, grid, alphas, q, rstar) -> np.ndarray:
     """Per alpha, ascending beta indices that hold the grid argmax of the first
-    rate, shape (len(alphas), n); a short row repeats its last index, the
-    last beta.  The C model's only column is beta = 0."""
+    rate, shape (len(alphas), n) as the transpose of a contiguous (n,
+    len(alphas)) array; a short row repeats its last index, the last beta.
+    The C model's only column is beta = 0."""
     if strategy.config == "C":
-        return np.zeros((alphas.size, 1), dtype=np.intp)
+        return np.zeros((1, alphas.size), dtype=np.intp).T
     top = grid.beta_steps - 1
-    k = (1.0 - strategy.candidates(net, alphas, q, rstar) / net.p1) * top
-    k = np.floor(np.clip(np.where(np.isfinite(k), k, 0.0), 0, top)).astype(np.intp)
-    ends = np.broadcast_to(np.array([0, top]), (alphas.size, 2))
-    cols = np.sort(np.hstack([ends, *(np.clip(k + d, 0, top) for d in _BRACKET)]), axis=1)
-    new = np.ones(cols.shape, dtype=bool)
-    new[:, 1:] = cols[:, 1:] != cols[:, :-1]
-    counts = new.sum(axis=1)
-    rows = np.repeat(np.arange(alphas.size), counts)
-    packed = np.full((alphas.size, counts.max()), top)
-    packed[rows, np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)] = cols[new]
-    return packed
+    # One row per root and one column per alpha, so every per-alpha step
+    # combines rows; int32 indices (`_slices` keeps top below MAX_GRID_CELLS)
+    # halve the sorts' work.  Only a root strictly inside the grid gets a
+    # window; one clipped to index 0 or top adds just 1 and 2, or top - 1,
+    # once per alpha where one occurs.  Sorting puts an alpha's in-range roots
+    # first and the rest, read as top + 1 (whose window clips to top), last,
+    # so the first m rows hold them all (m = the most at any alpha).
+    k = (1.0 - strategy.candidates(net, alphas, q, rstar).T / net.p1) * top
+    k = np.floor(np.clip(np.where(np.isfinite(k), k, 0.0), 0, top)).astype(np.int32)
+    inner = np.sort(np.where((k > 0) & (k < top), k, top + 1), axis=0)
+    inner = inner[: np.count_nonzero(inner.min(axis=1) <= top)]
+    windows = np.minimum(inner + np.array(_BRACKET)[:, None, None], top)
+    low = np.where((k == 0).any(axis=0), np.minimum([[1], [2]], top), top)
+    high = np.where((k == top).any(axis=0), top - 1, top)
+    ends = np.broadcast_to(np.array([[0], [top]]), (2, alphas.size))
+    stack = [ends, low, high, windows.reshape(-1, alphas.size)]
+    cols = np.sort(np.vstack(stack, dtype=np.int32), axis=0)
+    # A repeat becomes top and sorts behind its alpha's distinct indices, so
+    # a row of the result is needed while some alpha reads below top there.
+    repeat = cols[1:] == cols[:-1]
+    cols[1:][repeat] = top
+    cols.sort(axis=0)
+    return cols[: 1 + np.count_nonzero(cols.min(axis=1) < top)].T
 
 
 def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Curve:
@@ -327,12 +362,12 @@ def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> C
     rows = np.arange(alphas.size)
     values, picked = [], []
     for q, rstar in pairs:
-        cols = _bracket_columns(strategy, net, grid, alphas, q, rstar)
-        first, second = strategy.rates(net, alphas[:, None], betas[cols], q, rstar)
+        cols = _bracket_columns(strategy, net, grid, alphas, q, rstar).T  # contiguous
+        first, second = strategy.rates(net, alphas[None, :], betas[cols], q, rstar)
         r1 = first if strategy.config == "B" else second
-        j = np.argmax(r1, axis=1)
-        values.append(r1[rows, j])
-        picked.append(betas[cols[rows, j]])
+        j = np.argmax(r1, axis=0)
+        values.append(r1[j, rows])
+        picked.append(betas[cols[j, rows]])
     best = np.argmax(values, axis=0)  # the first slice reaching the maximum
     value, beta = np.array(values)[best, rows], np.array(picked)[best, rows]
     q, rstar = (np.array(c)[best] if strategy.uses_q else None for c in zip(*pairs))

@@ -13,6 +13,7 @@ import pytest
 from channels import bsc, product_channel, v1_copies_x_coupling, z_copies_y_channel
 from literal_tables import LITERAL, literal_branches, oracle_member
 from test_regionsearch import THEOREM_IDS, branch_vertices, slice_branches
+from relaysec import bounds
 from relaysec.acceptance import (
     favorable_model,
     naive_cond_mutual_info,
@@ -88,6 +89,10 @@ def test_catalog_fingerprint():
 
 
 class TestCouplingValidation:
+    def test_canonical_order_reads_a_one_shot_iterable_once(self):
+        assert bounds._canonical_order(iter(("X", "U"))) == ("U", "X")
+        assert bounds._canonical_order(n for n in ("Yh", "X1", "V")) == ("V", "X1", "Yh")
+
     def test_wrong_axes_rejected(self):
         with pytest.raises(ValidationError, match="must carry axes"):
             AuxiliaryCoupling(JointPMF(("U", "X"), np.full((1, 2), 0.5)), "T3")

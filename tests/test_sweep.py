@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -452,8 +453,41 @@ def bracket_cases(draw):
     return net, grid
 
 
+def reference_bracket(roots, p1, top):
+    """Per row, sorted({0, top} | {min(max(floor(k) + d, 0), top)}) over every
+    root's beta index k (0 when not finite, else clipped to [0, top]) and
+    every d in `_BRACKET`, padded with top; plain Python."""
+    rows = []
+    for row in roots.tolist():
+        picked = {0, top}
+        for s in row:
+            k = (1.0 - s / p1) * top
+            k = math.floor(min(max(k, 0), top)) if math.isfinite(k) else 0
+            picked |= {min(max(k + d, 0), top) for d in sweep._BRACKET}
+        rows.append(sorted(picked))
+    width = max(map(len, rows))
+    return [r + [top] * (width - len(r)) for r in rows]
+
+
 class TestBracketOracle:
     """The bracketed curve against the full-grid argmax, sample by sample."""
+
+    @given(oracle_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_packed_columns_equal_the_plain_reference(self, case):
+        # At 2 or 3 betas every window overlaps an end.
+        net, grid = case
+        b_cf = sweep._slices(STRATEGIES["b_cf"], net, grid, curve=True)
+        for sid, (q, rstar) in [("b_df", (None, None)), ("b_nf", (None, None)),
+                                ("b_cf", b_cf[0]), ("b_cf", b_cf[-1])]:
+            strategy = STRATEGIES[sid]
+            for beta_steps in (2, 3, 4, 5, 11, 57, 401):
+                for alpha_steps in (1, 7, 101):
+                    alphas = np.linspace(0.0, 1.0, alpha_steps)
+                    got = _bracket_columns(strategy, net, GridSpec(2, beta_steps), alphas, q,
+                                           rstar)
+                    roots = strategy.candidates(net, alphas, q, rstar)
+                    assert got.tolist() == reference_bracket(roots, net.p1, beta_steps - 1)
 
     @given(bracket_cases())
     @settings(max_examples=40, deadline=None)
@@ -470,8 +504,10 @@ class TestBracketOracle:
             assert got == full_grid_curve(sid, NET, grid)
 
     def test_bracket_is_narrow(self):
-        # At most four columns per candidate root plus both ends; far fewer on
-        # the paper network, where most roots fall outside [0, P1].
+        # Both ends, 1, 2 and top - 1 for roots clipped to an end, and four
+        # columns per root strictly inside the grid, at most 5 + 4 m for m
+        # such roots at one alpha; far fewer on the paper network, where most
+        # roots fall outside [0, P1].
         grid = GridSpec(401, 401)
         alphas = np.linspace(0.0, 1.0, 401)
         for sid, q, rstar in (("b_df", None, None), ("b_nf", None, None),
@@ -543,7 +579,7 @@ class TestParetoSurvivorsOracle:
     @settings(max_examples=300, deadline=None)
     def test_indices_equal_the_lexsort_rule(self, case):
         first, second, prov = case
-        got = _pareto_survivors(first, second, prov)
+        got = _pareto_survivors(first, second, lambda idx: [c[idx] for c in prov])
         assert got.tolist() == lexsort_survivors(first, second, prov).tolist()
 
 
@@ -616,6 +652,18 @@ class TestFrontierColumnOracle:
             for sid in STRATEGIES:
                 assert_same_columns(sweep_frontier(sid, net, grid),
                                     per_slice_frontier(sid, net, grid), sid)
+
+    @pytest.mark.parametrize("block", [sweep.BLOCK_CELLS, 4099])
+    def test_the_heaviest_benchmark_region_shape(self, monkeypatch, block):
+        # c_cf at 401 alphas x 6 feasible q x 16 R* (38.5k cells, 2 q
+        # infeasible): the C arms do not read R*, so every (q, alpha) has 16
+        # exactly tied first rates, which provenance decides.  4099 cells
+        # split slices.
+        grid = GridSpec(401, 2, (50.0, 10.0, 300.0, 20.0, 200.0, 5.0, 100.0, 30.0),
+                        rstar_policy="grid", rstar_steps=16)
+        monkeypatch.setattr(sweep, "BLOCK_CELLS", block)
+        assert_same_columns(sweep_frontier("c_cf", NET, grid),
+                            per_slice_frontier("c_cf", NET, grid), "c_cf")
 
     def test_memory_stays_bounded_near_the_grid_budget(self, monkeypatch):
         # 401 x 401 x (6 q x 8 R*) = 7.7M cells, just under MAX_GRID_CELLS; the
