@@ -228,7 +228,7 @@ def _slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, curve: boo
 
     First refuses a request whose grid would exceed MAX_GRID_CELLS: alpha_steps
     x beta columns x slices, plus the two axes as built (the C model's beta
-    axis is one point).  A B-model curve's columns are both ends and
+    axis is one point).  A B-model curve's columns are at most both ends and
     len(_BRACKET) per candidate root, counted by `Strategy.root_count`."""
     pairs = [(None, None)]
     if strategy.uses_q:
@@ -323,13 +323,11 @@ def _bracket_columns(strategy, net, grid, alphas, q, rstar) -> np.ndarray:
     if strategy.config == "C":
         return np.zeros((1, alphas.size), dtype=np.intp).T
     top = grid.beta_steps - 1
-    # One row per root and one column per alpha, so every per-alpha step
-    # combines rows; int32 indices (`_slices` keeps top below MAX_GRID_CELLS)
-    # halve the sorts' work.  Only a root strictly inside the grid gets a
-    # window; one clipped to index 0 or top adds just 1 and 2, or top - 1,
-    # once per alpha where one occurs.  Sorting puts an alpha's in-range roots
-    # first and the rest, read as top + 1 (whose window clips to top), last,
-    # so the first m rows hold them all (m = the most at any alpha).
+    # One row per root and one column per alpha, so each per-alpha step
+    # combines rows; int32 (`_slices` keeps top below MAX_GRID_CELLS) halves
+    # the sorts' work.  Sorted per alpha, the in-range roots come first and
+    # the rest read top + 1 (its window clips to top), so the rows where some
+    # alpha has an in-range root hold them all.
     k = (1.0 - strategy.candidates(net, alphas, q, rstar).T / net.p1) * top
     k = np.floor(np.clip(np.where(np.isfinite(k), k, 0.0), 0, top)).astype(np.int32)
     inner = np.sort(np.where((k > 0) & (k < top), k, top + 1), axis=0)
