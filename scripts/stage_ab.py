@@ -10,15 +10,18 @@ the same N random couplings of a favorable model
 (`acceptance.random_coupling`, independent auxiliaries of two values), it
 times:
 
+  entropies  `SubsetEntropies` of the theorem's compiled subsets;
   tables     the `_BoundTable.__call__` calls that one `evaluate_stack` makes,
              replayed with the arguments that tree passes them;
   evaluate   `bounds.evaluate_stack`;
   extremes   `regionsearch._stack_extremes` at objective (1, 1, 0.5);
 
 and per theorem one dmc-query op (an `AuxiliaryCoupling` and an
-`evaluate_membership`, listed at N = 1).  A second table times the Gaussian
-stages on the paper network: per curve strategy of CURVES at 401 alphas x
-401 betas,
+`evaluate_membership`, listed at N = 1).  A second table times one whole
+`regionsearch.brute_force_best` (search) per case of SEARCHES: the five
+dmc-search benchmark shapes on the same model, and the scaled anchor on the
+shipped `scenarios/dmc_model.json`.  A third table times the Gaussian stages
+on the paper network: per curve strategy of CURVES at 401 alphas x 401 betas,
 
   candidates `Strategy.candidates`;
   bracket    `sweep._bracket_columns`;
@@ -27,10 +30,11 @@ stages on the paper network: per curve strategy of CURVES at 401 alphas x
 and per region grid of REGIONS one `sweep.sweep_frontier` (frontier).  The
 trees take turns, in alternating order, and each figure is the best of
 REPEATS samples, in microseconds per call.  `max|diff|` is the largest
-difference between the trees' bounds (evaluate), extreme values (extremes),
-roots (candidates; equal non-finite roots count 0), columns (bracket), curve
-values and betas (curve) or frontier columns (frontier); arrays of unequal
-shape read inf.
+difference between the trees' entropies (entropies), bounds (evaluate),
+extreme values (extremes), best values, rates and couplings (search), roots
+(candidates; equal non-finite roots count 0), columns (bracket), curve values
+and betas (curve) or frontier columns (frontier); arrays of unequal shape
+read inf.
 """
 
 import os
@@ -49,6 +53,19 @@ THEOREMS = ("T1", "T3", "T4", "T11")
 SIZES = (1, 16, 256, 1024)
 REPEATS = 7
 OBJECTIVE = (1.0, 1.0, 0.5)
+MODEL_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios",
+                          "dmc_model.json")
+# (theorem, aux sizes, grid steps, model file or None for the stages' model) at the
+# dmc-search benchmark's objective: its five shapes, then the ROADMAP's scaled anchor.
+SEARCHES = (
+    ("T11", {"U": 1, "V": 2}, 2, None),
+    ("T10", {"U": 1, "V": 2}, 2, None),
+    ("T12", {"U": 1, "V": 1, "Yh": 2}, 2, None),
+    ("T4", {"U": 1, "V1": 2, "V2": 1, "Yh": 1}, 2, None),
+    ("T3", {"U": 1, "V1": 2, "V2": 1}, 2, None),
+    ("T11", {"U": 2, "V": 2}, 3, MODEL_FILE),
+)
+SEARCH_OBJECTIVE = (0.0, 1.0, 0.0)
 SAMPLE_S = 0.02  # target length of one timing sample
 PAPER_NET = (5.0, 3.0, 2.0, 8.0, 2.0)  # (P1, P2, N1, N2, Nr)
 CURVES = (("b_df", None), ("b_nf", None), ("b_cf", 300.0))  # (strategy, q)
@@ -69,7 +86,7 @@ def load_tree(src: str, name: str) -> dict:
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    mods = ("acceptance", "bounds", "gaussian", "pmf", "regionsearch", "sweep")
+    mods = ("acceptance", "bounds", "dmc", "gaussian", "pmf", "regionsearch", "sweep")
     return {m: importlib.import_module(f"{name}.{m}") for m in mods}
 
 
@@ -99,6 +116,7 @@ def stages(tree: dict, theorem: str, probs: np.ndarray, n: int) -> dict:
     ev = b.evaluate_stack(spec, full)
     calls = table_calls(tree, spec, full)
     out = {
+        "entropies": (lambda: spec.compiled.entropies(full), spec.compiled.entropies(full)),
         "tables": (lambda: [t(*a, **k) for t, a, k in calls], None),
         "evaluate": (lambda: b.evaluate_stack(spec, full), ev.bounds),
         "extremes": (lambda: rs._stack_extremes(spec, ev, OBJECTIVE, b.DEFAULT_TOL),
@@ -113,6 +131,27 @@ def stages(tree: dict, theorem: str, probs: np.ndarray, n: int) -> dict:
             return b.evaluate_membership(theorem, model, coupling, rates)
 
         out["query op"] = (query, None)
+    return out
+
+
+def search_stages(tree: dict) -> list:
+    """(theorem, shape, callable, output) rows of one tree's whole searches."""
+    rs, dmc = tree["regionsearch"], tree["dmc"]
+    stage_model = tree["acceptance"].favorable_model(np.random.default_rng(0))
+    out = []
+    for theorem, sizes, steps, path in SEARCHES:
+        model = stage_model
+        if path:
+            with open(path, encoding="utf-8") as fh:
+                model = dmc.DMCModel.from_json(fh.read())
+
+        def search(theorem=theorem, model=model, sizes=sizes, steps=steps):
+            r = rs.brute_force_best(model, sizes, steps, theorem, SEARCH_OBJECTIVE)
+            head = [r.best.objective_value, *r.best.rates.as_tuple(), r.couplings_scanned]
+            return np.concatenate([head, r.coupling.joint.probs.ravel()])
+
+        shape = ",".join(f"{k}={v}" for k, v in sizes.items()) + f",g={steps}"
+        out.append((theorem, shape, search, search()))
     return out
 
 
@@ -197,6 +236,14 @@ def main(argv: list) -> int:
                 diff = "" if v_old is None else f"{np.max(np.abs(v_new - v_old), initial=0.0):.1e}"
                 print(f"{theorem:<8}{n:>6}  {stage:<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
                       f"{t_new / t_old:>9.2f}{diff:>11}", flush=True)
+    print(f"\n{'theorem':<8}{'shape':>22}  {'stage':<10}{'old':>12}{'new':>12}{'new/old':>9}"
+          f"{'max|diff|':>11}")
+    for (theorem, shape, f_old, v_old), (*_, f_new, v_new) in zip(
+        *(search_stages(tree) for tree in trees)
+    ):
+        t_old, t_new = best_of([f_old, f_new], REPEATS)
+        print(f"{theorem:<8}{shape:>22}  {'search':<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
+              f"{t_new / t_old:>9.2f}{max_diff(v_old, v_new):>11.1e}", flush=True)
     print(f"\n{'strategy':<10}{'grid':>8}  {'stage':<10}{'old':>12}{'new':>12}{'new/old':>9}"
           f"{'max|diff|':>11}")
     for (sid, grid, stage, f_old, v_old), (*_, f_new, v_new) in zip(

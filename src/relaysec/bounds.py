@@ -868,10 +868,12 @@ def evaluate_stack(
         raise UsageError(f"tol must be a positive finite number, got {tol!r}")
     n, shape = len(full), (len(full), len(c.branches))
     mi, residue = c.mi(full)
-    pre = c.pre(mi, residue)
+    # Only T3, T4, T7, T8, T11 and T12 have pre columns, and only T4, T8 and T12 give rows an R*
+    # share; adding no share instead of a 0 one can leave a -0 sum, which the table maps to 0.
+    pre = c.pre(mi, residue) if c.pre.count else np.empty((n, 0))
     condition_ok, budget_ok = np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
     top, used = np.full(shape, np.nan), np.full(shape, np.nan)
-    row_rstar = np.zeros((n, c.rows.count))
+    row_rstar = np.zeros((n, c.rows.count)) if any(br.budget_col >= 0 for br in c.branches) else None
     for k, br in enumerate(c.branches):
         if br.condition_col >= 0:
             condition_ok[:, k] = pre[:, br.condition_col] >= pre[:, br.condition_col + 1] - tol

@@ -11,6 +11,7 @@ the unused components at zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -67,8 +68,14 @@ class DMCModel:
         return self.transition.shape[4]
 
     def y1_conditional(self) -> np.ndarray:
-        """p(y1 | x, x1), shape (x, x1, y1)."""
-        return self.transition.sum(axis=(2, 4))
+        """p(y1 | x, x1), shape (x, x1, y1): read-only, summed once per model."""
+        return self._y1_conditional
+
+    @cached_property
+    def _y1_conditional(self) -> np.ndarray:
+        table = self.transition.sum(axis=(2, 4))
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def yz_given_y1(self) -> np.ndarray:
@@ -130,7 +137,7 @@ class RateTuple:
         for name in ("r0", "r1", "r2", "re1", "re2"):
             v = float(getattr(self, name))
             object.__setattr__(self, name, v)
-            if not np.isfinite(v) or v < 0.0:
+            if not math.isfinite(v) or v < 0.0:
                 raise ValidationError(f"RateTuple: {name} must be a finite nonnegative rate, got {v!r}")
         if self.re1 > self.r1 + ADMISSIBILITY_SLACK:
             raise ValidationError(

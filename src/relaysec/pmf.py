@@ -145,12 +145,14 @@ def _clamp_information(value: np.ndarray, what: str) -> np.ndarray:
 @functools.cache
 def _marginal_plan(axes: tuple[str, ...], subsets: tuple[frozenset, ...], shape: tuple[int, ...]):
     """Index arrays, built once per (axes, subsets, joint shape), that fill a buffer
-    row with the joint's cells, each subset's marginal table in turn, and a 1.  A
-    marginal is summed from its smallest superset already in the row; each chain
-    depth is one (columns, gather, starts) segment sum whose runs list each output
-    cell's source cells, the summed axes in C order.  Returns each table's first
-    column (and the 1's) and the per-depth sums, in depth order."""
-    names, shapes, first, depth, levels = [axes], [shape], [0, math.prod(shape)], [0], {}
+    row with the joint's cells, the subsets' marginal tables grouped by chain depth
+    (subset order within a depth), and a 1.  A marginal is summed from its smallest
+    superset among the joint and the subsets before it; its runs list each output
+    cell's source cells, the summed axes in C order.  Each depth is one segment sum
+    (lo, hi, gather, starts) that writes its own columns lo:hi.  Returns each table's
+    (and the 1's) first column in layout order, the per-depth sums in depth order,
+    and each subset's (and the 1's) place in the layout after the joint."""
+    names, shapes, depth, runs = [axes], [shape], [0], [None]
     for s in subsets:
         src = min((k for k, c in enumerate(names) if s <= set(c)), key=lambda k: len(names[k]))
         kept_first = sorted(range(len(names[src])), key=lambda k: names[src][k] not in s)
@@ -158,25 +160,27 @@ def _marginal_plan(axes: tuple[str, ...], subsets: tuple[frozenset, ...], shape:
         names.append(tuple(v for v in names[src] if v in s))
         shapes.append(source.shape[: len(names[-1])])
         depth.append(depth[src] + 1)
-        runs = first[src] + source.reshape(math.prod(shapes[-1]), -1)
-        levels.setdefault(depth[-1], []).append((first[-1] + np.arange(len(runs)), runs))
-        first.append(first[-1] + len(runs))
-    plan = []
-    for level in levels.values():  # keys were first seen in depth order
-        cols, runs = zip(*level)
-        starts = np.cumsum([0] + [r.shape[1] for r in runs for _ in r])[:-1]
-        plan.append((np.concatenate(cols), np.concatenate([r.ravel() for r in runs]), starts))
-    return np.array(first), tuple(plan)
+        runs.append((src, source.reshape(math.prod(shapes[-1]), -1)))
+    layout = sorted(range(len(names)), key=depth.__getitem__)  # stable: the joint first
+    first = np.cumsum([0] + [math.prod(shapes[k]) for k in layout])
+    at = dict(zip(layout, first.tolist()))
+    plan, lo = [], int(first[1])
+    for d in range(1, max(depth) + 1):
+        level = [at[src] + r for src, r in (runs[k] for k in layout if depth[k] == d)]
+        starts = np.cumsum([0] + [r.shape[1] for r in level for _ in r])[:-1]
+        plan.append((lo, lo + len(starts), np.concatenate([r.ravel() for r in level]), starts))
+        lo += len(starts)
+    return first, tuple(plan), np.append(np.argsort(layout)[1:] - 1, len(subsets))
 
 
 def _marginals(plan, probs: np.ndarray) -> np.ndarray:
-    """Buffer rows (N, tables' cells + 1) of stacked joints `probs` (N, *sizes)."""
-    first, levels = plan
+    """Buffer rows (N, tables' cells + 1) of stacked joints `probs` (N, *sizes), summed in place."""
+    first, levels, _ = plan
     buf = np.empty((len(probs), first[-1] + 1))
     buf[:, : first[1]] = probs.reshape(len(probs), -1)
     buf[:, -1] = 1.0
-    for cols, gather, starts in levels:
-        buf[:, cols] = np.add.reduceat(buf[:, gather], starts, axis=1)
+    for lo, hi, gather, starts in levels:
+        np.add.reduceat(buf[:, gather], starts, axis=1, out=buf[:, lo:hi])
     return buf
 
 
@@ -185,17 +189,18 @@ class SubsetEntropies:
     reads the total mass) of stacked joints over `axes`, plus a last column 0 for
     the empty subset.  Each marginal is summed from its smallest superset already
     computed, through one `_marginal_plan` per joint shape; all cells go through
-    one x*log2(x) pass, and a joint gets the same bits alone or stacked."""
+    one x*log2(x) pass, summed per table in layout order, one gather puts them back
+    in subset order, and a joint gets the same bits alone or stacked."""
 
     def __init__(self, axes: Sequence[str], subsets: Sequence[Iterable[str]]) -> None:
         self._chain = (tuple(axes), tuple(map(frozenset, subsets)))
 
     def __call__(self, probs: np.ndarray) -> np.ndarray:
         """(N, subsets + 1) entropies of stacked joints `probs` (N, *sizes)."""
-        plan = _marginal_plan(*self._chain, probs.shape[1:])
-        start = plan[0][1:] - plan[0][1]  # each table's and the 1's segment
-        flat = _marginals(plan, probs)[:, plan[0][1] :]
-        return 0.0 - np.add.reduceat(flat * np.log2(np.where(flat > 0.0, flat, 1.0)), start, axis=1)
+        first, _, place = plan = _marginal_plan(*self._chain, probs.shape[1:])
+        flat = _marginals(plan, probs)[:, first[1] :]
+        terms = flat * np.log2(np.where(flat > 0.0, flat, 1.0))
+        return (0.0 - np.add.reduceat(terms, first[1:] - first[1], axis=1))[:, place]
 
 
 def information(h: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,14 +270,10 @@ class FactorizationPattern:
     def product_stack(self, var_order: Sequence[str], tables: Sequence[np.ndarray]) -> np.ndarray:
         """Stacked joints (N, *sizes) from stacked (N, given..., targets...) tables;
         factors multiply in pattern order, so the same tables give the same bits."""
-        var_order = tuple(var_order)
-        axis_of = {v: i for i, v in enumerate(var_order)}
-        probs = np.ones((1,) * (len(var_order) + 1))
-        for (targets, given), table in zip(self.factors, tables):
-            names = given + targets
-            shape = [table.shape[1 + names.index(v)] if v in names else 1 for v in var_order]
-            order = 1 + np.argsort([axis_of[v] for v in names])
-            probs = probs * np.transpose(table, (0, *order)).reshape([len(table)] + shape)
+        plan = _product_plan(self, tuple(var_order), tuple(t.shape[1:] for t in tables))
+        probs = 1.0
+        for table, (order, shape) in zip(tables, plan):
+            probs = probs * table.transpose(order).reshape(shape)
         return probs
 
     def describe(self) -> str:
@@ -284,18 +285,30 @@ class FactorizationPattern:
 
 
 @functools.cache
+def _product_plan(pattern: FactorizationPattern, var_order: tuple[str, ...], shapes: tuple):
+    """Per factor of `pattern`, for tables of the given shapes (stack axis left out):
+    the transpose that puts its axes in `var_order` order, and its broadcast shape."""
+    plan = []
+    for (targets, given), sizes in zip(pattern.factors, shapes):
+        names = given + targets
+        shape = [sizes[names.index(v)] if v in names else 1 for v in var_order]
+        plan.append(((0, *(1 + np.argsort([var_order.index(v) for v in names]))), (-1, *shape)))
+    return tuple(plan)
+
+
+@functools.cache
 def _factorization_plan(axes: tuple[str, ...], pattern: FactorizationPattern, shape: tuple):
     """The `_marginal_plan` of every factor's p(targets, given) and p(given) (the
     empty given being the total mass), and the buffer column of each joint cell's
     value of each: (plan, numerators (F, cells), denominators (F, cells))."""
     sides = [(t + g, g) for t, g in pattern.factors]
     subsets = tuple(dict.fromkeys(frozenset(s) for side in sides for s in side))
-    plan = _marginal_plan(axes, subsets, shape)
+    first, _, place = plan = _marginal_plan(axes, subsets, shape)
 
     def columns(names: tuple[str, ...]) -> np.ndarray:
         sizes = [n if v in names else 1 for v, n in zip(axes, shape)]
         cell = np.arange(math.prod(sizes)).reshape(sizes)
-        return plan[0][1 + subsets.index(frozenset(names))] + np.broadcast_to(cell, shape).ravel()
+        return first[1 + place[subsets.index(frozenset(names))]] + np.broadcast_to(cell, shape).ravel()
 
     return plan, *(np.array([columns(side[k]) for side in sides]) for k in (0, 1))
 

@@ -57,11 +57,11 @@ class _VertexSystem:
     """Every branch's rows, then its axis planes r_k >= 0 (as -r_k <= 0), stacked
     as R rows: the column `source` (R,) of a bound matrix each row reads (-1: the
     zero column `rhs` appends) and `corollary` (branches, R), each branch's own
-    non-axis rows.  The regular d-subsets of each branch's rows, K in all, in
-    branch then subset order: their rows `subsets` (K, d), integer matrices `sub_a`
-    (K, d, d) of determinant +-1 and exact inverses `inverse` (K, d, d), their
-    branch `owner` (K,), and that branch's rows `rows` (K, W) with coefficients
-    `row_a` (K, W, d), the last row repeated up to the widest branch's W."""
+    non-axis rows, with its negation `off_corollary`.  The regular d-subsets of each
+    branch's rows, K in all, in branch then subset order: their rows `subsets` (K, d),
+    integer matrices `sub_a` (K, d, d) of determinant +-1 and exact inverses `inverse`
+    (K, d, d), their branch `owner` (K,), and that branch's rows `rows` (K, W) with
+    coefficients `row_a` (K, W, d), the last row repeated up to the widest branch's W."""
 
     def __init__(self, name: str, coefs: Sequence[np.ndarray], sources: Sequence[Sequence[int]]) -> None:
         """Branch k of `name` has rows `coefs[k]` (R_k, d <= 3) reading bound columns `sources[k]`."""
@@ -95,6 +95,7 @@ class _VertexSystem:
         self.owner = row_owner[self.subsets[:, 0]]
         self.source = np.concatenate([np.r_[np.array(s, dtype=int), [-1] * d] for s in sources])
         self.corollary = (row_owner == np.arange(len(blocks))[:, None]) & (self.source >= 0)
+        self.off_corollary = ~self.corollary
 
     def rhs(self, bounds: np.ndarray) -> np.ndarray:
         """(N, R) right-hand sides of the stacked rows from (N, columns) bounds."""
@@ -146,11 +147,11 @@ def _stack_extremes(spec: TheoremSpec, ev: StackEvaluation, obj, tol: float):
     system = _theorem_system(spec.theorem_id)
     b = system.rhs(ev.bounds)
     vertices, feasible = _vertices(system, b, tol)
-    origin = np.all((b >= -tol)[:, None, :] | ~system.corollary, axis=2)
+    origin = np.all((b >= -tol)[:, None, :] | system.off_corollary, axis=2)
     valid = feasible & (ev.applicable & origin)[:, system.owner]
     point = _full_points(vertices, spec.rate_dims())
     value = ((0.0 + obj[0] * point[..., 0]) + obj[1] * point[..., 1]) + obj[2] * point[..., 2]
-    found, first = _first_max([value, *np.moveaxis(point, 2, 0)], valid)
+    found, first = _first_max([value, *point.transpose(2, 0, 1)], valid)
     rows = np.arange(len(value))
     return (
         np.where(found, value[rows, first], 0.0),
@@ -269,6 +270,20 @@ def _axis_sizes(
     return sizes
 
 
+@functools.cache
+def _grid_plan(theorem_id: str, sizes: tuple, grid_steps: int, chunk_cells: int):
+    """`_grid`'s factors, radices, size and couplings per chunk over (name, size) pairs."""
+    spec, sizes = theorem_spec(theorem_id), dict(sizes)
+    factors = []  # per factor: its table shape (given..., targets...), target cells, digits
+    for targets, given in spec.pattern.factors:
+        shape = tuple(sizes[v] for v in given + targets)
+        cells = math.prod(sizes[v] for v in targets)
+        factors.append((shape, cells, 0 if targets == ("Y1",) else math.prod(shape) // cells))
+    radices = [simplex_grid_count(cells, grid_steps) for _, cells, n in factors for _ in range(n)]
+    step = max(1, chunk_cells // math.prod(sizes[v] for v in spec.full_vars))
+    return factors, radices, math.prod(radices), step
+
+
 def _grid(
     spec: TheoremSpec, model: DMCModel, aux_sizes: Mapping[str, int], grid_steps: int
 ) -> tuple[int, Iterator[np.ndarray]]:
@@ -281,18 +296,12 @@ def _grid(
     channel's Y1 leg by construction; no chunk is checked again (the tests check
     every chunk of their grids).  No table is built before the first chunk."""
     sizes = _axis_sizes(spec, model, aux_sizes)
-    factors = []  # per factor: its table shape (given..., targets...), target cells, digits
-    for targets, given in spec.pattern.factors:
-        shape = tuple(sizes[v] for v in given + targets)
-        cells = math.prod(sizes[v] for v in targets)
-        factors.append((shape, cells, 0 if targets == ("Y1",) else math.prod(shape) // cells))
-    radices = [simplex_grid_count(cells, grid_steps) for _, cells, n in factors for _ in range(n)]
-    count = math.prod(radices)
     channel = {"Y": model.y_size, "Y1": model.y1_size, "Z": model.z_size, **sizes}
-    step = max(1, CHUNK_CELLS // math.prod(channel[v] for v in spec.full_vars))
+    factors, radices, count, step = _grid_plan(
+        spec.theorem_id, tuple(channel.items()), grid_steps, CHUNK_CELLS)
 
     def chunks() -> Iterator[np.ndarray]:
-        y1 = model.y1_conditional()[None]
+        y1 = model.y1_conditional()[None] if spec.uses_compressor else None
         for start in range(0, count, step):
             digits = np.stack(np.unravel_index(np.arange(start, min(start + step, count)), radices), 1)
             tables, first = [], 0
@@ -362,7 +371,9 @@ def brute_force_best(
         full = compose_stack(spec, model, probs)
         ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation)
         value, point, branch = _stack_extremes(spec, ev, obj, tol)
-        i = int(_first_max([value[None], *point.T[:, None]], np.ones((1, len(value)), bool))[1][0])
+        # The chunk's first coupling of largest (value, R0, R1, R2): the last in a sort of its ties.
+        tied = np.flatnonzero(value == value.max())
+        i = int(tied[np.lexsort((-tied, *point[tied].T[::-1]))[-1]])
         key = (float(value[i]), tuple(point[i].tolist()))
         if best is None or key > best[0]:
             best = (key, point[i], int(branch[i]), probs[i].copy())

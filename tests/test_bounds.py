@@ -220,6 +220,14 @@ class TestModelJSON:
         with pytest.raises(ValidationError, match=message):
             load(text)
 
+    def test_the_relay_leg_is_summed_once_and_read_only(self):
+        model = random_model(np.random.default_rng(4))
+        y1 = model.y1_conditional()
+        assert y1 is model.y1_conditional()
+        assert np.array_equal(y1, model.transition.sum(axis=(2, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            y1[0, 0, 0] = 0.5
+
 
 @pytest.mark.parametrize("theorem_id", ["T4", "T8", "T12"])
 @pytest.mark.parametrize("channel", ["random", "noiseless-relay-link"])

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysec import pmf
 from relaysec.bounds import THEOREMS
 from relaysec.errors import UsageError, ValidationError
 from relaysec.pmf import (
@@ -272,6 +275,82 @@ class TestSubsetEntropies:
             np.testing.assert_allclose(
                 entropies(probs), reference_entropies(probs, axes, subsets), rtol=0, atol=1e-14
             )
+
+    # Over axes A, B, C, D each subset is summed from its smallest superset among the
+    # joint and the subsets before it, so depths interleave in subset order: BD comes
+    # from the joint after the chain ABC > AB > A, B from AB and D from BD.
+    CHAIN = ("A", "B", "C", "D"), ("ABC", "AB", "A", "BD", "B", "D")
+    DEPTHS = (1, 2, 3, 1, 3, 2)
+
+    def test_each_depth_sums_into_its_own_column_range(self):
+        axes, subsets = self.CHAIN
+        first, levels, place = pmf._marginal_plan(axes, tuple(map(frozenset, subsets)), (2, 3, 2, 3))
+        assert [hi for _, hi, _, _ in levels[:-1]] == [lo for lo, _, _, _ in levels[1:]]
+        assert (levels[0][0], levels[-1][1]) == (first[1], first[-1])
+        for lo, hi, gather, starts in levels:
+            assert gather.max() < lo and len(starts) == hi - lo  # read only what is written
+        for depth, k in zip(self.DEPTHS, place[:-1]):
+            lo, hi = levels[depth - 1][:2]
+            assert lo <= first[1 + k] and first[2 + k] <= hi
+        assert place[-1] == len(subsets) and first[-1] == first[1 + place[-1]]
+
+    def test_interleaved_depths_come_back_in_subset_order(self):
+        """Against each subset summed from the joint on its own.  A marginal cell sums
+        at most c = 36 joint cells, in another order than the reference's, so it is off
+        by at most c*eps relative; x*log2(x) then moves by at most that times
+        x*(|log2 x| + 1/ln 2), at most c*eps*(H + 2) over a table of entropy H <= log2 c,
+        and the final sum of at most c terms adds c*eps*H: 2*c*eps*(log2(c) + 2) in all."""
+        axes, subsets = self.CHAIN
+        sizes = (2, 3, 2, 3)
+        cells = math.prod(sizes)
+        tol = 2 * cells * np.finfo(np.float64).eps * (math.log2(cells) + 2)
+        probs = random_stack(np.random.default_rng(9), 256, sizes)
+        got = SubsetEntropies(axes, subsets)(probs)
+        np.testing.assert_allclose(got, reference_entropies(probs, axes, subsets), rtol=0, atol=tol)
+        for n in (1, 23):
+            for start in range(0, 256 - n + 1, 37):
+                part = SubsetEntropies(axes, subsets)(probs[start : start + n])
+                assert np.array_equal(part, got[start : start + n])
+
+
+def reference_product(pattern, var_order, tables):
+    """`product_stack` planned afresh on every call: each table transposed into
+    `var_order`, reshaped to broadcast, and multiplied in pattern order."""
+    probs = np.ones((1,) * (len(var_order) + 1))
+    for (targets, given), table in zip(pattern.factors, tables):
+        names = given + targets
+        order = sorted(range(len(names)), key=lambda k: var_order.index(names[k]))
+        shape = [table.shape[1 + names.index(v)] if v in names else 1 for v in var_order]
+        probs = probs * np.transpose(table, (0, *(1 + k for k in order))).reshape(len(table), *shape)
+    return probs
+
+
+class TestProductStack:
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    def test_every_theorem_pattern_multiplies_as_the_reference(self, theorem_id):
+        spec = THEOREMS[theorem_id]
+        names, pattern = spec.coupling_vars, spec.pattern
+        rng = np.random.default_rng([3, *map(ord, theorem_id)])
+        for _ in range(2):
+            sizes = dict(zip(names, random_sizes(rng, names)))
+            shapes = [tuple(sizes[v] for v in given + targets) for targets, given in pattern.factors]
+            for n in (1, 16, 23):
+                tables = [rng.random((n, *shape)) for shape in shapes]
+                want = reference_product(pattern, names, tables)
+                assert np.array_equal(pattern.product_stack(names, tables), want)
+
+    def test_two_table_shapes_of_one_pattern_get_their_own_plans(self):
+        names = ("A", "B", "C")
+        pattern = FactorizationPattern(((("B",), ()), (("C", "A"), ("B",))))
+        rng = np.random.default_rng(8)
+        pmf._product_plan.cache_clear()
+        for sizes in [(2, 3, 1), (3, 1, 2), (2, 3, 1)]:
+            a, b, c = sizes
+            tables = [rng.random((5, b)), rng.random((5, b, c, a))]
+            got = pattern.product_stack(names, tables)
+            assert np.array_equal(got, reference_product(pattern, names, tables))
+            assert got.shape == (5, *sizes)
+        assert pmf._product_plan.cache_info().currsize == 2
 
 
 class TestFactorization:
