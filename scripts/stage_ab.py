@@ -49,7 +49,7 @@ import timeit
 
 import numpy as np
 
-THEOREMS = ("T1", "T3", "T4", "T11")
+THEOREMS = ("T1", "T3", "T4", "T8", "T11")  # configurations A (T1-T4), B (T8) and C (T11)
 SIZES = (1, 16, 256, 1024)
 REPEATS = 7
 OBJECTIVE = (1.0, 1.0, 0.5)

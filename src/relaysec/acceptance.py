@@ -160,10 +160,8 @@ def random_coupling(
     confidential layers and makes nonempty secrecy regions likely.
     """
     spec = theorem_spec(theorem_id)
-    sizes = {"X": model.x_size, "X1": model.x1_size, "Y1": model.y1_size}
-    for v in spec.coupling_vars:
-        if v not in sizes and v != "Yh":
-            sizes[v] = (aux_sizes or {}).get(v, 2)
+    aux = [v for v in spec.coupling_vars if v not in model.sizes]
+    sizes = {**model.sizes, **{v: (aux_sizes or {}).get(v, 2) for v in aux}}
 
     def refine(factors):
         if not independent_aux:
@@ -177,11 +175,10 @@ def random_coupling(
         return tuple(out)
 
     if spec.uses_compressor:
-        sizes["Yh"] = (aux_sizes or {}).get("Yh", 2)
         base_vars = tuple(v for v in spec.coupling_vars if v not in ("Y1", "Yh"))
         base = _random_factorized(rng, base_vars, refine(_base_factors(spec)), sizes)
-        q = rng.dirichlet(np.ones(sizes["Yh"]), size=model.x1_size * model.y1_size)
-        q = q.reshape(model.x1_size, model.y1_size, sizes["Yh"])
+        q = rng.dirichlet(np.ones(sizes["Yh"]), size=sizes["X1"] * sizes["Y1"])
+        q = q.reshape(sizes["X1"], sizes["Y1"], sizes["Yh"])
         return build_cf_coupling(theorem_id, base, model, q)
     joint = _random_factorized(rng, spec.coupling_vars, refine(spec.pattern.factors), sizes)
     return AuxiliaryCoupling(joint, theorem_id)
@@ -474,6 +471,7 @@ def _grid_scan_best(spec, ev, objective, steps=50):
     dims = spec.rate_dims()
     live = [br for k, br in enumerate(spec.compiled.branches) if ev.applicable[0, k]]
     bounds = [ev.bounds[0, list(br.corollary)] for br in live]
+    coefs = [spec.compiled.slice_rates[list(br.corollary)][:, list(dims)] for br in live]
     box = max([0.0] + [float(b.max()) for b in bounds])
     if box <= 0.0:
         box = 1.0
@@ -481,8 +479,7 @@ def _grid_scan_best(spec, ev, objective, steps=50):
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     best = None
-    for br, b in zip(live, bounds):
-        a = np.array([[row.rates[d] for d in dims] for row in br.spec.corollary])
+    for a, b in zip(coefs, bounds):
         feas = np.all(pts @ a.T <= b + DEFAULT_TOL, axis=1)
         if not np.any(feas):
             continue

@@ -25,9 +25,12 @@ coupling's view.
 Every row is written once.  A branch's perfect-secrecy corollary (the
 Re = R slice) is derived from its own rows: each row marked `on_slice` is
 read with Re1 folded into R1 and Re2 into R2, and rows the slice leaves
-implied carry `on_slice=False`.  The config-B inner bounds T6-T8 are T2-T4
-at R0 = 0: rows on R0 alone drop out and R0 leaves the others.  T5 stays
-written out because U survives inside its equivocation caps.
+implied carry `on_slice=False`.  The fold is made once, in the compiled form:
+`CompiledTheorem.slice_rates` holds every row's (R0, R1 + Re1, R2 + Re2)
+coefficients and `CompiledBranch.corollary` a branch's on-slice rows.  The
+config-B inner bounds T6-T8 are T2-T4 at R0 = 0: rows on R0 alone drop out
+and R0 leaves the others.  T5 stays written out because U survives inside
+its equivocation caps.
 
 Noise-forward and compress-forward share their rows: T4.L3 is T3.L1 with
 receiver 1 decoding from Y,Yh instead of Y, and with R* in place of the
@@ -54,7 +57,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dmc import CANONICAL_VARS, DMCModel, RateTuple
+from .dmc import CANONICAL_VARS, CHANNEL_VARS, DMCModel, RateTuple
 from .errors import UsageError, ValidationError, parse_json
 from .pmf import (
     FACTORIZATION_TOL,
@@ -204,11 +207,6 @@ class Ineq:
     def name(self) -> str:
         return f"{_rates_label(self.rates)} <= {self.bound.render()}"
 
-    def sliced(self) -> "Ineq":
-        """This row on the perfect-secrecy slice: Re1 reads as R1, Re2 as R2."""
-        r0, r1, r2, re1, re2 = self.rates
-        return replace(self, rates=(r0, r1 + re1, r2 + re2, 0.0, 0.0))
-
 
 def _ineq(
     rates: RateVec, bound: Lin | Bound, equivocation: bool = False, on_slice: bool = True
@@ -236,11 +234,6 @@ class BranchSpec:
     # When set, branch admits a pure-noise rate R* with
     #   0 <= R* <= value(rstar_budget) - I(Y1;Yh|X1).
     rstar_budget: Bound | None = None
-
-    @cached_property
-    def corollary(self) -> tuple[Ineq, ...]:
-        """The perfect-secrecy (Re = R) system: the on-slice rows, read there."""
-        return tuple(ineq.sliced() for ineq in self.inequalities if ineq.on_slice)
 
     @cached_property
     def budget_name(self) -> str:
@@ -274,8 +267,8 @@ class TheoremSpec:
     @property
     def full_vars(self) -> tuple[str, ...]:
         """Axes of the coupling composed with the channel."""
-        aux = tuple(v for v in self.coupling_vars if v not in ("X", "X1", "Y1", "Yh"))
-        return aux + ("X", "X1", "Y", "Y1", "Z") + ("Yh",) * self.uses_compressor
+        aux = tuple(v for v in self.coupling_vars if v not in (*CHANNEL_VARS, "Yh"))
+        return aux + CHANNEL_VARS + ("Yh",) * self.uses_compressor
 
     @cached_property
     def compiled(self) -> "CompiledTheorem":
@@ -328,7 +321,7 @@ class CompiledBranch:
     condition_col: int  # the condition's sides are pre columns condition_col, +1 (-1: none)
     budget_col: int  # R* budget and compress cost are pre columns budget_col, +1 (-1: none)
     rows: slice  # the branch's inequalities among the theorem's rows
-    corollary: tuple[int, ...]  # the rows of spec.corollary
+    corollary: tuple[int, ...]  # the on-slice rows, its Re = R system (see slice_rates)
 
 
 class CompiledTheorem:
@@ -366,6 +359,8 @@ class CompiledTheorem:
         self.pre = _BoundTable(pre, term_column)
         self.rows = _BoundTable([ineq.bound for ineq in rows], term_column)
         self.rates = np.array([ineq.rates for ineq in rows])  # (rows, 5) rate coefficients
+        # (rows, 3): each row read on the Re = R slice, (R0, R1 + Re1, R2 + Re2).
+        self.slice_rates = self.rates[:, :3] + np.pad(self.rates[:, 3:], ((0, 0), (1, 0)))
         # (2, rows, branches): the rows each branch tests, [0] all of them, [1] its Re = R rows.
         self.tested = np.zeros((2, len(rows), len(branches)), dtype=bool)
         for k, br in enumerate(branches):
@@ -742,13 +737,13 @@ def build_cf_coupling(
     spec = theorem_spec(theorem_id)
     if not spec.uses_compressor:
         raise UsageError(f"{theorem_id} does not use a compressed observation")
-    q = np.asarray(compressor, dtype=np.float64)
-    if q.ndim != 3 or q.shape[:2] != (model.x1_size, model.y1_size):
+    q, x1, y1 = np.asarray(compressor, dtype=np.float64), model.sizes["X1"], model.sizes["Y1"]
+    if q.ndim != 3 or q.shape[:2] != (x1, y1):
         raise ValidationError(
-            f"compressor must be indexed [x1,y1,yh] with x1 size {model.x1_size} "
-            f"and y1 size {model.y1_size}; got shape {q.shape}"
+            f"compressor must be indexed [x1,y1,yh] with x1 size {x1} "
+            f"and y1 size {y1}; got shape {q.shape}"
         )
-    rows = q.reshape(model.x1_size * model.y1_size, -1)
+    rows = q.reshape(x1 * y1, -1)
     check_masses(rows, "compressor rows p(yh|y1,x1) in x1-major order")
     base_vars = tuple(v for v in spec.coupling_vars if v not in ("Y1", "Yh"))
     ordered = base.reordered(_canonical_order(base_vars))
@@ -794,8 +789,7 @@ def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupli
     factorization agree."""
     if spec.theorem_id != coupling.theorem_id:
         coupling = AuxiliaryCoupling(coupling.joint, spec.theorem_id)
-    probs = coupling.joint.probs
-    channel = {"X": model.x_size, "X1": model.x1_size, "Y1": model.y1_size}
+    probs, channel = coupling.joint.probs, model.sizes
     have = {v: n for v, n in zip(spec.coupling_vars, probs.shape) if v in channel}
     if any(n != channel[v] for v, n in have.items()):
         ours, theirs = (", ".join(f"{v}={sizes[v]}" for v in have) for sizes in (have, channel))

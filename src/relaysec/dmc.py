@@ -2,7 +2,9 @@
 
 The channel has two inputs (transmitter X, relay X1) and three outputs
 (receiver 1 sees Y, the relay sees Y1, receiver 2 sees Z), described by a
-dense conditional table p(y, y1, z | x, x1).  Rate points are quintuples
+dense conditional table p(y, y1, z | x, x1) whose axes follow `CHANNEL_VARS`;
+`DMCModel.sizes` is each channel variable's alphabet size under that key, and
+a model file names them by `SIZE_KEYS`.  Rate points are quintuples
 (R0, R1, R2, Re1, Re2): a common-message rate, two confidential-message
 rates and their equivocation components; reduced message configurations pin
 the unused components at zero.
@@ -14,6 +16,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -22,13 +26,18 @@ from .pmf import check_masses
 
 #: Canonical variable order used whenever a joint over several of these is built.
 CANONICAL_VARS = ("U", "U1", "U2", "V", "V1", "V2", "X", "X1", "Y", "Y1", "Yh", "Z")
+#: The channel's variables, in the order of `DMCModel.transition`'s axes.
+CHANNEL_VARS = ("X", "X1", "Y", "Y1", "Z")
+#: A model JSON file's size keys ("x_size", ...), in CHANNEL_VARS order.
+SIZE_KEYS = tuple(f"{v.lower()}_size" for v in CHANNEL_VARS)
 
 ADMISSIBILITY_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class DMCModel:
-    """Transition law p(y, y1, z | x, x1), indexed [x, x1, y, y1, z].
+    """Transition law p(y, y1, z | x, x1), indexed [x, x1, y, y1, z], with the
+    alphabet sizes `sizes` keyed by channel variable.
 
     Its (x, x1) slices go through `pmf.check_masses` as one stack, x-major, so a
     refusal names the bad slice by its position x * x1_size + x1.  A model with
@@ -47,25 +56,10 @@ class DMCModel:
         object.__setattr__(self, "transition", arr)
         arr.setflags(write=False)
 
-    @property
-    def x_size(self) -> int:
-        return self.transition.shape[0]
-
-    @property
-    def x1_size(self) -> int:
-        return self.transition.shape[1]
-
-    @property
-    def y_size(self) -> int:
-        return self.transition.shape[2]
-
-    @property
-    def y1_size(self) -> int:
-        return self.transition.shape[3]
-
-    @property
-    def z_size(self) -> int:
-        return self.transition.shape[4]
+    @cached_property
+    def sizes(self) -> Mapping[str, int]:
+        """Read-only alphabet size of each channel variable, keyed and ordered by CHANNEL_VARS."""
+        return MappingProxyType(dict(zip(CHANNEL_VARS, self.transition.shape)))
 
     def y1_conditional(self) -> np.ndarray:
         """p(y1 | x, x1), shape (x, x1, y1): read-only, summed once per model."""
@@ -86,27 +80,17 @@ class DMCModel:
         return table
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "x_size": self.x_size,
-                "x1_size": self.x1_size,
-                "y_size": self.y_size,
-                "y1_size": self.y1_size,
-                "z_size": self.z_size,
-                "transition": self.transition.tolist(),
-            },
-            indent=2,
-        )
+        payload = dict(zip(SIZE_KEYS, self.sizes.values()))
+        return json.dumps({**payload, "transition": self.transition.tolist()}, indent=2)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DMCModel":
         try:
             arr = np.asarray(payload["transition"], dtype=np.float64)
-            keys = ("x_size", "x1_size", "y_size", "y1_size", "z_size")
-            sizes = tuple(payload[k] for k in keys)
+            sizes = tuple(payload[k] for k in SIZE_KEYS)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"DMCModel JSON: malformed payload ({exc})") from exc
-        for key, size in zip(keys, sizes):
+        for key, size in zip(SIZE_KEYS, sizes):
             require_json_int(size, f"DMCModel JSON: {key}")
         if arr.shape != sizes:
             raise ValidationError(

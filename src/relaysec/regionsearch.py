@@ -3,14 +3,17 @@
 The slice constraint systems live in at most three rate dimensions with at
 most a dozen inequalities, so extreme points come from exhaustive vertex
 enumeration (every d-subset of active constraints plus the axis planes)
-rather than an LP dependency.  A theorem's coefficients do not depend on the
-coupling, so the regular d-subsets of all its branches, each of determinant
-+-1, and their integer inverses are found once and stacked into one system.  A
-stack of couplings then takes one vertex pass for every branch at once: each
-vertex coordinate is a signed sum of at most three bounds, and each vertex is
-tested against its own branch's rows.  The extreme point is the best feasible
-vertex.  Couplings go through `bounds.evaluate_stack` as stacks (one coupling
-is a stack of one), and the search walks its grid in chunks of bounded size.
+rather than an LP dependency.  A branch's slice rows are its compiled
+`corollary` rows with coefficients `CompiledTheorem.slice_rates`; they do not
+depend on the coupling, so the regular d-subsets of all its branches, each of
+determinant +-1, and their integer inverses are found once and stacked into
+one system.  A stack of couplings then takes one vertex pass for every branch
+at once: each vertex coordinate is a signed sum of at most three bounds, and
+each vertex is tested against its own branch's rows.  A branch competes only
+where its origin, the vertex of its d axis planes, passes that same test.  The
+extreme point is the best feasible vertex.  Couplings go through
+`bounds.evaluate_stack` as stacks (one coupling is a stack of one), and the
+search walks its grid in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -55,13 +58,14 @@ class ExtremePoint:
 
 class _VertexSystem:
     """Every branch's rows, then its axis planes r_k >= 0 (as -r_k <= 0), stacked
-    as R rows: the column `source` (R,) of a bound matrix each row reads (-1: the
-    zero column `rhs` appends) and `corollary` (branches, R), each branch's own
-    non-axis rows, with its negation `off_corollary`.  The regular d-subsets of each
-    branch's rows, K in all, in branch then subset order: their rows `subsets` (K, d),
-    integer matrices `sub_a` (K, d, d) of determinant +-1 and exact inverses `inverse`
+    as R rows, with the column `source` (R,) of a bound matrix each row reads (-1:
+    the zero column `rhs` appends).  The regular d-subsets of each branch's rows, K
+    in all, in branch then subset order: their rows `subsets` (K, d), integer
+    matrices `sub_a` (K, d, d) of determinant +-1 and exact inverses `inverse`
     (K, d, d), their branch `owner` (K,), and that branch's rows `rows` (K, W) with
-    coefficients `row_a` (K, W, d), the last row repeated up to the widest branch's W."""
+    coefficients `row_a` (K, W, d), the last row repeated up to the widest branch's W.
+    Each branch's last subset is its d axis planes, of inverse -I: its vertex is the
+    origin, whose index is `origin` (branches,)."""
 
     def __init__(self, name: str, coefs: Sequence[np.ndarray], sources: Sequence[Sequence[int]]) -> None:
         """Branch k of `name` has rows `coefs[k]` (R_k, d <= 3) reading bound columns `sources[k]`."""
@@ -91,11 +95,9 @@ class _VertexSystem:
         self.subsets, self.rows = np.concatenate(subsets), np.concatenate(rows)
         self.sub_a, self.row_a = a[self.subsets], a[self.rows]
         self.inverse = np.concatenate(inverses).astype(float)
-        row_owner = np.searchsorted(ends, np.arange(len(a)), side="right")
-        self.owner = row_owner[self.subsets[:, 0]]
+        self.owner = np.searchsorted(ends, self.subsets[:, 0], side="right")
+        self.origin = np.cumsum([len(sub) for sub in subsets]) - 1
         self.source = np.concatenate([np.r_[np.array(s, dtype=int), [-1] * d] for s in sources])
-        self.corollary = (row_owner == np.arange(len(blocks))[:, None]) & (self.source >= 0)
-        self.off_corollary = ~self.corollary
 
     def rhs(self, bounds: np.ndarray) -> np.ndarray:
         """(N, R) right-hand sides of the stacked rows from (N, columns) bounds."""
@@ -105,12 +107,9 @@ class _VertexSystem:
 @functools.cache
 def _theorem_system(theorem_id: str) -> _VertexSystem:
     spec = theorem_spec(theorem_id)
-    dims = spec.rate_dims()
-    coefs = [
-        np.array([[r.rates[i] for i in dims] for r in br.corollary]).reshape(-1, len(dims))
-        for br in spec.branches
-    ]
-    return _VertexSystem(theorem_id, coefs, [br.corollary for br in spec.compiled.branches])
+    c, dims = spec.compiled, list(spec.rate_dims())
+    coefs = [c.slice_rates[list(br.corollary)][:, dims] for br in c.branches]
+    return _VertexSystem(theorem_id, coefs, [br.corollary for br in c.branches])
 
 
 def _vertices(system: _VertexSystem, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -142,13 +141,12 @@ def _first_max(keys: Sequence[np.ndarray], valid: np.ndarray) -> tuple[np.ndarra
 
 def _stack_extremes(spec: TheoremSpec, ev: StackEvaluation, obj, tol: float):
     """Per coupling of a stack: best value (N,), point (N, 3), branch (N,; -1: none) over
-    the feasible vertices of each applicable branch with a feasible origin, in branch
-    then subset order: the largest (value, R0, R1, R2), first on a tie."""
+    the feasible vertices of each applicable branch with a feasible origin (its
+    axis-plane vertex), in branch then subset order: the largest (value, R0, R1, R2),
+    first on a tie."""
     system = _theorem_system(spec.theorem_id)
-    b = system.rhs(ev.bounds)
-    vertices, feasible = _vertices(system, b, tol)
-    origin = np.all((b >= -tol)[:, None, :] | system.off_corollary, axis=2)
-    valid = feasible & (ev.applicable & origin)[:, system.owner]
+    vertices, feasible = _vertices(system, system.rhs(ev.bounds), tol)
+    valid = feasible & (ev.applicable & feasible[:, system.origin])[:, system.owner]
     point = _full_points(vertices, spec.rate_dims())
     value = ((0.0 + obj[0] * point[..., 0]) + obj[1] * point[..., 1]) + obj[2] * point[..., 2]
     found, first = _first_max([value, *point.transpose(2, 0, 1)], valid)
@@ -251,21 +249,24 @@ def _axis_sizes(
     model: DMCModel,
     aux_sizes: Mapping[str, int],
 ) -> dict[str, int]:
-    channel = {"X": model.x_size, "X1": model.x1_size, "Y1": model.y1_size}
-    aux = [name for name in spec.coupling_vars if name not in channel]
+    """The coupling's axis sizes: the channel's, and `aux_sizes` for each auxiliary
+    (names first, then each size, 1 to the brute-force cap of 3)."""
+    aux = [name for name in spec.coupling_vars if name not in model.sizes]
     unknown = sorted(set(aux_sizes) - set(aux))
     if unknown:
         raise UsageError(
             f"aux_sizes names {', '.join(unknown)}, which {spec.theorem_id} does not have; "
             f"its auxiliaries are {', '.join(aux)}"
         )
-    sizes = {name: channel[name] for name in spec.coupling_vars if name in channel}
+    sizes = {name: model.sizes[name] for name in spec.coupling_vars if name in model.sizes}
     for name in aux:
         if name not in aux_sizes:
             raise UsageError(f"aux_sizes must provide a cardinality for {name}")
         size = int(aux_sizes[name])
         if size < 1:
             raise UsageError(f"aux size for {name} must be >= 1")
+        if size > 3:
+            raise UsageError(f"aux size for {name} exceeds the brute-force cap of 3")
         sizes[name] = size
     return sizes
 
@@ -295,10 +296,9 @@ def _grid(
     its picked rows, so it is canonical, of unit mass, factorized and carries the
     channel's Y1 leg by construction; no chunk is checked again (the tests check
     every chunk of their grids).  No table is built before the first chunk."""
-    sizes = _axis_sizes(spec, model, aux_sizes)
-    channel = {"Y": model.y_size, "Y1": model.y1_size, "Z": model.z_size, **sizes}
+    sizes = {**model.sizes, **_axis_sizes(spec, model, aux_sizes)}
     factors, radices, count, step = _grid_plan(
-        spec.theorem_id, tuple(channel.items()), grid_steps, CHUNK_CELLS)
+        spec.theorem_id, tuple(sizes.items()), grid_steps, CHUNK_CELLS)
 
     def chunks() -> Iterator[np.ndarray]:
         y1 = model.y1_conditional()[None] if spec.uses_compressor else None
@@ -345,16 +345,14 @@ def brute_force_best(
     """Grid search over the bound's admissible couplings.
 
     Deterministic for a given `grid_steps`; refuses up front a `budget` below 1
-    (UsageError) and a grid of more than `budget` or `MAX_GRID_INDEX` couplings
-    (BudgetExceededError).  One serial pass evaluates the grid chunk by chunk
-    and keeps only the running best by (objective, lexicographic rates), so
-    memory does not grow with the grid; ties keep the earliest coupling in grid
-    order.  Only the winner becomes an AuxiliaryCoupling,
-    built without the checks its grid already passed by construction.
+    and `aux_sizes` that `_axis_sizes` refuses (UsageError), and a grid of more
+    than `budget` or `MAX_GRID_INDEX` couplings (BudgetExceededError).  One
+    serial pass evaluates the grid chunk by chunk and keeps only the running
+    best by (objective, lexicographic rates), so memory does not grow with the
+    grid; ties keep the earliest coupling in grid order.  Only the winner
+    becomes an AuxiliaryCoupling, built without the checks its grid already
+    passed by construction.
     """
-    for name, size in aux_sizes.items():
-        if size > 3:
-            raise UsageError(f"aux size for {name} exceeds the brute-force cap of 3")
     if budget < 1:
         raise UsageError("budget must be >= 1")
     spec = theorem_spec(theorem_id)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -33,9 +34,11 @@ from relaysec.bounds import (
     stack_membership,
     theorem_spec,
 )
-from relaysec.dmc import DMCModel, RateTuple
+from relaysec.dmc import CHANNEL_VARS, SIZE_KEYS, DMCModel, RateTuple
 from relaysec.errors import UsageError, ValidationError
 from relaysec.pmf import ENTROPY_RESIDUE, JointPMF
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
 
 def degenerate_coupling(theorem_id):
@@ -182,6 +185,29 @@ class TestModelJSON:
         payload[key] = value
         with pytest.raises(ValidationError, match=f"{key} must be an integer"):
             DMCModel.from_json_dict(payload)
+
+    def test_sizes_are_a_read_only_map_keyed_by_channel_variable(self):
+        model = DMCModel(np.full((3, 2, 2, 4, 2), 1 / 16))
+        assert dict(model.sizes) == {"X": 3, "X1": 2, "Y": 2, "Y1": 4, "Z": 2}
+        assert tuple(model.sizes) == CHANNEL_VARS == theorem_spec("T1").full_vars[-5:]
+        with pytest.raises(TypeError):
+            model.sizes["X"] = 2
+
+    def test_the_reader_needs_every_size_key_the_writer_writes(self):
+        payload = json.loads(product_channel().to_json())
+        keys = [k for k in payload if k != "transition"]
+        assert keys == list(SIZE_KEYS) == ["x_size", "x1_size", "y_size", "y1_size", "z_size"]
+        for key in keys:
+            spoiled = {k: v for k, v in payload.items() if k != key}
+            with pytest.raises(ValidationError, match=rf"malformed payload \('{key}'\)"):
+                DMCModel.from_json_dict(spoiled)
+
+    @pytest.mark.parametrize("name, load", [("dmc_model.json", DMCModel.from_json),
+                                            ("dmc_coupling.json", AuxiliaryCoupling.from_json)])
+    def test_a_shipped_file_is_written_back_to_its_own_bytes(self, name, load):
+        with open(os.path.join(SCENARIOS, name), "rb") as fh:
+            data = fh.read()
+        assert load(data.decode("utf-8")).to_json().encode("utf-8") == data
 
     @pytest.mark.parametrize(
         "x, x1, value, message",
@@ -723,7 +749,8 @@ class TestReductions:
 
 
 class TestCorollarySlice:
-    """Each perfect-secrecy corollary is its branch's on-slice rows read at Re = R."""
+    """Each perfect-secrecy corollary is its branch's on-slice rows, whose compiled
+    coefficients `slice_rates` read Re1 as R1 and Re2 as R2."""
 
     # Indices into each branch's inequalities that the corollary keeps, in order.
     KEPT = {
@@ -750,22 +777,17 @@ class TestCorollarySlice:
     def test_kept_rows_read_on_the_slice(self):
         seen = set()
         for theorem_id, spec in THEOREMS.items():
-            for branch in spec.branches:
-                key = theorem_id if branch.branch_id == "n/a" else branch.branch_id
+            c = spec.compiled
+            for branch in c.branches:
+                key = theorem_id if branch.spec.branch_id == "n/a" else branch.spec.branch_id
                 seen.add(key)
-                kept = self.KEPT[key]
-                assert len(branch.corollary) == len(kept), key
-                for row, i in zip(branch.corollary, kept):
-                    ineq = branch.inequalities[i]
+                first = branch.rows.start
+                assert branch.corollary == tuple(first + i for i in self.KEPT[key]), key
+                for i, ineq in enumerate(branch.spec.inequalities):
                     r0, r1, r2, re1, re2 = ineq.rates
-                    slice_rates = (r0, r1 + re1, r2 + re2, 0.0, 0.0)
-                    label = "+".join(
-                        n for c, n in zip(slice_rates, ("R0", "R1", "R2")) if c == 1.0
-                    )
-                    assert row.rates == slice_rates, key
-                    assert row.name == f"{label} <= {ineq.bound.render()}", key
-                    assert row.bound == ineq.bound, key
-                    assert row.equivocation == ineq.equivocation, key
+                    assert c.slice_rates[first + i].tolist() == [r0, r1 + re1, r2 + re2], key
+                    assert c.equivocation[first + i] == ineq.equivocation, key
+            assert c.slice_rates.shape == (len(c.rates), 3)
         assert seen == set(self.KEPT)
 
     def test_t8_l8_row_order_leaves_vertices_unchanged(self):

@@ -378,6 +378,21 @@ class TestDMCCommands:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "aux_sizes, message",
+        [
+            ("U=1,V1=2,V2=1,Q=9",
+             "aux_sizes names Q, which T3 does not have; its auxiliaries are U, V1, V2"),
+            ("U=1,V1=4,V2=1", "aux size for V1 exceeds the brute-force cap of 3"),
+            ("U=1,V1=0,V2=1", "aux size for V1 must be >= 1"),
+        ],
+    )
+    def test_search_checks_the_aux_names_before_their_sizes(self, capsys, aux_sizes, message):
+        argv = ["dmc-search", "--scenario", scenario_path("dmc_demo.json"),
+                "--aux-sizes", aux_sizes, "--grid-steps", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip() == f"usage error: {message}"
+
     def test_search_uses_the_scenario_tol(self, tmp_path):
         from relaysec.regionsearch import brute_force_best
 

@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def slice_branches(theorem_id, model, coupling, clamp=False):
     ev = evaluate_stack(spec, coupling_stack(spec, model, coupling), clamp_equivocation=clamp)
     return [
         (bool(ev.applicable[0, k]),
-         (np.array([row.rates[:3] for row in br.spec.corollary]), ev.bounds[0, list(br.corollary)]))
+         (spec.compiled.slice_rates[list(br.corollary)], ev.bounds[0, list(br.corollary)]))
         for k, br in enumerate(spec.compiled.branches)
     ]
 
@@ -128,6 +129,17 @@ class TestExtremes:
         assert ext.empty_interior
         assert ext.rates.as_tuple() == (0.0, 0.0, 0.0, 0.0, 0.0)
         assert ext.branch_id == "none"
+
+    def test_a_branch_with_an_infeasible_origin_offers_no_vertex(self):
+        # T9's slice: R0+R1 <= -1.5 tol and R1 <= -0.75 tol meet at r0 = r1 = -0.75 tol,
+        # a vertex within tol of every row, but the origin fails R0+R1's row.
+        spec, tol = theorem_spec("T9"), DEFAULT_TOL
+        rates = spec.compiled.slice_rates.tolist()
+        for cap, branch in ((-1.5 * tol, -1), (-tol, 0)):
+            bounds = [[cap if r == [1, 1, 0] else -0.75 * tol if r == [0, 1, 0] else 1.0 for r in rates]]
+            ev = SimpleNamespace(bounds=np.array(bounds), applicable=np.ones((1, 1), dtype=bool))
+            value, point, got = regionsearch._stack_extremes(spec, ev, (1.0, 1.0, 0.0), tol)
+            assert (value.tolist(), point.tolist(), got.tolist()) == ([0.0], [[0.0] * 3], [branch])
 
     def test_objective_must_be_three_dimensional(self):
         with pytest.raises(UsageError, match="direction"):
@@ -305,7 +317,7 @@ def kept_by_branch(system, points, kept, dims):
     """One coupling's kept vertices (K, d) as rate triples, per branch in subset order."""
     return [
         [tuple(p) for p in _full_points(points[kept & (system.owner == k)], dims).tolist()]
-        for k in range(len(system.corollary))
+        for k in range(len(system.origin))
     ]
 
 
@@ -418,6 +430,30 @@ class TestVertexSystem:
         # Integer matrices whose product is the identity both have determinant +-1.
         product = np.einsum("kij,kjl->kil", system.sub_a, system.inverse)
         assert np.array_equal(product, np.broadcast_to(np.eye(d), product.shape))
+
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_each_origin_is_its_branch_axis_plane_vertex(self, theorem_id):
+        spec, system = theorem_spec(theorem_id), regionsearch._theorem_system(theorem_id)
+        c, d = spec.compiled, system.subsets.shape[1]
+        # Each branch's last subset: its d axis planes -r_k <= 0, which read the zero column.
+        last = [np.flatnonzero(system.owner == k)[-1] for k in range(len(c.branches))]
+        assert system.origin.tolist() == last
+        assert np.all(system.source[system.subsets[system.origin]] == -1)
+        for o in system.origin:
+            assert np.array_equal(system.sub_a[o], -np.eye(d))
+            assert np.array_equal(system.inverse[o], -np.eye(d))
+        # Its feasibility is the literal origin rule: every Re = R row's bound >= -tol,
+        # with bounds at -tol, one ulp either side of it, and zeros of both signs.
+        rng, tol = np.random.default_rng(500 + int(theorem_id[1:])), DEFAULT_TOL
+        edge = np.array([-tol, np.nextafter(-tol, -1.0), np.nextafter(-tol, 0.0), 0.0, -0.0])
+        bounds = rng.uniform(-1.0, 1.0, (200, len(c.rates))) ** 2
+        at_edge = rng.uniform(size=bounds.shape) < 0.4
+        bounds[at_edge] = rng.choice(edge, size=int(at_edge.sum()))
+        literal = np.stack([np.all(bounds[:, list(br.corollary)] >= -tol, axis=1)
+                            for br in c.branches], axis=1)
+        feasible = _vertices(system, system.rhs(bounds), tol)[1]
+        assert np.array_equal(feasible[:, system.origin], literal)
+        assert literal.any() and not literal.all()
 
     @pytest.mark.parametrize("rows", [[[2.0, 0.0], [0.0, 1.0]], [[0.5, 1.0]]], ids=["det-2", "half"])
     def test_a_system_without_a_signed_sum_is_refused(self, rows):
@@ -700,7 +736,7 @@ def reference_grid_chunks(spec, model, sizes, steps):
         rows = np.array(list(simplex_grid(math.prod(axes[v] for v in targets), steps)))
         combos = list(itertools.product(range(len(rows)), repeat=math.prod(axes[v] for v in given)))
         tables.append(np.stack([rows[list(c)].reshape(shape) for c in combos]))
-    channel = {"Y": model.y_size, "Y1": model.y1_size, "Z": model.z_size, **axes}
+    channel = {**model.sizes, **axes}
     step = max(1, regionsearch.CHUNK_CELLS // math.prod(channel[v] for v in spec.full_vars))
     picks = list(itertools.product(*(range(len(t)) for t in tables)))
     for start in range(0, len(picks), step):
