@@ -5,10 +5,11 @@
 
 OLD_SRC and NEW_SRC are directories that hold a `relaysec` package (a
 checkout's `src`).  Each is loaded under its own package name, with BLAS
-pinned to one thread.  Per theorem of THEOREMS and stack size N of SIZES, on
-the same N random couplings of a favorable model
-(`acceptance.random_coupling`, independent auxiliaries of two values), it
-times:
+pinned to one thread.  It times one `bounds._catalog()` (catalog, listed as
+theorem "all"), the import-time build of every theorem's rows.  Per theorem
+of THEOREMS and stack size N of SIZES, on the same N random couplings of a
+favorable model (`acceptance.random_coupling`, independent auxiliaries of
+two values), it times:
 
   entropies  `SubsetEntropies` of the theorem's compiled subsets;
   tables     the `_BoundTable.__call__` calls that one `evaluate_stack` makes,
@@ -30,11 +31,12 @@ on the paper network: per curve strategy of CURVES at 401 alphas x 401 betas,
 and per region grid of REGIONS one `sweep.sweep_frontier` (frontier).  The
 trees take turns, in alternating order, and each figure is the best of
 REPEATS samples, in microseconds per call.  `max|diff|` is the largest
-difference between the trees' entropies (entropies), bounds (evaluate),
-extreme values (extremes), best values, rates and couplings (search), roots
-(candidates; equal non-finite roots count 0), columns (bracket), curve values
-and betas (curve) or frontier columns (frontier); arrays of unequal shape
-read inf.
+difference between the trees' rendered rows (catalog: 0 when every row of
+every theorem renders the same, else inf), entropies (entropies), bounds
+(evaluate), extreme values (extremes), best values, rates and couplings
+(search), roots (candidates; equal non-finite roots count 0), columns
+(bracket), curve values and betas (curve) or frontier columns (frontier);
+arrays of unequal shape read inf.
 """
 
 import os
@@ -134,6 +136,13 @@ def stages(tree: dict, theorem: str, probs: np.ndarray, n: int) -> dict:
     return out
 
 
+def catalog_rows(tree: dict) -> list:
+    """Every row of one tree's catalog, rendered with its theorem and branch."""
+    return [f"{theorem} {br.branch_id} {ineq.name}"
+            for theorem, spec in tree["bounds"]._catalog().items()
+            for br in spec.branches for ineq in br.inequalities]
+
+
 def search_stages(tree: dict) -> list:
     """(theorem, shape, callable, output) rows of one tree's whole searches."""
     rs, dmc = tree["regionsearch"], tree["dmc"]
@@ -220,6 +229,10 @@ def main(argv: list) -> int:
     print(f"# numpy {np.__version__}, python {sys.version.split()[0]}, BLAS pinned to 1 thread, "
           f"best of {REPEATS}, microseconds per call")
     print(f"{'theorem':<8}{'N':>6}  {'stage':<10}{'old':>12}{'new':>12}{'new/old':>9}{'max|diff|':>11}")
+    t_old, t_new = best_of([tree["bounds"]._catalog for tree in trees], REPEATS)
+    diff = 0.0 if catalog_rows(trees[0]) == catalog_rows(trees[1]) else float("inf")
+    print(f"{'all':<8}{'-':>6}  {'catalog':<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
+          f"{t_new / t_old:>9.2f}{diff:>11.1e}", flush=True)
     for theorem in THEOREMS:
         old = trees[0]
         rng = np.random.default_rng(int(theorem[1:]))

@@ -29,8 +29,10 @@ implied carry `on_slice=False`.  The fold is made once, in the compiled form:
 `CompiledTheorem.slice_rates` holds every row's (R0, R1 + Re1, R2 + Re2)
 coefficients and `CompiledBranch.corollary` a branch's on-slice rows.  The
 config-B inner bounds T6-T8 are T2-T4 at R0 = 0: rows on R0 alone drop out
-and R0 leaves the others.  T5 stays written out because U survives inside
-its equivocation caps.
+and R0 leaves the others.  The outer bounds T1 and T5 are one body of
+receiver 1's rows, each followed by its mirror image (`_outer_two_messages`);
+without a common message R0 and U drop out, except in the Re1 cap's second
+alternative, so T5 is not T1 at R0 = 0.
 
 Noise-forward and compress-forward share their rows: T4.L3 is T3.L1 with
 receiver 1 decoding from Y,Yh instead of Y, and with R* in place of the
@@ -39,13 +41,14 @@ becoming R*'s budget (`_forward_two_messages`); CF's coupling adds the Y1 and
 Yh factors.  Likewise T12.L12 is T11.L10 with Yh added to both receivers' U
 terms and to receiver 1's V term, and budget I(X1;Y) (`_forward_one_message`).
 
-Two term maps (`_TermMap`) derive five more branches.  `_MIRROR` swaps the
-receivers Y/Z, the messages V1/V2 and their rates: T3.L2 and T4.L4 are
-T3.L1 and T4.L3 mirrored.  `_ONE_MESSAGE` holds V2 constant and reads V1 as
-V: T10, T11.L9 and T12.L11 are T2, T3.L1 and T4.L3 in config C.  Written out
-stay T1; T9, because T1 with V2 constant keeps an implied extra R0+R1 row and
-a repeated min alternative; and the branch where both receivers decode X1
-(T11.L10, T12.L12), a decoder config A does not have.
+Two term maps (`_TermMap`) derive the rest.  `_MIRROR` swaps the receivers
+Y/Z and what is theirs, U1/U2, V1/V2 and their rates: receiver 2's rows of
+T1, T5 and T9 are receiver 1's mirrored, and T3.L2 and T4.L4 are T3.L1 and
+T4.L3 mirrored.  `_ONE_MESSAGE` holds V2 constant and reads V1 as V: T10,
+T11.L9 and T12.L11 are T2, T3.L1 and T4.L3 in config C.  Written out stay
+T9's rows but its second R0 row, because T1 with V2 constant keeps an implied
+extra R0+R1 row and a repeated min alternative; and the branch where both
+receivers decode X1 (T11.L10, T12.L12), a decoder config A does not have.
 """
 
 from __future__ import annotations
@@ -384,9 +387,10 @@ def _indices(names: Iterable[str]) -> list[int]:
 
 class _TermMap:
     """A renaming of variables and rates ("" holds a variable constant or zeroes
-    a rate), lifted to every catalog object.  Terms come out canonical: C in `CANONICAL_VARS` order, A and
-    B swapped when B's indices sort first, a term with an empty side dropped, and
-    each Lin's + terms before its - terms, each group in canonical order."""
+    a rate), lifted to every catalog object.  Terms come out canonical: C in
+    `CANONICAL_VARS` order, A and B swapped when B's indices sort first, a term
+    with an empty side dropped, and each Lin's + terms before its - terms, each
+    group in canonical order."""
 
     def __init__(self, rename: Mapping[str, str]) -> None:
         self.rename = rename
@@ -413,12 +417,14 @@ class _TermMap:
                 out[RATE_COMPONENTS.index(to)] += coef
         return tuple(out)  # type: ignore[return-value]
 
+    def ineq(self, row: Ineq) -> Ineq:
+        return replace(row, rates=self.rates(row.rates), bound=self.bound(row.bound))
+
     def branch(self, br: BranchSpec, branch_id: str) -> BranchSpec:
         """The mapped branch: rows left as 0 <= 0 dropped, a repeated (rates, bound)
         row kept at its first occurrence, rows in the source's rate order."""
         rows: dict[tuple[RateVec, Bound], Ineq] = {}
-        for ineq in br.inequalities:
-            row = replace(ineq, rates=self.rates(ineq.rates), bound=self.bound(ineq.bound))
+        for row in map(self.ineq, br.inequalities):
             if any(row.rates) or row.bound != as_bound(Lin()):
                 rows.setdefault((row.rates, row.bound), row)
         order = [ineq.rates for ineq in br.inequalities]
@@ -437,8 +443,9 @@ class _TermMap:
                        pattern=FactorizationPattern(factors))
 
 
-# Receivers, confidential messages and their rates swapped: the second NF/CF branch.
-_MIRROR = _TermMap({"Y": "Z", "Z": "Y", "V1": "V2", "V2": "V1",
+# Receivers swapped with all that is theirs, Y/Z, U1/U2, V1/V2 and the rates: receiver
+# 2's rows of T1, T5 and T9 from receiver 1's, and the second NF/CF branch from the first.
+_MIRROR = _TermMap({"Y": "Z", "Z": "Y", "U1": "U2", "U2": "U1", "V1": "V2", "V2": "V1",
                     "R1": "R2", "R2": "R1", "Re1": "Re2", "Re2": "Re1"})
 # One confidential message: V2 held constant, V1 read as V, R2 = Re2 = 0.
 _ONE_MESSAGE = _TermMap({"V1": "V", "V2": "", "R2": "", "Re2": ""})
@@ -457,42 +464,16 @@ def _df_pattern(aux: tuple[str, ...]) -> FactorizationPattern:
 
 
 def _outer_two_messages(theorem_id: str, config: str) -> TheoremSpec:
-    re1_cap = Min(
-        mi("V1;Y|U,V2") - mi("V1;Z|U,V2"),
-        mi("V1;Y|U") - mi("V1;Z|U"),
-    )
-    re2_cap = Min(
-        mi("V2;Z|U,V1") - mi("V2;Y|U,V1"),
-        mi("V2;Z|U") - mi("V2;Y|U"),
-    )
-    if config == "A":
-        rate_ineqs = (
-            _ineq(R0, Min(mi("U,U1;Y"), mi("U;Y,Y1|U1"))),
-            _ineq(R0, Min(mi("U,U2;Z"), mi("U;Z,Y1|U2"))),
-            _ineq(rsum(R0, R1), Min(mi("U,U1,V1;Y"), mi("U,V1;Y,Y1|U1"))),
-            _ineq(rsum(R0, R2), Min(mi("U,U2,V2;Z"), mi("U,V2;Z,Y1|U2"))),
-            _ineq(rsum(R0, R1, R2), mi("U,U2,V1;Y,Y1|U1") + mi("V2;Z,Y1|U,U1,U2,V1")),
-            _ineq(rsum(R0, R1, R2), mi("U,U1,V2;Z,Y1|U2") + mi("V1;Y,Y1|U,U1,U2,V2")),
-        )
-    else:
-        # No common message: U survives only inside the equivocation caps.
-        re1_cap = Min(
-            mi("V1;Y|V2") - mi("V1;Z|V2"),
-            mi("V1;Y|U") - mi("V1;Z|U"),
-        )
-        re2_cap = Min(
-            mi("V2;Z|V1") - mi("V2;Y|V1"),
-            mi("V2;Z|U") - mi("V2;Y|U"),
-        )
-        rate_ineqs = (
-            _ineq(R1, Min(mi("U1,V1;Y"), mi("V1;Y,Y1|U1"))),
-            _ineq(R2, Min(mi("U2,V2;Z"), mi("V2;Z,Y1|U2"))),
-            _ineq(rsum(R1, R2), mi("U2,V1;Y,Y1|U1") + mi("V2;Z,Y1|U1,U2,V1")),
-            _ineq(rsum(R1, R2), mi("U1,V2;Z,Y1|U2") + mi("V1;Y,Y1|U1,U2,V2")),
-        )
-    ineqs = rate_ineqs + (
-        _ineq(RE1, re1_cap, equivocation=True),
-        _ineq(RE2, re2_cap, equivocation=True),
+    """T1 (config A) or T5 (config B): receiver 1's rows, each followed by its
+    mirror image.  Without a common message U survives only in the Re1 cap's
+    second alternative."""
+    u, r0 = ("U,", R0) if config == "A" else ("", rsum())
+    written = (_ineq(R0, Min(mi("U,U1;Y"), mi("U;Y,Y1|U1"))),) if config == "A" else ()
+    written += (
+        _ineq(rsum(r0, R1), Min(mi(f"{u}U1,V1;Y"), mi(f"{u}V1;Y,Y1|U1"))),
+        _ineq(rsum(r0, R1, R2), mi(f"{u}U2,V1;Y,Y1|U1") + mi(f"V2;Z,Y1|{u}U1,U2,V1")),
+        _ineq(RE1, Min(mi(f"V1;Y|{u}V2") - mi(f"V1;Z|{u}V2"), mi("V1;Y|U") - mi("V1;Z|U")),
+              equivocation=True),
     )
     return TheoremSpec(
         theorem_id,
@@ -500,7 +481,7 @@ def _outer_two_messages(theorem_id: str, config: str) -> TheoremSpec:
         "outer",
         ("U", "U1", "U2", "V1", "V2", "X", "X1"),
         _chain_pattern(("U1", "U2", "V1", "V2")),
-        (BranchSpec("n/a", ineqs),),
+        (BranchSpec("n/a", tuple(i for row in written for i in (row, _MIRROR.ineq(row)))),),
     )
 
 
@@ -591,9 +572,8 @@ def _without_common(parent: TheoremSpec, theorem_id: str, l_first: int = 0) -> T
 
 
 def _outer_one_message() -> TheoremSpec:
-    ineqs = (
-        _ineq(R0, Min(mi("U,U1;Y"), mi("U;Y,Y1|U1"))),
-        _ineq(R0, Min(mi("U,U2;Z"), mi("U;Z,Y1|U2"))),
+    r0 = _ineq(R0, Min(mi("U,U1;Y"), mi("U;Y,Y1|U1")))
+    ineqs = (r0, _MIRROR.ineq(r0)) + (
         _ineq(rsum(R0, R1), Min(mi("U,U1,V;Y"), mi("U,V;Y,Y1|U1"))),
         _ineq(rsum(R0, R1), mi("U,U1;Z,Y1|U2") + mi("V;Y,Y1|U,U1,U2")),
         _ineq(RE1, mi("V;Y|U") - mi("V;Z|U"), equivocation=True),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -250,7 +251,7 @@ def _axis_sizes(
     aux_sizes: Mapping[str, int],
 ) -> dict[str, int]:
     """The coupling's axis sizes: the channel's, and `aux_sizes` for each auxiliary
-    (names first, then each size, 1 to the brute-force cap of 3)."""
+    (names first, then each size, an integer from 1 to the brute-force cap of 3)."""
     aux = [name for name in spec.coupling_vars if name not in model.sizes]
     unknown = sorted(set(aux_sizes) - set(aux))
     if unknown:
@@ -262,12 +263,14 @@ def _axis_sizes(
     for name in aux:
         if name not in aux_sizes:
             raise UsageError(f"aux_sizes must provide a cardinality for {name}")
-        size = int(aux_sizes[name])
+        size = aux_sizes[name]
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            raise UsageError(f"aux size for {name} must be an integer, got {size!r}")
         if size < 1:
             raise UsageError(f"aux size for {name} must be >= 1")
         if size > 3:
             raise UsageError(f"aux size for {name} exceeds the brute-force cap of 3")
-        sizes[name] = size
+        sizes[name] = int(size)
     return sizes
 
 

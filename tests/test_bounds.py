@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,12 +25,15 @@ from relaysec.acceptance import (
 )
 from relaysec.bounds import (
     DEFAULT_TOL,
+    RATE_COMPONENTS,
     AuxiliaryCoupling,
     THEOREMS,
     build_cf_coupling,
     compose_full_joint,
     corollary_member,
+    coupling_stack,
     evaluate_membership,
+    evaluate_stack,
     mi_terms,
     stack_membership,
     theorem_spec,
@@ -85,7 +89,8 @@ def catalog_fingerprint():
 
 
 def test_catalog_fingerprint():
-    # Pinned before config C and the mirror branches were derived by term maps.
+    # Pinned before config C, the mirror branches and receiver 2's rows of T1, T5 and
+    # T9 were derived by term maps; each derived row renders as the row once written.
     assert catalog_fingerprint() == (
         "2704f7f301d4e5ced442a5f1ab70c44fbbeb58f91a3fe5e0ec3176ea74c06f3c"
     )
@@ -731,8 +736,8 @@ class TestReductions:
 
     @pytest.mark.parametrize("reduced_id,parent_id", [("T9", "T1"), ("T10", "T2")])
     def test_v2_constant_reduction(self, reduced_id, parent_id):
-        # T9 is written out, so this pair checks the catalog against T1
-        # independently of the term map that derives T10 from T2.
+        # T9 is written out but for its mirrored R0 row, so this pair checks the
+        # catalog against T1 independently of the term map that derives T10 from T2.
         rng = np.random.default_rng(int(reduced_id[1:]))
         members = 0
         for k in range(40):
@@ -746,6 +751,174 @@ class TestReductions:
             assert reduced.member == parent.member, (k, r.as_tuple())
             members += reduced.member
         assert 8 <= members <= 32
+
+
+# The receivers swapped with everything that is theirs, written out here rather than read
+# from `bounds._MIRROR`: the variable names, and the order of (R0, R1, R2, Re1, Re2).
+RECEIVER_SWAP = {"Y": "Z", "Z": "Y", "U1": "U2", "U2": "U1", "V1": "V2", "V2": "V1"}
+RATE_SWAP = (0, 2, 1, 4, 3)
+TWO_MESSAGE_IDS = [t for t in THEOREM_IDS if theorem_spec(t).config in "AB"]
+
+
+def branch_forms(spec, swap=False):
+    """Each branch of `spec` as (condition, R* budget, rows) up to what its values do not
+    depend on: a term's two sides unordered and C a set, a Lin its terms' multiset, a
+    min its alternatives' set.  With `swap`, each read with the receivers swapped."""
+    rename, perm = (RECEIVER_SWAP, RATE_SWAP) if swap else ({}, range(5))
+
+    def names(vs):
+        return frozenset(rename.get(v, v) for v in vs)
+
+    def lin(lin):
+        terms = Counter((c, frozenset((names(t.a), names(t.b))), names(t.c)) for c, t in lin.terms)
+        return frozenset(terms.items()), lin.rstar
+
+    def bound(b):
+        return b and (frozenset(map(lin, b.alternatives)), lin(b.tail))
+
+    return [
+        (br.condition and (lin(br.condition.lhs), lin(br.condition.rhs)), bound(br.rstar_budget),
+         [(tuple(r.rates[i] for i in perm), bound(r.bound), r.equivocation, r.on_slice)
+          for r in br.inequalities])
+        for br in spec.branches
+    ]
+
+
+def branch_keys(forms):
+    """Each branch form with its rows as a multiset, so that branches compare unordered."""
+    return [(cond, budget, frozenset(Counter(rows).items())) for cond, budget, rows in forms]
+
+
+def mirror_partners(spec):
+    """Where each row (in compiled order) and each branch of `spec` lands under the
+    receiver swap: the index of the row, and of the branch, that its image is."""
+    plain, image = branch_forms(spec), branch_forms(spec, swap=True)
+    keys, image_keys = branch_keys(plain), branch_keys(image)
+    branches = [keys.index(key) for key in image_keys]
+    rows = [spec.compiled.branches[j].rows.start + plain[j][2].index(row)
+            for j, (*_, image_rows) in zip(branches, image) for row in image_rows]
+    return rows, branches
+
+
+def rounding_scales(spec, full):
+    """How far each row's bound (N, rows) and each branch's largest R* (N, branches) may
+    lie from its exact value on stacked full joints.  `pmf.information` reads each MI term
+    within its rounding scale, ENTROPY_RESIDUE times the sum of its four entropies.  A
+    bound is a min of signed term sums plus a tail; it is read within the |coef|-weighted
+    sum of its terms' scales, summed here over every alternative, which bounds the
+    `_BoundTable` scale at which a bound reads 0.  A row with an R* share adds its
+    branch's budget and compress cost.  Two reads of one exact value then lie within the
+    sum of their two scales."""
+    residue = spec.compiled.mi(full)[1]
+    column = {t: k for k, t in enumerate(spec.compiled.terms)}
+
+    def scale(lins):
+        return sum((abs(c) * residue[:, column[t]] for lin in lins for c, t in lin.terms),
+                   np.zeros(len(full)))
+
+    def lins(b):
+        return (*b.alternatives, b.tail) if b else ()
+
+    rows, budgets = [], []
+    for br in spec.branches:
+        cost = (bounds._COMPRESS_COST,) if br.rstar_budget else ()
+        budgets.append(scale(lins(br.rstar_budget) + cost))
+        rows += [scale(lins(r.bound)) + budgets[-1] * any(lin.rstar for lin in lins(r.bound))
+                 for r in br.inequalities]
+    return np.stack(rows, axis=1), np.stack(budgets, axis=1)
+
+
+def receiver_swapped(joint):
+    return JointPMF(tuple(RECEIVER_SWAP.get(v, v) for v in joint.axis_names), joint.probs)
+
+
+def mirror_pair(rng, theorem_id, k):
+    """A (model, coupling) of `theorem_id` and its image with the receivers swapped: the
+    channel's Y and Z axes, the coupling's U1/U2 and V1/V2.  A CF coupling is built on
+    each channel by `build_cf_coupling`, from its NF twin's coupling and one quantizer,
+    so Y1 and Yh stay as they are."""
+    model = favorable_model(rng) if k % 2 else random_model(rng)
+    image = DMCModel(np.swapaxes(model.transition, 2, 4))
+    independent = k % 3 == 0
+    if not theorem_spec(theorem_id).uses_compressor:
+        coupling = random_coupling(rng, theorem_id, model, independent_aux=independent)
+        return (model, coupling), (image, AuxiliaryCoupling(receiver_swapped(coupling.joint),
+                                                            theorem_id))
+    twin = {"T4": "T3", "T8": "T7"}[theorem_id]
+    base = random_coupling(rng, twin, model, independent_aux=independent).joint
+    q = rng.dirichlet(np.ones(2), size=4).reshape(2, 2, 2)
+    return ((model, build_cf_coupling(theorem_id, base, model, q)),
+            (image, build_cf_coupling(theorem_id, receiver_swapped(base), image, q)))
+
+
+def evaluated(spec, model, coupling):
+    full = coupling_stack(spec, model, coupling)
+    return evaluate_stack(spec, full), *rounding_scales(spec, full)
+
+
+class TestReceiverSymmetry:
+    """Configurations A and B are symmetric in the two receivers, as the BCC region is:
+    swapping Y/Z, U1/U2, V1/V2, R1/R2 and Re1/Re2 maps each bound onto itself."""
+
+    def test_the_catalog_mirror_is_the_receiver_swap(self):
+        rates = {name: RATE_COMPONENTS[i] for name, i in zip(RATE_COMPONENTS, RATE_SWAP)}
+        swap = {**RECEIVER_SWAP, **{k: v for k, v in rates.items() if k != v}}
+        assert bounds._MIRROR.rename == swap
+
+    @pytest.mark.parametrize("theorem_id", TWO_MESSAGE_IDS)
+    def test_each_bound_is_its_own_image_row_for_row(self, theorem_id):
+        # T1 and T5 are symmetric by construction; T2 and T6, written out, flip the order
+        # of a min's alternatives; in T3, T4, T7 and T8 the image of one branch is the other.
+        spec = theorem_spec(theorem_id)
+        plain, image = (branch_keys(branch_forms(spec, swap)) for swap in (False, True))
+        assert Counter(image) == Counter(plain)
+
+    @pytest.mark.parametrize("theorem_id", TWO_MESSAGE_IDS)
+    def test_the_mirrored_channel_and_coupling_give_each_row_its_partners_bound(self, theorem_id):
+        spec, rng = theorem_spec(theorem_id), np.random.default_rng(100 + int(theorem_id[1:]))
+        rows, branches = mirror_partners(spec)
+        traded = 0
+        for k in range(40):
+            (ev, row_tol, top_tol), (img, img_row_tol, img_top_tol) = (
+                evaluated(spec, *pair) for pair in mirror_pair(rng, theorem_id, k)
+            )
+            gap = np.abs(ev.bounds - img.bounds[:, rows])
+            assert np.all(gap <= row_tol + img_row_tol[:, rows]), (k, gap.max())
+            assert np.array_equal(ev.applicable, img.applicable[:, branches]), k
+            assert np.isclose(ev.rstar_max, img.rstar_max[:, branches], rtol=0.0,
+                              atol=top_tol + img_top_tol[:, branches], equal_nan=True).all(), k
+            traded += len(set(ev.applicable[0].tolist())) > 1
+        assert traded or not spec.branched  # some draws qualify one branch only
+
+
+AUXILIARIES = ("U", "U1", "U2", "V", "V1", "V2", "Yh")
+RELABELED = [(t, v) for t in THEOREM_IDS for v in AUXILIARIES if v in theorem_spec(t).coupling_vars]
+
+
+@pytest.mark.parametrize("theorem_id,aux", RELABELED)
+def test_relabeling_an_auxiliarys_values_leaves_every_term_and_bound(theorem_id, aux):
+    # Permuting the three values of one auxiliary (the quantizer's output Yh on a CF
+    # coupling) is a bijection of the joint that no MI term sees.
+    spec = theorem_spec(theorem_id)
+    rng = np.random.default_rng(10 * int(theorem_id[1:]) + AUXILIARIES.index(aux))
+    names = [t.name for t in spec.compiled.terms]
+    for k in range(6):
+        model = favorable_model(rng) if k % 2 else random_model(rng)
+        coupling = random_coupling(rng, theorem_id, model, {aux: 3}, independent_aux=k % 3 == 0)
+        axis = coupling.joint.axis_names.index(aux)
+        probs = np.take(coupling.joint.probs, [2, 0, 1], axis=axis)
+        relabeled = AuxiliaryCoupling(JointPMF(coupling.joint.axis_names, probs), theorem_id)
+        (ev, row_tol, top_tol), (img, img_row_tol, img_top_tol) = (
+            evaluated(spec, model, c) for c in (coupling, relabeled)
+        )
+        term_tol = sum(spec.compiled.mi(coupling_stack(spec, model, c))[1][0]
+                       for c in (coupling, relabeled))
+        terms, img_terms = (mi_terms(model, c) for c in (coupling, relabeled))
+        assert all(abs(terms[n] - img_terms[n]) <= tol for n, tol in zip(names, term_tol)), k
+        assert np.all(np.abs(ev.bounds - img.bounds) <= row_tol + img_row_tol), k
+        assert np.array_equal(ev.applicable, img.applicable), k
+        assert np.isclose(ev.rstar_max, img.rstar_max, rtol=0.0, atol=top_tol + img_top_tol,
+                          equal_nan=True).all(), k
 
 
 class TestCorollarySlice:

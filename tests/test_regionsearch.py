@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import os
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -240,6 +241,25 @@ class TestBruteForce:
         assert estimated > regionsearch.MAX_GRID_INDEX
         with pytest.raises(BudgetExceededError, match=f"needs {estimated} evaluations"):
             brute_force_best(model, sizes, 5, "T2", (0, 1, 0), budget=10 * estimated)
+
+    @pytest.mark.parametrize("size", [2.9, 2.0, np.float64(2.0), True, np.True_, "2"])
+    def test_a_non_integer_aux_size_is_refused_by_name(self, size):
+        # int() would read 2.9 as 2 and True as 1, and search a grid nobody asked for.
+        model, sizes = product_channel(), {"U": 1, "V": size}
+        message = f"aux size for V must be an integer, got {size!r}"
+        with pytest.raises(UsageError, match=re.escape(message)):
+            estimate_grid_size("T11", model, sizes, 2)
+        with pytest.raises(UsageError, match=re.escape(message)):
+            brute_force_best(model, sizes, 2, "T11", (0, 1, 0))
+
+    def test_numpy_integer_aux_sizes_are_accepted(self):
+        model = product_channel()
+        plain = brute_force_best(model, {"U": 1, "V": 2}, 2, "T11", (0, 1, 0))
+        for kind in (np.int64, np.int32, np.uint8):
+            sizes = {"U": kind(1), "V": kind(2)}
+            assert estimate_grid_size("T11", model, sizes, 2) == plain.couplings_scanned
+            got = brute_force_best(model, sizes, 2, "T11", (0, 1, 0))
+            assert got.best == plain.best and got.couplings_scanned == plain.couplings_scanned
 
     def test_aux_cap_enforced(self):
         with pytest.raises(UsageError, match="cap of 3"):
