@@ -10,7 +10,9 @@ Within each group: an outer bound (T1/T5/T9), a decode-forward inner bound
 (T2/T6/T10), a noise-forward inner bound (T3/T7/T11, two branches selected by
 a less-noisy comparison between the relay links) and a compress-forward inner
 bound (T4/T8/T12, same branching plus a quantizer Yh = compressed relay
-observation and a pure-noise rate budget R*).
+observation and a pure-noise rate budget R*).  The ids come from that order
+alone: `_catalog` lists the twelve, names the k-th Tk and numbers the branches
+of the branched ones L1-L12 in turn; no builder or term map names its own.
 
 Each bound is stored as structured data: a coupling factorization, branch
 conditions, and inequality lists whose right-hand sides are affine
@@ -53,6 +55,7 @@ receivers decode X1 (T11.L10, T12.L12), a decoder config A does not have.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -231,12 +234,12 @@ class Condition:
 
 @dataclass(frozen=True)
 class BranchSpec:
-    branch_id: str
     inequalities: tuple[Ineq, ...]
     condition: Condition | None = None
     # When set, branch admits a pure-noise rate R* with
     #   0 <= R* <= value(rstar_budget) - I(Y1;Yh|X1).
     rstar_budget: Bound | None = None
+    branch_id: str = "n/a"  # Tk.Ln in a branched theorem, numbered by `_catalog`
 
     @cached_property
     def budget_name(self) -> str:
@@ -245,12 +248,12 @@ class BranchSpec:
 
 @dataclass(frozen=True)
 class TheoremSpec:
-    theorem_id: str
     config: str  # message configuration: "A", "B" or "C"
     role: str  # "outer", "decode-forward", "noise-forward", "compress-forward"
     coupling_vars: tuple[str, ...]
     pattern: FactorizationPattern
     branches: tuple[BranchSpec, ...]
+    theorem_id: str = ""  # numbered by `_catalog`
 
     @property
     def uses_compressor(self) -> bool:
@@ -420,7 +423,7 @@ class _TermMap:
     def ineq(self, row: Ineq) -> Ineq:
         return replace(row, rates=self.rates(row.rates), bound=self.bound(row.bound))
 
-    def branch(self, br: BranchSpec, branch_id: str) -> BranchSpec:
+    def branch(self, br: BranchSpec) -> BranchSpec:
         """The mapped branch: rows left as 0 <= 0 dropped, a repeated (rates, bound)
         row kept at its first occurrence, rows in the source's rate order."""
         rows: dict[tuple[RateVec, Bound], Ineq] = {}
@@ -431,14 +434,12 @@ class _TermMap:
         cond = br.condition and Condition(self.lin(br.condition.lhs), self.lin(br.condition.rhs))
         budget = br.rstar_budget and self.bound(br.rstar_budget)
         ineqs = tuple(sorted(rows.values(), key=lambda r: order.index(r.rates)))
-        return BranchSpec(branch_id, ineqs, cond, budget)
+        return BranchSpec(ineqs, cond, budget)
 
-    def theorem(
-        self, spec: TheoremSpec, theorem_id: str, branches: Iterable[BranchSpec]
-    ) -> TheoremSpec:
+    def theorem(self, spec: TheoremSpec, branches: Iterable[BranchSpec]) -> TheoremSpec:
         """`spec` as config C: mapped coupling and factorization, the given branches."""
         factors = tuple((self.names(t), self.names(g)) for t, g in spec.pattern.factors)
-        return replace(spec, theorem_id=theorem_id, config="C", branches=tuple(branches),
+        return replace(spec, config="C", branches=tuple(branches),
                        coupling_vars=self.names(spec.coupling_vars),
                        pattern=FactorizationPattern(factors))
 
@@ -463,7 +464,7 @@ def _df_pattern(aux: tuple[str, ...]) -> FactorizationPattern:
     return FactorizationPattern(((aux, ()), (("X", "X1"), aux)))
 
 
-def _outer_two_messages(theorem_id: str, config: str) -> TheoremSpec:
+def _outer_two_messages(config: str) -> TheoremSpec:
     """T1 (config A) or T5 (config B): receiver 1's rows, each followed by its
     mirror image.  Without a common message U survives only in the Re1 cap's
     second alternative."""
@@ -476,12 +477,11 @@ def _outer_two_messages(theorem_id: str, config: str) -> TheoremSpec:
               equivocation=True),
     )
     return TheoremSpec(
-        theorem_id,
         config,
         "outer",
         ("U", "U1", "U2", "V1", "V2", "X", "X1"),
         _chain_pattern(("U1", "U2", "V1", "V2")),
-        (BranchSpec("n/a", tuple(i for row in written for i in (row, _MIRROR.ineq(row)))),),
+        (BranchSpec(tuple(i for row in written for i in (row, _MIRROR.ineq(row)))),),
     )
 
 
@@ -500,12 +500,11 @@ def _df_two_messages() -> TheoremSpec:
         _ineq(RE2, mi("V2;Z|U,X1") - mi("V1;V2|U,X1") - mi("V2;Y|U,X1,V1"), equivocation=True),
     )
     return TheoremSpec(
-        "T2",
         "A",
         "decode-forward",
         ("U", "V1", "V2", "X", "X1"),
         _df_pattern(("U", "V1", "V2")),
-        (BranchSpec("n/a", ineqs),),
+        (BranchSpec(ineqs),),
     )
 
 
@@ -514,7 +513,6 @@ def _forward_two_messages(cf: bool) -> TheoremSpec:
     relay input is independent of everything the transmitter knows; CF adds the
     channel's Y1 leg and the quantizer p(yh | y1, x1).  In branch 1 receiver 1
     decodes X1; branch 2 is its mirror image."""
-    theorem_id, l_first = ("T4", 3) if cf else ("T3", 1)
     y = "Y,Yh" if cf else "Y"
     budget = Min(mi("X1;Z|U,V1,V2"), mi("X1;Y"))
     m1 = Min(mi(f"U;{y}|X1"), mi("U;Z"))
@@ -534,41 +532,37 @@ def _forward_two_messages(cf: bool) -> TheoremSpec:
         ),
         _ineq(RE2, mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1"), equivocation=True),
     )
-    l1 = BranchSpec(f"{theorem_id}.L{l_first}", ineqs, Condition(mi("X1;Y"), mi("X1;Z|U,V2")),
-                    budget if cf else None)
+    l1 = BranchSpec(ineqs, Condition(mi("X1;Y"), mi("X1;Z|U,V2")), budget if cf else None)
     aux = ("U", "V1", "V2")
     factors = ((aux, ()), (("X",), aux), (("X1",), ()))
     compressor = (("Y1",), ("X", "X1")), (("Yh",), ("Y1", "X1"))
     return TheoremSpec(
-        theorem_id,
         "A",
         "compress-forward" if cf else "noise-forward",
         aux + ("X", "X1") + (("Y1", "Yh") if cf else ()),
         FactorizationPattern(factors + (compressor if cf else ())),
-        (l1, _MIRROR.branch(l1, f"{theorem_id}.L{l_first + 1}")),
+        (l1, _MIRROR.branch(l1)),
     )
 
 
-def _without_common(parent: TheoremSpec, theorem_id: str, l_first: int = 0) -> TheoremSpec:
+def _without_common(parent: TheoremSpec) -> TheoremSpec:
     """A config-A inner bound at R0 = 0, as its config-B twin.
 
     Rows on R0 alone drop out and R0 leaves the others; conditions, R*
-    budgets, coupling variables and factorization stay the parent's.  A
-    branched parent's branches are renumbered from L{l_first}.
+    budgets, coupling variables and factorization stay the parent's.
     """
     branches = tuple(
         replace(
             br,
-            branch_id=f"{theorem_id}.L{l_first + k}" if parent.branched else br.branch_id,
             inequalities=tuple(
                 replace(ineq, rates=(0.0,) + ineq.rates[1:])
                 for ineq in br.inequalities
                 if ineq.rates != R0
             ),
         )
-        for k, br in enumerate(parent.branches)
+        for br in parent.branches
     )
-    return replace(parent, theorem_id=theorem_id, config="B", branches=branches)
+    return replace(parent, config="B", branches=branches)
 
 
 def _outer_one_message() -> TheoremSpec:
@@ -579,16 +573,15 @@ def _outer_one_message() -> TheoremSpec:
         _ineq(RE1, mi("V;Y|U") - mi("V;Z|U"), equivocation=True),
     )
     return TheoremSpec(
-        "T9",
         "C",
         "outer",
         ("U", "U1", "U2", "V", "X", "X1"),
         _chain_pattern(("U1", "U2", "V")),
-        (BranchSpec("n/a", ineqs),),
+        (BranchSpec(ineqs),),
     )
 
 
-def _forward_one_message(parent: TheoremSpec, theorem_id: str, l_first: int) -> TheoremSpec:
+def _forward_one_message(parent: TheoremSpec) -> TheoremSpec:
     """T11 from T3, T12 from T4.  Branch 1 is the parent's first branch with V2
     constant.  In branch 2 both receivers decode the relay codeword, so the relay
     adds no confusion."""
@@ -600,29 +593,28 @@ def _forward_one_message(parent: TheoremSpec, theorem_id: str, l_first: int) -> 
         _ineq(rsum(R0, R1), m + mi(f"V;Y{yh}|U,X1"), on_slice=False),
         _ineq(RE1, mi(f"V;Y{yh}|U,X1") - mi("V;Z|U,X1"), equivocation=True),
     )
-    both = BranchSpec(f"{theorem_id}.L{l_first + 1}", ineqs, Condition(mi("X1;Z"), mi("X1;Y")),
-                      Min(mi("X1;Y")) if cf else None)
-    first = _ONE_MESSAGE.branch(parent.branches[0], f"{theorem_id}.L{l_first}")
-    return _ONE_MESSAGE.theorem(parent, theorem_id, (first, both))
+    both = BranchSpec(ineqs, Condition(mi("X1;Z"), mi("X1;Y")), Min(mi("X1;Y")) if cf else None)
+    return _ONE_MESSAGE.theorem(parent, (_ONE_MESSAGE.branch(parent.branches[0]), both))
 
 
 def _catalog() -> dict[str, TheoremSpec]:
+    """The twelve theorems by configuration (A, B, C), each group outer, DF, NF, CF,
+    numbered by position: the k-th is Tk, and the branches of the branched ones are
+    L1, L2, ... in the same order."""
     t2, t3, t4 = _df_two_messages(), _forward_two_messages(False), _forward_two_messages(True)
     specs = (
-        _outer_two_messages("T1", "A"),
-        t2,
-        t3,
-        t4,
-        _outer_two_messages("T5", "B"),
-        _without_common(t2, "T6"),
-        _without_common(t3, "T7", 5),
-        _without_common(t4, "T8", 7),
-        _outer_one_message(),
-        _ONE_MESSAGE.theorem(t2, "T10", (_ONE_MESSAGE.branch(t2.branches[0], "n/a"),)),
-        _forward_one_message(t3, "T11", 9),
-        _forward_one_message(t4, "T12", 11),
+        _outer_two_messages("A"), t2, t3, t4,
+        _outer_two_messages("B"), *map(_without_common, (t2, t3, t4)),
+        _outer_one_message(), _ONE_MESSAGE.theorem(t2, (_ONE_MESSAGE.branch(t2.branches[0]),)),
+        *map(_forward_one_message, (t3, t4)),
     )
-    return {spec.theorem_id: spec for spec in specs}
+    catalog, branch_no = {}, itertools.count(1)
+    for k, spec in enumerate(specs, 1):
+        branches = spec.branches
+        if spec.branched:
+            branches = tuple(replace(br, branch_id=f"T{k}.L{next(branch_no)}") for br in branches)
+        catalog[f"T{k}"] = replace(spec, theorem_id=f"T{k}", branches=branches)
+    return catalog
 
 
 THEOREMS: dict[str, TheoremSpec] = _catalog()

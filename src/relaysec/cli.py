@@ -134,8 +134,10 @@ def _cmd_gaussian(args) -> int:
     strategy = resolve_strategy(args.strategy, args.model)
     if strategy.config == "C" and args.beta is not None:
         raise UsageError("gaussian: --beta applies to model B only")
+    if strategy.uses_q and args.q is None:
+        raise UsageError(f"gaussian: {strategy.strategy_id} needs --q, the compression variance")
     rstar = args.rstar
-    if strategy.uses_q and args.q is not None and rstar is None:
+    if strategy.uses_q and rstar is None:
         rstar = max(0.0, cf_rstar_max(net, args.q))
     beta = 0.0 if args.beta is None else args.beta
     sp = StrategyParams(alpha=args.alpha, beta=beta, q=args.q, rstar=rstar)

@@ -169,16 +169,20 @@ def load_scenario(path: str) -> Scenario:
         strategies = tuple(raw)
         if not strategies:
             raise ValidationError(f"scenario {path}: 'strategies' must not be empty")
+        grid = _parse_grid(payload.get("grid"))
         for s in strategies:
             try:
-                resolve_strategy(s, model)
+                strategy = resolve_strategy(s, model)
             except UsageError as exc:
                 raise ValidationError(f"scenario {path}: {exc}") from exc
+            if strategy.uses_q and not grid.q_values:
+                raise ValidationError(f"scenario {path}: {s} needs a compression variance q, "
+                                      "but q_values is empty")
         return Scenario(
             model=model,
             net=net,
             strategies=strategies,
-            grid=_parse_grid(payload.get("grid")),
+            grid=grid,
             output=output,
         )
 

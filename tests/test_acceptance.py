@@ -1,6 +1,7 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line.  `relaysec selftest` executes the same checks."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from relaysec import acceptance
 from relaysec.bounds import (
+    THEOREMS,
     corollary_member,
     coupling_stack,
     evaluate_membership,
@@ -27,6 +29,32 @@ def test_criterion(criterion):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.cid} ({result.seconds:.2f}s): {result.description} -- {result.detail}")
     assert result.passed, f"{result.cid}: {result.detail}"
+
+
+def test_criteria_are_numbered_in_definition_order(monkeypatch):
+    # `_criterion` registers each check as it is defined; its id comes from that order.
+    want = [getattr(acceptance, f"criterion_{k}") for k in range(1, 9)]
+    assert acceptance.ALL_CRITERIA == want
+    monkeypatch.setattr(acceptance, "_result", lambda cid, *args: cid)
+    assert [criterion() for criterion in want] == [f"C{k}" for k in range(1, 9)]
+
+
+def test_benchmark_draws_are_pinned():
+    """The dmc-query benchmark draws every model, coupling and rate point from these
+    three functions (and dmc-search its models), so a change to their draws would
+    change the benchmark's work between two commits.  Their bits at a fixed seed,
+    T1-T12 twice over, compress-forward couplings included, are pinned here."""
+    rng = np.random.default_rng(1)
+    digest = hashlib.sha256()
+    for _ in range(2):
+        for theorem_id, spec in THEOREMS.items():
+            model = acceptance.favorable_model(rng)
+            coupling = acceptance.random_coupling(rng, theorem_id, model, independent_aux=True)
+            rates = acceptance.random_rates(rng, spec.config, scale=0.3)
+            for part in (model.transition, coupling.joint.probs, np.array(rates.as_tuple())):
+                digest.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+            digest.update(",".join(coupling.joint.axis_names).encode())
+    assert digest.hexdigest() == "bea27c2f30edc11c17f4482c066912e2210ef5de3e7d1fd9bd29541a8a5961ed"
 
 
 def test_c7_checks_at_least_its_instance_counts():

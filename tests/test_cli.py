@@ -177,6 +177,31 @@ class TestCurveCommand:
         assert f"scenario {path}: unknown strategy {strategies[0]!r} for model {model!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["curve", "region"])
+    def test_cf_with_no_q_values_is_a_validation_error(self, tmp_path, capsys, command):
+        # Empty q_values leave a CF strategy nothing to sweep: bad scenario data, exit 2
+        # like any other, named with its scenario before anything is evaluated.
+        grid = {"alpha_steps": 11, "beta_steps": 11, "q_values": []}
+        payload = {"model": "C", "net": PAPER_NET, "strategies": ["df", "cf"], "grid": grid}
+        path = write_json(tmp_path, "s.json", payload)
+        out = tmp_path / "o.csv"
+        assert main([command, "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario {path}: cf needs a compression variance q, but q_values is empty" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command, model", [("curve", "B"), ("curve", "C"), ("region", "C")])
+    def test_a_scenario_without_a_grid_sweeps_the_default_grid(self, tmp_path, command, model):
+        default = {"alpha_steps": 401, "beta_steps": 401, "q_values": [300.0],
+                   "rstar_policy": "max", "rstar_steps": 8}
+        outputs = []
+        for extra in ({}, {"grid": default}):
+            path = write_json(tmp_path, "s.json", {"model": model, "net": PAPER_NET, **extra})
+            out = tmp_path / f"{len(extra)}.csv"
+            assert main([command, "--scenario", path, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestRegionCommand:
     def test_fig5_endpoints(self, tmp_path):
@@ -290,6 +315,16 @@ class TestGaussianCommand:
         assert main(self.BASE + extra + ["--alpha", "0.5", "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["B", "C"])
+    def test_cf_without_q_is_a_usage_error(self, tmp_path, capsys, model):
+        # A missing --q is a missing flag, exit 1 like an unread one.
+        out = tmp_path / "g.csv"
+        argv = ["--model", model, "--strategy", "cf", "--alpha", "0.5", "--out", str(out)]
+        assert main(self.BASE + argv) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: gaussian: {model.lower()}_cf needs --q, the compression variance" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_infeasible_rstar_is_exit_3(self):
         code = main(self.BASE + ["--model", "B", "--strategy", "cf", "--alpha", "1",
                                  "--q", "300", "--rstar", "0.5"])
@@ -385,6 +420,7 @@ class TestDMCCommands:
              "aux_sizes names Q, which T3 does not have; its auxiliaries are U, V1, V2"),
             ("U=1,V1=4,V2=1", "aux size for V1 exceeds the brute-force cap of 3"),
             ("U=1,V1=0,V2=1", "aux size for V1 must be >= 1"),
+            ("U=1,V1=2", "aux_sizes must provide a cardinality for V2"),
         ],
     )
     def test_search_checks_the_aux_names_before_their_sizes(self, capsys, aux_sizes, message):
@@ -392,6 +428,28 @@ class TestDMCCommands:
                 "--aux-sizes", aux_sizes, "--grid-steps", "2"]
         assert main(argv) == 1
         assert capsys.readouterr().err.strip() == f"usage error: {message}"
+
+    def test_search_skips_an_empty_aux_sizes_piece(self, tmp_path):
+        outputs = []
+        for aux_sizes in ("U=1,,V1=2,V2=1", "U=1,V1=2,V2=1"):
+            out = tmp_path / f"{len(aux_sizes)}.csv"
+            argv = ["dmc-search", "--scenario", scenario_path("dmc_demo.json"),
+                    "--aux-sizes", aux_sizes, "--grid-steps", "2", "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_eval_without_a_coupling_is_a_usage_error(self, tmp_path, capsys):
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        payload["dmc_model"] = scenario_path(payload["dmc_model"])
+        del payload["coupling"]
+        out = tmp_path / "o.csv"
+        code = main(["dmc-eval", "--scenario", write_json(tmp_path, "s.json", payload),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "usage error: dmc-eval: the scenario does not reference a coupling" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_search_uses_the_scenario_tol(self, tmp_path):
         from relaysec.regionsearch import brute_force_best
@@ -558,6 +616,36 @@ class TestScenarioGridTypes:
         assert main([command, "--scenario", path, "--out", str(tmp_path / "o.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["curve", "region"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "top level must be an object"),
+            ({"model": "A", "net": PAPER_NET}, "'model' must be one of B, C, DMC; got 'A'"),
+            ({"model": "C"}, "Gaussian scenarios need a 'net'"),
+            ({"model": "C", "net": {k: v for k, v in PAPER_NET.items() if k != "nr"}},
+             "scenario net: missing field 'nr'"),
+            ({"model": "C", "net": PAPER_NET, "strategies": "df"},
+             "'strategies' must be a list of names"),
+            ({"model": "C", "net": PAPER_NET, "strategies": []}, "'strategies' must not be empty"),
+            # An integer beyond the float range is not a finite number.
+            ({"model": "C", "net": {**PAPER_NET, "p1": 10**400}},
+             "scenario net: p1 must be a finite number, got 1000"),
+            ({"model": "C", "net": PAPER_NET, "grid": {"q_values": [10**400]}},
+             "scenario grid: q_values must be a list of finite numbers"),
+            ({"model": "C", "net": PAPER_NET, "grid": {"rstar_policy": "grid", "rstar_steps": 1}},
+             "GridSpec: rstar_steps must be >= 2 for the grid policy"),
+        ],
+        ids=["not-an-object", "model-A", "no-net", "net-without-nr", "strategies-not-a-list",
+             "no-strategies", "p1-overflows", "q-overflows", "one-rstar-step"],
+    )
+    def test_bad_gaussian_scenarios_are_exit_2(self, tmp_path, capsys, command, payload, message):
+        out = tmp_path / "o.csv"
+        assert main([command, "--scenario", write_json(tmp_path, "s.json", payload),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize(
         "command, fields",
         [
@@ -594,6 +682,33 @@ class TestScenarioGridTypes:
 
     @pytest.mark.parametrize("command", ["dmc-eval", "dmc-search"])
     @pytest.mark.parametrize(
+        "dropped, fields, message",
+        [
+            ("dmc_model", {}, "DMC scenarios need 'dmc_model' and 'theorem'"),
+            ("theorem", {}, "DMC scenarios need 'dmc_model' and 'theorem'"),
+            # An integer beyond the float range is not a finite number.
+            (None, {"rates": {"r1": 10**400}}, "scenario rates: r1 must be a finite number"),
+            (None, {"tol": 10**400}, "tol must be a positive number"),
+        ],
+        ids=["no-dmc_model", "no-theorem", "r1-overflows", "tol-overflows"],
+    )
+    def test_bad_dmc_scenarios_are_exit_2(self, tmp_path, capsys, command, dropped, fields,
+                                          message):
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        for key in ("dmc_model", "coupling"):
+            payload[key] = scenario_path(payload[key])
+        payload.pop(dropped, None)
+        payload.update(fields)
+        out = tmp_path / "o.csv"
+        argv = [command, "--scenario", write_json(tmp_path, "s.json", payload), "--out", str(out)]
+        if command == "dmc-search":
+            argv += ["--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command", ["dmc-eval", "dmc-search"])
+    @pytest.mark.parametrize(
         "key, path, value, named",
         [
             ("dmc_model", ("x_size",), 2.7, "must be an integer"),
@@ -608,6 +723,16 @@ class TestScenarioGridTypes:
             # No path: the file loses its first comma.
             ("dmc_model", None, None, r"DMCModel JSON: JSON parse failure at line 3, column 3"),
             ("coupling", None, None, r"coupling JSON: JSON parse failure at line 5, column 7"),
+            ("dmc_model", ("transition",), np.full((2, 2, 2, 2), 1 / 16).tolist(),
+             r"DMCModel JSON: transition shape \(2, 2, 2, 2\) does not match declared sizes "
+             r"\(2, 2, 2, 2, 2\)"),
+            ("dmc_model", ("y_size",), 3,
+             r"DMCModel JSON: transition shape \(2, 2, 2, 2, 2\) does not match declared sizes "
+             r"\(2, 2, 3, 2, 2\)"),
+            ("coupling", ("axes",), 5, r"JointPMF JSON: malformed payload"),
+            ("coupling", ("axes", 1, "size"), 3,
+             r"JointPMF JSON: probs shape \(1, 2, 1, 2, 2\) does not match axis sizes "
+             r"\(1, 3, 1, 2, 2\)"),
         ],
     )
     def test_spoiled_model_and_coupling_files_are_exit_2(self, tmp_path, capsys, command, key,
@@ -633,6 +758,28 @@ class TestScenarioGridTypes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert re.search(named, err) and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["dmc-eval", "dmc-search"])
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("dmc_model", "DMCModel JSON: malformed payload"),
+            ("coupling", "coupling JSON: top level must be an object"),
+        ],
+    )
+    def test_a_file_whose_top_level_is_not_an_object_is_exit_2(self, tmp_path, capsys, command,
+                                                                key, message):
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        for name in ("dmc_model", "coupling"):
+            payload[name] = scenario_path(payload[name])
+        payload[key] = write_json(tmp_path, "listed.json", [1, 2])
+        out = tmp_path / "o.csv"
+        argv = [command, "--scenario", write_json(tmp_path, "s.json", payload), "--out", str(out)]
+        if command == "dmc-search":
+            argv += ["--aux-sizes", "U=1,V1=2,V2=1", "--grid-steps", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err and not out.exists()
 
 
 _JUNK = st.one_of(
