@@ -29,14 +29,14 @@ on the paper network: per curve strategy of CURVES at 401 alphas x 401 betas,
   curve      `sweep.max_r1_vs_alpha`;
 
 and per region grid of REGIONS one `sweep.sweep_frontier` (frontier).  The
-trees take turns, in alternating order, and each figure is the best of
-REPEATS samples, in microseconds per call.  `max|diff|` is the largest
-difference between the trees' rendered rows (catalog: 0 when every row of
-every theorem renders the same, else inf), entropies (entropies), bounds
-(evaluate), extreme values (extremes), best values, rates and couplings
-(search), roots (candidates; equal non-finite roots count 0), columns
-(bracket), curve values and betas (curve) or frontier columns (frontier);
-arrays of unequal shape read inf.
+trees take turns, in alternating order, after one untimed call of each, and
+each figure is the best of REPEATS samples, in microseconds per call.
+`max|diff|` is the largest difference between the trees' rendered rows
+(catalog: 0 when every row of every theorem renders the same, else inf),
+entropies (entropies), bounds (evaluate), extreme values (extremes), best
+values, rates and couplings (search), roots (candidates; equal non-finite
+roots count 0), columns (bracket), curve values and betas (curve) or
+frontier columns (frontier); arrays of unequal shape read inf.
 """
 
 import os
@@ -210,7 +210,10 @@ def gaussian_stages(tree: dict) -> list:
 
 
 def best_of(funcs: list, repeats: int) -> list:
-    """Best seconds per call of each callable, sampled in turns, alternating order."""
+    """Best seconds per call of each callable, sampled in turns, alternating order,
+    after one untimed call of each, so that no first sample pays for a cold start."""
+    for f in funcs:
+        f()
     loops, seconds = timeit.Timer(funcs[0]).autorange()
     number = max(1, round(loops * SAMPLE_S / seconds))
     best = [float("inf")] * len(funcs)

@@ -18,11 +18,12 @@ Each bound is stored as structured data: a coupling factorization, branch
 conditions, and inequality lists whose right-hand sides are affine
 combinations of conditional mutual informations (optionally inside a min{}).
 On first use a theorem compiles to numeric maps (`CompiledTheorem`): subset
-entropies, MI terms as +-1 sums of them, and bounds as matrix products (one
-per term slot) with a segmented min.  `evaluate_stack` runs them on N stacked
-couplings at once, and `stack_membership` decides every membership, of a
-theorem or of its Re = R slice, against that stack; branch reports are one
-coupling's view.
+entropies and MI terms as +-1 sums of them (`pmf.information_plan`), and bounds
+as matrix products (one per term slot) with a segmented min.  `evaluate_stack`
+runs them on N stacked couplings at once, and `stack_membership` decides every
+membership, of a theorem or of its Re = R slice, against that stack; branch
+reports are one coupling's view.  A coupling's axes are its theorem's
+`coupling_vars`, in that order, wherever it is built or read.
 
 Every row is written once.  A branch's perfect-secrecy corollary (the
 Re = R slice) is derived from its own rows: each row marked `on_slice` is
@@ -69,10 +70,10 @@ from .pmf import (
     FACTORIZATION_TOL,
     FactorizationPattern,
     JointPMF,
-    SubsetEntropies,
     check_masses,
     factorization_deviation,
     information,
+    information_plan,
 )
 
 RATE_COMPONENTS = ("R0", "R1", "R2", "Re1", "Re2")
@@ -206,18 +207,20 @@ class Ineq:
 
     rates: RateVec
     bound: Bound
-    equivocation: bool = False  # True when the cap is an equivocation difference
     on_slice: bool = True  # False when the Re = R slice leaves the row implied
+
+    @property
+    def equivocation(self) -> bool:
+        """An equivocation cap: a row on Re1 or Re2 alone."""
+        return self.rates in (RE1, RE2)
 
     @cached_property
     def name(self) -> str:
         return f"{_rates_label(self.rates)} <= {self.bound.render()}"
 
 
-def _ineq(
-    rates: RateVec, bound: Lin | Bound, equivocation: bool = False, on_slice: bool = True
-) -> Ineq:
-    return Ineq(rates, as_bound(bound), equivocation, on_slice)
+def _ineq(rates: RateVec, bound: Lin | Bound, on_slice: bool = True) -> Ineq:
+    return Ineq(rates, as_bound(bound), on_slice)
 
 
 @dataclass(frozen=True)
@@ -272,7 +275,7 @@ class TheoremSpec:
 
     @property
     def full_vars(self) -> tuple[str, ...]:
-        """Axes of the coupling composed with the channel."""
+        """Axes of the coupling composed with the channel: auxiliaries, CHANNEL_VARS, any Yh."""
         aux = tuple(v for v in self.coupling_vars if v not in (*CHANNEL_VARS, "Yh"))
         return aux + CHANNEL_VARS + ("Yh",) * self.uses_compressor
 
@@ -332,8 +335,8 @@ class CompiledBranch:
 
 class CompiledTheorem:
     """One theorem as numeric maps, built on first use: every term I(A;B|C) is
-    H(AC) + H(BC) - H(ABC) - H(C) over a fixed list of variable subsets, and
-    every bound a min over term sums plus a tail (`_BoundTable`)."""
+    H(AC) + H(BC) - H(ABC) - H(C) over the subsets of `pmf.information_plan`,
+    and every bound a min over term sums plus a tail (`_BoundTable`)."""
 
     def __init__(self, spec: TheoremSpec) -> None:
         pre: list[Bound] = []
@@ -354,12 +357,8 @@ class CompiledTheorem:
             branches.append(CompiledBranch(br, condition_col, budget_col, rows_slice, kept))
         lins = [lin for b in pre + [r.bound for r in rows] for lin in b.alternatives + (b.tail,)]
         self.terms = tuple(dict.fromkeys(t for lin in lins for _, t in lin.terms))
-        groups = [[frozenset(g) for g in (t.a + t.c, t.b + t.c, t.a + t.b + t.c, t.c)]
-                  for t in self.terms]
-        subsets = sorted(dict.fromkeys(g for grp in groups for g in grp if g), key=len, reverse=True)
-        column = {s: k for k, s in enumerate(subsets)}  # the empty subset is the last column
-        self.term_index = np.array([[column.get(g, len(subsets)) for g in grp] for grp in groups])
-        self.entropies = SubsetEntropies(spec.full_vars, subsets)
+        triples = [(t.a, t.b, t.c) for t in self.terms]
+        self.entropies, self.term_index = information_plan(spec.full_vars, triples)
         term_column = {t: i for i, t in enumerate(self.terms)}
         self.branches = tuple(branches)
         self.pre = _BoundTable(pre, term_column)
@@ -473,8 +472,7 @@ def _outer_two_messages(config: str) -> TheoremSpec:
     written += (
         _ineq(rsum(r0, R1), Min(mi(f"{u}U1,V1;Y"), mi(f"{u}V1;Y,Y1|U1"))),
         _ineq(rsum(r0, R1, R2), mi(f"{u}U2,V1;Y,Y1|U1") + mi(f"V2;Z,Y1|{u}U1,U2,V1")),
-        _ineq(RE1, Min(mi(f"V1;Y|{u}V2") - mi(f"V1;Z|{u}V2"), mi("V1;Y|U") - mi("V1;Z|U")),
-              equivocation=True),
+        _ineq(RE1, Min(mi(f"V1;Y|{u}V2") - mi(f"V1;Z|{u}V2"), mi("V1;Y|U") - mi("V1;Z|U"))),
     )
     return TheoremSpec(
         config,
@@ -496,8 +494,8 @@ def _df_two_messages() -> TheoremSpec:
             m + mi("V1;Y|U,X1") + mi("V2;Z|U,X1") - mi("V1;V2|U,X1"),
             on_slice=False,
         ),
-        _ineq(RE1, mi("V1;Y|U,X1") - mi("V1;V2|U,X1") - mi("V1;Z|U,X1,V2"), equivocation=True),
-        _ineq(RE2, mi("V2;Z|U,X1") - mi("V1;V2|U,X1") - mi("V2;Y|U,X1,V1"), equivocation=True),
+        _ineq(RE1, mi("V1;Y|U,X1") - mi("V1;V2|U,X1") - mi("V1;Z|U,X1,V2")),
+        _ineq(RE2, mi("V2;Z|U,X1") - mi("V1;V2|U,X1") - mi("V2;Y|U,X1,V1")),
     )
     return TheoremSpec(
         "A",
@@ -525,12 +523,8 @@ def _forward_two_messages(cf: bool) -> TheoremSpec:
             m1 + mi(f"V1;{y}|U,X1") + mi("V2;Z|U") - mi("V1;V2|U"),
             on_slice=False,
         ),
-        _ineq(
-            RE1,
-            (RSTAR if cf else budget) + mi(f"V1;{y}|U,X1") - mi("V1;V2|U") - mi("X1,V1;Z|U,V2"),
-            equivocation=True,
-        ),
-        _ineq(RE2, mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1"), equivocation=True),
+        _ineq(RE1, (RSTAR if cf else budget) + mi(f"V1;{y}|U,X1") - mi("V1;V2|U") - mi("X1,V1;Z|U,V2")),
+        _ineq(RE2, mi("V2;Z|U") - mi("V1;V2|U") - mi("V2;Y|U,X1,V1")),
     )
     l1 = BranchSpec(ineqs, Condition(mi("X1;Y"), mi("X1;Z|U,V2")), budget if cf else None)
     aux = ("U", "V1", "V2")
@@ -570,7 +564,7 @@ def _outer_one_message() -> TheoremSpec:
     ineqs = (r0, _MIRROR.ineq(r0)) + (
         _ineq(rsum(R0, R1), Min(mi("U,U1,V;Y"), mi("U,V;Y,Y1|U1"))),
         _ineq(rsum(R0, R1), mi("U,U1;Z,Y1|U2") + mi("V;Y,Y1|U,U1,U2")),
-        _ineq(RE1, mi("V;Y|U") - mi("V;Z|U"), equivocation=True),
+        _ineq(RE1, mi("V;Y|U") - mi("V;Z|U")),
     )
     return TheoremSpec(
         "C",
@@ -591,7 +585,7 @@ def _forward_one_message(parent: TheoremSpec) -> TheoremSpec:
     ineqs = (
         _ineq(R0, m),
         _ineq(rsum(R0, R1), m + mi(f"V;Y{yh}|U,X1"), on_slice=False),
-        _ineq(RE1, mi(f"V;Y{yh}|U,X1") - mi("V;Z|U,X1"), equivocation=True),
+        _ineq(RE1, mi(f"V;Y{yh}|U,X1") - mi("V;Z|U,X1")),
     )
     both = BranchSpec(ineqs, Condition(mi("X1;Z"), mi("X1;Y")), Min(mi("X1;Y")) if cf else None)
     return _ONE_MESSAGE.theorem(parent, (_ONE_MESSAGE.branch(parent.branches[0]), both))
@@ -634,13 +628,8 @@ def theorem_spec(theorem_id: str) -> TheoremSpec:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_order(names: Iterable[str]) -> tuple[str, ...]:
-    names = set(names)
-    return tuple(v for v in CANONICAL_VARS if v in names)
-
-
 def require_factorization(spec: TheoremSpec, probs: np.ndarray) -> None:
-    """Raise unless every stacked coupling (N, canonical axes) meets the spec's factorization."""
+    """Raise unless every stacked coupling (N, coupling_vars axes) meets spec's factorization."""
     deviation = factorization_deviation(probs, spec.coupling_vars, spec.pattern)
     bad = np.flatnonzero(~(deviation <= FACTORIZATION_TOL))
     if bad.size:
@@ -669,7 +658,7 @@ class AuxiliaryCoupling:
             raise ValidationError(
                 f"coupling for {self.theorem_id} must carry axes {sorted(need)}, got {sorted(have)}"
             )
-        ordered = self.joint.reordered(_canonical_order(spec.coupling_vars))
+        ordered = self.joint.reordered(spec.coupling_vars)
         object.__setattr__(self, "joint", ordered)
         require_factorization(spec, ordered.probs[None])
 
@@ -718,19 +707,13 @@ def build_cf_coupling(
     rows = q.reshape(x1 * y1, -1)
     check_masses(rows, "compressor rows p(yh|y1,x1) in x1-major order")
     base_vars = tuple(v for v in spec.coupling_vars if v not in ("Y1", "Yh"))
-    ordered = base.reordered(_canonical_order(base_vars))
     y1c = model.y1_conditional()  # (x, x1, y1)
-    probs = (
-        ordered.probs[..., None, None]
-        * y1c[:, :, :, None]
-        * q[None, :, :, :]
-    )
-    joint = JointPMF(ordered.axis_names + ("Y1", "Yh"), probs)
-    return AuxiliaryCoupling(joint, theorem_id)
+    probs = base.reordered(base_vars).probs[..., None, None] * y1c[:, :, :, None] * q[None, :, :, :]
+    return AuxiliaryCoupling(JointPMF(base_vars + ("Y1", "Yh"), probs), theorem_id)
 
 
 def _grid_coupling(spec: TheoremSpec, probs: np.ndarray) -> AuxiliaryCoupling:
-    """A search-grid coupling (canonical axes), which is of unit mass and factorized
+    """A search-grid coupling (`spec.coupling_vars` axes), of unit mass and factorized
     by construction, as an AuxiliaryCoupling without re-running those checks."""
     probs.setflags(write=False)
     joint = object.__new__(JointPMF)
@@ -741,7 +724,7 @@ def _grid_coupling(spec: TheoremSpec, probs: np.ndarray) -> AuxiliaryCoupling:
 
 
 def compose_stack(spec: TheoremSpec, model: DMCModel, probs: np.ndarray) -> np.ndarray:
-    """Stacked couplings (N, canonical axes) and the channel: stacked joints over
+    """Stacked couplings (N, `spec.coupling_vars` axes) and the channel: stacked joints over
     `spec.full_vars`.  A compress-forward coupling already carries the channel's
     Y1 leg, so it is multiplied by p(y, z | x, x1, y1) alone.  Checks nothing: the
     couplings' alphabets and any Y1 leg must already match the channel, as the
@@ -753,7 +736,8 @@ def compose_stack(spec: TheoremSpec, model: DMCModel, probs: np.ndarray) -> np.n
 
 
 def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupling) -> np.ndarray:
-    """One coupling composed with the channel, as a stack of one.  Every single
+    """One coupling composed with the channel, as a stack of one over
+    `spec.full_vars`; the coupling's axes are `spec.coupling_vars`.  Every single
     coupling enters here, so here it is checked against the channel, as invalid
     input: its X, X1 (and Y1) alphabets, and a compress-forward coupling's Y1 leg
     p(aux, x, x1)·p(y1|x, x1), within FACTORIZATION_TOL like the rest of its

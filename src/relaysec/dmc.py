@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError, parse_json, require_json_int
 from .pmf import check_masses
 
-#: Canonical variable order used whenever a joint over several of these is built.
+#: Canonical order of the names within an MI term (`bounds._TermMap`).
 CANONICAL_VARS = ("U", "U1", "U2", "V", "V1", "V2", "X", "X1", "Y", "Y1", "Yh", "Z")
 #: The channel's variables, in the order of `DMCModel.transition`'s axes.
 CHANNEL_VARS = ("X", "X1", "Y", "Y1", "Z")

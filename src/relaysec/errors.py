@@ -39,10 +39,6 @@ class InfeasibleError(RelaySecError):
 class BudgetExceededError(ValidationError):
     """A brute-force enumeration would exceed its evaluation budget."""
 
-    def __init__(self, message: str, *, estimated: int):
-        super().__init__(message)
-        self.estimated = estimated
-
 
 def parse_json(text: str, what: str) -> object:
     """`text` as JSON.  A syntax error is refused naming its line and column; an

@@ -5,6 +5,9 @@ use), and the measure-theoretic convention that 0*log(0) and 0/0 cells
 contribute exactly 0.  Alphabets here are desk scale (a few symbols per axis,
 at most a dozen axes), so everything is stored dense.
 
+Every I(A;B|C), of `cond_mutual_info` or of a compiled bound, takes its subset
+entropies and their `information` index from one plan, `information_plan`.
+
 All operations are pure functions of immutable values.
 """
 
@@ -203,6 +206,19 @@ class SubsetEntropies:
         return (0.0 - np.add.reduceat(terms, first[1:] - first[1], axis=1))[:, place]
 
 
+def information_plan(axes: Sequence[str], triples: Iterable) -> tuple[SubsetEntropies, np.ndarray]:
+    """The entropies that give I(A;B|C) for each (A, B, C) of `triples` over joints on
+    `axes`: the distinct nonempty subsets among AC, BC, ABC and C, large ones first
+    and otherwise in first-use order, and the `information` index (triples, 4) of
+    their columns, the empty subset reading the last one."""
+    groups = [[frozenset((*a, *c)), frozenset((*b, *c)), frozenset((*a, *b, *c)), frozenset(c)]
+              for a, b, c in triples]
+    subsets = sorted(dict.fromkeys(g for grp in groups for g in grp if g), key=len, reverse=True)
+    column = {s: k for k, s in enumerate(subsets)}
+    index = np.array([[column.get(g, len(subsets)) for g in grp] for grp in groups])
+    return SubsetEntropies(axes, subsets), index
+
+
 def information(h: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C), summed in that order, for each
     row of `index` (the columns of AC, BC, ABC, C in stacked entropies `h`),
@@ -238,11 +254,8 @@ def cond_mutual_info(
         )
     if not a or not b:
         raise UsageError("cond_mutual_info: A and B must be non-empty")
-    a, b, c = tuple(set_a), tuple(set_b), tuple(set_c)
-    # Columns ABC, AC, BC, then C, or the empty subset's 0 when C is empty.
-    plan = SubsetEntropies(j.axis_names, (a + b + c, a + c, b + c) + ((c,) if c else ()))
-    h = plan(j.probs[None])
-    return float(information(h, np.array([[1, 2, 0, 3]]))[0][0, 0])
+    entropies, index = information_plan(j.axis_names, [(set_a, set_b, set_c)])
+    return float(information(entropies(j.probs[None]), index)[0][0, 0])
 
 
 @dataclass(frozen=True)

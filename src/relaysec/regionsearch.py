@@ -296,9 +296,10 @@ def _grid(
     slowest, with one digit per given value of each factor that picks a row of the
     checked `_simplex_table` of the factor's target cells; the Y1 factor has no
     digit, being the channel's validated p(y1|x,x1).  A chunk is `product_stack` of
-    its picked rows, so it is canonical, of unit mass, factorized and carries the
-    channel's Y1 leg by construction; no chunk is checked again (the tests check
-    every chunk of their grids).  No table is built before the first chunk."""
+    its picked rows over `spec.coupling_vars`, so it is of unit mass, factorized
+    and carries the channel's Y1 leg by construction; no chunk is checked again
+    (the tests check every chunk of their grids).  No table is built before the
+    first chunk."""
     sizes = {**model.sizes, **_axis_sizes(spec, model, aux_sizes)}
     factors, radices, count, step = _grid_plan(
         spec.theorem_id, tuple(sizes.items()), grid_steps, CHUNK_CELLS)
@@ -363,18 +364,15 @@ def brute_force_best(
     for limit, what in ((budget, "the budget of"), (MAX_GRID_INDEX, "the grid index limit of")):
         if estimated > limit:
             raise BudgetExceededError(
-                f"grid for {theorem_id} needs {estimated} evaluations, over {what} {limit}",
-                estimated=estimated,
-            )
+                f"grid for {theorem_id} needs {estimated} evaluations, over {what} {limit}")
     obj = _objective(objective)
     best, scanned = None, 0
     for probs in chunks:
         full = compose_stack(spec, model, probs)
         ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation)
         value, point, branch = _stack_extremes(spec, ev, obj, tol)
-        # The chunk's first coupling of largest (value, R0, R1, R2): the last in a sort of its ties.
-        tied = np.flatnonzero(value == value.max())
-        i = int(tied[np.lexsort((-tied, *point[tied].T[::-1]))[-1]])
+        # The chunk's first coupling of largest (value, R0, R1, R2).
+        _, (i,) = _first_max([value[None], *point.T[:, None]], np.ones((1, len(value)), dtype=bool))
         key = (float(value[i]), tuple(point[i].tolist()))
         if best is None or key > best[0]:
             best = (key, point[i], int(branch[i]), probs[i].copy())

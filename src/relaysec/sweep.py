@@ -107,8 +107,6 @@ class Frontier:
     the rates, the alpha, beta, q and R* that reach them, and the `active` label
     ("" for a single-arm strategy); q and rstar are None without compress-forward."""
 
-    strategy_id: str
-    net: GaussianNetwork
     first: np.ndarray
     second: np.ndarray
     alpha: np.ndarray
@@ -153,8 +151,6 @@ class Curve:
     """Best R1 per alpha (`value`) and the beta, q and R* that reach it, one
     array entry per alpha; q and rstar are None without compress-forward."""
 
-    strategy_id: str
-    net: GaussianNetwork
     alpha: np.ndarray
     value: np.ndarray
     beta: np.ndarray
@@ -271,7 +267,7 @@ def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Fr
     pairs = _slices(strategy, net, grid, curve=False)
     if not pairs:
         empty = np.empty(0)
-        return Frontier(strategy.strategy_id, net, *[empty] * 4, np.empty(0, str), empty, empty)
+        return Frontier(*[empty] * 4, np.empty(0, str), empty, empty)
     # The grid is (slice, alpha, beta) in C order, evaluated in boxes of at most
     # BLOCK_CELLS cells that take whole trailing axes while they fit, so each
     # block is a run of flat grid indices and the blocks follow grid order; q
@@ -309,10 +305,7 @@ def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Fr
     a, b, qc, rc = provenance(cells)
     arms, _ = strategy.kernel(net, a, b, qc, rc)
     cf = strategy.uses_q
-    return Frontier(
-        strategy.strategy_id, net, f, s, a, b, strategy.active(arms),
-        qc if cf else None, rc if cf else None,
-    )
+    return Frontier(f, s, a, b, strategy.active(arms), qc if cf else None, rc if cf else None)
 
 
 def _bracket_columns(strategy, net, grid, alphas, q, rstar) -> np.ndarray:
@@ -369,7 +362,7 @@ def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> C
     best = np.argmax(values, axis=0)  # the first slice reaching the maximum
     value, beta = np.array(values)[best, rows], np.array(picked)[best, rows]
     q, rstar = (np.array(c)[best] if strategy.uses_q else None for c in zip(*pairs))
-    return Curve(strategy.strategy_id, net, alphas, value, beta, q, rstar)
+    return Curve(alphas, value, beta, q, rstar)
 
 
 def region_boundary(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Frontier:

@@ -97,9 +97,18 @@ def test_catalog_fingerprint():
 
 
 class TestCouplingValidation:
-    def test_canonical_order_reads_a_one_shot_iterable_once(self):
-        assert bounds._canonical_order(iter(("X", "U"))) == ("U", "X")
-        assert bounds._canonical_order(n for n in ("Yh", "X1", "V")) == ("V", "X1", "Yh")
+    @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+    def test_a_coupling_takes_its_theorem_axis_order(self, theorem_id):
+        # The search grid and compose_stack read a coupling's axes in coupling_vars
+        # order, so a coupling given in any other order is laid out in that one.
+        rng = np.random.default_rng(int(theorem_id[1:]))
+        model = favorable_model(rng)
+        coupling = random_coupling(rng, theorem_id, model)
+        joint = coupling.joint.reordered(coupling.joint.axis_names[::-1])
+        again = AuxiliaryCoupling(joint, theorem_id)
+        assert again.joint.axis_names == THEOREMS[theorem_id].coupling_vars
+        assert again.joint.probs.tobytes() == coupling.joint.probs.tobytes()
+        assert mi_terms(model, again) == mi_terms(model, coupling)
 
     def test_wrong_axes_rejected(self):
         with pytest.raises(ValidationError, match="must carry axes"):

@@ -151,34 +151,34 @@ class TestGridSpec:
 
 class TestFrontierInvariants:
     def test_sorted_and_maximal_enforced(self):
-        good = Frontier("c_df", NET, [0.1, 0.4], [0.5, 0.2], [0.9, 0.1], [0.0, 0.0], ["", ""])
+        good = Frontier([0.1, 0.4], [0.5, 0.2], [0.9, 0.1], [0.0, 0.0], ["", ""])
         assert good.max_first() == 0.4
         with pytest.raises(ValidationError, match="dominated"):
-            Frontier("c_df", NET, [0.1, 0.4], [0.5, 0.6], [0.9, 0.1], [0.0, 0.0], ["", ""])
+            Frontier([0.1, 0.4], [0.5, 0.6], [0.9, 0.1], [0.0, 0.0], ["", ""])
         with pytest.raises(ValidationError, match="strictly increasing"):
-            Frontier("c_df", NET, [0.4, 0.1], [0.5, 0.2], [0.9, 0.1], [0.0, 0.0], ["", ""])
+            Frontier([0.4, 0.1], [0.5, 0.2], [0.9, 0.1], [0.0, 0.0], ["", ""])
 
     def test_parameter_ranges_checked_per_column(self):
         cols = ([0.1, 0.4], [0.5, 0.2], [0.9, 0.1], [0.0, 0.0], ["", ""])
         with pytest.raises(ValidationError, match="alpha must lie in"):
-            Frontier("c_df", NET, cols[0], cols[1], [0.9, 1.5], *cols[3:])
+            Frontier(cols[0], cols[1], [0.9, 1.5], *cols[3:])
         with pytest.raises(ValidationError, match="q must be positive"):
-            Frontier("c_cf", NET, *cols, q=[300.0, 0.0], rstar=[0.1, 0.1])
+            Frontier(*cols, q=[300.0, 0.0], rstar=[0.1, 0.1])
         with pytest.raises(ValidationError, match="rstar must be >= 0"):
-            Frontier("c_cf", NET, *cols, q=[300.0, 300.0], rstar=[0.1, float("nan")])
+            Frontier(*cols, q=[300.0, 300.0], rstar=[0.1, float("nan")])
         with pytest.raises(ValidationError, match="differ in length"):
-            Frontier("c_df", NET, *cols[:4], [""])
+            Frontier(*cols[:4], [""])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
     def test_rates_must_be_finite_and_nonnegative(self, bad):
         # NaN compares false, so the order checks alone let it through.
         cols = ([0.0, 0.0], ["", ""])
         with pytest.raises(ValidationError, match="first must be finite and >= 0"):
-            Frontier("c_df", NET, [0.1, bad], [0.5, 0.2], [0.9, 0.1], *cols)
+            Frontier([0.1, bad], [0.5, 0.2], [0.9, 0.1], *cols)
         with pytest.raises(ValidationError, match="second must be finite and >= 0"):
-            Frontier("c_df", NET, [0.1, 0.4], [bad, 0.2], [0.9, 0.1], *cols)
+            Frontier([0.1, 0.4], [bad, 0.2], [0.9, 0.1], *cols)
         with pytest.raises(ValidationError, match="value must be finite and >= 0"):
-            Curve("b_df", NET, [0.0, 1.0], [bad, 0.3], [0.0, 0.0])
+            Curve([0.0, 1.0], [bad, 0.3], [0.0, 0.0])
 
 
 class TestSweepFrontier:
@@ -244,15 +244,15 @@ class TestCurve:
 
     def test_curve_invariants_enforced(self):
         with pytest.raises(ValidationError, match="cover"):
-            Curve("b_df", NET, [0.5], [0.1], [0.0])
+            Curve([0.5], [0.1], [0.0])
         with pytest.raises(ValidationError, match="strictly increasing"):
-            Curve("b_df", NET, [0.0, 0.5, 0.5, 1.0], [0.0] * 4, [0.0] * 4)
+            Curve([0.0, 0.5, 0.5, 1.0], [0.0] * 4, [0.0] * 4)
         with pytest.raises(ValidationError, match="beta must lie in"):
-            Curve("b_df", NET, [0.0, 1.0], [0.0, 0.1], [0.0, -0.5])
+            Curve([0.0, 1.0], [0.0, 0.1], [0.0, -0.5])
 
     def test_columns_are_read_only_copies(self):
         alpha = np.array([0.0, 1.0])
-        curve = Curve("b_df", NET, alpha, [0.0, 0.1], [0.0, 0.0])
+        curve = Curve(alpha, [0.0, 0.1], [0.0, 0.0])
         alpha[1] = 0.5  # the caller's array stays writable and the curve keeps its copy
         assert curve.alpha.tolist() == [0.0, 1.0]
         with pytest.raises(ValueError, match="read-only"):
@@ -321,7 +321,7 @@ class TestConvexHull:
     def test_hull_is_subset_and_concave(self):
         pts = [(0, 1), (0.2, 0.9), (0.5, 0.5), (0.8, 0.2), (1, 0)]
         first, second = zip(*pts)
-        f = Frontier("c_nf", NET, first, second, first, [0.0] * 5, ["r0=arm1"] * 5)
+        f = Frontier(first, second, first, [0.0] * 5, ["r0=arm1"] * 5)
         h = f.convex_hull()
         hull = list(zip(h.first.tolist(), h.second.tolist()))
         assert set(hull) <= set(pts)
