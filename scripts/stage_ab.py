@@ -11,14 +11,16 @@ of THEOREMS and stack size N of SIZES, on the same N random couplings of a
 favorable model (`acceptance.random_coupling`, independent auxiliaries of
 two values), it times:
 
+  compose    `bounds.compose_stack`, the couplings laid out with the channel;
   entropies  `SubsetEntropies` of the theorem's compiled subsets;
   tables     the `_BoundTable.__call__` calls that one `evaluate_stack` makes,
              replayed with the arguments that tree passes them;
   evaluate   `bounds.evaluate_stack`;
   extremes   `regionsearch._stack_extremes` at objective (1, 1, 0.5);
 
-and per theorem one dmc-query op (an `AuxiliaryCoupling` and an
-`evaluate_membership`, listed at N = 1).  A second table times one whole
+and per theorem, listed at N = 1, one coupling's `bounds.coupling_stack`
+(couple), and one dmc-query op (an `AuxiliaryCoupling` and an
+`evaluate_membership`).  A second table times one whole
 `regionsearch.brute_force_best` (search) per case of SEARCHES: the five
 dmc-search benchmark shapes on the same model, and the scaled anchor on the
 shipped `scenarios/dmc_model.json`.  A third table times the Gaussian stages
@@ -33,10 +35,11 @@ trees take turns, in alternating order, after one untimed call of each, and
 each figure is the best of REPEATS samples, in microseconds per call.
 `max|diff|` is the largest difference between the trees' rendered rows
 (catalog: 0 when every row of every theorem renders the same, else inf),
-entropies (entropies), bounds (evaluate), extreme values (extremes), best
-values, rates and couplings (search), roots (candidates; equal non-finite
-roots count 0), columns (bracket), curve values and betas (curve) or
-frontier columns (frontier); arrays of unequal shape read inf.
+composed joints (compose, couple), entropies (entropies), bounds (evaluate),
+extreme values (extremes), best values, rates and couplings (search), roots
+(candidates; equal non-finite roots count 0), columns (bracket), curve values
+and betas (curve) or frontier columns (frontier); arrays of unequal shape read
+inf.
 """
 
 import os
@@ -118,6 +121,7 @@ def stages(tree: dict, theorem: str, probs: np.ndarray, n: int) -> dict:
     ev = b.evaluate_stack(spec, full)
     calls = table_calls(tree, spec, full)
     out = {
+        "compose": (lambda: b.compose_stack(spec, model, probs[:n]), full),
         "entropies": (lambda: spec.compiled.entropies(full), spec.compiled.entropies(full)),
         "tables": (lambda: [t(*a, **k) for t, a, k in calls], None),
         "evaluate": (lambda: b.evaluate_stack(spec, full), ev.bounds),
@@ -126,6 +130,9 @@ def stages(tree: dict, theorem: str, probs: np.ndarray, n: int) -> dict:
     }
     if n == 1:
         joint = tree["pmf"].JointPMF(spec.coupling_vars, probs[0])
+        coupling = b.AuxiliaryCoupling(joint, theorem)
+        out["couple"] = (lambda: b.coupling_stack(spec, model, coupling),
+                         b.coupling_stack(spec, model, coupling))
         rates = tree["acceptance"].random_rates(np.random.default_rng(0), spec.config, scale=0.3)
 
         def query():

@@ -192,24 +192,16 @@ def random_coupling(
         return tuple(out)
 
     if spec.uses_compressor:
-        base_vars = tuple(v for v in spec.coupling_vars if v not in ("Y1", "Yh"))
-        base = _random_factorized(rng, base_vars, refine(_base_factors(spec)), sizes)
+        base_factors = [f for f in spec.pattern.factors if f[0] not in (("Y1",), ("Yh",))]
+        base = _random_factorized(rng, refine(base_factors), sizes)
         q = rng.dirichlet(np.ones(sizes["Yh"]), size=sizes["X1"] * sizes["Y1"])
         q = q.reshape(sizes["X1"], sizes["Y1"], sizes["Yh"])
         return build_cf_coupling(theorem_id, base, model, q)
-    joint = _random_factorized(rng, spec.coupling_vars, refine(spec.pattern.factors), sizes)
+    joint = _random_factorized(rng, refine(spec.pattern.factors), sizes)
     return AuxiliaryCoupling(joint, theorem_id)
 
 
-def _base_factors(spec) -> tuple:
-    return tuple(
-        (targets, given)
-        for targets, given in spec.pattern.factors
-        if targets not in (("Y1",), ("Yh",))
-    )
-
-
-def _random_factorized(rng, var_order, factors, sizes) -> JointPMF:
+def _random_factorized(rng, factors, sizes) -> JointPMF:
     pattern = FactorizationPattern(factors)
     tables = [
         rng.dirichlet(
@@ -218,7 +210,7 @@ def _random_factorized(rng, var_order, factors, sizes) -> JointPMF:
         ).reshape((1,) + tuple(sizes[v] for v in given + targets))
         for targets, given in pattern.factors
     ]
-    return JointPMF(tuple(var_order), pattern.product_stack(var_order, tables)[0])
+    return JointPMF(pattern.variables, pattern.product_stack(tables)[0])
 
 
 def random_rates(rng: np.random.Generator, config: str, scale: float = 0.5) -> RateTuple:

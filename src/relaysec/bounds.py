@@ -23,7 +23,8 @@ as matrix products (one per term slot) with a segmented min.  `evaluate_stack`
 runs them on N stacked couplings at once, and `stack_membership` decides every
 membership, of a theorem or of its Re = R slice, against that stack; branch
 reports are one coupling's view.  A coupling's axes are its theorem's
-`coupling_vars`, in that order, wherever it is built or read.
+`coupling_vars`, read off its factorization (the targets, factor by factor),
+and every product with the channel finds its axes by name (`pmf.placement`).
 
 Every row is written once.  A branch's perfect-secrecy corollary (the
 Re = R slice) is derived from its own rows: each row marked `on_slice` is
@@ -74,6 +75,7 @@ from .pmf import (
     factorization_deviation,
     information,
     information_plan,
+    placement,
 )
 
 RATE_COMPONENTS = ("R0", "R1", "R2", "Re1", "Re2")
@@ -253,12 +255,16 @@ class BranchSpec:
 class TheoremSpec:
     config: str  # message configuration: "A", "B" or "C"
     role: str  # "outer", "decode-forward", "noise-forward", "compress-forward"
-    coupling_vars: tuple[str, ...]
-    pattern: FactorizationPattern
+    pattern: FactorizationPattern  # the coupling's factorization, which lays out its axes
     branches: tuple[BranchSpec, ...]
     theorem_id: str = ""  # numbered by `_catalog`
 
-    @property
+    @cached_property
+    def coupling_vars(self) -> tuple[str, ...]:
+        """A coupling's axes: its factorization's targets, factor by factor."""
+        return self.pattern.variables
+
+    @cached_property
     def uses_compressor(self) -> bool:
         return "Yh" in self.coupling_vars
 
@@ -273,11 +279,18 @@ class TheoremSpec:
         """Active (R0,R1,R2) coordinates of this message configuration."""
         return {"A": (0, 1, 2), "B": (1, 2), "C": (0, 1)}[self.config]
 
-    @property
+    @cached_property
     def full_vars(self) -> tuple[str, ...]:
-        """Axes of the coupling composed with the channel: auxiliaries, CHANNEL_VARS, any Yh."""
+        """Axes of the coupling composed with the channel: auxiliaries (in coupling order),
+        CHANNEL_VARS, any Yh, wherever the factorization lists X and X1."""
         aux = tuple(v for v in self.coupling_vars if v not in (*CHANNEL_VARS, "Yh"))
         return aux + CHANNEL_VARS + ("Yh",) * self.uses_compressor
+
+    @cached_property
+    def channel_layout(self) -> tuple:
+        """The `placement`s over `full_vars` of a coupling stack and of its channel table."""
+        full = self.full_vars
+        return placement(self.coupling_vars, full, 1), placement(CHANNEL_VARS, full)
 
     @cached_property
     def compiled(self) -> "CompiledTheorem":
@@ -438,9 +451,7 @@ class _TermMap:
     def theorem(self, spec: TheoremSpec, branches: Iterable[BranchSpec]) -> TheoremSpec:
         """`spec` as config C: mapped coupling and factorization, the given branches."""
         factors = tuple((self.names(t), self.names(g)) for t, g in spec.pattern.factors)
-        return replace(spec, config="C", branches=tuple(branches),
-                       coupling_vars=self.names(spec.coupling_vars),
-                       pattern=FactorizationPattern(factors))
+        return replace(spec, config="C", branches=tuple(branches), pattern=FactorizationPattern(factors))
 
 
 # Receivers swapped with all that is theirs, Y/Z, U1/U2, V1/V2 and the rates: receiver
@@ -474,13 +485,8 @@ def _outer_two_messages(config: str) -> TheoremSpec:
         _ineq(rsum(r0, R1, R2), mi(f"{u}U2,V1;Y,Y1|U1") + mi(f"V2;Z,Y1|{u}U1,U2,V1")),
         _ineq(RE1, Min(mi(f"V1;Y|{u}V2") - mi(f"V1;Z|{u}V2"), mi("V1;Y|U") - mi("V1;Z|U"))),
     )
-    return TheoremSpec(
-        config,
-        "outer",
-        ("U", "U1", "U2", "V1", "V2", "X", "X1"),
-        _chain_pattern(("U1", "U2", "V1", "V2")),
-        (BranchSpec(tuple(i for row in written for i in (row, _MIRROR.ineq(row)))),),
-    )
+    rows = tuple(i for row in written for i in (row, _MIRROR.ineq(row)))
+    return TheoremSpec(config, "outer", _chain_pattern(("U1", "U2", "V1", "V2")), (BranchSpec(rows),))
 
 
 def _df_two_messages() -> TheoremSpec:
@@ -497,13 +503,7 @@ def _df_two_messages() -> TheoremSpec:
         _ineq(RE1, mi("V1;Y|U,X1") - mi("V1;V2|U,X1") - mi("V1;Z|U,X1,V2")),
         _ineq(RE2, mi("V2;Z|U,X1") - mi("V1;V2|U,X1") - mi("V2;Y|U,X1,V1")),
     )
-    return TheoremSpec(
-        "A",
-        "decode-forward",
-        ("U", "V1", "V2", "X", "X1"),
-        _df_pattern(("U", "V1", "V2")),
-        (BranchSpec(ineqs),),
-    )
+    return TheoremSpec("A", "decode-forward", _df_pattern(("U", "V1", "V2")), (BranchSpec(ineqs),))
 
 
 def _forward_two_messages(cf: bool) -> TheoremSpec:
@@ -530,13 +530,9 @@ def _forward_two_messages(cf: bool) -> TheoremSpec:
     aux = ("U", "V1", "V2")
     factors = ((aux, ()), (("X",), aux), (("X1",), ()))
     compressor = (("Y1",), ("X", "X1")), (("Yh",), ("Y1", "X1"))
-    return TheoremSpec(
-        "A",
-        "compress-forward" if cf else "noise-forward",
-        aux + ("X", "X1") + (("Y1", "Yh") if cf else ()),
-        FactorizationPattern(factors + (compressor if cf else ())),
-        (l1, _MIRROR.branch(l1)),
-    )
+    pattern = FactorizationPattern(factors + (compressor if cf else ()))
+    role = "compress-forward" if cf else "noise-forward"
+    return TheoremSpec("A", role, pattern, (l1, _MIRROR.branch(l1)))
 
 
 def _without_common(parent: TheoremSpec) -> TheoremSpec:
@@ -566,13 +562,7 @@ def _outer_one_message() -> TheoremSpec:
         _ineq(rsum(R0, R1), mi("U,U1;Z,Y1|U2") + mi("V;Y,Y1|U,U1,U2")),
         _ineq(RE1, mi("V;Y|U") - mi("V;Z|U")),
     )
-    return TheoremSpec(
-        "C",
-        "outer",
-        ("U", "U1", "U2", "V", "X", "X1"),
-        _chain_pattern(("U1", "U2", "V")),
-        (BranchSpec(ineqs),),
-    )
+    return TheoremSpec("C", "outer", _chain_pattern(("U1", "U2", "V")), (BranchSpec(ineqs),))
 
 
 def _forward_one_message(parent: TheoremSpec) -> TheoremSpec:
@@ -706,10 +696,10 @@ def build_cf_coupling(
         )
     rows = q.reshape(x1 * y1, -1)
     check_masses(rows, "compressor rows p(yh|y1,x1) in x1-major order")
-    base_vars = tuple(v for v in spec.coupling_vars if v not in ("Y1", "Yh"))
-    y1c = model.y1_conditional()  # (x, x1, y1)
-    probs = base.reordered(base_vars).probs[..., None, None] * y1c[:, :, :, None] * q[None, :, :, :]
-    return AuxiliaryCoupling(JointPMF(base_vars + ("Y1", "Yh"), probs), theorem_id)
+    # The base, the channel's p(y1|x,x1) and q, multiplied by name in the base's order.
+    legs = FactorizationPattern(((base.axis_names, ()), (("Y1",), ("X", "X1")), (("Yh",), ("X1", "Y1"))))
+    probs = legs.product_stack([base.probs[None], model.y1_conditional()[None], q[None]])
+    return AuxiliaryCoupling(JointPMF(legs.variables, probs[0]), theorem_id)
 
 
 def _grid_coupling(spec: TheoremSpec, probs: np.ndarray) -> AuxiliaryCoupling:
@@ -725,14 +715,15 @@ def _grid_coupling(spec: TheoremSpec, probs: np.ndarray) -> AuxiliaryCoupling:
 
 def compose_stack(spec: TheoremSpec, model: DMCModel, probs: np.ndarray) -> np.ndarray:
     """Stacked couplings (N, `spec.coupling_vars` axes) and the channel: stacked joints over
-    `spec.full_vars`.  A compress-forward coupling already carries the channel's
-    Y1 leg, so it is multiplied by p(y, z | x, x1, y1) alone.  Checks nothing: the
+    `spec.full_vars`, each table laid out by name (`spec.channel_layout`).  A
+    compress-forward coupling already carries the channel's Y1 leg, so it is
+    multiplied by p(y, z | x, x1, y1) alone.  Checks nothing: the
     couplings' alphabets and any Y1 leg must already match the channel, as the
     search grid's do by construction and a single coupling's do once
     `coupling_stack` has checked them."""
-    if not spec.uses_compressor:
-        return probs[..., None, None, None] * model.transition
-    return probs[..., None, :, None, :] * model.yz_given_y1[..., None]
+    coupling, channel = spec.channel_layout
+    table = model.yz_given_y1 if spec.uses_compressor else model.transition
+    return coupling(probs) * channel(table)
 
 
 def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupling) -> np.ndarray:
@@ -740,9 +731,9 @@ def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupli
     `spec.full_vars`; the coupling's axes are `spec.coupling_vars`.  Every single
     coupling enters here, so here it is checked against the channel, as invalid
     input: its X, X1 (and Y1) alphabets, and a compress-forward coupling's Y1 leg
-    p(aux, x, x1)·p(y1|x, x1), within FACTORIZATION_TOL like the rest of its
-    factorization.  Cross-use by another theorem is allowed when its variables and
-    factorization agree."""
+    p(aux, x, x1)·p(y1|x, x1), its axes found by name, within FACTORIZATION_TOL like
+    the rest of its factorization.  Cross-use by another theorem is allowed when its
+    variables and factorization agree."""
     if spec.theorem_id != coupling.theorem_id:
         coupling = AuxiliaryCoupling(coupling.joint, spec.theorem_id)
     probs, channel = coupling.joint.probs, model.sizes
@@ -751,8 +742,10 @@ def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupli
         ours, theirs = (", ".join(f"{v}={sizes[v]}" for v in have) for sizes in (have, channel))
         raise ValidationError(f"coupling alphabet ({ours}) does not match the channel ({theirs})")
     if spec.uses_compressor:
-        implied_y1 = probs.sum(axis=(-2, -1))[..., None] * model.y1_conditional()
-        dev = float(np.max(np.abs(implied_y1 - probs.sum(axis=-1))))
+        y1, yh = map(spec.coupling_vars.index, ("Y1", "Yh"))
+        leg = placement(("X", "X1", "Y1"), spec.coupling_vars)(model.y1_conditional())
+        implied_y1 = probs.sum(axis=(y1, yh), keepdims=True) * leg
+        dev = float(np.max(np.abs(implied_y1 - probs.sum(axis=yh, keepdims=True))))
         if not dev <= FACTORIZATION_TOL:
             raise ValidationError(
                 f"coupling's Y1 leg is inconsistent with the channel's p(y1|x,x1): "

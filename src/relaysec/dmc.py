@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ValidationError, parse_json, require_json_int
+from .errors import ValidationError, parse_json, require_json_int, require_json_numbers
 from .pmf import check_masses
 
 #: Canonical order of the names within an MI term (`bounds._TermMap`).
@@ -90,6 +90,7 @@ class DMCModel:
             sizes = tuple(payload[k] for k in SIZE_KEYS)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"DMCModel JSON: malformed payload ({exc})") from exc
+        require_json_numbers(payload["transition"], "DMCModel JSON: transition")
         for key, size in zip(SIZE_KEYS, sizes):
             require_json_int(size, f"DMCModel JSON: {key}")
         if arr.shape != sizes:

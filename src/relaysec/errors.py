@@ -57,3 +57,15 @@ def require_json_int(value: object, what: str) -> None:
     """Refuse a JSON value that is not an integer: a float, a string or a bool."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def require_json_numbers(value: object, what: str) -> None:
+    """Refuse a JSON array of arrays, to any depth, with an entry that is not a number:
+    a string, a bool, null or an object.  A JSON integer is a number."""
+    stack = [value]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, list):
+            stack.extend(reversed(entry))
+        elif isinstance(entry, bool) or not isinstance(entry, (int, float)):
+            raise ValidationError(f"{what} must hold numbers only, got {entry!r}")

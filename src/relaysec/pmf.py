@@ -16,12 +16,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import UsageError, ValidationError, parse_json, require_json_int
+from .errors import UsageError, ValidationError, parse_json, require_json_int, require_json_numbers
 
 MASS_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10  # looser than MASS_TOL: reconstruction compounds rounding
@@ -122,6 +123,7 @@ class JointPMF:
             probs = np.asarray(payload["probs"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"JointPMF JSON: malformed payload ({exc})") from exc
+        require_json_numbers(payload["probs"], "JointPMF JSON: probs")
         for name, size in zip(names, sizes):
             require_json_int(size, f"JointPMF JSON: the size of axis {name}")
         if probs.shape != sizes:
@@ -268,25 +270,23 @@ class FactorizationPattern:
     factors: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(
-            (tuple(targets), tuple(given)) for targets, given in self.factors
-        )
-        object.__setattr__(self, "factors", norm)
-        seen: list[str] = []
-        for targets, _ in norm:
-            seen.extend(targets)
-        if len(set(seen)) != len(seen):
-            raise ValidationError(
-                f"FactorizationPattern: a variable is targeted by more than one factor: {seen}"
-            )
+        object.__setattr__(self, "factors", tuple((tuple(t), tuple(g)) for t, g in self.factors))
+        if len(set(self.variables)) != len(self.variables):
+            raise ValidationError("FactorizationPattern: a variable is targeted by more than one "
+                                  f"factor: {list(self.variables)}")
 
-    def product_stack(self, var_order: Sequence[str], tables: Sequence[np.ndarray]) -> np.ndarray:
-        """Stacked joints (N, *sizes) from stacked (N, given..., targets...) tables;
-        factors multiply in pattern order, so the same tables give the same bits."""
-        plan = _product_plan(self, tuple(var_order), tuple(t.shape[1:] for t in tables))
+    @functools.cached_property
+    def variables(self) -> tuple[str, ...]:
+        """Every target, factor by factor: the axis order of the joints it describes."""
+        return tuple(v for targets, _ in self.factors for v in targets)
+
+    def product_stack(self, tables: Sequence[np.ndarray]) -> np.ndarray:
+        """Stacked joints (N, *sizes) over `variables` from stacked (N, given..., targets...)
+        tables, each laid out by its `placement`; factors multiply in pattern order, so
+        the same tables give the same bits."""
         probs = 1.0
-        for table, (order, shape) in zip(tables, plan):
-            probs = probs * table.transpose(order).reshape(shape)
+        for (targets, given), table in zip(self.factors, tables):
+            probs = probs * placement(given + targets, self.variables, 1)(table)
         return probs
 
     def describe(self) -> str:
@@ -298,15 +298,23 @@ class FactorizationPattern:
 
 
 @functools.cache
-def _product_plan(pattern: FactorizationPattern, var_order: tuple[str, ...], shapes: tuple):
-    """Per factor of `pattern`, for tables of the given shapes (stack axis left out):
-    the transpose that puts its axes in `var_order` order, and its broadcast shape."""
-    plan = []
-    for (targets, given), sizes in zip(pattern.factors, shapes):
-        names = given + targets
-        shape = [sizes[names.index(v)] if v in names else 1 for v in var_order]
-        plan.append(((0, *(1 + np.argsort([var_order.index(v) for v in names]))), (-1, *shape)))
-    return tuple(plan)
+def placement(names: tuple[str, ...], order: tuple[str, ...], lead: int = 0) -> Callable:
+    """How a table with axes `names`, after `lead` stack axes, enters a product laid out
+    in `order`, found by name: a function that transposes the table's axes into `order`
+    order, then indexes in an axis for each name of `order` it lacks, ready to broadcast.
+    Added axes before the table's first are left to broadcasting, and its axes before
+    the first added one to an Ellipsis, so a table already in order is only indexed."""
+    if not set(names) <= set(order):
+        raise UsageError(f"placement: axes {list(names)} are not all among {list(order)}")
+    index = [slice(None)] * lead + [slice(None) if v in names else None for v in order]
+    while index and index[0] is None:
+        index.pop(0)
+    expand = operator.itemgetter((..., *index[index.index(None) :]) if None in index else (...,))
+    ranked = sorted(range(len(names)), key=lambda k: order.index(names[k]))
+    if ranked == sorted(ranked):
+        return expand
+    perm = (*range(lead), *(lead + k for k in ranked))
+    return lambda table: expand(table.transpose(perm))
 
 
 @functools.cache

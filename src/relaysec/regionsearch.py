@@ -40,7 +40,7 @@ from .bounds import (
 )
 from .dmc import DMCModel, RateTuple
 from .errors import BudgetExceededError, UsageError
-from .pmf import check_masses
+from .pmf import check_masses, placement
 
 DEFAULT_BUDGET = 10_000_000
 MAX_GRID_INDEX = int(np.iinfo(np.intp).max)  # grid indices are decoded as numpy intp
@@ -295,11 +295,11 @@ def _grid(
     stacks, chunk by chunk.  A coupling is one mixed-radix index, the first digit
     slowest, with one digit per given value of each factor that picks a row of the
     checked `_simplex_table` of the factor's target cells; the Y1 factor has no
-    digit, being the channel's validated p(y1|x,x1).  A chunk is `product_stack` of
-    its picked rows over `spec.coupling_vars`, so it is of unit mass, factorized
-    and carries the channel's Y1 leg by construction; no chunk is checked again
-    (the tests check every chunk of their grids).  No table is built before the
-    first chunk."""
+    digit, being the channel's validated p(y1|x,x1), its axes put in the factor's
+    order by name.  A chunk is `product_stack` of its picked rows over
+    `spec.coupling_vars`, so it is of unit mass, factorized and carries the
+    channel's Y1 leg by construction; no chunk is checked again (the tests check
+    every chunk of their grids).  No table is built before the first chunk."""
     sizes = {**model.sizes, **_axis_sizes(spec, model, aux_sizes)}
     factors, radices, count, step = _grid_plan(
         spec.theorem_id, tuple(sizes.items()), grid_steps, CHUNK_CELLS)
@@ -309,11 +309,12 @@ def _grid(
         for start in range(0, count, step):
             digits = np.stack(np.unravel_index(np.arange(start, min(start + step, count)), radices), 1)
             tables, first = [], 0
-            for shape, cells, n in factors:
+            for (shape, cells, n), (targets, given) in zip(factors, spec.pattern.factors):
                 picks = digits[:, first : first + n]
-                tables.append(_simplex_table(cells, grid_steps)[picks].reshape((-1,) + shape) if n else y1)
+                tables.append(_simplex_table(cells, grid_steps)[picks].reshape((-1,) + shape) if n
+                              else placement(("X", "X1", "Y1"), given + targets, 1)(y1))
                 first += n
-            yield spec.pattern.product_stack(spec.coupling_vars, tables)
+            yield spec.pattern.product_stack(tables)
 
     return count, chunks()
 

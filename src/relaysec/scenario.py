@@ -12,8 +12,9 @@ Schema (unknown keys are rejected):
                "rstar_steps": 8},                   # optional, these defaults
       "output": "fig4.csv"                          # optional default --out
     }
-  `net` values are finite numbers, `strategies` is a list of names, the
-  `*_steps` are integers and `q_values` is a list of finite numbers.
+  `net` values are finite numbers, `strategies` is a list of names of
+  different strategies, the `*_steps` are integers and `q_values` is a list
+  of finite numbers.
 
   Discrete scenarios (model "DMC"); file paths resolve relative to the
   scenario file:
@@ -170,11 +171,16 @@ def load_scenario(path: str) -> Scenario:
         if not strategies:
             raise ValidationError(f"scenario {path}: 'strategies' must not be empty")
         grid = _parse_grid(payload.get("grid"))
+        named: dict[str, str] = {}  # strategy id -> the name that listed it
         for s in strategies:
             try:
                 strategy = resolve_strategy(s, model)
             except UsageError as exc:
                 raise ValidationError(f"scenario {path}: {exc}") from exc
+            if strategy.strategy_id in named:
+                raise ValidationError(f"scenario {path}: strategies {named[strategy.strategy_id]!r} "
+                                      f"and {s!r} both name {strategy.strategy_id}")
+            named[strategy.strategy_id] = s
             if strategy.uses_q and not grid.q_values:
                 raise ValidationError(f"scenario {path}: {s} needs a compression variance q, "
                                       "but q_values is empty")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +41,7 @@ from relaysec.bounds import (
 )
 from relaysec.dmc import CHANNEL_VARS, SIZE_KEYS, DMCModel, RateTuple
 from relaysec.errors import UsageError, ValidationError
-from relaysec.pmf import ENTROPY_RESIDUE, JointPMF
+from relaysec.pmf import ENTROPY_RESIDUE, FactorizationPattern, JointPMF
 
 SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
 
@@ -109,6 +110,48 @@ class TestCouplingValidation:
         assert again.joint.axis_names == THEOREMS[theorem_id].coupling_vars
         assert again.joint.probs.tobytes() == coupling.joint.probs.tobytes()
         assert mi_terms(model, again) == mi_terms(model, coupling)
+
+    @pytest.mark.parametrize("theorem_id", ["T3", "T4", "T12"])
+    def test_a_builder_may_list_the_x_factor_first(self, monkeypatch, theorem_id):
+        # A coupling's axes are read off its factorization, and every product with the
+        # channel finds X and X1 by name: listing X's factor first moves no bit.
+        shipped = THEOREMS[theorem_id]
+        rng = np.random.default_rng(int(theorem_id[1:]))
+        model = favorable_model(rng)
+        coupling = random_coupling(rng, theorem_id, model, independent_aux=True)
+        rates = random_rates(rng, shipped.config, scale=0.3)
+        if shipped.uses_compressor:
+            kept = [v for v in shipped.coupling_vars if v not in ("Y1", "Yh")]
+            legs = tuple(shipped.coupling_vars.index(v) for v in ("Y1", "Yh"))
+            base = JointPMF(kept, coupling.joint.probs.sum(axis=legs))
+            q = rng.dirichlet(np.ones(2), size=4).reshape(2, 2, 2)
+            coupling = build_cf_coupling(theorem_id, base, model, q)
+
+        def results(coupling):
+            terms = mi_terms(model, coupling)
+            full = compose_full_joint(model, coupling)
+            ev = evaluate_membership(theorem_id, model, coupling, rates)
+            bounds = [r.bound for b in ev.branches for r in b.inequalities]
+            return (list(terms), np.array(list(terms.values())).tobytes(), full.axis_names,
+                    full.probs.tobytes(), ev.member, np.array(bounds).tobytes())
+
+        want = results(coupling)
+        factors = shipped.pattern.factors
+        k = next(k for k, (targets, _) in enumerate(factors) if "X" in targets)
+        pattern = FactorizationPattern((factors[k], *factors[:k], *factors[k + 1 :]))
+        monkeypatch.setitem(THEOREMS, theorem_id, replace(shipped, pattern=pattern))
+        moved = theorem_spec(theorem_id)
+        assert moved.coupling_vars[0] == "X" and moved.full_vars == shipped.full_vars
+        again = AuxiliaryCoupling(coupling.joint, theorem_id)
+        assert again.joint.axis_names == moved.coupling_vars
+        assert results(again) == want
+        if shipped.uses_compressor:
+            built = build_cf_coupling(theorem_id, base, model, q).joint
+            assert built.axis_names == moved.coupling_vars
+            assert built.reordered(shipped.coupling_vars).probs.tobytes() == coupling.joint.probs.tobytes()
+            bad = build_cf_coupling(theorem_id, base, favorable_model(rng), q)
+            with pytest.raises(ValidationError, match="inconsistent with the channel"):
+                compose_full_joint(model, bad)
 
     def test_wrong_axes_rejected(self):
         with pytest.raises(ValidationError, match="must carry axes"):
@@ -276,7 +319,9 @@ def test_cf_joint_is_the_product_of_its_ingredients(theorem_id, channel):
     # only the last bits; a noiseless relay link leaves y1 cells that cannot occur.
     rng = np.random.default_rng(11)
     model = random_model(rng) if channel == "random" else product_channel(py1=0.0)
-    base_vars = theorem_spec(theorem_id).coupling_vars[:-2]
+    spec = theorem_spec(theorem_id)
+    # The base's variables by name, the auxiliaries then X, X1 as `full_vars` lists them.
+    base_vars = tuple(v for v in spec.full_vars if v in spec.coupling_vars and v not in ("Y1", "Yh"))
     base = np.ones(())
     for _ in base_vars:  # independent variables meet every factorization
         base = np.multiply.outer(base, rng.dirichlet(np.ones(2)))

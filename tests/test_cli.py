@@ -178,6 +178,18 @@ class TestCurveCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["curve", "region"])
+    def test_a_strategy_listed_twice_is_a_validation_error(self, tmp_path, capsys, command):
+        # "df" and "b_df" resolve to one strategy: curve would write its column twice
+        # and region each of its rows twice.
+        payload = {"model": "B", "net": PAPER_NET, "strategies": ["df", "nf", "b_df"]}
+        path = write_json(tmp_path, "s.json", payload)
+        out = tmp_path / "o.csv"
+        assert main([command, "--scenario", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario {path}: strategies 'df' and 'b_df' both name b_df" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("command", ["curve", "region"])
     def test_cf_with_no_q_values_is_a_validation_error(self, tmp_path, capsys, command):
         # Empty q_values leave a CF strategy nothing to sweep: bad scenario data, exit 2
         # like any other, named with its scenario before anything is evaluated.
@@ -758,6 +770,33 @@ class TestScenarioGridTypes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert re.search(named, err) and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, field, what", [("dmc_model", "transition", "DMCModel JSON"),
+                                                  ("coupling", "probs", "JointPMF JSON")],
+                             ids=["model", "coupling"])
+    @pytest.mark.parametrize("spoil", ["string", "true", "mixed"])
+    def test_a_mass_that_is_not_a_json_number_is_exit_2(self, tmp_path, capsys, key, field, what,
+                                                        spoil):
+        # np.asarray(..., dtype=float64) reads "0.25" as 0.25 and true as 1.0, and numpy
+        # takes a mixed [true, 0.5] as numbers even without a dtype.
+        payload = json.loads(open(scenario_path("dmc_demo.json")).read())
+        for name in ("dmc_model", "coupling"):
+            payload[name] = scenario_path(payload[name])
+        spoiled = json.loads(open(payload[key]).read())
+        row = spoiled[field]
+        while isinstance(row[0][0], list):
+            row = row[0]
+        row = row[0]  # the table's first row of masses
+        got = {"string": repr(str(row[0])), "true": "True", "mixed": "True"}[spoil]
+        row[:] = {"string": [str(row[0]), *row[1:]], "true": [True, *row[1:]],
+                  "mixed": [True, 0.5]}[spoil]
+        payload[key] = write_json(tmp_path, "spoiled.json", spoiled)
+        out = tmp_path / "o.csv"
+        argv = ["dmc-eval", "--scenario", write_json(tmp_path, "s.json", payload), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{what}: {field} must hold numbers only, got {got}" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("command", ["dmc-eval", "dmc-search"])
     @pytest.mark.parametrize(

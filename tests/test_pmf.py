@@ -170,6 +170,11 @@ class TestJointPMF:
         with pytest.raises(ValidationError, match="size of axis X must be an integer"):
             JointPMF.from_json_dict(payload)
 
+    def test_json_integer_masses_are_numbers(self):
+        # Strings and booleans are refused as masses (tests/test_cli.py); integers are not.
+        payload = {"axes": [{"name": "X", "size": 2}], "probs": [1, 0]}
+        assert JointPMF.from_json_dict(payload).probs.tolist() == [1.0, 0.0]
+
     def test_reordered_in_its_own_order_is_itself(self):
         j = uniform_joint(2, 3, names=("X", "Y"))
         assert j.reordered(("X", "Y")) is j and j.reordered(["X", "Y"]) is j
@@ -363,20 +368,21 @@ class TestProductStack:
             for n in (1, 16, 23):
                 tables = [rng.random((n, *shape)) for shape in shapes]
                 want = reference_product(pattern, names, tables)
-                assert np.array_equal(pattern.product_stack(names, tables), want)
+                assert np.array_equal(pattern.product_stack(tables), want)
 
-    def test_two_table_shapes_of_one_pattern_get_their_own_plans(self):
-        names = ("A", "B", "C")
+    def test_table_shapes_of_one_pattern_share_its_placements(self):
+        # A placement is planned from axis names alone, once per factor.
         pattern = FactorizationPattern(((("B",), ()), (("C", "A"), ("B",))))
+        names = pattern.variables
         rng = np.random.default_rng(8)
-        pmf._product_plan.cache_clear()
+        pmf.placement.cache_clear()
         for sizes in [(2, 3, 1), (3, 1, 2), (2, 3, 1)]:
             a, b, c = sizes
             tables = [rng.random((5, b)), rng.random((5, b, c, a))]
-            got = pattern.product_stack(names, tables)
+            got = pattern.product_stack(tables)
             assert np.array_equal(got, reference_product(pattern, names, tables))
-            assert got.shape == (5, *sizes)
-        assert pmf._product_plan.cache_info().currsize == 2
+            assert got.shape == (5, b, c, a)
+        assert pmf.placement.cache_info().currsize == 2
 
 
 class TestFactorization:
@@ -394,7 +400,7 @@ class TestFactorization:
                 table = rng.random((7, *shape)) * (rng.random((7, *shape)) > 0.2) + 1e-9
                 axes = tuple(range(1 + len(given), 1 + len(shape)))
                 tables.append(table / table.sum(axis=axes, keepdims=True))
-            factorized = pattern.product_stack(names, tables)
+            factorized = pattern.product_stack(tables)
             assert np.all(factorization_deviation(factorized, names, pattern) <= FACTORIZATION_TOL)
             perturbed = random_stack(rng, 7, factorized.shape[1:])
             for probs in (factorized, 0.5 * (factorized + perturbed)):

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ from relaysec.bounds import (
 )
 from relaysec.dmc import DMCModel, RateTuple
 from relaysec.errors import BudgetExceededError, UsageError, ValidationError
-from relaysec.pmf import JointPMF, check_masses
+from relaysec.pmf import FactorizationPattern, JointPMF, check_masses
 from relaysec.regionsearch import (
     _VertexSystem,
     _full_points,
@@ -49,9 +50,11 @@ def coupling_grid(theorem_id, model, aux_sizes, grid_steps):
         yield from (AuxiliaryCoupling(JointPMF(spec.coupling_vars, p), theorem_id) for p in probs)
 
 
-def y1_leg_deviation(model, probs):
-    """Per stacked compress-forward coupling, the largest cell of
-    |p(aux, x, x1, y1) - p(aux, x, x1)·p(y1|x, x1)| against the channel."""
+def y1_leg_deviation(spec, model, probs):
+    """Per stacked compress-forward coupling (N, `spec.coupling_vars` axes), the largest
+    cell of |p(aux, x, x1, y1) - p(aux, x, x1)·p(y1|x, x1)| against the channel."""
+    order = [v for v in spec.full_vars if v in spec.coupling_vars]  # aux, X, X1, Y1, Yh
+    probs = probs.transpose(0, *(1 + spec.coupling_vars.index(v) for v in order))
     implied = probs.sum(axis=(-2, -1))[..., None] * model.y1_conditional()
     return np.max(np.abs(implied - probs.sum(axis=-1)).reshape(len(probs), -1), axis=1)
 
@@ -311,11 +314,11 @@ class TestBruteForce:
             pass  # AuxiliaryCoupling construction already checks the pattern
 
     def test_cf_grid_pins_the_relay_observation_leg(self):
-        model = product_channel()
+        model, spec = product_channel(), theorem_spec("T12")
         sizes = {"U": 1, "V": 2, "Yh": 2}
         count = 0
         for coupling in coupling_grid("T12", model, sizes, 2):
-            assert y1_leg_deviation(model, coupling.joint.probs[None])[0] <= DEFAULT_TOL
+            assert y1_leg_deviation(spec, model, coupling.joint.probs[None])[0] <= DEFAULT_TOL
             count += 1
         assert count == estimate_grid_size("T12", model, sizes, 2)
 
@@ -761,7 +764,7 @@ def reference_grid_chunks(spec, model, sizes, steps):
     picks = list(itertools.product(*(range(len(t)) for t in tables)))
     for start in range(0, len(picks), step):
         chunk = np.array(picks[start : start + step])
-        yield spec.pattern.product_stack(spec.coupling_vars, [t[chunk[:, k]] for k, t in enumerate(tables)])
+        yield spec.pattern.product_stack([t[chunk[:, k]] for k, t in enumerate(tables)])
 
 
 def grid_model(model_name):
@@ -785,7 +788,7 @@ class TestGridConstruction:
             check_masses(probs, "grid chunk")
             require_factorization(spec, probs)
             if spec.uses_compressor:
-                assert np.all(y1_leg_deviation(model, probs) <= DEFAULT_TOL)
+                assert np.all(y1_leg_deviation(spec, model, probs) <= DEFAULT_TOL)
             scanned += len(probs)
         assert scanned == estimate_grid_size(theorem_id, model, sizes, steps)
 
@@ -799,6 +802,19 @@ class TestGridConstruction:
         assert [p.shape for p in got] == [p.shape for p in want]
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
         assert count == sum(len(p) for p in want)
+
+    @pytest.mark.parametrize("theorem_id,sizes", [s for s in BENCH_SHAPES if "Yh" in s[1]])
+    def test_the_y1_factor_may_list_x1_first(self, monkeypatch, theorem_id, sizes):
+        # The channel's p(y1|x,x1) enters the grid in its factor's own axis order, by
+        # name; the favorable model's is not symmetric in x and x1.
+        spec, model = theorem_spec(theorem_id), grid_model("favorable")
+        want = list(regionsearch._grid(spec, model, sizes, 2)[1])
+        factors = tuple((t, g[::-1] if t == ("Y1",) else g) for t, g in spec.pattern.factors)
+        monkeypatch.setitem(THEOREMS, theorem_id, replace(spec, pattern=FactorizationPattern(factors)))
+        moved = theorem_spec(theorem_id)
+        assert moved.pattern != spec.pattern and moved.coupling_vars == spec.coupling_vars
+        got = list(regionsearch._grid(moved, model, sizes, 2)[1])
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_first_chunk_of_a_large_grid_is_built_in_bounded_memory(self):
         # T2 with U=1, V1=3, V2=3 at g=2 has 2,359,296 couplings (inside the default
