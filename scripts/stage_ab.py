@@ -31,8 +31,11 @@ on the paper network: per curve strategy of CURVES at 401 alphas x 401 betas,
   curve      `sweep.max_r1_vs_alpha`;
 
 and per region grid of REGIONS one `sweep.sweep_frontier` (frontier).  The
-trees take turns, in alternating order, after one untimed call of each, and
-each figure is the best of REPEATS samples, in microseconds per call.
+trees take turns, in alternating order, after one untimed call of each.  A
+round takes the best of REPEATS samples per tree; each row is run for ROUNDS
+rounds and reports the median round's figure per tree, in microseconds per
+call, their ratio new/old, and the lowest and highest ratio of a single round
+(range), so one disturbed round shows as a wide range, not as the figure.
 `max|diff|` is the largest difference between the trees' rendered rows
 (catalog: 0 when every row of every theorem renders the same, else inf),
 composed joints (compose, couple), entropies (entropies), bounds (evaluate),
@@ -57,6 +60,7 @@ import numpy as np
 THEOREMS = ("T1", "T3", "T4", "T8", "T11")  # configurations A (T1-T4), B (T8) and C (T11)
 SIZES = (1, 16, 256, 1024)
 REPEATS = 7
+ROUNDS = 3  # each row's figures are the median over this many best-of-REPEATS rounds
 OBJECTIVE = (1.0, 1.0, 0.5)
 MODEL_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios",
                           "dmc_model.json")
@@ -231,18 +235,28 @@ def best_of(funcs: list, repeats: int) -> list:
     return best
 
 
+def report(label: str, funcs: list, diff: str) -> None:
+    """Print one row: per tree the median over ROUNDS of its best-of-REPEATS time,
+    the medians' ratio, the range of the rounds' own ratios, and `diff`."""
+    rounds = np.array([best_of(funcs, REPEATS) for _ in range(ROUNDS)])
+    t_old, t_new = np.median(rounds, axis=0)
+    ratios = rounds[:, 1] / rounds[:, 0]
+    print(f"{label}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}{t_new / t_old:>9.2f}"
+          f"{f'{ratios.min():.2f}-{ratios.max():.2f}':>11}{diff:>11}", flush=True)
+
+
 def main(argv: list) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     trees = [load_tree(argv[0], "relaysec_old"), load_tree(argv[1], "relaysec_new")]
+    columns = f"{'old':>12}{'new':>12}{'new/old':>9}{'range':>11}{'max|diff|':>11}"
     print(f"# numpy {np.__version__}, python {sys.version.split()[0]}, BLAS pinned to 1 thread, "
-          f"best of {REPEATS}, microseconds per call")
-    print(f"{'theorem':<8}{'N':>6}  {'stage':<10}{'old':>12}{'new':>12}{'new/old':>9}{'max|diff|':>11}")
-    t_old, t_new = best_of([tree["bounds"]._catalog for tree in trees], REPEATS)
+          f"median of {ROUNDS} rounds of best of {REPEATS}, microseconds per call")
+    print(f"{'theorem':<8}{'N':>6}  {'stage':<10}{columns}")
     diff = 0.0 if catalog_rows(trees[0]) == catalog_rows(trees[1]) else float("inf")
-    print(f"{'all':<8}{'-':>6}  {'catalog':<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
-          f"{t_new / t_old:>9.2f}{diff:>11.1e}", flush=True)
+    report(f"{'all':<8}{'-':>6}  {'catalog':<10}", [tree["bounds"]._catalog for tree in trees],
+           f"{diff:.1e}")
     for theorem in THEOREMS:
         old = trees[0]
         rng = np.random.default_rng(int(theorem[1:]))
@@ -255,26 +269,19 @@ def main(argv: list) -> int:
             per_tree = [stages(tree, theorem, probs, n) for tree in trees]
             for stage in per_tree[0]:
                 (f_old, v_old), (f_new, v_new) = per_tree[0][stage], per_tree[1][stage]
-                t_old, t_new = best_of([f_old, f_new], REPEATS)
                 diff = "" if v_old is None else f"{np.max(np.abs(v_new - v_old), initial=0.0):.1e}"
-                print(f"{theorem:<8}{n:>6}  {stage:<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
-                      f"{t_new / t_old:>9.2f}{diff:>11}", flush=True)
-    print(f"\n{'theorem':<8}{'shape':>22}  {'stage':<10}{'old':>12}{'new':>12}{'new/old':>9}"
-          f"{'max|diff|':>11}")
+                report(f"{theorem:<8}{n:>6}  {stage:<10}", [f_old, f_new], diff)
+    print(f"\n{'theorem':<8}{'shape':>22}  {'stage':<10}{columns}")
     for (theorem, shape, f_old, v_old), (*_, f_new, v_new) in zip(
         *(search_stages(tree) for tree in trees)
     ):
-        t_old, t_new = best_of([f_old, f_new], REPEATS)
-        print(f"{theorem:<8}{shape:>22}  {'search':<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
-              f"{t_new / t_old:>9.2f}{max_diff(v_old, v_new):>11.1e}", flush=True)
-    print(f"\n{'strategy':<10}{'grid':>8}  {'stage':<10}{'old':>12}{'new':>12}{'new/old':>9}"
-          f"{'max|diff|':>11}")
+        report(f"{theorem:<8}{shape:>22}  {'search':<10}", [f_old, f_new],
+               f"{max_diff(v_old, v_new):.1e}")
+    print(f"\n{'strategy':<10}{'grid':>8}  {'stage':<10}{columns}")
     for (sid, grid, stage, f_old, v_old), (*_, f_new, v_new) in zip(
         *(gaussian_stages(tree) for tree in trees)
     ):
-        t_old, t_new = best_of([f_old, f_new], REPEATS)
-        print(f"{sid:<10}{grid:>8}  {stage:<10}{t_old * 1e6:>12.1f}{t_new * 1e6:>12.1f}"
-              f"{t_new / t_old:>9.2f}{max_diff(v_old, v_new):>11.1e}", flush=True)
+        report(f"{sid:<10}{grid:>8}  {stage:<10}", [f_old, f_new], f"{max_diff(v_old, v_new):.1e}")
     return 0
 
 

@@ -698,7 +698,7 @@ def build_cf_coupling(
     check_masses(rows, "compressor rows p(yh|y1,x1) in x1-major order")
     # The base, the channel's p(y1|x,x1) and q, multiplied by name in the base's order.
     legs = FactorizationPattern(((base.axis_names, ()), (("Y1",), ("X", "X1")), (("Yh",), ("X1", "Y1"))))
-    probs = legs.product_stack([base.probs[None], model.y1_conditional()[None], q[None]])
+    probs = legs.product_stack([base.probs[None], model.y1_conditional[None], q[None]])
     return AuxiliaryCoupling(JointPMF(legs.variables, probs[0]), theorem_id)
 
 
@@ -743,7 +743,7 @@ def coupling_stack(spec: TheoremSpec, model: DMCModel, coupling: AuxiliaryCoupli
         raise ValidationError(f"coupling alphabet ({ours}) does not match the channel ({theirs})")
     if spec.uses_compressor:
         y1, yh = map(spec.coupling_vars.index, ("Y1", "Yh"))
-        leg = placement(("X", "X1", "Y1"), spec.coupling_vars)(model.y1_conditional())
+        leg = placement(("X", "X1", "Y1"), spec.coupling_vars)(model.y1_conditional)
         implied_y1 = probs.sum(axis=(y1, yh), keepdims=True) * leg
         dev = float(np.max(np.abs(implied_y1 - probs.sum(axis=yh, keepdims=True))))
         if not dev <= FACTORIZATION_TOL:
@@ -893,8 +893,6 @@ class BranchEvaluation:
 
 @dataclass(frozen=True)
 class BoundEvaluation:
-    theorem_id: str
-    rates: RateTuple
     branch_taken: str
     member: bool
     branches: tuple[BranchEvaluation, ...]
@@ -950,7 +948,7 @@ def evaluate_membership(
     # The first accepting branch, else the first qualifying one.
     first = [b for b in evaluations if b.member] + [b for b in evaluations if b.state.applicable]
     taken = first[0].state.branch_id if first else "none"
-    return BoundEvaluation(theorem_id, rates, taken, member, tuple(evaluations))
+    return BoundEvaluation(taken, member, tuple(evaluations))
 
 
 def corollary_member(

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InfeasibleError, UsageError, ValidationError
-from .gaussian import GaussianNetwork, StrategyParams, cf_rstar_max
+from .gaussian import GaussianNetwork, StrategyParams
 from .scenario import Scenario, load_scenario
 from .sweep import (
     evaluate_strategy,
@@ -134,13 +134,8 @@ def _cmd_gaussian(args) -> int:
     strategy = resolve_strategy(args.strategy, args.model)
     if strategy.config == "C" and args.beta is not None:
         raise UsageError("gaussian: --beta applies to model B only")
-    if strategy.uses_q and args.q is None:
-        raise UsageError(f"gaussian: {strategy.strategy_id} needs --q, the compression variance")
-    rstar = args.rstar
-    if strategy.uses_q and rstar is None:
-        rstar = max(0.0, cf_rstar_max(net, args.q))
     beta = 0.0 if args.beta is None else args.beta
-    sp = StrategyParams(alpha=args.alpha, beta=beta, q=args.q, rstar=rstar)
+    sp = strategy.point(net, StrategyParams(alpha=args.alpha, beta=beta, q=args.q, rstar=args.rstar))
     pair = evaluate_strategy(strategy.strategy_id, net, sp)
     first_name, second_name = ("r1", "r2") if strategy.config == "B" else ("r0", "r1")
     header = ["model", "strategy", "alpha", "beta", "q", "rstar", first_name, second_name, "branch"]

@@ -61,12 +61,9 @@ class DMCModel:
         """Read-only alphabet size of each channel variable, keyed and ordered by CHANNEL_VARS."""
         return MappingProxyType(dict(zip(CHANNEL_VARS, self.transition.shape)))
 
+    @cached_property
     def y1_conditional(self) -> np.ndarray:
         """p(y1 | x, x1), shape (x, x1, y1): read-only, summed once per model."""
-        return self._y1_conditional
-
-    @cached_property
-    def _y1_conditional(self) -> np.ndarray:
         table = self.transition.sum(axis=(2, 4))
         table.setflags(write=False)
         return table
@@ -74,7 +71,7 @@ class DMCModel:
     @cached_property
     def yz_given_y1(self) -> np.ndarray:
         """p(y, z | x, x1, y1), indexed [x, x1, y, y1, z]; 0 where y1 cannot occur."""
-        y1 = self.y1_conditional()[:, :, None, :, None]
+        y1 = self.y1_conditional[:, :, None, :, None]
         table = np.divide(self.transition, y1, out=np.zeros_like(self.transition), where=y1 > 0.0)
         table.setflags(write=False)
         return table

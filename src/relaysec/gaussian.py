@@ -18,10 +18,10 @@ parameter here.
 
 Every strategy is one entry of `STRATEGIES`, and each entry holds one array
 kernel `(net, alpha, beta, q, rstar) -> (arms, second)` over numpy arrays or
-scalars (arguments a kernel does not use are ignored); `evaluate_strategy(id,
-net, StrategyParams(...))` evaluates one point and refuses parameters the
-strategy does not use.  The first rate is the min of `arms`, the second rate
-is `second`, and both are clamped at zero.
+scalars (arguments a kernel does not use are ignored).  `Strategy.point` is
+the one rule for a single point, and `evaluate_strategy(id, net,
+StrategyParams(...))` evaluates it.  The first rate is the min of `arms`, the
+second rate is `second`, and both are clamped at zero.
 The `active` label of a point names the leftmost minimal arm (`arm_labels`;
 a single-arm strategy has no label).  `b_df` and `b_baseline` share a kernel:
 decoding-and-forwarding cannot enlarge the two-confidential-message region.
@@ -42,7 +42,7 @@ the gain 2^(2 head), the form the log-affine `terms` read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from typing import Callable
 
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ModelAssumptionError, UsageError, ValidationError
 
-RSTAR_SLACK = 1e-9  # tolerance when checking R* against its budget
+RSTAR_SLACK = 1e-9  # tolerance when checking a given R* against its budget
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class StrategyParams:
 
     alpha, beta: power fractions in [0, 1]; q: compression noise variance
     (compress-forward only); rstar: pure-noise rate (compress-forward only,
-    checked against `cf_rstar_max` at use time).
+    checked against `cf_rstar_max` by `Strategy.point`).
     """
 
     alpha: float
@@ -328,6 +328,29 @@ class Strategy:
         n = sum(map(len, self.terms(net, 0.0, q, rstar)[1]))
         return n * (n + 1)
 
+    def point(self, net: GaussianNetwork, sp: StrategyParams) -> StrategyParams:
+        """`sp` with R* filled in (default: the budget `cf_rstar_max`).  Refuses, in
+        order: a parameter the strategy does not read and a missing q (UsageError),
+        a network outside the ordering, and a negative budget (a q the sweeps skip)
+        or a given R* above it by more than RSTAR_SLACK (InfeasibleError)."""
+        if self.config == "C" and sp.beta != 0.0:
+            raise UsageError(f"{self.strategy_id} does not use beta (model B only), got {sp.beta!r}")
+        unused = [n for n in ("q", "rstar") if not self.uses_q and getattr(sp, n) is not None]
+        if unused:
+            raise UsageError(f"{self.strategy_id} does not use {' or '.join(unused)} (cf only)")
+        if self.uses_q and sp.q is None:
+            raise UsageError(f"{self.strategy_id} needs a compression variance q")
+        net.require_ordering()
+        if not self.uses_q:
+            return sp
+        limit = cf_rstar_max(net, sp.q)
+        rstar = limit if sp.rstar is None else sp.rstar
+        if limit < 0.0 or rstar > limit + RSTAR_SLACK:
+            excess = "no R* fits" if limit < 0.0 else f"R* = {rstar:.6g} exceeds"
+            raise InfeasibleError(f"{excess} the compress-forward budget cf_rstar_max = "
+                                  f"{limit:.6g} at q = {sp.q:.6g}", limit=limit)
+        return replace(sp, rstar=rstar)
+
     def active(self, arms) -> np.ndarray:
         """`active` label per point of 1-d (or scalar) arms: the leftmost
         minimal arm, "" for a single-arm strategy."""
@@ -371,32 +394,10 @@ def resolve_strategy(name: str, config: str | None = None) -> Strategy:
     )
 
 
-def _check_cf_params(net: GaussianNetwork, sp: StrategyParams) -> tuple[float, float]:
-    if sp.q is None:
-        raise ValidationError("compress-forward needs a compression variance q")
-    limit = cf_rstar_max(net, sp.q)
-    rstar = sp.rstar if sp.rstar is not None else max(limit, 0.0)
-    if rstar > limit + RSTAR_SLACK or limit < -RSTAR_SLACK:
-        raise InfeasibleError(
-            f"R* = {rstar:.6g} exceeds the compress-forward budget "
-            f"cf_rstar_max = {limit:.6g} at q = {sp.q:.6g}",
-            limit=limit,
-        )
-    return sp.q, rstar
-
-
 def evaluate_strategy(strategy_id: str, net: GaussianNetwork, sp: StrategyParams) -> RatePair:
-    """Single-point evaluation of any registered strategy; a parameter the
-    strategy does not use (beta in model C, q and R* without compress-forward)
-    is refused, not ignored."""
+    """Single-point evaluation of any registered strategy, at its `Strategy.point`."""
     s = resolve_strategy(strategy_id)
-    if s.config == "C" and sp.beta != 0.0:
-        raise UsageError(f"{s.strategy_id} does not use beta (model B only), got {sp.beta!r}")
-    unused = [n for n in ("q", "rstar") if not s.uses_q and getattr(sp, n) is not None]
-    if unused:
-        raise UsageError(f"{s.strategy_id} does not use {' or '.join(unused)} (cf only)")
-    net.require_ordering()
-    q, rstar = _check_cf_params(net, sp) if s.uses_q else (None, None)
-    arms, second = s.kernel(net, sp.alpha, sp.beta, q, rstar)
+    sp = s.point(net, sp)
+    arms, second = s.kernel(net, sp.alpha, sp.beta, sp.q, sp.rstar)
     label = str(s.active(arms)[0])
     return RatePair(float(_first(arms)), float(_clamp(second)), (label,) if label else ())

@@ -210,36 +210,21 @@ def simplex_grid_count(cells: int, steps: int) -> int:
     return math.comb(steps - 1 + cells - 1, cells - 1)
 
 
-def simplex_grid(cells: int, steps: int) -> Iterator[tuple[float, ...]]:
-    """Deterministic grid on the probability simplex.
-
-    `steps` counts mass levels per cell (0, 1/(steps-1), ..., 1); `steps=1`
-    degenerates to the single uniform distribution.
-    """
-    if steps < 1:
-        raise UsageError("steps must be >= 1")
-    if steps == 1:
-        yield (1.0 / cells,) * cells
-        return
-    total = steps - 1
-
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining, -1, -1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    for combo in rec(total, cells):
-        yield tuple(c / total for c in combo)
-
-
 @functools.cache
 def _simplex_table(cells: int, steps: int) -> np.ndarray:
-    """`simplex_grid(cells, steps)` as a read-only (count, cells) array, built once per
-    process; its rows' masses are checked here, so no grid chunk re-checks them."""
-    table = np.array(list(simplex_grid(cells, steps)))
+    """Deterministic grid on the probability simplex as a read-only (count, cells)
+    array, built once per process; its rows' masses are checked here, so no grid
+    chunk re-checks them.  `steps` counts mass levels per cell (0, 1/(steps-1),
+    ..., 1), rows in descending lexicographic order; `steps=1` is the single
+    uniform distribution.  By stars and bars, a row is the gaps between cells - 1
+    bars placed among steps + cells - 2 slots, the bar sets taken in reverse order."""
+    if steps == 1:
+        table = np.full((1, cells), 1.0 / cells)
+    else:
+        slots = steps + cells - 2
+        bars = np.array(list(itertools.combinations(range(slots), cells - 1))[::-1])
+        edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
+        table = (np.diff(edges) - 1) / (steps - 1)
     check_masses(table, "simplex grid")
     table.setflags(write=False)
     return table
@@ -305,7 +290,7 @@ def _grid(
         spec.theorem_id, tuple(sizes.items()), grid_steps, CHUNK_CELLS)
 
     def chunks() -> Iterator[np.ndarray]:
-        y1 = model.y1_conditional()[None] if spec.uses_compressor else None
+        y1 = model.y1_conditional[None] if spec.uses_compressor else None
         for start in range(0, count, step):
             digits = np.stack(np.unravel_index(np.arange(start, min(start + step, count)), radices), 1)
             tables, first = [], 0

@@ -190,7 +190,7 @@ class TestCouplingValidation:
             # row (0, 0) of p(y1|x,x1) moved by +-4e-9, times the base's 1/8 and
             # the uniform quantizer row q[0, 0].
             model = favorable_model(np.random.default_rng(3))
-            y1 = model.y1_conditional().copy()
+            y1 = model.y1_conditional.copy()
             y1[0, 0] += (4e-9, -4e-9)
             probs = np.full((1, 2, 2, 2, 1, 1), 1 / 8) * y1[..., None] * q[0, 0]
             bad = AuxiliaryCoupling(JointPMF(("U", "V", "X", "X1", "Y1", "Yh"), probs), "T12")
@@ -305,8 +305,8 @@ class TestModelJSON:
 
     def test_the_relay_leg_is_summed_once_and_read_only(self):
         model = random_model(np.random.default_rng(4))
-        y1 = model.y1_conditional()
-        assert y1 is model.y1_conditional()
+        y1 = model.y1_conditional
+        assert y1 is model.y1_conditional
         assert np.array_equal(y1, model.transition.sum(axis=(2, 4)))
         with pytest.raises(ValueError, match="read-only"):
             y1[0, 0, 0] = 0.5

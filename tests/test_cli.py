@@ -334,13 +334,26 @@ class TestGaussianCommand:
         argv = ["--model", model, "--strategy", "cf", "--alpha", "0.5", "--out", str(out)]
         assert main(self.BASE + argv) == 1
         err = capsys.readouterr().err
-        assert f"usage error: gaussian: {model.lower()}_cf needs --q, the compression variance" in err
+        assert f"usage error: {model.lower()}_cf needs a compression variance q" in err
         assert "Traceback" not in err and not out.exists()
 
     def test_infeasible_rstar_is_exit_3(self):
         code = main(self.BASE + ["--model", "B", "--strategy", "cf", "--alpha", "1",
                                  "--q", "300", "--rstar", "0.5"])
         assert code == 3
+
+    def test_a_q_whose_budget_is_negative_is_exit_3_as_in_the_sweeps(self, tmp_path, capsys):
+        q = 18.666666666166666  # its budget is -5.3e-12 on the paper network
+        out = tmp_path / "o.csv"
+        argv = ["--model", "C", "--strategy", "cf", "--alpha", "0.5", "--q", repr(q)]
+        assert main(self.BASE + argv + ["--out", str(out)]) == 3
+        assert "no R* fits the compress-forward budget" in capsys.readouterr().err
+        grid = {"alpha_steps": 11, "beta_steps": 2, "q_values": [q]}
+        payload = {"model": "C", "net": PAPER_NET, "strategies": ["cf"], "grid": grid}
+        path = write_json(tmp_path, "s.json", payload)
+        for command in ("region", "curve"):
+            assert main([command, "--scenario", path, "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestDMCCommands:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysec.acceptance import PAPER_NET
 from relaysec.errors import InfeasibleError, ModelAssumptionError, UsageError, ValidationError
 from relaysec.gaussian import (
     STRATEGIES,
@@ -159,8 +160,24 @@ class TestCompressForward:
             evaluate_strategy("b_cf", NET, sp(1.0, 0.0, q=0.01))
 
     def test_missing_q_rejected(self):
-        with pytest.raises(ValidationError, match="compression variance"):
+        with pytest.raises(UsageError, match="compression variance"):
             evaluate_strategy("b_cf", NET, sp(1.0, 0.0))
+
+    def test_a_missing_q_is_reported_before_the_network(self):
+        bad = GaussianNetwork(5.0, 3.0, 2.0, 3.0, 2.0)
+        with pytest.raises(UsageError, match="b_cf needs a compression variance q"):
+            evaluate_strategy("b_cf", bad, sp(1.0, 0.0))
+
+    def test_a_q_just_short_of_its_budget_is_infeasible(self):
+        # The budget here is -5.3e-12; the sweeps skip such a q, so one point
+        # refuses it too, rather than running CF at R* = 0.
+        q = 18.666666666166666
+        limit = cf_rstar_max(PAPER_NET, q)
+        assert -1e-9 < limit < 0.0
+        for rstar in (None, 0.0):
+            with pytest.raises(InfeasibleError, match="no R\\* fits") as err:
+                evaluate_strategy("c_cf", PAPER_NET, sp(0.5, q=q, rstar=rstar))
+            assert err.value.limit == limit
 
     def test_large_q_matches_noise_forward(self):
         q = 1e8

@@ -32,11 +32,11 @@ from relaysec.pmf import FactorizationPattern, JointPMF, check_masses
 from relaysec.regionsearch import (
     _VertexSystem,
     _full_points,
+    _simplex_table,
     _vertices,
     brute_force_best,
     estimate_grid_size,
     secrecy_region_extremes,
-    simplex_grid,
     simplex_grid_count,
 )
 
@@ -55,7 +55,7 @@ def y1_leg_deviation(spec, model, probs):
     cell of |p(aux, x, x1, y1) - p(aux, x, x1)·p(y1|x, x1)| against the channel."""
     order = [v for v in spec.full_vars if v in spec.coupling_vars]  # aux, X, X1, Y1, Yh
     probs = probs.transpose(0, *(1 + spec.coupling_vars.index(v) for v in order))
-    implied = probs.sum(axis=(-2, -1))[..., None] * model.y1_conditional()
+    implied = probs.sum(axis=(-2, -1))[..., None] * model.y1_conditional
     return np.max(np.abs(implied - probs.sum(axis=-1)).reshape(len(probs), -1), axis=1)
 
 
@@ -86,23 +86,34 @@ def z_noise_channel(py=0.1):
 
 class TestSimplexGrid:
     def test_steps_one_is_single_uniform(self):
-        assert list(simplex_grid(4, 1)) == [(0.25, 0.25, 0.25, 0.25)]
+        assert _simplex_table(4, 1).tolist() == [[0.25, 0.25, 0.25, 0.25]]
 
     def test_steps_two_gives_point_masses(self):
-        got = set(simplex_grid(3, 2))
+        got = set(map(tuple, _simplex_table(3, 2).tolist()))
         assert got == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
 
     def test_counts_match_enumeration(self):
         for cells in (2, 3, 4):
             for steps in (1, 2, 3, 5):
-                grid = list(simplex_grid(cells, steps))
+                grid = [tuple(w) for w in _simplex_table(cells, steps).tolist()]
                 assert len(grid) == simplex_grid_count(cells, steps)
                 assert len(set(grid)) == len(grid)
                 for w in grid:
                     assert sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_order(self):
-        assert list(simplex_grid(3, 3)) == list(simplex_grid(3, 3))
+        assert _simplex_table(3, 3).tolist() == _simplex_table(3, 3).tolist()
+
+    @pytest.mark.parametrize("cells", range(1, 7))
+    def test_rows_are_the_integer_compositions_in_descending_order(self, cells):
+        # Oracle: every composition of steps - 1 into `cells` parts, from the
+        # full product of levels, sorted descending and divided by steps - 1.
+        for steps in range(2, 7):
+            levels = itertools.product(range(steps), repeat=cells)
+            want = sorted((p for p in levels if sum(p) == steps - 1), reverse=True)
+            got = _simplex_table(cells, steps)
+            assert got.tobytes() == (np.array(want, dtype=float) / (steps - 1)).tobytes()
+            assert got.shape == (len(want), cells)
 
 
 class TestExtremes:
@@ -685,25 +696,24 @@ class TestStackedEngine:
                 assert np.array_equal(got, want[:n], equal_nan=True)
 
     def test_a_broken_simplex_row_is_refused_where_the_grid_is_built(self, monkeypatch):
-        # The grid's masses are checked once per (cells, steps) table, not per chunk.
-        real = regionsearch.simplex_grid
-
-        def spoiled(cells, steps):
-            rows = list(real(cells, steps))
-            rows[len(rows) // 2] = tuple(p * (1 + 1e-9) for p in rows[len(rows) // 2])
+        # The grid's masses are checked once per (cells, steps) table, not per chunk:
+        # a bar set past the last slot gives a row with a negative gap.
+        def spoiled(pool, r):
+            rows = list(itertools.combinations(pool, r))
+            rows[len(rows) // 2] = (len(pool),) * r
             return iter(rows)
 
         regionsearch._simplex_table.cache_clear()
         try:
-            monkeypatch.setattr(regionsearch, "simplex_grid", spoiled)
-            with pytest.raises(ValidationError, match="simplex grid: total mass"):
+            monkeypatch.setattr(regionsearch, "itertools", SimpleNamespace(combinations=spoiled))
+            with pytest.raises(ValidationError, match="simplex grid: negative mass"):
                 brute_force_best(product_channel(), {"U": 1, "V1": 2, "V2": 1}, 3, "T3", (0, 1, 0))
         finally:
             monkeypatch.undo()
             regionsearch._simplex_table.cache_clear()
         table = regionsearch._simplex_table(2, 3)
         assert table is regionsearch._simplex_table(2, 3) and not table.flags.writeable
-        assert table.tolist() == [list(p) for p in simplex_grid(2, 3)]
+        assert table.tolist() == [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
 
 
 def shipped_model():
@@ -754,9 +764,9 @@ def reference_grid_chunks(spec, model, sizes, steps):
     for targets, given in spec.pattern.factors:
         shape = tuple(axes[v] for v in given + targets)
         if targets == ("Y1",):
-            tables.append(model.y1_conditional().reshape((1,) + shape))
+            tables.append(model.y1_conditional.reshape((1,) + shape))
             continue
-        rows = np.array(list(simplex_grid(math.prod(axes[v] for v in targets), steps)))
+        rows = _simplex_table(math.prod(axes[v] for v in targets), steps)
         combos = list(itertools.product(range(len(rows)), repeat=math.prod(axes[v] for v in given)))
         tables.append(np.stack([rows[list(c)].reshape(shape) for c in combos]))
     channel = {**model.sizes, **axes}
