@@ -27,15 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, UsageError, ValidationError
+from .errors import DEFAULT_BUDGET, InfeasibleError, UsageError, ValidationError
 from .gaussian import GaussianNetwork, StrategyParams
 from .scenario import Scenario, load_scenario
-from .sweep import (
-    evaluate_strategy,
-    max_r1_vs_alpha,
-    region_boundary,
-    resolve_strategy,
-)
+from .sweep import max_r1_vs_alpha, region_boundary, resolve_strategy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,7 +131,7 @@ def _cmd_gaussian(args) -> int:
         raise UsageError("gaussian: --beta applies to model B only")
     beta = 0.0 if args.beta is None else args.beta
     sp = strategy.point(net, StrategyParams(alpha=args.alpha, beta=beta, q=args.q, rstar=args.rstar))
-    pair = evaluate_strategy(strategy.strategy_id, net, sp)
+    pair = strategy.pair(net, sp)
     first_name, second_name = ("r1", "r2") if strategy.config == "B" else ("r0", "r1")
     header = ["model", "strategy", "alpha", "beta", "q", "rstar", first_name, second_name, "branch"]
     row = [strategy.config, strategy.label, sp.alpha, sp.beta, sp.q, sp.rstar,
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux-sizes", required=True, help="e.g. U=1,V1=2,V2=1 (and Yh=2 for CF)")
     p.add_argument("--grid-steps", type=int, required=True, help="simplex grid resolution")
     p.add_argument("--objective", default="0,1,0", help="weights over R0,R1,R2")
-    p.add_argument("--budget", type=int, default=10_000_000, help="max couplings to evaluate")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max couplings to evaluate")
     p.add_argument("--clamp-equivocation", action="store_true")
     p.add_argument("--best-coupling-out", help="write the winning coupling JSON here")
     p.add_argument("--out", help="output CSV path (default stdout)")

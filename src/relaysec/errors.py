@@ -40,6 +40,9 @@ class BudgetExceededError(ValidationError):
     """A brute-force enumeration would exceed its evaluation budget."""
 
 
+DEFAULT_BUDGET = 10_000_000  # brute_force_best's; kept here so CLI parsing loads no DMC module
+
+
 def parse_json(text: str, what: str) -> object:
     """`text` as JSON.  A syntax error is refused naming its line and column; an
     integer too long to convert, or nesting too deep to decode, is refused too."""

@@ -19,9 +19,10 @@ parameter here.
 Every strategy is one entry of `STRATEGIES`, and each entry holds one array
 kernel `(net, alpha, beta, q, rstar) -> (arms, second)` over numpy arrays or
 scalars (arguments a kernel does not use are ignored).  `Strategy.point` is
-the one rule for a single point, and `evaluate_strategy(id, net,
-StrategyParams(...))` evaluates it.  The first rate is the min of `arms`, the
-second rate is `second`, and both are clamped at zero.
+the one rule for a single point, `Strategy.pair` evaluates the point it
+returns, and `evaluate_strategy(id, net, StrategyParams(...))` does both.
+The first rate is the min of `arms`, the second rate is `second`, and both
+are clamped at zero.
 The `active` label of a point names the leftmost minimal arm (`arm_labels`;
 a single-arm strategy has no label).  `b_df` and `b_baseline` share a kernel:
 decoding-and-forwarding cannot enlarge the two-confidential-message region.
@@ -351,6 +352,12 @@ class Strategy:
                                   f"{limit:.6g} at q = {sp.q:.6g}", limit=limit)
         return replace(sp, rstar=rstar)
 
+    def pair(self, net: GaussianNetwork, sp: StrategyParams) -> RatePair:
+        """The `RatePair` at a point that `point` returned; checks nothing itself."""
+        arms, second = self.kernel(net, sp.alpha, sp.beta, sp.q, sp.rstar)
+        label = str(self.active(arms)[0])
+        return RatePair(float(_first(arms)), float(_clamp(second)), (label,) if label else ())
+
     def active(self, arms) -> np.ndarray:
         """`active` label per point of 1-d (or scalar) arms: the leftmost
         minimal arm, "" for a single-arm strategy."""
@@ -397,7 +404,4 @@ def resolve_strategy(name: str, config: str | None = None) -> Strategy:
 def evaluate_strategy(strategy_id: str, net: GaussianNetwork, sp: StrategyParams) -> RatePair:
     """Single-point evaluation of any registered strategy, at its `Strategy.point`."""
     s = resolve_strategy(strategy_id)
-    sp = s.point(net, sp)
-    arms, second = s.kernel(net, sp.alpha, sp.beta, sp.q, sp.rstar)
-    label = str(s.active(arms)[0])
-    return RatePair(float(_first(arms)), float(_clamp(second)), (label,) if label else ())
+    return s.pair(net, s.point(net, sp))

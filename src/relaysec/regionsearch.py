@@ -39,10 +39,9 @@ from .bounds import (
     theorem_spec,
 )
 from .dmc import DMCModel, RateTuple
-from .errors import BudgetExceededError, UsageError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, UsageError
 from .pmf import check_masses, placement
 
-DEFAULT_BUDGET = 10_000_000
 MAX_GRID_INDEX = int(np.iinfo(np.intp).max)  # grid indices are decoded as numpy intp
 # A search chunk holds CHUNK_CELLS // (cells of one composed joint) couplings,
 # at least one, so its arrays stay near a megabyte whatever the grid size.
@@ -180,7 +179,6 @@ def secrecy_region_extremes(
     coupling: AuxiliaryCoupling,
     objective: Sequence[float],
     *,
-    rstar: float | None = None,
     tol: float = DEFAULT_TOL,
     clamp_equivocation: bool = False,
 ) -> ExtremePoint:
@@ -188,12 +186,13 @@ def secrecy_region_extremes(
 
     Returns the best feasible vertex; ties break to the lexicographically
     largest (R0, R1, R2).  An all-zero point flagged `empty_interior` means
-    even the origin fails every qualifying branch.
+    even the origin fails every qualifying branch.  A compress-forward branch
+    takes its largest feasible R*.
     """
     obj = _objective(objective)
     spec = theorem_spec(theorem_id)
     full = coupling_stack(spec, model, coupling)
-    ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation)
+    ev = evaluate_stack(spec, full, tol=tol, clamp_equivocation=clamp_equivocation)
     value, point, branch = _stack_extremes(spec, ev, obj, tol)
     return _extreme_point(spec, float(value[0]), point[0], int(branch[0]))
 
@@ -328,7 +327,6 @@ def brute_force_best(
     objective: Sequence[float],
     *,
     budget: int = DEFAULT_BUDGET,
-    rstar: float | None = None,
     tol: float = DEFAULT_TOL,
     clamp_equivocation: bool = False,
 ) -> BruteForceResult:
@@ -355,7 +353,7 @@ def brute_force_best(
     best, scanned = None, 0
     for probs in chunks:
         full = compose_stack(spec, model, probs)
-        ev = evaluate_stack(spec, full, rstar=rstar, tol=tol, clamp_equivocation=clamp_equivocation)
+        ev = evaluate_stack(spec, full, tol=tol, clamp_equivocation=clamp_equivocation)
         value, point, branch = _stack_extremes(spec, ev, obj, tol)
         # The chunk's first coupling of largest (value, R0, R1, R2).
         _, (i,) = _first_max([value[None], *point.T[:, None]], np.ones((1, len(value)), dtype=bool))

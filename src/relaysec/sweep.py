@@ -1,16 +1,17 @@
 """Parameter sweeps, Pareto filtering, and tabular region boundaries.
 
 Grids are inclusive-endpoint grids on [0, 1]; `*_steps` counts grid points.
-`_slices` lists every feasible compress-forward (q, R*) pair after refusing
-a request over MAX_GRID_CELLS; the C model has no beta knob, so its beta
-axis is just {0}.  `sweep_frontier` evaluates a strategy's kernel on the
-alpha x beta grid of every slice (numpy, one call per block of at most
-BLOCK_CELLS cells, so memory stays bounded whatever the grid) and keeps the
-Pareto-maximal corners with full parameter provenance, so CSV consumers can
-annotate plots; among exact (first, second) duplicates it keeps the smallest
-(alpha, beta, q, R*), then the earliest.  The Pareto filter reads that
-provenance from the grid index at its tie candidates only, and a grid of one
-block (every request up to BLOCK_CELLS cells) is filtered once.
+`_slices` lists every feasible compress-forward (q, R*) pair, and is where
+all three sweeps refuse a grid over MAX_GRID_CELLS and then a request left
+with no slice.  The C model has no beta knob, so its beta axis is just {0}.
+`sweep_frontier` evaluates a strategy's kernel on the alpha x beta grid of
+every slice (numpy, one call per block of at most BLOCK_CELLS cells, so
+memory stays bounded whatever the grid) and keeps the Pareto-maximal corners
+with full parameter provenance, so CSV consumers can annotate plots; among
+exact (first, second) duplicates it keeps the smallest (alpha, beta, q, R*),
+then the earliest.  The Pareto filter reads that provenance from the grid
+index at its tie candidates only, and a grid of one block (every request up
+to BLOCK_CELLS cells) is filtered once.
 
 Results are columnar, one array entry per point and no object per point: a
 `Frontier` holds `first`, `second`, `alpha`, `beta`, `q`, `rstar` and the
@@ -225,11 +226,14 @@ def _slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, curve: boo
     First refuses a request whose grid would exceed MAX_GRID_CELLS: alpha_steps
     x beta columns x slices, plus the two axes as built (the C model's beta
     axis is one point).  A B-model curve's columns are at most both ends and
-    len(_BRACKET) per candidate root, counted by `Strategy.root_count`."""
+    len(_BRACKET) per candidate root, counted by `Strategy.root_count`.  Then
+    refuses a sweep left with no slice: no q (UsageError), or none whose budget
+    `cf_rstar_max` is >= 0 (InfeasibleError carrying the largest budget)."""
     pairs = [(None, None)]
     if strategy.uses_q:
+        limits = [cf_rstar_max(net, q) for q in grid.q_values]
         # A q whose limit is negative cannot pay for its own compression.
-        pairs = [(q, limit) for q in grid.q_values if (limit := cf_rstar_max(net, q)) >= 0.0]
+        pairs = [(q, limit) for q, limit in zip(grid.q_values, limits) if limit >= 0.0]
     per_q = grid.rstar_steps if strategy.uses_q and grid.rstar_policy == "grid" else 1
     betas = width = grid.beta_steps if strategy.config == "B" else 1  # see `_betas`
     if curve and pairs and strategy.config == "B":
@@ -240,19 +244,15 @@ def _slices(strategy: Strategy, net: GaussianNetwork, grid: GridSpec, curve: boo
             f"{strategy.strategy_id}: the grid needs about {cells:.3g} cells, over the limit "
             f"of {MAX_GRID_CELLS:.3g}; lower alpha_steps, beta_steps, q_values or rstar_steps"
         )
+    if not pairs:
+        if not grid.q_values:
+            raise UsageError(f"{strategy.strategy_id} needs a compression variance q")
+        raise InfeasibleError(
+            f"compress-forward infeasible at every q in {list(grid.q_values)}", limit=max(limits)
+        )
     if per_q == 1:
         return pairs
     return [(q, float(rs)) for q, limit in pairs for rs in np.linspace(0.0, limit, per_q)]
-
-
-def _no_slice(strategy: Strategy, net: GaussianNetwork, grid: GridSpec) -> Exception:
-    """Why a compress-forward sweep has no slice: no q, or none that pays its way."""
-    if not grid.q_values:
-        return UsageError(f"{strategy.strategy_id} needs a compression variance q")
-    return InfeasibleError(
-        f"compress-forward infeasible at every q in {list(grid.q_values)}",
-        limit=max(cf_rstar_max(net, q) for q in grid.q_values),
-    )
 
 
 def _betas(strategy: Strategy, grid: GridSpec) -> np.ndarray:
@@ -261,13 +261,11 @@ def _betas(strategy: Strategy, grid: GridSpec) -> np.ndarray:
 
 
 def sweep_frontier(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Frontier:
-    """Evaluate the strategy over the whole grid and Pareto-filter the corners."""
+    """Evaluate the strategy over the whole grid and Pareto-filter the corners;
+    refuses, as the other sweeps do, a strategy left with no feasible slice."""
     strategy = resolve_strategy(strategy_id)
     net.require_ordering()
     pairs = _slices(strategy, net, grid, curve=False)
-    if not pairs:
-        empty = np.empty(0)
-        return Frontier(*[empty] * 4, np.empty(0, str), empty, empty)
     # The grid is (slice, alpha, beta) in C order, evaluated in boxes of at most
     # BLOCK_CELLS cells that take whole trailing axes while they fit, so each
     # block is a run of flat grid indices and the blocks follow grid order; q
@@ -347,8 +345,6 @@ def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> C
     strategy = resolve_strategy(strategy_id)
     net.require_ordering()
     pairs = _slices(strategy, net, grid, curve=True)
-    if not pairs:
-        raise _no_slice(strategy, net, grid)
     alphas, betas = _axis(grid.alpha_steps), _betas(strategy, grid)
     rows = np.arange(alphas.size)
     values, picked = [], []
@@ -366,14 +362,11 @@ def max_r1_vs_alpha(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> C
 
 
 def region_boundary(strategy_id: str, net: GaussianNetwork, grid: GridSpec) -> Frontier:
-    """Staircase of Pareto-maximal (R0max, R1max) corners over the sweep;
-    like `max_r1_vs_alpha`, refuses a strategy left with no feasible slice."""
+    """Staircase of Pareto-maximal (R0max, R1max) corners over the sweep: the
+    `sweep_frontier` of a common+confidential strategy."""
     strategy = resolve_strategy(strategy_id)
     if strategy.config != "C":
         raise UsageError(
             f"region_boundary applies to the common+confidential strategies, not {strategy_id}"
         )
-    frontier = sweep_frontier(strategy_id, net, grid)
-    if not frontier.first.size:  # any slice keeps at least one corner
-        raise _no_slice(strategy, net, grid)
-    return frontier
+    return sweep_frontier(strategy_id, net, grid)

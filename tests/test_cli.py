@@ -498,7 +498,7 @@ class TestDMCCommands:
         assert float(read_frontier_csv(out)[0]["objective_value"]) == pytest.approx(want, abs=1e-9)
 
     def test_search_budget_default_is_the_engine_default(self):
-        # The parser spells the default out so that parsing does not load the DMC engine.
+        # The parser reads the default from `errors`, so parsing does not load the DMC engine.
         from relaysec.cli import build_parser
         from relaysec.regionsearch import DEFAULT_BUDGET
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysec import gaussian, sweep
-from relaysec.errors import UsageError, ValidationError
+from relaysec.errors import InfeasibleError, UsageError, ValidationError
 from relaysec.gaussian import (
     STRATEGIES,
     GaussianNetwork,
@@ -198,11 +198,6 @@ class TestSweepFrontier:
         frontier = sweep_frontier("b_nf", NET, grid)
         betas = set(frontier.beta.tolist())
         assert betas <= {0.0, 1.0}
-
-    def test_cf_sweep_skips_infeasible_q(self):
-        grid = GridSpec(alpha_steps=11, beta_steps=2, q_values=(0.01,))
-        frontier = sweep_frontier("b_cf", NET, grid)
-        assert frontier.first.size == frontier.q.size == frontier.active.size == 0
 
     def test_provenance_recorded(self):
         grid = GridSpec(alpha_steps=41, beta_steps=5, q_values=(300.0,))
@@ -543,6 +538,30 @@ class TestGridBudget:
             max_r1_vs_alpha("b_df", NET, grid)
         with pytest.raises(ValidationError, match="cells"):
             sweep_frontier("b_df", NET, grid)
+
+
+class TestNoSlice:
+    @pytest.mark.parametrize(
+        "run, sid",
+        [(max_r1_vs_alpha, "b_cf"), (max_r1_vs_alpha, "c_cf"), (sweep_frontier, "b_cf"),
+         (sweep_frontier, "c_cf"), (region_boundary, "c_cf")],
+        ids=["curve-b_cf", "curve-c_cf", "frontier-b_cf", "frontier-c_cf", "region-c_cf"],
+    )
+    def test_every_sweep_refuses_a_cf_request_without_a_slice_alike(self, monkeypatch, run, sid):
+        # Neither q pays for its own compression, so no (q, R*) slice is left.
+        grid = GridSpec(alpha_steps=11, beta_steps=2, q_values=(0.01, 0.5))
+        with pytest.raises(InfeasibleError) as info:
+            run(sid, NET, grid)
+        assert str(info.value) == "compress-forward infeasible at every q in [0.01, 0.5]"
+        assert info.value.limit == max(cf_rstar_max(NET, q) for q in grid.q_values) < 0.0
+        with pytest.raises(UsageError, match=f"^{sid} needs a compression variance q$"):
+            run(sid, NET, replace(grid, q_values=()))
+        # The axes alone (11 alphas and at most 2 betas) are over this limit,
+        # and that refusal comes first.
+        monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 11)
+        for q_values in (grid.q_values, ()):
+            with pytest.raises(ValidationError, match="cells"):
+                run(sid, NET, replace(grid, q_values=q_values))
 
 
 def lexsort_survivors(first, second, prov_cols):
